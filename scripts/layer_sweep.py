@@ -6,6 +6,11 @@ and echoes the per-cell winners from best.csv.  Quick smoke pass:
 
     python3 scripts/layer_sweep.py --workdir runs/sweep --epochs 1 \
         --hidden-size 32 --embedding-dim 16
+
+The script owns --songs, --variants, --workdir and --seed.  Every other
+flag goes unchanged to `melodykit sweep` (--cells, --layers, --hidden-size,
+--epochs, --max-iterations, ...); the batch size defaults to 4 here
+instead of sweep's 50.
 """
 
 import argparse
@@ -28,17 +33,9 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--songs", default=str(ROOT / "data" / "mini_corpus.jsonl"))
     ap.add_argument("--variants", default="control,interval,db12")
-    ap.add_argument("--cells", default="lstm,ugrnn")
-    ap.add_argument("--layers", default="1,2,3")
-    ap.add_argument("--hidden-size", type=int, default=128)
-    ap.add_argument("--embedding-dim", type=int, default=64)
-    ap.add_argument("--batch-size", type=int, default=4)
-    ap.add_argument("--seq-len", type=int, default=50)
-    ap.add_argument("--epochs", type=int, default=None)
-    ap.add_argument("--max-iterations", type=int, default=None)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--workdir", default="runs/sweep")
-    args = ap.parse_args()
+    args, sweep_flags = ap.parse_known_args()
 
     work = Path(args.workdir)
     work.mkdir(parents=True, exist_ok=True)
@@ -47,17 +44,8 @@ def main():
         out_dir = work / variant
         step(["dataset", "--songs", args.songs, "--variant", variant,
               "--out", str(corpus)])
-        sweep = ["sweep", "--corpus", str(corpus), "--out-dir", str(out_dir),
-                 "--cells", args.cells, "--layers", args.layers,
-                 "--hidden-size", str(args.hidden_size),
-                 "--embedding-dim", str(args.embedding_dim),
-                 "--batch-size", str(args.batch_size),
-                 "--seq-len", str(args.seq_len), "--seed", str(args.seed)]
-        if args.epochs is not None:
-            sweep += ["--epochs", str(args.epochs)]
-        if args.max_iterations is not None:
-            sweep += ["--max-iterations", str(args.max_iterations)]
-        step(sweep)
+        step(["sweep", "--corpus", str(corpus), "--out-dir", str(out_dir),
+              "--seed", str(args.seed), "--batch-size", "4", *sweep_flags])
         print(f"[{variant}] " + "; ".join(
             (out_dir / "best.csv").read_text().splitlines()[1:]
         ))

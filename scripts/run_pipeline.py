@@ -5,8 +5,11 @@ Defaults reproduce a quick end-to-end pass on the bundled corpus:
 
     python3 scripts/run_pipeline.py --workdir runs/quick --max-iterations 50
 
-Drop --max-iterations for a real training run (minutes to hours depending
-on the variant and model size).
+The script owns --songs, --variant, --workdir and --seed.  Every other
+flag goes unchanged to `melodykit train` (--cell, --num-layers,
+--hidden-size, --epochs, --max-iterations, ...); the batch size defaults
+to 4 here instead of train's 50.  Drop --max-iterations for a real
+training run (minutes to hours depending on the variant and model size).
 """
 
 import argparse
@@ -29,17 +32,9 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--songs", default=str(ROOT / "data" / "mini_corpus.jsonl"))
     ap.add_argument("--variant", default="control", choices=["control", "interval", "db12"])
-    ap.add_argument("--cell", default="lstm")
-    ap.add_argument("--num-layers", type=int, default=1)
-    ap.add_argument("--hidden-size", type=int, default=128)
-    ap.add_argument("--embedding-dim", type=int, default=64)
-    ap.add_argument("--batch-size", type=int, default=4)
-    ap.add_argument("--seq-len", type=int, default=50)
-    ap.add_argument("--epochs", type=int, default=None)
-    ap.add_argument("--max-iterations", type=int, default=None)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--workdir", default="runs/pipeline")
-    args = ap.parse_args()
+    args, train_flags = ap.parse_known_args()
 
     work = Path(args.workdir)
     work.mkdir(parents=True, exist_ok=True)
@@ -48,18 +43,9 @@ def main():
 
     step(["dataset", "--songs", args.songs, "--variant", args.variant,
           "--out", str(corpus)])
-    train = ["train", "--corpus", str(corpus), "--checkpoint", str(ckpt),
-             "--curve", str(work / "curve.csv"),
-             "--cell", args.cell, "--num-layers", str(args.num_layers),
-             "--hidden-size", str(args.hidden_size),
-             "--embedding-dim", str(args.embedding_dim),
-             "--batch-size", str(args.batch_size), "--seq-len", str(args.seq_len),
-             "--seed", str(args.seed)]
-    if args.epochs is not None:
-        train += ["--epochs", str(args.epochs)]
-    if args.max_iterations is not None:
-        train += ["--max-iterations", str(args.max_iterations)]
-    step(train)
+    step(["train", "--corpus", str(corpus), "--checkpoint", str(ckpt),
+          "--curve", str(work / "curve.csv"), "--seed", str(args.seed),
+          "--batch-size", "4", *train_flags])
     step(["sample", "--checkpoint", str(ckpt), "--out-dir", str(work / "samples"),
           "--seed", str(args.seed)])
     step(["eval", "--songs", str(work / "samples" / "songs.jsonl"),

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import core, metrics, midi, rnn
 from .core import DatasetVariant, Song, TrainingCorpus, Vocabulary
-from .errors import MelodyKitError
+from .errors import BadToken, MelodyKitError
 
 DEFAULT_SEED_SONG = [60, 62, 64, 62]
 DEFAULT_EPOCHS = {DatasetVariant.CONTROL: 300, DatasetVariant.INTERVAL: 300, DatasetVariant.DB12: 50}
@@ -66,12 +66,18 @@ def _read_corpus(path: Path) -> TrainingCorpus:
     if not sidecar.exists():
         raise ValueError(f"vocabulary sidecar {sidecar} not found next to {path}")
     vocab_payload = json.loads(sidecar.read_text(encoding="utf-8"))
-    return TrainingCorpus(
+    corpus = TrainingCorpus(
         x=np.asarray(payload["x"], dtype=np.int64),
         y=np.asarray(payload["y"], dtype=np.int64),
         vocabulary=Vocabulary(tokens=tuple(int(t) for t in vocab_payload["tokens"])),
         variant=DatasetVariant(payload["variant"]),
     )
+    size = corpus.vocabulary.size
+    for name, ids in (("x", corpus.x), ("y", corpus.y)):
+        bad = ids[(ids < 0) | (ids >= size)]
+        if bad.size:
+            raise BadToken(f"{path}: {name} holds id {int(bad[0])} outside [0, {size})")
+    return corpus
 
 
 def _load_input_songs(songs_path: str | None, midi_dir: str | None) -> list[Song]:

@@ -5,6 +5,11 @@ linear projection to vocabulary logits; everything trains jointly by
 taping the unrolled sequence and running Adam on the summed cross-entropy.
 Weight blocks are stored (input_size + hidden, hidden) and applied as
 [x, h] @ W + b, one block per gate.
+
+Each cell kind is defined once, by the step function it registers.  One
+time step of the whole model, `_step`, embeds a batch of token ids, runs
+the stack and projects to logits.  Training runs it on a recording tape;
+`sample` and `stack_forward` run it on `NO_TAPE` with a batch of one.
 """
 
 from __future__ import annotations
@@ -30,6 +35,10 @@ from .tensor import NO_TAPE, AdamState, GradientTape, Tensor, adam_step, clip_gr
 MAX_LAYERS = 5
 CHECKPOINT_FORMAT = "melodykit-checkpoint"
 CHECKPOINT_VERSION = 1
+_HEADER_KEYS = (
+    "cell", "num_layers", "hidden_size", "embedding_dim", "variant",
+    "vocabulary", "param_count", "blob_sha256",
+)
 
 # Internal per-layer recurrent state: (h, c) Tensors, c is None for
 # cells that keep no separate memory lane.
@@ -199,39 +208,6 @@ def init_model(
     )
 
 
-def embed(token_id: int, embedding: Tensor | np.ndarray) -> np.ndarray:
-    """Row of the embedding table for one token id."""
-    table = embedding.value if isinstance(embedding, Tensor) else np.asarray(embedding)
-    if not (0 <= token_id < table.shape[0]):
-        raise BadToken(f"token id {token_id} outside [0, {table.shape[0]})")
-    return table[token_id]
-
-
-def _check_step_shapes(x_width: int, h_width: int, p: CellParams) -> None:
-    if x_width + h_width != p.weights[0].value.shape[0] or h_width != p.hidden_size:
-        raise ShapeMismatch(
-            f"cell expects input {p.input_size} + hidden {p.hidden_size}, got {x_width} + {h_width}"
-        )
-
-
-def lstm_step(x: np.ndarray, state: CellState, params: CellParams) -> tuple[np.ndarray, CellState]:
-    """One LSTM step on 1-D vectors; returns (new h, new state)."""
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    _check_step_shapes(x.shape[0], state.h.shape[0], params)
-    pair = (Tensor(state.h[None, :]), Tensor(state.c[None, :]))
-    h, (hn, cn) = _lstm_step(NO_TAPE, Tensor(x[None, :]), pair, params)
-    return h.value[0], CellState(h=hn.value[0], c=cn.value[0])
-
-
-def ugrnn_step(x: np.ndarray, state: CellState, params: CellParams) -> tuple[np.ndarray, CellState]:
-    """One UGRNN step on 1-D vectors; returns (new h, new state)."""
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    _check_step_shapes(x.shape[0], state.h.shape[0], params)
-    pair = (Tensor(state.h[None, :]), None)
-    h, (hn, _) = _ugrnn_step(NO_TAPE, Tensor(x[None, :]), pair, params)
-    return h.value[0], CellState(h=hn.value[0], c=None)
-
-
 def _zero_state_pairs(model: ModelState, batch: int) -> list[_StatePair]:
     spec = cell_spec(model.cell)
     pairs: list[_StatePair] = []
@@ -254,24 +230,15 @@ def _step(tape: GradientTape, model: ModelState, ids: np.ndarray, pairs: list[_S
     return logits, new_pairs
 
 
-def initial_states(model: ModelState) -> list[CellState]:
-    spec = cell_spec(model.cell)
-    return [
-        CellState(
-            h=np.zeros(layer.hidden_size),
-            c=np.zeros(layer.hidden_size) if spec.has_memory else None,
-        )
-        for layer in model.layers
-    ]
-
-
 def stack_forward(
     token_ids, model: ModelState, states: list[CellState] | None = None
 ) -> tuple[np.ndarray, list[CellState]]:
     """Run a token sequence through the stack; returns (logits (T, V), final states).
 
     Feeding one long sequence equals feeding it piecewise with the carried
-    states, so samplers can stream token by token.
+    states.  Ids are checked against the vocabulary, and the states come
+    back as plain per-layer arrays, so callers can score a sequence or
+    compare two models without touching the internal Tensor state.
     """
     ids = np.asarray(token_ids, dtype=np.int64)
     if ids.ndim != 1 or ids.size == 0:
@@ -320,6 +287,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.batch_size < 1 or self.seq_len < 1:
             raise ValueError("batch_size and seq_len must be >= 1")
+        if self.hidden_size < 1 or self.embedding_dim < 1:
+            raise ValueError("hidden_size and embedding_dim must be >= 1")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
 
@@ -428,13 +397,19 @@ def sample(
         if tok not in model.vocabulary:
             raise UnknownSeedToken(f"seed token {tok} not in the model vocabulary")
     ids = model.vocabulary.encode(seed_tokens)
+    if ids.size == 0:
+        raise ValueError("the seed song yields no tokens")
 
-    logits, states = stack_forward(ids, model, None)
-    cur = _pick(logits[-1], mode, temperature, rng)
+    # Seed ids were checked above and picked ids are in range by
+    # construction, so the loop steps the model directly.
+    pairs = _zero_state_pairs(model, 1)
+    for t in range(ids.size):
+        logits, pairs = _step(NO_TAPE, model, ids[t : t + 1], pairs)
+    cur = _pick(logits.value[0], mode, temperature, rng)
     generated = [cur]
     for _ in range(n - 1):
-        logits, states = stack_forward([cur], model, states)
-        cur = _pick(logits[-1], mode, temperature, rng)
+        logits, pairs = _step(NO_TAPE, model, np.array([cur]), pairs)
+        cur = _pick(logits.value[0], mode, temperature, rng)
         generated.append(cur)
     tokens = model.vocabulary.decode(generated)
 
@@ -471,7 +446,12 @@ def save_checkpoint(model: ModelState, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> ModelState:
-    """Rebuild a ModelState from a checkpoint file; verifies the checksum."""
+    """Rebuild a ModelState from a checkpoint file.
+
+    The header must carry every key and the blob its checksum.  The model is
+    built by init_model from the header and its parameters() are filled in
+    order, so the blob must hold exactly as many values as they need.
+    """
     data = Path(path).read_bytes()
     nl = data.find(b"\n")
     if nl < 0:
@@ -480,10 +460,13 @@ def load_checkpoint(path: str | Path) -> ModelState:
         header = json.loads(data[:nl].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise MalformedFile(f"{path}: bad header ({exc})") from exc
-    if header.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
         raise MalformedFile(f"{path}: not a {CHECKPOINT_FORMAT} file")
     if header.get("format_version") != CHECKPOINT_VERSION:
         raise MalformedFile(f"{path}: unsupported format version {header.get('format_version')}")
+    missing = [key for key in _HEADER_KEYS if key not in header]
+    if missing:
+        raise MalformedFile(f"{path}: header lacks {', '.join(missing)}")
     blob = data[nl + 1 :]
     if hashlib.sha256(blob).hexdigest() != header["blob_sha256"]:
         raise MalformedFile(f"{path}: checksum mismatch (truncated or corrupted)")
@@ -491,34 +474,28 @@ def load_checkpoint(path: str | Path) -> ModelState:
     if flat.size != header["param_count"]:
         raise MalformedFile(f"{path}: expected {header['param_count']} values, found {flat.size}")
 
-    vocabulary = Vocabulary(tokens=tuple(int(t) for t in header["vocabulary"]))
-    spec = cell_spec(header["cell"])
-    hidden = int(header["hidden_size"])
-    emb_dim = int(header["embedding_dim"])
-    vocab_size = vocabulary.size
-
+    try:
+        vocabulary = Vocabulary(tokens=tuple(int(t) for t in header["vocabulary"]))
+        hidden, emb = int(header["hidden_size"]), int(header["embedding_dim"])
+        # init_model allocates before the blob is matched against its
+        # parameters.  Refuse sizes whose embedding table, first gate block or
+        # projection alone overflows the blob, so that an edited header cannot
+        # make it allocate far more than the file holds.
+        if max(vocabulary.size * emb, (emb + hidden) * hidden, hidden * vocabulary.size) > flat.size:
+            raise ValueError(f"sizes hidden {hidden}, embedding {emb} overflow {flat.size} values")
+        model = init_model(
+            vocabulary, DatasetVariant(header["variant"]),
+            cell=header["cell"], num_layers=int(header["num_layers"]),
+            hidden_size=hidden, embedding_dim=emb,
+        )
+    except (TypeError, ValueError) as exc:
+        raise MalformedFile(f"{path}: bad header ({exc})") from exc
+    params = model.parameters()
+    expected = sum(p.value.size for p in params)
+    if flat.size != expected:
+        raise MalformedFile(f"{path}: header describes {expected} values, blob holds {flat.size}")
     pos = 0
-
-    def take(shape: tuple[int, ...]) -> Tensor:
-        nonlocal pos
-        size = int(np.prod(shape))
-        arr = flat[pos : pos + size].reshape(shape).astype(np.float64)
-        pos += size
-        return Tensor(arr)
-
-    embedding = take((vocab_size, emb_dim))
-    layers = []
-    for i in range(int(header["num_layers"])):
-        in_size = emb_dim if i == 0 else hidden
-        weights, biases = [], []
-        for _ in spec.gates:
-            weights.append(take((in_size + hidden, hidden)))
-            biases.append(take((hidden,)))
-        layers.append(CellParams(kind=header["cell"], weights=weights, biases=biases))
-    proj_w = take((hidden, vocab_size))
-    proj_b = take((vocab_size,))
-    return ModelState(
-        cell=header["cell"], embedding=embedding, layers=layers,
-        proj_w=proj_w, proj_b=proj_b, vocabulary=vocabulary,
-        variant=DatasetVariant(header["variant"]),
-    )
+    for p in params:
+        p.value[...] = flat[pos : pos + p.value.size].reshape(p.value.shape)
+        pos += p.value.size
+    return model

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BadTarget, EmptyInput, ShapeMismatch
+from .errors import BadTarget, ShapeMismatch
 
 
 class Tensor:
@@ -90,15 +90,6 @@ class GradientTape:
         def back(g: np.ndarray) -> None:
             _accumulate(a, g)
             _accumulate(b, g.sum(axis=0))
-
-        return self._push(out, back)
-
-    def sub(self, a: Tensor, b: Tensor) -> Tensor:
-        out = Tensor(a.value - b.value)
-
-        def back(g: np.ndarray) -> None:
-            _accumulate(a, g)
-            _accumulate(b, -g)
 
         return self._push(out, back)
 
@@ -189,16 +180,6 @@ class GradientTape:
 NO_TAPE = GradientTape(record=False)
 
 
-def affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """W @ x + b for a single column vector x."""
-    x = np.asarray(x, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if w.ndim != 2 or x.ndim != 1 or b.ndim != 1 or w.shape[1] != x.shape[0] or w.shape[0] != b.shape[0]:
-        raise ShapeMismatch(f"affine: W {w.shape}, x {x.shape}, b {b.shape}")
-    return w @ x + b
-
-
 def softmax(z: np.ndarray) -> np.ndarray:
     """Max-subtracted softmax of a vector."""
     z = np.asarray(z, dtype=np.float64)
@@ -216,13 +197,6 @@ def cross_entropy(logits: np.ndarray, target: int) -> tuple[float, np.ndarray]:
     grad = probs.copy()
     grad[target] -= 1.0
     return loss, grad
-
-
-def reduce_sum_loss(per_step_losses: Sequence[float]) -> float:
-    """Sum of per-step losses; the curve later divides by batch * seq_len."""
-    if len(per_step_losses) == 0:
-        raise EmptyInput("no per-step losses to reduce")
-    return float(sum(per_step_losses))
 
 
 def clip_gradients(grads: list[np.ndarray], max_norm: float) -> list[np.ndarray]:

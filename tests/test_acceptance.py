@@ -23,8 +23,8 @@ from melodykit.core import (
 )
 from melodykit.metrics import centricity, cmm, lm
 from melodykit.midi import parse_midi, write_midi
-from melodykit.rnn import cell_spec, init_model, load_checkpoint, sample
-from melodykit.tensor import GradientTape, Tensor, finite_diff_check
+from melodykit.rnn import _step, _zero_state_pairs, init_model, sample
+from melodykit.tensor import GradientTape, finite_diff_check
 
 from . import oracles
 from .conftest import run_cli
@@ -113,29 +113,16 @@ YS = np.array([[3, 1, 4], [0, 2, 1], [2, 0, 4], [1, 3, 0]])
 def batched_loss_fn(model):
     """Train-style 3-step summed cross-entropy over the fixed batch."""
     params = model.parameters()
-    spec = cell_spec(model.cell)
 
     def loss_fn(trial):
         for p, arr in zip(params, trial):
             p.value = arr.copy()
             p.grad = None
         tape = GradientTape()
-        pairs = [
-            (
-                Tensor(np.zeros((XS.shape[0], layer.hidden_size))),
-                Tensor(np.zeros((XS.shape[0], layer.hidden_size))) if spec.has_memory else None,
-            )
-            for layer in model.layers
-        ]
+        pairs = _zero_state_pairs(model, XS.shape[0])
         total = None
         for t in range(XS.shape[1]):
-            v = tape.lookup(model.embedding, XS[:, t])
-            new_pairs = []
-            for layer, pair in zip(model.layers, pairs):
-                v, pair = spec.step(tape, v, pair, layer)
-                new_pairs.append(pair)
-            pairs = new_pairs
-            logits = tape.add_bias(tape.matmul(v, model.proj_w), model.proj_b)
+            logits, pairs = _step(tape, model, XS[:, t], pairs)
             step = tape.cross_entropy(logits, YS[:, t])
             total = step if total is None else tape.add(total, step)
         tape.backward(total)

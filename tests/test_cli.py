@@ -198,6 +198,38 @@ def test_train_missing_corpus_is_json_error(tmp_path):
     assert "nope.json" in payload["message"]
 
 
+def assert_json_error(code, err, error):
+    assert code == 1
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    assert json.loads(lines[0])["error"] == error
+
+
+@pytest.mark.parametrize("key, index, bad_id", [("x", 0, 999), ("x", 3, -1), ("y", 2, -3)])
+def test_train_rejects_corpus_ids_outside_vocabulary(tmp_path, key, index, bad_id):
+    corpus_path = build_corpus_file(tmp_path)
+    payload = json.loads(corpus_path.read_text())
+    payload[key][index] = bad_id
+    corpus_path.write_text(json.dumps(payload))
+    code, _, err = run_cli(
+        ["train", "--corpus", corpus_path, "--checkpoint", tmp_path / "m.ckpt"] + SMALL_TRAIN
+    )
+    assert_json_error(code, err, "BadToken")
+    assert str(bad_id) in json.loads(err)["message"]
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+@pytest.mark.parametrize("flag", ["--hidden-size", "--embedding-dim"])
+def test_train_rejects_zero_width(tmp_path, flag):
+    corpus_path = build_corpus_file(tmp_path)
+    code, _, err = run_cli(
+        ["train", "--corpus", corpus_path, "--checkpoint", tmp_path / "m.ckpt"]
+        + SMALL_TRAIN + [flag, "0"]
+    )
+    assert_json_error(code, err, "ValueError")
+    assert not (tmp_path / "m.ckpt").exists()
+
+
 # --- sample ----------------------------------------------------------------
 
 def test_sample_writes_song_files(tmp_path):

@@ -18,21 +18,18 @@ from melodykit.rnn import (
     CellState,
     ModelState,
     TrainConfig,
+    _pick,
     cell_spec,
-    embed,
     init_cell_params,
     init_model,
-    initial_states,
     load_checkpoint,
-    lstm_step,
     register_cell,
     sample,
     save_checkpoint,
     stack_forward,
     train,
-    ugrnn_step,
 )
-from melodykit.tensor import Tensor, affine
+from melodykit.tensor import NO_TAPE, Tensor
 
 from melodykit.errors import PitchOutOfRange
 
@@ -109,11 +106,22 @@ def zero_cell(kind, input_size=3, hidden=2):
     return p
 
 
+def cell_step(kind, x, p, h, c=None):
+    """One registered step on a batch of one; returns (h, c) as 1-D arrays."""
+    def row(v):
+        return Tensor(np.asarray(v, dtype=np.float64)[None])
+
+    pair = (row(h), None if c is None else row(c))
+    out, (h_new, c_new) = cell_spec(kind).step(NO_TAPE, row(x), pair, p)
+    assert out is h_new
+    return h_new.value[0], None if c_new is None else c_new.value[0]
+
+
 def test_lstm_step_zero_params():
     p = zero_cell("lstm")
-    h, state = lstm_step(np.ones(3), CellState(h=np.zeros(2), c=np.zeros(2)), p)
+    h, c = cell_step("lstm", np.ones(3), p, np.zeros(2), np.zeros(2))
     np.testing.assert_allclose(h, 0.0)
-    np.testing.assert_allclose(state.c, 0.0)
+    np.testing.assert_allclose(c, 0.0)
 
 
 def test_lstm_step_saturated_gates_pass_memory():
@@ -122,8 +130,8 @@ def test_lstm_step_saturated_gates_pass_memory():
     p.biases[1].value[:] = -30.0  # input ~ 0
     p.biases[3].value[:] = 30.0   # output ~ 1
     c0 = np.array([0.7, -0.2])
-    h, state = lstm_step(np.ones(3), CellState(h=np.zeros(2), c=c0), p)
-    np.testing.assert_allclose(state.c, c0, atol=1e-9)
+    h, c = cell_step("lstm", np.ones(3), p, np.zeros(2), c0)
+    np.testing.assert_allclose(c, c0, atol=1e-9)
     np.testing.assert_allclose(h, np.tanh(c0), atol=1e-9)
 
 
@@ -143,24 +151,24 @@ def test_lstm_step_scalar_hand_value():
     g, o = math.tanh(pre + 0.3), sig(pre)
     c1 = f * c0 + i * g
     h1 = o * math.tanh(c1)
-    h, state = lstm_step(np.array([x]), CellState(h=np.array([h0]), c=np.array([c0])), p)
+    h, c = cell_step("lstm", [x], p, [h0], [c0])
     assert h[0] == pytest.approx(h1, abs=1e-12)
-    assert state.c[0] == pytest.approx(c1, abs=1e-12)
+    assert c[0] == pytest.approx(c1, abs=1e-12)
 
 
 def test_ugrnn_step_zero_params_halves_state():
     p = zero_cell("ugrnn")
     v = np.array([0.6, -1.0])
-    h, state = ugrnn_step(np.ones(3), CellState(h=v), p)
+    h, c = cell_step("ugrnn", np.ones(3), p, v)
     np.testing.assert_allclose(h, v / 2)
-    assert state.c is None
+    assert c is None
 
 
 def test_ugrnn_step_saturated_gate_carries():
     p = zero_cell("ugrnn")
     p.biases[0].value[:] = 30.0
     v = np.array([0.6, -1.0])
-    h, _ = ugrnn_step(np.array([5.0, -3.0, 2.0]), CellState(h=v), p)
+    h, _ = cell_step("ugrnn", [5.0, -3.0, 2.0], p, v)
     np.testing.assert_allclose(h, v, atol=1e-9)
 
 
@@ -174,28 +182,20 @@ def test_ugrnn_step_scalar_hand_value():
     g = 1 / (1 + math.exp(-(0.3 * x - 0.6 * h0 + 0.05)))
     c = math.tanh(1.2 * x + 0.4 * h0 - 0.1)
     want = g * h0 + (1 - g) * c
-    h, _ = ugrnn_step(np.array([x]), CellState(h=np.array([h0])), p)
+    h, _ = cell_step("ugrnn", [x], p, [h0])
     assert h[0] == pytest.approx(want, abs=1e-12)
 
 
 def test_step_shape_mismatch():
     p = zero_cell("lstm", input_size=3, hidden=2)
     with pytest.raises(ShapeMismatch):
-        lstm_step(np.ones(4), CellState(h=np.zeros(2), c=np.zeros(2)), p)
+        cell_step("lstm", np.ones(4), p, np.zeros(2), np.zeros(2))
     q = zero_cell("ugrnn", input_size=3, hidden=2)
     with pytest.raises(ShapeMismatch):
-        ugrnn_step(np.ones(3), CellState(h=np.zeros(5)), q)
+        cell_step("ugrnn", np.ones(3), q, np.zeros(5))
 
 
 # --- embedding -----------------------------------------------------------
-
-def test_embed_identity_table():
-    table = np.eye(4)
-    np.testing.assert_array_equal(embed(2, table), [0, 0, 1, 0])
-    assert embed(1, Tensor(table)).shape == (4,)
-    with pytest.raises(BadToken):
-        embed(4, table)
-
 
 def test_training_touches_only_seen_embedding_rows():
     # token 64 appears in y but never in x's first window, so its
@@ -261,17 +261,29 @@ def test_stack_forward_shapes_and_validation():
 
 
 def test_stack_forward_matches_manual_composition():
+    # A plain-numpy two-layer LSTM, written out gate by gate.
     m = tiny_model(cell="lstm", layers=2, hidden=6, emb=4, seed=3)
     ids = [7, 11]
     logits, _ = stack_forward(ids, m)
-    s0 = CellState(h=np.zeros(6), c=np.zeros(6))
-    s1 = CellState(h=np.zeros(6), c=np.zeros(6))
+
+    def sig(z):
+        return 1 / (1 + np.exp(-z))
+
+    def lstm(x, h, c, layer):
+        xh = np.concatenate([x, h])
+        f, i, g, o = (xh @ w.value + b.value for w, b in zip(layer.weights, layer.biases))
+        c = sig(f) * c + sig(i) * np.tanh(g)
+        return sig(o) * np.tanh(c), c
+
+    h = [np.zeros(6), np.zeros(6)]
+    c = [np.zeros(6), np.zeros(6)]
     rows = []
     for tid in ids:
-        v = embed(tid, m.embedding)
-        h0, s0 = lstm_step(v, s0, m.layers[0])
-        h1, s1 = lstm_step(h0, s1, m.layers[1])
-        rows.append(affine(h1, m.proj_w.value.T, m.proj_b.value))
+        v = m.embedding.value[tid]
+        for k, layer in enumerate(m.layers):
+            h[k], c[k] = lstm(v, h[k], c[k], layer)
+            v = h[k]
+        rows.append(v @ m.proj_w.value + m.proj_b.value)
     np.testing.assert_allclose(logits, np.vstack(rows), atol=1e-12)
 
 
@@ -300,9 +312,13 @@ def test_lstm_memory_survives_100_steps():
     assert np.linalg.norm(states[0].c - c0) < 1e-6
 
 
-def test_initial_states_match_cell_kind():
-    assert initial_states(tiny_model(cell="lstm"))[0].c is not None
-    assert initial_states(tiny_model(cell="ugrnn"))[0].c is None
+def test_stack_forward_states_match_cell_kind():
+    for cell, layers in (("lstm", 1), ("lstm", 2), ("ugrnn", 1), ("ugrnn", 2)):
+        _, states = stack_forward([0, 3], tiny_model(cell=cell, layers=layers))
+        assert len(states) == layers
+        for state in states:
+            assert state.h.shape == (6,)
+            assert (state.c is None) == (cell == "ugrnn"), cell
 
 
 # --- training ------------------------------------------------------------
@@ -360,6 +376,11 @@ def test_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
         TrainConfig(epochs=-1)
+    with pytest.raises(ValueError):
+        TrainConfig(hidden_size=0)
+    with pytest.raises(ValueError):
+        TrainConfig(embedding_dim=0)
+    TrainConfig(hidden_size=1, embedding_dim=1)
 
 
 def test_toy_curves_decrease(toy_runs):
@@ -434,6 +455,23 @@ def test_sample_argument_validation(toy_runs):
         sample(model, [60], 5, mode="temperature", temperature=0.0)
     with pytest.raises(ValueError):
         sample(model, [60], -1)
+    with pytest.raises(ValueError):
+        sample(model, [], 5)
+
+
+@pytest.mark.parametrize("mode", ["greedy", "temperature"])
+@pytest.mark.parametrize("cell", ["lstm", "ugrnn"])
+def test_sample_equals_streaming_stack_forward(toy_runs, cell, mode):
+    seed_song = [60, 62, 64, 62]
+    for model in (toy_runs[cell].model, tiny_model(cell=cell, layers=3, seed=4)):
+        got = sample(model, seed_song, 25, mode=mode, rng=np.random.default_rng(11))
+        rng = np.random.default_rng(11)
+        logits, states = stack_forward(model.vocabulary.encode(seed_song), model)
+        picked = []
+        for _ in range(25):
+            picked.append(_pick(logits[-1], mode, 1.0, rng))
+            logits, states = stack_forward(picked[-1:], model, states)
+        assert got == seed_song + model.vocabulary.decode(picked)
 
 
 def interval_model():
@@ -501,6 +539,20 @@ def test_checkpoint_header_is_json_line(tmp_path):
     assert header["param_count"] == sum(p.value.size for p in m.parameters())
 
 
+def edit_header(data, **changes):
+    """Rewrite checkpoint header keys; a value of None deletes the key."""
+    import json
+
+    head, blob = data.split(b"\n", 1)
+    header = json.loads(head)
+    for key, value in changes.items():
+        if value is None:
+            del header[key]
+        else:
+            header[key] = value
+    return json.dumps(header, sort_keys=True).encode() + b"\n" + blob
+
+
 @pytest.mark.parametrize(
     "mangle",
     [
@@ -509,6 +561,10 @@ def test_checkpoint_header_is_json_line(tmp_path):
         lambda data: b"not json" + data[data.find(b"\n") :],
         lambda data: data[data.find(b"\n") + 1 :],           # header gone
         lambda data: data[: data.find(b"\n") + 10],          # blob gone
+        lambda data: edit_header(data, blob_sha256=None),    # checksum key gone
+        lambda data: edit_header(data, hidden_size=3),       # blob no longer fits
+        lambda data: edit_header(data, hidden_size=10**7),   # refused before allocating
+        lambda data: edit_header(data, num_layers="two"),
     ],
 )
 def test_checkpoint_rejects_corruption(tmp_path, mangle):

@@ -6,18 +6,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from melodykit.errors import BadTarget, EmptyInput, ShapeMismatch
+from melodykit.errors import BadTarget, ShapeMismatch
 from melodykit.tensor import (
     NO_TAPE,
     AdamState,
     GradientTape,
     Tensor,
     adam_step,
-    affine,
     clip_gradients,
     cross_entropy,
     finite_diff_check,
-    reduce_sum_loss,
     softmax,
 )
 
@@ -50,10 +48,11 @@ def test_elementwise_backwards():
     av, bv = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
     tape = GradientTape()
     a, b = Tensor(av), Tensor(bv)
-    out = tape.mul(tape.add(a, b), tape.sub(a, b))  # (a+b)(a-b) = a^2 - b^2
+    # (a+b)(1-b) = a - ab + b - b^2
+    out = tape.mul(tape.add(a, b), tape.one_minus(b))
     tape.backward(out)
-    np.testing.assert_allclose(a.grad, 2 * av)
-    np.testing.assert_allclose(b.grad, -2 * bv)
+    np.testing.assert_allclose(a.grad, 1 - bv)
+    np.testing.assert_allclose(b.grad, 1 - av - 2 * bv)
 
 
 def test_reused_tensor_accumulates():
@@ -154,19 +153,6 @@ def test_composite_graph_against_finite_differences():
 
 # --- plain surface ops --------------------------------------------------
 
-def test_affine_examples():
-    np.testing.assert_allclose(affine([1.0, 2.0], np.eye(2), np.zeros(2)), [1, 2])
-    np.testing.assert_allclose(affine([5.0, 5.0], np.zeros((2, 2)), [1.0, 2.0]), [1, 2])
-    np.testing.assert_allclose(affine([1.0, 1.0], [[1, 2], [3, 4]], [0.0, 0.0]), [3, 7])
-
-
-def test_affine_shape_mismatch():
-    with pytest.raises(ShapeMismatch):
-        affine([1.0, 2.0, 3.0], np.eye(2), np.zeros(2))
-    with pytest.raises(ShapeMismatch):
-        affine([1.0, 2.0], np.eye(2), np.zeros(3))
-
-
 def test_softmax_examples():
     np.testing.assert_allclose(softmax([0.0, 0.0]), [0.5, 0.5])
     np.testing.assert_allclose(softmax([math.log(1), math.log(3)]), [0.25, 0.75])
@@ -215,14 +201,6 @@ def test_cross_entropy_bad_target():
 def test_cross_entropy_nonnegative(z, t):
     loss, _ = cross_entropy(z, t % len(z))
     assert loss >= 0.0
-
-
-def test_reduce_sum_loss():
-    assert reduce_sum_loss([1.0]) == 1.0
-    assert reduce_sum_loss([0.5, 1.5]) == 2.0
-    assert reduce_sum_loss([0.37] * 2500) == pytest.approx(2500 * 0.37)
-    with pytest.raises(EmptyInput):
-        reduce_sum_loss([])
 
 
 def test_clip_gradients():
