@@ -1,7 +1,7 @@
 """Command-line pipeline: dataset, train, sweep, sample, eval.
 
-Every command exits 0 on success and nonzero with a one-line JSON error
-object on stderr otherwise.  Path flags fall back to MELODYKIT_* env vars
+Every command exits 0 on success and 1 with a one-line JSON error object
+on stderr otherwise, bad flags included.  Path flags fall back to MELODYKIT_* env vars
 (paths only, never numeric settings).  Given identical inputs, flags, and
 seeds, each command writes byte-identical outputs on the same platform, that
 is, with the same code and the same numpy/BLAS build.  Another build may sum
@@ -231,39 +231,25 @@ def cmd_eval(args: argparse.Namespace) -> int:
         core.save_songs_jsonl(songs, out_dir / "songs.jsonl")
 
     cfg = metrics.SpanConfig(n=args.span_n, lb=args.span_lb, ub=args.span_ub)
-    reports = []
-    for i, song in enumerate(songs):
-        try:
-            reports.append(metrics.evaluate_song(song, cfg))
-        except MelodyKitError as exc:
-            raise type(exc)(f"song {i}: {exc}") from exc
-    stats = metrics.stats_of_reports(reports)
-    rep_index = metrics.representative_song(reports, stats.centroid())
+    reports, stats = metrics.dataset_stats(songs, cfg)
+    rep_index = metrics.representative_song(reports, stats.mean)
 
     with open(out_dir / "reports.jsonl", "w", encoding="utf-8") as fh:
         for r in reports:
             fh.write(json.dumps(r.as_dict(), sort_keys=True) + "\n")
-    stats_payload = {
-        "count": stats.count,
-        "cmm": {"mean": stats.cmm_mean, "std": stats.cmm_std},
-        "lm": {"mean": stats.lm_mean, "std": stats.lm_std},
-        "centr": {"mean": stats.centr_mean, "std": stats.centr_std},
-        "representative_index": rep_index,
-    }
+    stats_payload = {"count": stats.count, "representative_index": rep_index}
+    csv_lines = ["metric,mean,std"]
+    summary = [f"songs: {stats.count}"]
+    for name, mean in stats.mean.as_dict().items():
+        std = getattr(stats.std, name)
+        stats_payload[name] = {"mean": mean, "std": std}
+        csv_lines.append(f"{name},{mean!r},{std!r}")
+        summary.append(f"{name + ':':7}{mean:.4f} +- {std:.4f}")
     (out_dir / "stats.json").write_text(json.dumps(stats_payload, sort_keys=True) + "\n", encoding="utf-8")
-    csv_lines = [
-        "metric,mean,std",
-        f"cmm,{stats.cmm_mean!r},{stats.cmm_std!r}",
-        f"lm,{stats.lm_mean!r},{stats.lm_std!r}",
-        f"centr,{stats.centr_mean!r},{stats.centr_std!r}",
-    ]
     (out_dir / "stats.csv").write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
     (out_dir / "representative.mid").write_bytes(midi.write_midi(songs[rep_index]))
 
-    print(f"songs: {stats.count}")
-    print(f"cmm:   {stats.cmm_mean:.4f} +- {stats.cmm_std:.4f}")
-    print(f"lm:    {stats.lm_mean:.4f} +- {stats.lm_std:.4f}")
-    print(f"centr: {stats.centr_mean:.4f} +- {stats.centr_std:.4f}")
+    print("\n".join(summary))
     print(f"representative: song {rep_index} -> {out_dir / 'representative.mid'}")
     return 0
 
@@ -290,8 +276,19 @@ def _add_sampling_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--temperature", type=float, default=1.0)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises ValueError on a usage error instead of exiting 2 with the usage text.
+
+    Subparsers inherit the class, so a bad flag value, an unknown flag and a
+    missing subcommand all end as main()'s one-line JSON error.
+    """
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="melodykit", description=__doc__)
+    parser = _ArgumentParser(prog="melodykit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("dataset", help="transform songs into a token corpus")
@@ -343,9 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (MelodyKitError, ValueError, OSError) as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from enum import Enum
 from pathlib import Path
 
@@ -125,25 +126,27 @@ class Vocabulary:
 
     tokens: tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        for prev, token in zip(self.tokens, self.tokens[1:]):
+            if token <= prev:
+                raise ValueError(f"vocabulary tokens must be strictly ascending; {token} follows {prev}")
+
+    @cached_property
+    def _ids(self) -> dict[int, int]:
+        return {token: i for i, token in enumerate(self.tokens)}
+
     @property
     def size(self) -> int:
         return len(self.tokens)
 
     def token_to_id(self, token: int) -> int:
-        i = int(np.searchsorted(self.tokens, token))
-        if i >= len(self.tokens) or self.tokens[i] != token:
-            raise KeyError(token)
-        return i
-
-    def id_to_token(self, idx: int) -> int:
-        return self.tokens[idx]
+        return self._ids[token]
 
     def __contains__(self, token: int) -> bool:
-        i = int(np.searchsorted(self.tokens, token))
-        return i < len(self.tokens) and self.tokens[i] == token
+        return token in self._ids
 
     def encode(self, seq: list[int]) -> np.ndarray:
-        return np.array([self.token_to_id(t) for t in seq], dtype=np.int64)
+        return np.array([self._ids[t] for t in seq], dtype=np.int64)
 
     def decode(self, ids) -> list[int]:
         return [self.tokens[int(i)] for i in ids]

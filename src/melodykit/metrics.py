@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 
 from .core import Song
-from .errors import BadSpanLength, EmptyInput, SongTooShort
+from .errors import BadSpanLength, EmptyInput, MelodyKitError, SongTooShort
 
 
 @dataclass(frozen=True)
@@ -32,35 +32,28 @@ class SpanConfig:
 
 @dataclass(frozen=True)
 class MetricReport:
+    """One value per metric; every output lists the metrics in this order."""
+
     cmm: float
     lm: float
     centr: float
 
     def as_dict(self) -> dict[str, float]:
-        return {"cmm": self.cmm, "lm": self.lm, "centr": self.centr}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
 class MetricStats:
     """Per-metric mean and population standard deviation over a song set."""
 
-    cmm_mean: float
-    cmm_std: float
-    lm_mean: float
-    lm_std: float
-    centr_mean: float
-    centr_std: float
+    mean: MetricReport
+    std: MetricReport
     count: int
-
-    def centroid(self) -> MetricReport:
-        return MetricReport(cmm=self.cmm_mean, lm=self.lm_mean, centr=self.centr_mean)
 
 
 def span_count(song_len: int, n: int) -> int:
     """Number of length-n sliding windows (stride 1); 1 when the song fits in one."""
-    if song_len <= n:
-        return 1
-    return song_len - n + 1
+    return max(1, song_len - n + 1)
 
 
 def _require_full_span(song: Song, n: int) -> None:
@@ -114,35 +107,25 @@ def evaluate_song(song: Song, cfg: SpanConfig = SpanConfig()) -> MetricReport:
     return MetricReport(cmm=cmm(song, cfg), lm=lm(song, cfg), centr=centricity(song, cfg))
 
 
-def dataset_stats(songs: list[Song], cfg: SpanConfig = SpanConfig()) -> MetricStats:
-    """Mean and population std of each metric over the songs."""
-    if not songs:
-        raise EmptyInput("no songs to evaluate")
+def dataset_stats(songs: list[Song], cfg: SpanConfig = SpanConfig()) -> tuple[list[MetricReport], MetricStats]:
+    """Per-song reports and their stats; an error names the song it came from."""
     reports = []
     for i, song in enumerate(songs):
         try:
             reports.append(evaluate_song(song, cfg))
-        except SongTooShort as exc:
-            raise SongTooShort(f"song {i}: {exc}") from exc
-    return stats_of_reports(reports)
+        except MelodyKitError as exc:
+            raise type(exc)(f"song {i}: {exc}") from exc
+    return reports, stats_of_reports(reports)
 
 
 def stats_of_reports(reports: list[MetricReport]) -> MetricStats:
     if not reports:
         raise EmptyInput("no reports to aggregate")
-
-    def mean_std(values: list[float]) -> tuple[float, float]:
-        m = sum(values) / len(values)
-        var = sum((v - m) ** 2 for v in values) / len(values)
-        return m, math.sqrt(var)
-
-    cm, cs = mean_std([r.cmm for r in reports])
-    lmn, ls = mean_std([r.lm for r in reports])
-    cen, ces = mean_std([r.centr for r in reports])
-    return MetricStats(
-        cmm_mean=cm, cmm_std=cs, lm_mean=lmn, lm_std=ls,
-        centr_mean=cen, centr_std=ces, count=len(reports),
-    )
+    n = len(reports)
+    columns = list(zip(*(astuple(r) for r in reports)))
+    means = [sum(col) / n for col in columns]
+    stds = [math.sqrt(sum((v - m) ** 2 for v in col) / n) for col, m in zip(columns, means)]
+    return MetricStats(mean=MetricReport(*means), std=MetricReport(*stds), count=n)
 
 
 def representative_song(reports: list[MetricReport], centroid: MetricReport) -> int:
@@ -152,14 +135,11 @@ def representative_song(reports: list[MetricReport], centroid: MetricReport) -> 
     """
     if not reports:
         raise EmptyInput("no reports to choose from")
+    c = astuple(centroid)
     best_i = 0
     best_d = math.inf
     for i, r in enumerate(reports):
-        d = math.sqrt(
-            (r.cmm - centroid.cmm) ** 2
-            + (r.lm - centroid.lm) ** 2
-            + (r.centr - centroid.centr) ** 2
-        )
+        d = math.sqrt(sum((a - b) ** 2 for a, b in zip(astuple(r), c)))
         if d < best_d:
             best_i, best_d = i, d
     return best_i

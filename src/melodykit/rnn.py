@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -191,6 +192,8 @@ def init_model(
 ) -> ModelState:
     if not (1 <= num_layers <= MAX_LAYERS):
         raise ValueError(f"num_layers must be in [1, {MAX_LAYERS}], got {num_layers}")
+    if hidden_size < 1 or embedding_dim < 1:
+        raise ValueError(f"hidden_size and embedding_dim must be >= 1, got {hidden_size} and {embedding_dim}")
     cell_spec(cell)
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(0 if rng is None else rng)
@@ -287,13 +290,27 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.batch_size < 1 or self.seq_len < 1:
             raise ValueError("batch_size and seq_len must be >= 1")
-        if self.hidden_size < 1 or self.embedding_dim < 1:
-            raise ValueError("hidden_size and embedding_dim must be >= 1")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        if self.max_iterations is not None and self.max_iterations < 0:
+            raise ValueError("max_iterations must be >= 0")
+        for name in ("learning_rate", "lr_decay", "clip_norm"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 LearningCurve = list[tuple[int, float]]
+
+
+def _window_loss(tape: GradientTape, model: ModelState, X: np.ndarray, Y: np.ndarray, pairs: list[_StatePair]):
+    """Summed cross-entropy of stepping through the columns of X against Y; returns (loss, states)."""
+    total: Tensor | None = None
+    for t in range(X.shape[1]):
+        logits, pairs = _step(tape, model, X[:, t], pairs)
+        step_loss = tape.cross_entropy(logits, Y[:, t])
+        total = step_loss if total is None else tape.add(total, step_loss)
+    return total, pairs
 
 
 def train(corpus: TrainingCorpus, config: TrainConfig, seed: int = 0) -> tuple[ModelState, LearningCurve]:
@@ -302,9 +319,9 @@ def train(corpus: TrainingCorpus, config: TrainConfig, seed: int = 0) -> tuple[M
     The token stream splits into batch_size contiguous lanes; each
     iteration consumes one seq_len window across all lanes, sums the
     per-step cross-entropies, clips the global gradient norm, and takes
-    one Adam step.  States carry across windows within an epoch and reset
-    at epoch start.  The curve records the per-token loss, i.e. the
-    window sum divided by batch_size * seq_len.
+    one Adam step.  States carry across windows within an epoch; at epoch
+    start they reset and the learning rate decays.  The curve records the
+    per-token loss, i.e. the window sum divided by batch_size * seq_len.
     """
     rng = np.random.default_rng(seed)
     model = init_model(
@@ -323,41 +340,35 @@ def train(corpus: TrainingCorpus, config: TrainConfig, seed: int = 0) -> tuple[M
     X = corpus.x[: B * lane_len].reshape(B, lane_len)
     Y = corpus.y[: B * lane_len].reshape(B, lane_len)
     windows = lane_len // T
+    iterations = config.epochs * windows
+    if config.max_iterations is not None:
+        iterations = min(iterations, config.max_iterations)
     params = model.parameters()
     opt = AdamState.for_params([p.value for p in params], lr=config.learning_rate)
     curve: LearningCurve = []
-    iteration = 0
-    stop = False
-    for epoch in range(config.epochs):
-        if stop:
-            break
-        opt.lr = config.learning_rate * (config.lr_decay ** epoch)
-        pairs = _zero_state_pairs(model, B)
-        for w in range(windows):
-            tape = GradientTape()
-            total: Tensor | None = None
-            for t in range(T):
-                col = w * T + t
-                logits, pairs = _step(tape, model, X[:, col], pairs)
-                step_loss = tape.cross_entropy(logits, Y[:, col])
-                total = step_loss if total is None else tape.add(total, step_loss)
-            tape.backward(total)
-            grads = [p.grad if p.grad is not None else np.zeros_like(p.value) for p in params]
-            grads = clip_gradients(grads, config.clip_norm)
-            adam_step([p.value for p in params], grads, opt)
-            for p in params:
-                p.grad = None
-            iteration += 1
-            curve.append((iteration, float(total.value) / (B * T)))
-            # Detach states between windows: values carry, gradients do not.
-            pairs = [(Tensor(h.value), Tensor(c.value) if c is not None else None) for h, c in pairs]
-            if config.max_iterations is not None and iteration >= config.max_iterations:
-                stop = True
-                break
+    for iteration in range(iterations):
+        epoch, w = divmod(iteration, windows)
+        if w == 0:
+            opt.lr = config.learning_rate * (config.lr_decay ** epoch)
+            pairs = _zero_state_pairs(model, B)
+        tape = GradientTape()
+        cols = slice(w * T, (w + 1) * T)
+        total, pairs = _window_loss(tape, model, X[:, cols], Y[:, cols], pairs)
+        tape.backward(total)
+        grads = [p.grad if p.grad is not None else np.zeros_like(p.value) for p in params]
+        grads = clip_gradients(grads, config.clip_norm)
+        adam_step([p.value for p in params], grads, opt)
+        for p in params:
+            p.grad = None
+        curve.append((iteration + 1, float(total.value) / (B * T)))
+        # Detach states between windows: values carry, gradients do not.
+        pairs = [(Tensor(h.value), Tensor(c.value) if c is not None else None) for h, c in pairs]
     return model, curve
 
 
 def _pick(logits: np.ndarray, mode: str, temperature: float, rng: np.random.Generator) -> int:
+    if not np.isfinite(logits).all():
+        raise ValueError("the model produced non-finite logits")
     if mode == "greedy":
         return int(np.argmax(logits))
     probs = softmax(logits / temperature)

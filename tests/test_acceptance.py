@@ -23,7 +23,7 @@ from melodykit.core import (
 )
 from melodykit.metrics import centricity, cmm, lm
 from melodykit.midi import parse_midi, write_midi
-from melodykit.rnn import _step, _zero_state_pairs, init_model, sample
+from melodykit.rnn import _window_loss, _zero_state_pairs, init_model, sample
 from melodykit.tensor import GradientTape, finite_diff_check
 
 from . import oracles
@@ -111,7 +111,7 @@ YS = np.array([[3, 1, 4], [0, 2, 1], [2, 0, 4], [1, 3, 0]])
 
 
 def batched_loss_fn(model):
-    """Train-style 3-step summed cross-entropy over the fixed batch."""
+    """The 3-step window loss that training runs, over the fixed batch."""
     params = model.parameters()
 
     def loss_fn(trial):
@@ -119,12 +119,7 @@ def batched_loss_fn(model):
             p.value = arr.copy()
             p.grad = None
         tape = GradientTape()
-        pairs = _zero_state_pairs(model, XS.shape[0])
-        total = None
-        for t in range(XS.shape[1]):
-            logits, pairs = _step(tape, model, XS[:, t], pairs)
-            step = tape.cross_entropy(logits, YS[:, t])
-            total = step if total is None else tape.add(total, step)
+        total, _ = _window_loss(tape, model, XS, YS, _zero_state_pairs(model, XS.shape[0]))
         tape.backward(total)
         grads = [p.grad.copy() if p.grad is not None else np.zeros_like(p.value) for p in params]
         return float(total.value), grads

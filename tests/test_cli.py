@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from melodykit.cli import DEFAULT_EPOCHS, _train_config
 from melodykit.core import DatasetVariant, load_songs_jsonl, save_songs_jsonl
 from melodykit.midi import parse_midi, write_midi
-from melodykit.rnn import load_checkpoint
+from melodykit.rnn import load_checkpoint, save_checkpoint
 
 from . import oracles
 from .conftest import run_cli
@@ -49,6 +50,31 @@ def train_checkpoint(tmp_path):
     )
     assert code == 0, err
     return ckpt
+
+
+# --- usage errors ----------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "--hidden-size", "abc"],  # invalid value
+        ["sample", "--mode", "beam"],       # invalid choice
+        ["eval", "--span-n"],               # missing argument
+        ["dataset", "--bogus"],             # unrecognised flag
+        ["bogus"],                          # unknown subcommand
+        [],                                 # missing subcommand
+    ],
+)
+def test_usage_errors_are_one_json_line(argv):
+    code, out, err = run_cli(argv)
+    assert_json_error(code, err, "ValueError")
+    assert "usage:" not in out + err
+
+
+def test_help_still_exits_zero():
+    with pytest.raises(SystemExit) as exc_info:
+        run_cli(["train", "--help"])
+    assert exc_info.value.code == 0
 
 
 # --- dataset ---------------------------------------------------------------
@@ -158,6 +184,55 @@ def test_train_epochs_zero_saves_initial_model(tmp_path):
     assert code == 0, err
     assert curve.read_text() == "iteration,loss\n"
     load_checkpoint(ckpt)
+
+
+def test_train_max_iterations_zero_trains_nothing(tmp_path):
+    corpus_path = build_corpus_file(tmp_path)
+    ckpt, curve = tmp_path / "m.ckpt", tmp_path / "curve.csv"
+    code, stdout, err = run_cli(
+        ["train", "--corpus", corpus_path, "--checkpoint", ckpt, "--curve", curve]
+        + SMALL_TRAIN + ["--max-iterations", "0"]
+    )
+    assert code == 0, err
+    assert "for 0 iterations" in stdout
+    assert curve.read_text() == "iteration,loss\n"
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--learning-rate", "-1"),
+        ("--learning-rate", "nan"),
+        ("--clip-norm", "0"),
+        ("--lr-decay", "-1"),
+        ("--max-iterations", "-5"),
+    ],
+)
+def test_train_rejects_bad_optimiser_settings(tmp_path, flag, value):
+    corpus_path = build_corpus_file(tmp_path)
+    code, _, err = run_cli(
+        ["train", "--corpus", corpus_path, "--checkpoint", tmp_path / "m.ckpt"]
+        + SMALL_TRAIN + [flag, value]
+    )
+    assert_json_error(code, err, "ValueError")
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+@pytest.mark.parametrize(
+    "edit", [lambda t: t[::-1], lambda t: [t[0]] + t[:-1]], ids=["reversed", "duplicated"]
+)
+def test_train_rejects_unordered_vocabulary(tmp_path, edit):
+    corpus_path = build_corpus_file(tmp_path)
+    sidecar = tmp_path / "corpus_control.vocab.json"
+    payload = json.loads(sidecar.read_text())
+    payload["tokens"] = edit(payload["tokens"])
+    sidecar.write_text(json.dumps(payload))
+    code, _, err = run_cli(
+        ["train", "--corpus", corpus_path, "--checkpoint", tmp_path / "m.ckpt"] + SMALL_TRAIN
+    )
+    assert_json_error(code, err, "ValueError")
+    assert "strictly ascending" in json.loads(err)["message"]
+    assert not (tmp_path / "m.ckpt").exists()
 
 
 def test_train_is_deterministic(tmp_path):
@@ -283,6 +358,38 @@ def test_sample_unknown_seed_token(tmp_path):
     )
     assert code == 1
     assert json.loads(err)["error"] == "UnknownSeedToken"
+
+
+def test_sample_rejects_zero_width_checkpoint(tmp_path):
+    # A consistent checkpoint with hidden_size 0: only the embedding table and
+    # the projection bias hold values, and the count and checksum match them.
+    ckpt = train_checkpoint(tmp_path)
+    head, blob = ckpt.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    flat = np.frombuffer(blob, dtype="<f8")
+    vocab, emb = len(header["vocabulary"]), header["embedding_dim"]
+    blob = np.concatenate([flat[: vocab * emb], flat[-vocab:]]).astype("<f8").tobytes()
+    header.update(hidden_size=0, param_count=vocab * emb + vocab,
+                  blob_sha256=hashlib.sha256(blob).hexdigest())
+    ckpt.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + blob)
+    code, _, err = run_cli(["sample", "--checkpoint", ckpt, "--out-dir", tmp_path / "gen"])
+    assert_json_error(code, err, "MalformedFile")
+    assert not (tmp_path / "gen").exists()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("mode", ["greedy", "temperature"])
+def test_sample_rejects_non_finite_checkpoint(tmp_path, mode, bad):
+    # Greedy argmax would take the first NaN logit for the maximum.
+    ckpt = train_checkpoint(tmp_path)
+    model = load_checkpoint(ckpt)
+    model.proj_b.value[0] = bad
+    save_checkpoint(model, ckpt)
+    code, _, err = run_cli(
+        ["sample", "--checkpoint", ckpt, "--out-dir", tmp_path / "gen", "--mode", mode]
+    )
+    assert_json_error(code, err, "ValueError")
+    assert "non-finite logits" in json.loads(err)["message"]
 
 
 # --- eval ------------------------------------------------------------------

@@ -148,6 +148,14 @@ def test_vocabulary_roundtrip_and_lookup():
         v.token_to_id(1)
 
 
+@pytest.mark.parametrize("tokens", [(2, 0, -3), (-3, 0, 0, 2)])
+def test_vocabulary_rejects_unordered_tokens(tokens):
+    # Ids are ranks in ascending order, so only a strictly ascending tuple
+    # maps each id back to its token.
+    with pytest.raises(ValueError, match="strictly ascending"):
+        Vocabulary(tokens=tokens)
+
+
 def test_build_vocabulary_empty():
     with pytest.raises(EmptyCorpus):
         build_vocabulary([[]])

@@ -115,29 +115,31 @@ def test_span_config_validation():
 
 
 def test_dataset_stats_single_song():
-    stats = dataset_stats([CONSTANT_12])
-    assert (stats.cmm_mean, stats.lm_mean, stats.centr_mean) == (0.0, 5.0, 1.0)
-    assert (stats.cmm_std, stats.lm_std, stats.centr_std) == (0.0, 0.0, 0.0)
+    reports, stats = dataset_stats([CONSTANT_12])
+    assert reports == [MetricReport(0.0, 5.0, 1.0)]
+    assert stats.mean == MetricReport(0.0, 5.0, 1.0)
+    assert stats.std == MetricReport(0.0, 0.0, 0.0)
     assert stats.count == 1
 
 
 def test_stats_two_point():
     reports = [MetricReport(1.0, 1.0, 0.5), MetricReport(3.0, 1.0, 0.5)]
     stats = stats_of_reports(reports)
-    assert stats.cmm_mean == 2.0
-    assert stats.cmm_std == 1.0  # population std over two points
+    assert stats.mean.cmm == 2.0
+    assert stats.std.cmm == 1.0  # population std over two points
 
 
 def test_dataset_stats_matches_oracle():
     rng = np.random.default_rng(3)
     songs = [[int(p) for p in rng.integers(40, 90, size=rng.integers(12, 40))] for _ in range(50)]
-    stats = dataset_stats(songs)
+    reports, stats = dataset_stats(songs)
+    assert reports == [evaluate_song(s) for s in songs]
     cmm_mean, cmm_std = oracles.brute_mean_std([oracles.brute_cmm(s) for s in songs])
     lm_mean, lm_std = oracles.brute_mean_std([oracles.brute_lm(s) for s in songs])
-    assert stats.cmm_mean == pytest.approx(cmm_mean, abs=1e-12)
-    assert stats.cmm_std == pytest.approx(cmm_std, abs=1e-12)
-    assert stats.lm_mean == pytest.approx(lm_mean, abs=1e-12)
-    assert stats.lm_std == pytest.approx(lm_std, abs=1e-12)
+    assert stats.mean.cmm == pytest.approx(cmm_mean, abs=1e-12)
+    assert stats.std.cmm == pytest.approx(cmm_std, abs=1e-12)
+    assert stats.mean.lm == pytest.approx(lm_mean, abs=1e-12)
+    assert stats.std.lm == pytest.approx(lm_std, abs=1e-12)
 
 
 def test_dataset_stats_names_offender():
@@ -163,8 +165,7 @@ def test_representative_tie_takes_lowest_index():
 def test_representative_matches_scan():
     rng = np.random.default_rng(11)
     reports = [MetricReport(*rng.uniform(0, 5, size=3)) for _ in range(10)]
-    stats = stats_of_reports(reports)
-    centroid = stats.centroid()
+    centroid = stats_of_reports(reports).mean
     want = oracles.brute_representative(
         [(r.cmm, r.lm, r.centr) for r in reports],
         (centroid.cmm, centroid.lm, centroid.centr),

@@ -222,6 +222,16 @@ def test_init_model_layer_bounds():
         tiny_model(layers=6)
 
 
+def test_init_model_rejects_zero_width():
+    # train and load_checkpoint both build through init_model, so a
+    # degenerate width is refused on either path.
+    with pytest.raises(ValueError):
+        tiny_model(hidden=0)
+    with pytest.raises(ValueError):
+        tiny_model(emb=0)
+    tiny_model(hidden=1, emb=1)
+
+
 def test_init_model_deterministic():
     a, b = tiny_model(seed=5), tiny_model(seed=5)
     for p, q in zip(a.parameters(), b.parameters()):
@@ -353,11 +363,15 @@ def test_train_curve_bookkeeping():
 
 
 def test_train_max_iterations_cap():
-    corpus = small_corpus()
+    corpus = small_corpus()  # 7 windows per epoch
     cfg = TrainConfig(cell="ugrnn", hidden_size=4, embedding_dim=3,
                       batch_size=2, seq_len=5, epochs=3, max_iterations=4)
     _, curve = train(corpus, cfg, seed=0)
     assert len(curve) == 4
+    # A cap past the epoch boundary resets the state there, as a full run does.
+    _, full = train(corpus, TrainConfig(**{**vars(cfg), "max_iterations": None}), seed=0)
+    _, capped = train(corpus, TrainConfig(**{**vars(cfg), "max_iterations": 9}), seed=0)
+    assert capped == full[:9]
 
 
 def test_train_bitwise_deterministic():
@@ -377,10 +391,12 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(epochs=-1)
     with pytest.raises(ValueError):
-        TrainConfig(hidden_size=0)
-    with pytest.raises(ValueError):
-        TrainConfig(embedding_dim=0)
-    TrainConfig(hidden_size=1, embedding_dim=1)
+        TrainConfig(max_iterations=-1)
+    for name in ("learning_rate", "lr_decay", "clip_norm"):
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=name):
+                TrainConfig(**{name: bad})
+    TrainConfig(max_iterations=0, learning_rate=1e-9, lr_decay=1.5, clip_norm=1e-9)
 
 
 def test_toy_curves_decrease(toy_runs):
@@ -565,6 +581,8 @@ def edit_header(data, **changes):
         lambda data: edit_header(data, hidden_size=3),       # blob no longer fits
         lambda data: edit_header(data, hidden_size=10**7),   # refused before allocating
         lambda data: edit_header(data, num_layers="two"),
+        lambda data: edit_header(data, vocabulary=VOCAB.tokens[::-1]),  # same size, reversed
+        lambda data: edit_header(data, vocabulary=(48,) + VOCAB.tokens[:-1]),  # 48 twice
     ],
 )
 def test_checkpoint_rejects_corruption(tmp_path, mangle):
