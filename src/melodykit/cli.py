@@ -21,7 +21,7 @@ import numpy as np
 
 from . import core, metrics, midi, rnn
 from .core import DatasetVariant, Song, TrainingCorpus, Vocabulary
-from .errors import BadToken, MelodyKitError
+from .errors import BadToken, MalformedFile, MelodyKitError
 
 DEFAULT_SEED_SONG = [60, 62, 64, 62]
 DEFAULT_EPOCHS = {DatasetVariant.CONTROL: 300, DatasetVariant.INTERVAL: 300, DatasetVariant.DB12: 50}
@@ -60,18 +60,33 @@ def _write_corpus(corpus: TrainingCorpus, out: Path) -> Path:
     return sidecar
 
 
-def _read_corpus(path: Path) -> TrainingCorpus:
+def _read_json_object(path: Path, keys: tuple[str, ...]) -> dict:
     payload = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(payload, dict):
+        raise MalformedFile(f"{path}: expected a JSON object, got {type(payload).__name__}")
+    missing = [key for key in keys if key not in payload]
+    if missing:
+        raise MalformedFile(f"{path}: lacks {', '.join(missing)}")
+    return payload
+
+
+def _read_corpus(path: Path) -> TrainingCorpus:
+    payload = _read_json_object(path, ("variant", "x", "y"))
     sidecar = path.with_name(path.stem + ".vocab.json")
     if not sidecar.exists():
         raise ValueError(f"vocabulary sidecar {sidecar} not found next to {path}")
-    vocab_payload = json.loads(sidecar.read_text(encoding="utf-8"))
-    corpus = TrainingCorpus(
-        x=np.asarray(payload["x"], dtype=np.int64),
-        y=np.asarray(payload["y"], dtype=np.int64),
-        vocabulary=Vocabulary(tokens=tuple(int(t) for t in vocab_payload["tokens"])),
-        variant=DatasetVariant(payload["variant"]),
-    )
+    vocab_payload = _read_json_object(sidecar, ("tokens",))
+    try:
+        corpus = TrainingCorpus(
+            x=np.asarray(payload["x"], dtype=np.int64),
+            y=np.asarray(payload["y"], dtype=np.int64),
+            vocabulary=Vocabulary(tokens=tuple(int(t) for t in vocab_payload["tokens"])),
+            variant=DatasetVariant(payload["variant"]),
+        )
+    except TypeError as exc:
+        raise MalformedFile(f"{path}: bad corpus value ({exc})") from exc
+    if corpus.x.ndim != 1 or corpus.x.shape != corpus.y.shape:
+        raise MalformedFile(f"{path}: x and y must be flat id lists of one length")
     size = corpus.vocabulary.size
     for name, ids in (("x", corpus.x), ("y", corpus.y)):
         bad = ids[(ids < 0) | (ids >= size)]
@@ -191,15 +206,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _sample_songs(model: rnn.ModelState, args: argparse.Namespace) -> list[Song]:
+    if args.count < 1:
+        raise ValueError(f"--count must be >= 1, got {args.count}")
     seed_song = [int(s) for s in str(args.seed_song).split(",")]
-    songs = []
-    for i in range(args.count):
-        rng = np.random.default_rng([args.seed, i])
-        songs.append(
-            rnn.sample(model, seed_song, args.notes, mode=args.mode,
-                       temperature=args.temperature, rng=rng)
-        )
-    return songs
+    rngs = [np.random.default_rng([args.seed, i]) for i in range(args.count)]
+    return rnn.sample_batch(model, seed_song, args.notes, args.mode, args.temperature, rngs)
 
 
 def _write_song_files(songs: list[Song], out_dir: Path) -> None:

@@ -8,8 +8,10 @@ Weight blocks are stored (input_size + hidden, hidden) and applied as
 
 Each cell kind is defined once, by the step function it registers.  One
 time step of the whole model, `_step`, embeds a batch of token ids, runs
-the stack and projects to logits.  Training runs it on a recording tape;
-`sample` and `stack_forward` run it on `NO_TAPE` with a batch of one.
+the stack and projects to logits.  Training runs it on a recording tape.
+`sample_batch` runs it on `NO_TAPE` with every song as one lane of a
+single batch, each lane drawing from its own generator; `sample` is its
+one-lane call.  `stack_forward` runs it on `NO_TAPE` with a batch of one.
 """
 
 from __future__ import annotations
@@ -366,39 +368,53 @@ def train(corpus: TrainingCorpus, config: TrainConfig, seed: int = 0) -> tuple[M
     return model, curve
 
 
-def _pick(logits: np.ndarray, mode: str, temperature: float, rng: np.random.Generator) -> int:
+def _pick(logits: np.ndarray, mode: str, temperature: float, rngs: list[np.random.Generator]) -> np.ndarray:
+    """Next token id of each lane from its (lanes, V) logits row.
+
+    A temperature draw is what `rng.choice(V, p=row)` makes of the row's
+    softmax: one `rng.random()` per lane, searched in the row's cumulative
+    sum divided by its last entry, to the right of any tie.
+    """
     if not np.isfinite(logits).all():
         raise ValueError("the model produced non-finite logits")
     if mode == "greedy":
-        return int(np.argmax(logits))
-    probs = softmax(logits / temperature)
-    probs = probs / probs.sum()
-    return int(rng.choice(probs.shape[0], p=probs))
+        return logits.argmax(axis=1)
+    # A tiny temperature overflows the scaled logits; the check below reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        probs = softmax(logits / temperature)
+        probs = probs / probs.sum(axis=1, keepdims=True)
+    if not np.isfinite(probs).all():
+        raise ValueError(f"temperature {temperature} gives non-finite probabilities")
+    cdf = probs.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    u = np.array([rng.random() for rng in rngs])
+    return (cdf <= u[:, None]).sum(axis=1)
 
 
-def sample(
+def sample_batch(
     model: ModelState,
     seed_song: Song,
     n: int,
-    mode: str = "greedy",
-    temperature: float = 1.0,
-    rng: np.random.Generator | int | None = None,
-) -> Song:
-    """Warm the model on the seed, then generate n tokens feeding back.
+    mode: str,
+    temperature: float,
+    rngs: list[np.random.Generator],
+) -> list[Song]:
+    """Sample one song per generator, all as lanes of one batch.
 
-    The returned song is the seed with the decoded continuation appended;
-    interval models rebuild notes from the seed's last pitch.
+    Every lane is warmed on the same seed song, then generates n tokens,
+    feeding back its own picks; lane i draws only from rngs[i], so its song
+    does not depend on how many other lanes run beside it.  A song is the
+    seed with the decoded continuation appended; interval models rebuild
+    notes from the seed's last pitch.
     """
     if mode not in ("greedy", "temperature"):
         raise ValueError(f"mode must be 'greedy' or 'temperature', got {mode!r}")
-    if temperature <= 0.0:
-        raise ValueError("temperature must be positive")
+    if not (math.isfinite(temperature) and temperature > 0.0):
+        raise ValueError(f"temperature must be finite and > 0, got {temperature}")
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
-        return list(seed_song)
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(0 if rng is None else rng)
+        return [list(seed_song) for _ in rngs]
 
     if model.variant is DatasetVariant.INTERVAL:
         seed_tokens = song_to_interval(seed_song)
@@ -413,21 +429,41 @@ def sample(
 
     # Seed ids were checked above and picked ids are in range by
     # construction, so the loop steps the model directly.
-    pairs = _zero_state_pairs(model, 1)
+    lanes = len(rngs)
+    pairs = _zero_state_pairs(model, lanes)
     for t in range(ids.size):
-        logits, pairs = _step(NO_TAPE, model, ids[t : t + 1], pairs)
-    cur = _pick(logits.value[0], mode, temperature, rng)
-    generated = [cur]
-    for _ in range(n - 1):
-        logits, pairs = _step(NO_TAPE, model, np.array([cur]), pairs)
-        cur = _pick(logits.value[0], mode, temperature, rng)
-        generated.append(cur)
-    tokens = model.vocabulary.decode(generated)
+        logits, pairs = _step(NO_TAPE, model, np.full(lanes, ids[t]), pairs)
+    generated = np.empty((lanes, n), dtype=np.int64)
+    generated[:, 0] = _pick(logits.value, mode, temperature, rngs)
+    for t in range(1, n):
+        logits, pairs = _step(NO_TAPE, model, generated[:, t - 1], pairs)
+        generated[:, t] = _pick(logits.value, mode, temperature, rngs)
 
-    if model.variant is DatasetVariant.INTERVAL:
-        rebuilt = interval_to_song(seed_song[-1], tokens)
-        return list(seed_song) + rebuilt[1:]
-    return list(seed_song) + tokens
+    songs = []
+    for row in generated:
+        tokens = model.vocabulary.decode(row)
+        if model.variant is DatasetVariant.INTERVAL:
+            songs.append(list(seed_song) + interval_to_song(seed_song[-1], tokens)[1:])
+        else:
+            songs.append(list(seed_song) + tokens)
+    return songs
+
+
+def sample(
+    model: ModelState,
+    seed_song: Song,
+    n: int,
+    mode: str = "greedy",
+    temperature: float = 1.0,
+    rng: np.random.Generator | int | None = None,
+) -> Song:
+    """Warm the model on the seed, then generate n tokens feeding back.
+
+    The one-lane call of `sample_batch`.
+    """
+    if not isinstance(rng, np.random.Generator):
+        rng = np.random.default_rng(0 if rng is None else rng)
+    return sample_batch(model, seed_song, n, mode, temperature, [rng])[0]
 
 
 def save_checkpoint(model: ModelState, path: str | Path) -> None:

@@ -111,7 +111,8 @@ class GradientTape:
         return self._push(out, back)
 
     def sigmoid(self, a: Tensor) -> Tensor:
-        s = np.exp(-np.logaddexp(0.0, -a.value))
+        # Equals 1 / (1 + exp(-x)) to within 2e-16 and never overflows.
+        s = 0.5 * (1.0 + np.tanh(0.5 * a.value))
         out = Tensor(s)
 
         def back(g: np.ndarray) -> None:
@@ -181,10 +182,10 @@ NO_TAPE = GradientTape(record=False)
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    """Max-subtracted softmax of a vector."""
+    """Max-subtracted softmax along the last axis (of a vector, or of each row)."""
     z = np.asarray(z, dtype=np.float64)
-    e = np.exp(z - z.max())
-    return e / e.sum()
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def cross_entropy(logits: np.ndarray, target: int) -> tuple[float, np.ndarray]:

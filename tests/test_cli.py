@@ -294,6 +294,32 @@ def test_train_rejects_corpus_ids_outside_vocabulary(tmp_path, key, index, bad_i
     assert not (tmp_path / "m.ckpt").exists()
 
 
+@pytest.mark.parametrize(
+    "target, edit",
+    [
+        ("corpus", lambda p: {k: v for k, v in p.items() if k != "x"}),
+        ("corpus", lambda p: {k: v for k, v in p.items() if k != "y"}),
+        ("corpus", lambda p: {k: v for k, v in p.items() if k != "variant"}),
+        ("sidecar", lambda p: {k: v for k, v in p.items() if k != "tokens"}),
+        ("corpus", lambda p: p["x"]),  # a JSON list, not an object
+        ("corpus", lambda p: {**p, "x": None}),
+        ("corpus", lambda p: {**p, "x": [p["x"], p["x"]]}),
+        ("corpus", lambda p: {**p, "y": p["y"][:-1]}),
+        ("sidecar", lambda p: {**p, "tokens": 5}),
+    ],
+    ids=["no-x", "no-y", "no-variant", "no-tokens", "list", "null-x", "2d-x", "short-y", "int-tokens"],
+)
+def test_train_rejects_malformed_corpus(tmp_path, target, edit):
+    corpus_path = build_corpus_file(tmp_path)
+    path = corpus_path if target == "corpus" else corpus_path.with_name(corpus_path.stem + ".vocab.json")
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    code, _, err = run_cli(
+        ["train", "--corpus", corpus_path, "--checkpoint", tmp_path / "m.ckpt"] + SMALL_TRAIN
+    )
+    assert_json_error(code, err, "MalformedFile")
+    assert not (tmp_path / "m.ckpt").exists()
+
+
 @pytest.mark.parametrize("flag", ["--hidden-size", "--embedding-dim"])
 def test_train_rejects_zero_width(tmp_path, flag):
     corpus_path = build_corpus_file(tmp_path)
@@ -390,6 +416,48 @@ def test_sample_rejects_non_finite_checkpoint(tmp_path, mode, bad):
     )
     assert_json_error(code, err, "ValueError")
     assert "non-finite logits" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("temperature", ["nan", "inf", "1e-320"])
+def test_sample_rejects_bad_temperature(tmp_path, temperature):
+    # 1e-320 is finite and positive, but dividing the logits by it overflows.
+    ckpt = train_checkpoint(tmp_path)
+    code, _, err = run_cli(
+        ["sample", "--checkpoint", ckpt, "--out-dir", tmp_path / "gen",
+         "--mode", "temperature", "--temperature", temperature]
+    )
+    assert_json_error(code, err, "ValueError")
+    assert "temperature" in json.loads(err)["message"]
+    assert not (tmp_path / "gen").exists()
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+@pytest.mark.parametrize("command", ["sample", "eval"])
+def test_sampling_rejects_count_below_one(tmp_path, command, count):
+    ckpt = train_checkpoint(tmp_path)
+    code, _, err = run_cli(
+        [command, "--checkpoint", ckpt, "--out-dir", tmp_path / "gen", "--count", count]
+    )
+    assert_json_error(code, err, "ValueError")
+    assert "--count" in json.loads(err)["message"]
+    assert not (tmp_path / "gen" / "songs.jsonl").exists()
+
+
+@pytest.mark.parametrize("mode", ["greedy", "temperature"])
+def test_sample_song_does_not_depend_on_count(tmp_path, mode):
+    ckpt = train_checkpoint(tmp_path)
+    for count in ("3", "7"):
+        code, _, err = run_cli(
+            ["sample", "--checkpoint", ckpt, "--out-dir", tmp_path / count,
+             "--mode", mode, "--count", count, "--notes", "12", "--seed", "3"]
+        )
+        assert code == 0, err
+    few = (tmp_path / "3" / "songs.jsonl").read_bytes().splitlines(keepends=True)
+    many = (tmp_path / "7" / "songs.jsonl").read_bytes().splitlines(keepends=True)
+    assert len(few) == 3 and few == many[:3]
+    for i in range(3):
+        name = f"song_{i:03d}.mid"
+        assert (tmp_path / "3" / name).read_bytes() == (tmp_path / "7" / name).read_bytes()
 
 
 # --- eval ------------------------------------------------------------------

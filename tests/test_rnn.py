@@ -25,11 +25,12 @@ from melodykit.rnn import (
     load_checkpoint,
     register_cell,
     sample,
+    sample_batch,
     save_checkpoint,
     stack_forward,
     train,
 )
-from melodykit.tensor import NO_TAPE, Tensor
+from melodykit.tensor import NO_TAPE, Tensor, softmax
 
 from melodykit.errors import PitchOutOfRange
 
@@ -467,8 +468,9 @@ def test_sample_argument_validation(toy_runs):
     model = toy_runs["ugrnn"].model
     with pytest.raises(ValueError):
         sample(model, [60], 5, mode="beam")
-    with pytest.raises(ValueError):
-        sample(model, [60], 5, mode="temperature", temperature=0.0)
+    for temperature in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            sample(model, [60], 5, mode="temperature", temperature=temperature)
     with pytest.raises(ValueError):
         sample(model, [60], -1)
     with pytest.raises(ValueError):
@@ -485,9 +487,56 @@ def test_sample_equals_streaming_stack_forward(toy_runs, cell, mode):
         logits, states = stack_forward(model.vocabulary.encode(seed_song), model)
         picked = []
         for _ in range(25):
-            picked.append(_pick(logits[-1], mode, 1.0, rng))
+            picked.append(int(_pick(logits[-1:], mode, 1.0, [rng])[0]))
             logits, states = stack_forward(picked[-1:], model, states)
         assert got == seed_song + model.vocabulary.decode(picked)
+
+
+def batch_test_models(toy_runs, cell, variant):
+    """The trained toy model and a 3-layer untrained one (control), or two untrained interval ones.
+
+    The 1-layer interval model's wide init peaks its logits, as training would.
+    """
+    if variant is DatasetVariant.CONTROL:
+        return [toy_runs[cell].model, tiny_model(cell=cell, layers=3, seed=4)]
+    steps = Vocabulary(tokens=tuple(range(-2, 3)))  # 25 steps stay inside [0, 127]
+    return [
+        init_model(steps, variant, cell=cell, num_layers=layers, hidden_size=6,
+                   embedding_dim=4, rng=seed, init_scale=init_scale)
+        for layers, seed, init_scale in ((1, 2, 1.0), (3, 4, 0.08))
+    ]
+
+
+@pytest.mark.parametrize("variant", [DatasetVariant.CONTROL, DatasetVariant.INTERVAL])
+@pytest.mark.parametrize("mode", ["greedy", "temperature"])
+@pytest.mark.parametrize("cell", ["lstm", "ugrnn"])
+def test_sample_batch_lane_equals_one_lane_call(toy_runs, cell, mode, variant):
+    seed_song = [60, 62, 64, 62]
+    for model in batch_test_models(toy_runs, cell, variant):
+        rngs = [np.random.default_rng([5, i]) for i in range(6)]
+        songs = sample_batch(model, seed_song, 25, mode, 0.8, rngs)
+        assert len(songs) == 6
+        for i, song in enumerate(songs):
+            assert song == sample(model, seed_song, 25, mode=mode, temperature=0.8,
+                                  rng=np.random.default_rng([5, i]))
+
+
+def test_pick_draw_equals_rng_choice():
+    # Reference: one rng.choice per lane on the row's probabilities, as
+    # sampling drew before lanes were batched.
+    rng = np.random.default_rng(8)
+    for vocab_size in (1, 2, 7, 40, 300):
+        rngs = [np.random.default_rng([1, i]) for i in range(40)]
+        refs = [np.random.default_rng([1, i]) for i in range(40)]
+        for step in range(50):
+            # A wide spread makes some probabilities underflow to exactly 0.
+            logits = rng.normal(scale=rng.choice([0.1, 3.0, 400.0]), size=(40, vocab_size))
+            temperature = float(rng.choice([0.3, 1.0, 2.5]))
+            got = _pick(logits, "temperature", temperature, rngs)
+            for lane, ref in enumerate(refs):
+                p = softmax(logits[lane] / temperature)
+                p = p / p.sum()
+                assert got[lane] == ref.choice(vocab_size, p=p), (vocab_size, step, lane)
 
 
 def interval_model():

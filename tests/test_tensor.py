@@ -83,6 +83,19 @@ def test_sigmoid_extreme_inputs_stay_finite():
     assert np.isfinite(out.value).all()
 
 
+def test_sigmoid_matches_logaddexp_form():
+    # The exp/logaddexp form the tanh kernel replaced, kept as the oracle.
+    x = np.concatenate([np.linspace(-745.0, 745.0, 200_001), [-np.inf, np.inf]])
+    oracle = np.exp(-np.logaddexp(0.0, -x))
+    a = Tensor(x[None, :])
+    tape = GradientTape()
+    out = tape.sigmoid(a)
+    assert np.abs(out.value[0] - oracle).max() <= 2e-16
+    assert out.value[0, -2:].tolist() == [0.0, 1.0]
+    tape.backward(out)
+    assert np.abs(a.grad[0] - oracle * (1.0 - oracle)).max() <= 2e-16
+
+
 def test_add_bias_sums_over_batch():
     a = Tensor(np.zeros((3, 2)))
     b = Tensor(np.zeros(2))
@@ -156,6 +169,13 @@ def test_composite_graph_against_finite_differences():
 def test_softmax_examples():
     np.testing.assert_allclose(softmax([0.0, 0.0]), [0.5, 0.5])
     np.testing.assert_allclose(softmax([math.log(1), math.log(3)]), [0.25, 0.75])
+
+
+def test_softmax_of_rows_equals_softmax_of_each_row():
+    z = np.random.default_rng(3).normal(scale=20.0, size=(7, 40))
+    rows = softmax(z)
+    for i in range(z.shape[0]):
+        np.testing.assert_array_equal(rows[i], softmax(z[i]))
 
 
 @given(finite_vectors)
