@@ -12,6 +12,7 @@ trajectory, can differ in the last bits and beyond.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -75,7 +76,10 @@ def _read_corpus(path: Path) -> TrainingCorpus:
     sidecar = path.with_name(path.stem + ".vocab.json")
     if not sidecar.exists():
         raise ValueError(f"vocabulary sidecar {sidecar} not found next to {path}")
-    vocab_payload = _read_json_object(sidecar, ("tokens",))
+    vocab_payload = _read_json_object(sidecar, ("variant", "tokens"))
+    if vocab_payload["variant"] != payload["variant"]:
+        raise MalformedFile(
+            f"{sidecar}: variant {vocab_payload['variant']!r} is not {path}'s {payload['variant']!r}")
     try:
         corpus = TrainingCorpus(
             x=np.asarray(payload["x"], dtype=np.int64),
@@ -120,20 +124,10 @@ def cmd_dataset(args: argparse.Namespace) -> int:
 
 
 def _train_config(args: argparse.Namespace, variant: DatasetVariant) -> rnn.TrainConfig:
-    epochs = args.epochs if args.epochs is not None else DEFAULT_EPOCHS[variant]
-    return rnn.TrainConfig(
-        cell=args.cell,
-        num_layers=args.num_layers,
-        hidden_size=args.hidden_size,
-        embedding_dim=args.embedding_dim,
-        batch_size=args.batch_size,
-        seq_len=args.seq_len,
-        epochs=epochs,
-        learning_rate=args.learning_rate,
-        lr_decay=args.lr_decay,
-        clip_norm=args.clip_norm,
-        max_iterations=args.max_iterations,
-    )
+    settings = {f.name: getattr(args, f.name) for f in dataclasses.fields(rnn.TrainConfig)}
+    if settings["epochs"] is None:
+        settings["epochs"] = DEFAULT_EPOCHS[variant]
+    return rnn.TrainConfig(**settings)
 
 
 def _write_curve(curve: rnn.LearningCurve, path: Path) -> None:
@@ -230,21 +224,22 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    # Check, load and score before creating --out-dir, so a failure leaves no output.
     out_dir = Path(_require(args.out_dir, "--out-dir", "OUT_DIR"))
-    out_dir.mkdir(parents=True, exist_ok=True)
     if (args.songs is None) == (args.checkpoint is None):
         raise ValueError("pass exactly one of --songs or --checkpoint")
+    cfg = metrics.SpanConfig(n=args.span_n, lb=args.span_lb, ub=args.span_ub)
     if args.songs is not None:
         songs = core.load_songs_jsonl(args.songs)
     else:
         model = rnn.load_checkpoint(args.checkpoint)
         songs = _sample_songs(model, args)
-        core.save_songs_jsonl(songs, out_dir / "songs.jsonl")
-
-    cfg = metrics.SpanConfig(n=args.span_n, lb=args.span_lb, ub=args.span_ub)
     reports, stats = metrics.dataset_stats(songs, cfg)
     rep_index = metrics.representative_song(reports, stats.mean)
 
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if args.checkpoint is not None:
+        core.save_songs_jsonl(songs, out_dir / "songs.jsonl")
     with open(out_dir / "reports.jsonl", "w", encoding="utf-8") as fh:
         for r in reports:
             fh.write(json.dumps(r.as_dict(), sort_keys=True) + "\n")
@@ -266,18 +261,20 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--cell", default="lstm", choices=sorted(rnn.CELL_TYPES))
-    p.add_argument("--num-layers", type=int, default=1)
-    p.add_argument("--hidden-size", type=int, default=128)
-    p.add_argument("--embedding-dim", type=int, default=64)
-    p.add_argument("--batch-size", type=int, default=50)
-    p.add_argument("--seq-len", type=int, default=50)
+    """One flag per rnn.TrainConfig field with its default; --epochs defaults per variant."""
+    d = rnn.TrainConfig()
+    p.add_argument("--cell", default=d.cell, choices=sorted(rnn.CELL_TYPES))
+    p.add_argument("--num-layers", type=int, default=d.num_layers)
+    p.add_argument("--hidden-size", type=int, default=d.hidden_size)
+    p.add_argument("--embedding-dim", type=int, default=d.embedding_dim)
+    p.add_argument("--batch-size", type=int, default=d.batch_size)
+    p.add_argument("--seq-len", type=int, default=d.seq_len)
     p.add_argument("--epochs", type=int, default=None,
                    help="default 300, or 50 for db12 corpora")
-    p.add_argument("--learning-rate", type=float, default=0.002)
-    p.add_argument("--lr-decay", type=float, default=0.97)
-    p.add_argument("--clip-norm", type=float, default=5.0)
-    p.add_argument("--max-iterations", type=int, default=None)
+    p.add_argument("--learning-rate", type=float, default=d.learning_rate)
+    p.add_argument("--lr-decay", type=float, default=d.lr_decay)
+    p.add_argument("--clip-norm", type=float, default=d.clip_norm)
+    p.add_argument("--max-iterations", type=int, default=d.max_iterations)
 
 
 def _add_sampling_flags(p: argparse.ArgumentParser) -> None:

@@ -139,9 +139,6 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.tokens)
 
-    def token_to_id(self, token: int) -> int:
-        return self._ids[token]
-
     def __contains__(self, token: int) -> bool:
         return token in self._ids
 

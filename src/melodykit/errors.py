@@ -33,10 +33,6 @@ class ShapeMismatch(MelodyKitError):
     """Operand shapes do not conform."""
 
 
-class BadTarget(MelodyKitError):
-    """A class id lies outside the logit vector."""
-
-
 class BadToken(MelodyKitError):
     """A token id lies outside the vocabulary."""
 

@@ -6,9 +6,9 @@ taping the unrolled sequence and running Adam on the summed cross-entropy.
 Weight blocks are stored (input_size + hidden, hidden) and applied as
 [x, h] @ W + b, one block per gate.
 
-Each cell kind is defined once, by the step function it registers.  One
-time step of the whole model, `_step`, embeds a batch of token ids, runs
-the stack and projects to logits.  Training runs it on a recording tape.
+Each cell kind is defined once, by its entry in the literal `CELL_TYPES`
+dict.  One time step of the whole model, `_step`, embeds a batch of token
+ids, runs the stack and projects to logits.  Training runs it on a tape.
 `sample_batch` runs it on `NO_TAPE` with every song as one lane of a
 single batch, each lane drawing from its own generator; `sample` is its
 one-lane call.  `stack_forward` runs it on `NO_TAPE` with a batch of one.
@@ -71,24 +71,17 @@ def _ugrnn_step(tape: GradientTape, x: Tensor, state: _StatePair, p: "CellParams
 
 @dataclass(frozen=True)
 class CellSpec:
-    """A registered cell kind: gate blocks in declaration order plus the step."""
+    """A cell kind: gate blocks in declaration order plus the step."""
 
-    name: str
     gates: tuple[str, ...]
     has_memory: bool
     step: Callable
 
 
-CELL_TYPES: dict[str, CellSpec] = {}
-
-
-def register_cell(spec: CellSpec) -> None:
-    CELL_TYPES[spec.name] = spec
-
-
-register_cell(CellSpec("lstm", ("forget", "input", "candidate", "output"), True, _lstm_step))
-register_cell(CellSpec("ugrnn", ("update", "candidate"), False, _ugrnn_step))
-# "nas" is reserved for a searched cell; register one here to add it.
+CELL_TYPES: dict[str, CellSpec] = {
+    "lstm": CellSpec(("forget", "input", "candidate", "output"), True, _lstm_step),
+    "ugrnn": CellSpec(("update", "candidate"), False, _ugrnn_step),
+}
 
 
 def cell_spec(kind: str) -> CellSpec:
@@ -102,17 +95,12 @@ def cell_spec(kind: str) -> CellSpec:
 class CellParams:
     """Per-gate weight and bias blocks for one layer."""
 
-    kind: str
     weights: list[Tensor]
     biases: list[Tensor]
 
     @property
     def hidden_size(self) -> int:
         return self.weights[0].value.shape[1]
-
-    @property
-    def input_size(self) -> int:
-        return self.weights[0].value.shape[0] - self.hidden_size
 
 
 def init_cell_params(
@@ -133,7 +121,7 @@ def init_cell_params(
     biases = [Tensor(np.zeros(hidden_size)) for _ in spec.gates]
     if kind == "lstm":
         biases[0].value[:] = 1.0
-    return CellParams(kind=kind, weights=weights, biases=biases)
+    return CellParams(weights=weights, biases=biases)
 
 
 @dataclass
@@ -286,7 +274,6 @@ class TrainConfig:
     learning_rate: float = 0.002
     lr_decay: float = 0.97
     clip_norm: float = 5.0
-    init_scale: float = 0.08
     max_iterations: int | None = None
 
     def __post_init__(self) -> None:
@@ -329,8 +316,7 @@ def train(corpus: TrainingCorpus, config: TrainConfig, seed: int = 0) -> tuple[M
     model = init_model(
         corpus.vocabulary, corpus.variant,
         cell=config.cell, num_layers=config.num_layers,
-        hidden_size=config.hidden_size, embedding_dim=config.embedding_dim,
-        rng=rng, init_scale=config.init_scale,
+        hidden_size=config.hidden_size, embedding_dim=config.embedding_dim, rng=rng,
     )
     B, T = config.batch_size, config.seq_len
     L = int(corpus.x.size)

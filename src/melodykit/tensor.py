@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BadTarget, ShapeMismatch
+from .errors import ShapeMismatch
 
 
 class Tensor:
@@ -28,10 +28,6 @@ class Tensor:
     def __init__(self, value) -> None:
         self.value = np.asarray(value, dtype=np.float64)
         self.grad: np.ndarray | None = None
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.value.shape
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.value.shape})"
@@ -188,18 +184,6 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def cross_entropy(logits: np.ndarray, target: int) -> tuple[float, np.ndarray]:
-    """Loss -ln softmax[target] and its gradient w.r.t. the logits."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if not (0 <= target < logits.shape[0]):
-        raise BadTarget(f"target {target} outside [0, {logits.shape[0]})")
-    probs = softmax(logits)
-    loss = -float(np.log(probs[target]))
-    grad = probs.copy()
-    grad[target] -= 1.0
-    return loss, grad
-
-
 def clip_gradients(grads: list[np.ndarray], max_norm: float) -> list[np.ndarray]:
     """Scale all gradients by a shared factor so the global L2 norm <= max_norm."""
     total = 0.0
@@ -212,25 +196,18 @@ def clip_gradients(grads: list[np.ndarray], max_norm: float) -> list[np.ndarray]
     return [g * scale for g in grads]
 
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus hyperparameters."""
+    """First/second moment accumulators, step counter and learning rate."""
 
     m: list[np.ndarray]
     v: list[np.ndarray]
     t: int = 0
     lr: float = 0.002
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if self.t < 0:
-            raise ValueError("step counter must be >= 0")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("betas must lie in [0, 1)")
-        if self.eps <= 0.0:
-            raise ValueError("eps must be positive")
 
     @classmethod
     def for_params(cls, params: Sequence[np.ndarray], **kwargs) -> "AdamState":
@@ -248,51 +225,12 @@ def adam_step(
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ShapeMismatch("params, grads, and state must align")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1 ** state.t)
-        v_hat = v / (1.0 - b2 ** state.t)
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        m_hat = m / (1.0 - BETA1 ** state.t)
+        v_hat = v / (1.0 - BETA2 ** state.t)
+        p -= state.lr * m_hat / (np.sqrt(v_hat) + EPS)
     return params, state
-
-
-def finite_diff_check(
-    loss_fn: Callable[[list[np.ndarray]], tuple[float, list[np.ndarray]]],
-    params: list[np.ndarray],
-    h: float = 1e-5,
-    max_coords: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    loss_fn maps a parameter list to (loss, gradient list) and must be
-    deterministic.  Checks every coordinate unless max_coords caps the
-    sample per parameter.
-    """
-    _, grads = loss_fn([p.copy() for p in params])
-    worst = 0.0
-    for pi, p in enumerate(params):
-        flat_n = p.size
-        if max_coords is not None and flat_n > max_coords:
-            if rng is None:
-                rng = np.random.default_rng(0)
-            coords = rng.choice(flat_n, size=max_coords, replace=False)
-        else:
-            coords = range(flat_n)
-        for c in coords:
-            idx = np.unravel_index(c, p.shape)
-
-            def perturbed(delta: float) -> float:
-                trial = [q.copy() for q in params]
-                trial[pi][idx] += delta
-                return loss_fn(trial)[0]
-
-            numeric = (perturbed(h) - perturbed(-h)) / (2.0 * h)
-            analytic = float(grads[pi][idx])
-            denom = max(abs(analytic), abs(numeric), 1e-12)
-            worst = max(worst, abs(analytic - numeric) / denom)
-    return worst

@@ -1,8 +1,9 @@
-"""Shared fixtures.
+"""Shared fixtures and helpers.
 
 The expensive piece is the toy memorization run (one per cell kind). It is
 trained once per session and shared between the rnn tests and the
-acceptance gate.
+acceptance gate. `finite_diff_check` is the central-difference gradient
+checker that the tape tests and acceptance criterion 4 compare against.
 """
 
 import contextlib
@@ -70,3 +71,35 @@ def run_cli(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli_main([str(a) for a in argv])
     return code, out.getvalue(), err.getvalue()
+
+
+def finite_diff_check(loss_fn, params, h=1e-5, max_coords=None, rng=None):
+    """Max relative error between analytic and central-difference gradients.
+
+    loss_fn maps a parameter list to (loss, gradient list) and must be
+    deterministic.  Checks every coordinate unless max_coords caps the
+    sample per parameter.
+    """
+    _, grads = loss_fn([p.copy() for p in params])
+    worst = 0.0
+    for pi, p in enumerate(params):
+        flat_n = p.size
+        if max_coords is not None and flat_n > max_coords:
+            if rng is None:
+                rng = np.random.default_rng(0)
+            coords = rng.choice(flat_n, size=max_coords, replace=False)
+        else:
+            coords = range(flat_n)
+        for c in coords:
+            idx = np.unravel_index(c, p.shape)
+
+            def perturbed(delta):
+                trial = [q.copy() for q in params]
+                trial[pi][idx] += delta
+                return loss_fn(trial)[0]
+
+            numeric = (perturbed(h) - perturbed(-h)) / (2.0 * h)
+            analytic = float(grads[pi][idx])
+            denom = max(abs(analytic), abs(numeric), 1e-12)
+            worst = max(worst, abs(analytic - numeric) / denom)
+    return worst

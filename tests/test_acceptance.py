@@ -24,10 +24,10 @@ from melodykit.core import (
 from melodykit.metrics import centricity, cmm, lm
 from melodykit.midi import parse_midi, write_midi
 from melodykit.rnn import _window_loss, _zero_state_pairs, init_model, sample
-from melodykit.tensor import GradientTape, finite_diff_check
+from melodykit.tensor import GradientTape
 
 from . import oracles
-from .conftest import run_cli
+from .conftest import finite_diff_check, run_cli
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "mini_corpus.jsonl"
 

@@ -306,8 +306,10 @@ def test_train_rejects_corpus_ids_outside_vocabulary(tmp_path, key, index, bad_i
         ("corpus", lambda p: {**p, "x": [p["x"], p["x"]]}),
         ("corpus", lambda p: {**p, "y": p["y"][:-1]}),
         ("sidecar", lambda p: {**p, "tokens": 5}),
+        ("sidecar", lambda p: {k: v for k, v in p.items() if k != "variant"}),
     ],
-    ids=["no-x", "no-y", "no-variant", "no-tokens", "list", "null-x", "2d-x", "short-y", "int-tokens"],
+    ids=["no-x", "no-y", "no-variant", "no-tokens", "list", "null-x", "2d-x", "short-y", "int-tokens",
+         "no-sidecar-variant"],
 )
 def test_train_rejects_malformed_corpus(tmp_path, target, edit):
     corpus_path = build_corpus_file(tmp_path)
@@ -318,6 +320,21 @@ def test_train_rejects_malformed_corpus(tmp_path, target, edit):
     )
     assert_json_error(code, err, "MalformedFile")
     assert not (tmp_path / "m.ckpt").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_corpus_rejects_sidecar_of_another_variant(tmp_path, command):
+    # a db12 token table next to a control corpus would decode every id wrongly
+    corpus_path = build_corpus_file(tmp_path)
+    db12_path = build_corpus_file(tmp_path, variant="db12")
+    sidecar = corpus_path.with_name(corpus_path.stem + ".vocab.json")
+    sidecar.write_bytes(db12_path.with_name(db12_path.stem + ".vocab.json").read_bytes())
+    out = tmp_path / "out"
+    target = ["--checkpoint", out] if command == "train" else ["--out-dir", out]
+    code, _, err = run_cli([command, "--corpus", corpus_path] + target + SMALL_TRAIN)
+    assert_json_error(code, err, "MalformedFile")
+    assert "variant" in json.loads(err)["message"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", ["--hidden-size", "--embedding-dim"])
@@ -539,6 +556,32 @@ def test_eval_requires_one_source(tmp_path):
     )
     assert code == 1
     assert "exactly one" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize(
+    "source, extra",
+    [
+        ("checkpoint", ["--count", "0"]),
+        ("both", []),
+        ("checkpoint", ["--span-lb", "9", "--span-ub", "5"]),
+        ("short-songs", []),
+    ],
+    ids=["count-0", "songs-and-checkpoint", "bad-span", "short-song"],
+)
+def test_eval_failure_leaves_no_output(tmp_path, source, extra):
+    ckpt = train_checkpoint(tmp_path)
+    short = tmp_path / "short.jsonl"
+    save_songs_jsonl([[60] * 12, [60, 62, 64]], short)
+    argv = {
+        "checkpoint": ["--checkpoint", ckpt],
+        "both": ["--songs", short, "--checkpoint", ckpt],
+        "short-songs": ["--songs", short],
+    }[source]
+    out_dir = tmp_path / "report"
+    code, _, err = run_cli(["eval", "--out-dir", out_dir] + argv + extra)
+    assert code == 1
+    assert len(err.splitlines()) == 1, err
+    assert not out_dir.exists()
 
 
 def test_eval_short_song_names_the_offender(tmp_path):

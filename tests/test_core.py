@@ -141,11 +141,11 @@ def test_vocabulary_examples():
 
 def test_vocabulary_roundtrip_and_lookup():
     v = Vocabulary(tokens=(-3, 0, 2))
-    assert [v.token_to_id(t) for t in (-3, 0, 2)] == [0, 1, 2]
+    assert v.encode([-3, 0, 2]).tolist() == [0, 1, 2]
     assert v.decode(v.encode([2, -3, 0])) == [2, -3, 0]
     assert 0 in v and 1 not in v
     with pytest.raises(KeyError):
-        v.token_to_id(1)
+        v.encode([1])
 
 
 @pytest.mark.parametrize("tokens", [(2, 0, -3), (-3, 0, 0, 2)])

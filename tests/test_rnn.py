@@ -12,9 +12,7 @@ from melodykit.errors import (
     UnknownSeedToken,
 )
 from melodykit.rnn import (
-    CELL_TYPES,
     CellParams,
-    CellSpec,
     CellState,
     ModelState,
     TrainConfig,
@@ -23,7 +21,6 @@ from melodykit.rnn import (
     init_cell_params,
     init_model,
     load_checkpoint,
-    register_cell,
     sample,
     sample_batch,
     save_checkpoint,
@@ -67,17 +64,6 @@ def test_unknown_cell_lists_known():
     assert "lstm" in str(exc_info.value) and "ugrnn" in str(exc_info.value)
 
 
-def test_registry_is_extensible():
-    spec = CellSpec("stub", ("only",), False, lambda *a: None)
-    register_cell(spec)
-    try:
-        assert cell_spec("stub") is spec
-        p = init_cell_params("stub", 3, 2, np.random.default_rng(0))
-        assert len(p.weights) == 1
-    finally:
-        del CELL_TYPES["stub"]
-
-
 def test_init_cell_params_shapes_and_biases():
     rng = np.random.default_rng(0)
     p = init_cell_params("lstm", input_size=4, hidden_size=6, rng=rng, init_scale=0.05)
@@ -88,7 +74,7 @@ def test_init_cell_params_shapes_and_biases():
     np.testing.assert_array_equal(p.biases[0].value, np.ones(6))  # forget bias
     for b in p.biases[1:]:
         np.testing.assert_array_equal(b.value, np.zeros(6))
-    assert p.hidden_size == 6 and p.input_size == 4
+    assert p.hidden_size == 6
 
     q = init_cell_params("ugrnn", 4, 6, rng)
     assert len(q.weights) == 2
@@ -207,10 +193,10 @@ def test_training_touches_only_seen_embedding_rows():
     model, _ = train(corpus, cfg, seed=0)
     fresh = init_model(corpus.vocabulary, corpus.variant, cell="ugrnn",
                        num_layers=1, hidden_size=4, embedding_dim=3,
-                       rng=np.random.default_rng(0), init_scale=cfg.init_scale)
-    row_64 = corpus.vocabulary.token_to_id(64)
+                       rng=np.random.default_rng(0))
+    row_64 = corpus.vocabulary.encode([64])[0]
     np.testing.assert_array_equal(model.embedding.value[row_64], fresh.embedding.value[row_64])
-    row_60 = corpus.vocabulary.token_to_id(60)
+    row_60 = corpus.vocabulary.encode([60])[0]
     assert not np.array_equal(model.embedding.value[row_60], fresh.embedding.value[row_60])
 
 
@@ -563,7 +549,7 @@ def test_sample_interval_range_violation_raises():
                                          seq_len=2, epochs=0), seed=0)
     for p in model.parameters():
         p.value[:] = 0.0
-    down_id = model.vocabulary.token_to_id(-12)
+    down_id = model.vocabulary.encode([-12])[0]
     model.proj_b.value[down_id] = 5.0  # greedy always descends an octave
     with pytest.raises(PitchOutOfRange):
         sample(model, [12, 0], 3, mode="greedy")
@@ -632,6 +618,8 @@ def edit_header(data, **changes):
         lambda data: edit_header(data, num_layers="two"),
         lambda data: edit_header(data, vocabulary=VOCAB.tokens[::-1]),  # same size, reversed
         lambda data: edit_header(data, vocabulary=(48,) + VOCAB.tokens[:-1]),  # 48 twice
+        lambda data: edit_header(data, cell="gru"),          # not in CELL_TYPES
+        lambda data: edit_header(data, variant="pentatonic"),
     ],
 )
 def test_checkpoint_rejects_corruption(tmp_path, mangle):
