@@ -136,28 +136,47 @@ def _write_curve(curve: rnn.LearningCurve, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _require_parent_dir(path: Path, flag: str) -> None:
+    if not path.parent.is_dir():
+        raise FileNotFoundError(f"{flag} {path}: directory {path.parent} does not exist")
+
+
 def cmd_train(args: argparse.Namespace) -> int:
+    # Check every output's directory before training, write the checkpoint
+    # last (removing the curve if that write fails) and print only after
+    # it, so a failure leaves neither output and no stdout.
     corpus = _read_corpus(Path(_require(args.corpus, "--corpus", "CORPUS")))
     checkpoint = Path(_require(args.checkpoint, "--checkpoint", "CHECKPOINT"))
+    curve_path = None if args.curve is None else Path(args.curve)
     config = _train_config(args, corpus.variant)
+    _require_parent_dir(checkpoint, "--checkpoint")
+    if curve_path is not None:
+        _require_parent_dir(curve_path, "--curve")
     model, curve = rnn.train(corpus, config, seed=args.seed)
-    rnn.save_checkpoint(model, checkpoint)
+    if curve_path is not None:
+        _write_curve(curve, curve_path)
+    try:
+        rnn.save_checkpoint(model, checkpoint)
+    except BaseException:
+        if curve_path is not None:
+            curve_path.unlink(missing_ok=True)
+        raise
     print(f"trained {config.cell} x{config.num_layers} for {len(curve)} iterations")
     if curve:
         print(f"loss: {curve[0][1]:.4f} -> {curve[-1][1]:.4f}")
-    if args.curve is not None:
-        _write_curve(curve, Path(args.curve))
+    if curve_path is not None:
         print(f"wrote {args.curve}")
     print(f"wrote {checkpoint}")
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    # Parse the grid before creating --out-dir, so a bad flag leaves no output.
     corpus = _read_corpus(Path(_require(args.corpus, "--corpus", "CORPUS")))
     out_dir = Path(_require(args.out_dir, "--out-dir", "OUT_DIR"))
-    out_dir.mkdir(parents=True, exist_ok=True)
     cells = [c.strip() for c in args.cells.split(",") if c.strip()]
     layer_counts = _parse_int_list(args.layers, "--layers")
+    out_dir.mkdir(parents=True, exist_ok=True)
     rows: list[dict] = []
     for cell in cells:
         for num_layers in layer_counts:

@@ -2,20 +2,26 @@
 
 A model is an embedding table, a stack of identical gated cells, and a
 linear projection to vocabulary logits; everything trains jointly by
-taping the unrolled sequence and running Adam on the summed cross-entropy.
-Weight blocks are stored (input_size + hidden, hidden) and applied as
-[x, h] @ W + b, one block per gate.
+taping each window of the sequence and running Adam on the summed
+cross-entropy.  Weight blocks are stored (input_size + hidden, hidden), one
+block per gate, and act side by side as z = [x, h] @ W + b.
 
 Each cell kind is defined once, by its entry in the literal `CELL_TYPES`
-dict.  One time step of the whole model, `_step`, embeds a batch of token
-ids, runs the stack and projects to logits.  Training runs it on a tape.
-`sample_batch` runs it on `NO_TAPE` with every song as one lane of a
-single batch, each lane drawing from its own generator; `sample` is its
-one-lane call.  `stack_forward` runs it on `NO_TAPE` with a batch of one.
+dict: a pointwise numpy step kernel (pre-activations and state in; new
+state and a cache out) and its hand-written adjoint.  Every path steps a
+layer through `_layer_step`, z = [x, h] @ W + b and then that kernel.
+Training records one `GradientTape.recurrence` per layer per window,
+which loops `_layer_step` forward over the window and the adjoint back,
+so a window is one lookup, one record per layer, then one projection and
+one cross-entropy over the (T*B, hidden) stack of top states.
+`sample_batch` and `stack_forward` step plain arrays through
+`_forward_step`: every song is one lane of a single batch, and `sample` is
+the one-lane call.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -33,7 +39,7 @@ from .errors import (
     ShapeMismatch,
     UnknownSeedToken,
 )
-from .tensor import NO_TAPE, AdamState, GradientTape, Tensor, adam_step, clip_gradients, softmax
+from .tensor import AdamState, GradientTape, Tensor, adam_step, clip_gradients, sigmoid, softmax
 
 MAX_LAYERS = 5
 CHECKPOINT_FORMAT = "melodykit-checkpoint"
@@ -43,44 +49,68 @@ _HEADER_KEYS = (
     "vocabulary", "param_count", "blob_sha256",
 )
 
-# Internal per-layer recurrent state: (h, c) Tensors, c is None for
-# cells that keep no separate memory lane.
-_StatePair = tuple[Tensor, "Tensor | None"]
+# Per-layer recurrent state of a batch: (h, c) arrays of shape (B, hidden),
+# c is None for cells that keep no separate memory lane.
+_State = tuple[np.ndarray, "np.ndarray | None"]
 
 
-def _lstm_step(tape: GradientTape, x: Tensor, state: _StatePair, p: "CellParams") -> tuple[Tensor, _StatePair]:
-    h, c = state
-    xh = tape.concat(x, h)
-    f = tape.sigmoid(tape.add_bias(tape.matmul(xh, p.weights[0]), p.biases[0]))
-    i = tape.sigmoid(tape.add_bias(tape.matmul(xh, p.weights[1]), p.biases[1]))
-    g = tape.tanh(tape.add_bias(tape.matmul(xh, p.weights[2]), p.biases[2]))
-    o = tape.sigmoid(tape.add_bias(tape.matmul(xh, p.weights[3]), p.biases[3]))
-    c_new = tape.add(tape.mul(f, c), tape.mul(i, g))
-    h_new = tape.mul(o, tape.tanh(c_new))
-    return h_new, (h_new, c_new)
+def _lstm_step(z: np.ndarray, h: np.ndarray, c: np.ndarray):
+    n = h.shape[1]
+    fi = sigmoid(z[:, : 2 * n])
+    f, i = fi[:, :n], fi[:, n:]
+    g = np.tanh(z[:, 2 * n : 3 * n])
+    o = sigmoid(z[:, 3 * n :])
+    c_new = f * c + i * g
+    tc = np.tanh(c_new)
+    return o * tc, c_new, (c, f, i, g, o, tc)
 
 
-def _ugrnn_step(tape: GradientTape, x: Tensor, state: _StatePair, p: "CellParams") -> tuple[Tensor, _StatePair]:
-    h, _ = state
-    xh = tape.concat(x, h)
-    g = tape.sigmoid(tape.add_bias(tape.matmul(xh, p.weights[0]), p.biases[0]))
-    c = tape.tanh(tape.add_bias(tape.matmul(xh, p.weights[1]), p.biases[1]))
-    h_new = tape.add(tape.mul(g, h), tape.mul(tape.one_minus(g), c))
-    return h_new, (h_new, None)
+def _lstm_adjoint(dh: np.ndarray, dc: np.ndarray, cache):
+    c, f, i, g, o, tc = cache
+    dc = dc + dh * o * (1.0 - tc * tc)
+    dz = np.concatenate(
+        [dc * c * f * (1.0 - f), dc * g * i * (1.0 - i), dc * i * (1.0 - g * g), dh * tc * o * (1.0 - o)],
+        axis=1,
+    )
+    return dz, None, dc * f
+
+
+def _ugrnn_step(z: np.ndarray, h: np.ndarray, c: None):
+    n = h.shape[1]
+    g = sigmoid(z[:, :n])
+    keep = 1.0 - g
+    cand = np.tanh(z[:, n:])
+    return g * h + keep * cand, None, (h, g, keep, cand)
+
+
+def _ugrnn_adjoint(dh: np.ndarray, dc: None, cache):
+    h, g, keep, cand = cache
+    d = dh * keep
+    dz = np.concatenate([d * (h - cand) * g, d * (1.0 - cand * cand)], axis=1)
+    return dz, dh * g, None
 
 
 @dataclass(frozen=True)
 class CellSpec:
-    """A cell kind: gate blocks in declaration order plus the step."""
+    """A cell kind: gate blocks in declaration order, its kernel and the kernel's adjoint.
+
+    `step(z, h, c) -> (h, c, cache)` maps the (B, gates*hidden)
+    pre-activations, gate blocks side by side, and the old state to the new
+    state.  `adjoint(dh, dc, cache) -> (dz, dh_direct, dc)` maps the
+    gradients of the new state to those of z, of the old h other than
+    through z (None where the kernel reads h only through z), and of the
+    old c.
+    """
 
     gates: tuple[str, ...]
     has_memory: bool
     step: Callable
+    adjoint: Callable
 
 
 CELL_TYPES: dict[str, CellSpec] = {
-    "lstm": CellSpec(("forget", "input", "candidate", "output"), True, _lstm_step),
-    "ugrnn": CellSpec(("update", "candidate"), False, _ugrnn_step),
+    "lstm": CellSpec(("forget", "input", "candidate", "output"), True, _lstm_step, _lstm_adjoint),
+    "ugrnn": CellSpec(("update", "candidate"), False, _ugrnn_step, _ugrnn_adjoint),
 }
 
 
@@ -201,26 +231,43 @@ def init_model(
     )
 
 
-def _zero_state_pairs(model: ModelState, batch: int) -> list[_StatePair]:
-    spec = cell_spec(model.cell)
-    pairs: list[_StatePair] = []
-    for layer in model.layers:
-        h = Tensor(np.zeros((batch, layer.hidden_size)))
-        c = Tensor(np.zeros((batch, layer.hidden_size))) if spec.has_memory else None
-        pairs.append((h, c))
-    return pairs
+def _zero_states(model: ModelState, batch: int) -> list[_State]:
+    has_memory = cell_spec(model.cell).has_memory
+    return [
+        (np.zeros((batch, layer.hidden_size)), np.zeros((batch, layer.hidden_size)) if has_memory else None)
+        for layer in model.layers
+    ]
 
 
-def _step(tape: GradientTape, model: ModelState, ids: np.ndarray, pairs: list[_StatePair]):
-    """One time step for a batch of token ids: embed, stack, project."""
+def _fused(layer: CellParams) -> tuple[np.ndarray, np.ndarray]:
+    """The layer's gate blocks side by side: W (rows, gates*hidden) and b."""
+    return (
+        np.concatenate([w.value for w in layer.weights], axis=1),
+        np.concatenate([b.value for b in layer.biases]),
+    )
+
+
+def _layer_step(spec: CellSpec, fused: tuple[np.ndarray, np.ndarray], x: np.ndarray, h: np.ndarray, c):
+    """One cell step on plain arrays: z = [x, h] @ W + b, then the kernel; returns (h, c, cache)."""
+    w, b = fused
+    xh = np.concatenate([x, h], axis=1)
+    if xh.shape[1] != w.shape[0] or w.shape[1] != len(spec.gates) * h.shape[1]:
+        raise ShapeMismatch(f"cell step of x {x.shape}, h {h.shape} over W {w.shape}")
+    return spec.step(xh @ w + b, h, c)
+
+
+def _forward_step(model: ModelState, fused: list, ids: np.ndarray, states: list[_State]):
+    """One time step of a batch of token ids on plain arrays: embed, stack, project.
+
+    `fused` holds `_fused(layer)` of each layer; returns (logits, states).
+    """
     spec = cell_spec(model.cell)
-    v = tape.lookup(model.embedding, ids)
-    new_pairs: list[_StatePair] = []
-    for layer, pair in zip(model.layers, pairs):
-        v, pair = spec.step(tape, v, pair, layer)
-        new_pairs.append(pair)
-    logits = tape.add_bias(tape.matmul(v, model.proj_w), model.proj_b)
-    return logits, new_pairs
+    v = model.embedding.value[ids]
+    new_states: list[_State] = []
+    for wb, (h, c) in zip(fused, states):
+        v, c, _ = _layer_step(spec, wb, v, h, c)
+        new_states.append((v, c))
+    return v @ model.proj_w.value + model.proj_b.value, new_states
 
 
 def stack_forward(
@@ -231,7 +278,7 @@ def stack_forward(
     Feeding one long sequence equals feeding it piecewise with the carried
     states.  Ids are checked against the vocabulary, and the states come
     back as plain per-layer arrays, so callers can score a sequence or
-    compare two models without touching the internal Tensor state.
+    compare two models without touching the internal batch state.
     """
     ids = np.asarray(token_ids, dtype=np.int64)
     if ids.ndim != 1 or ids.size == 0:
@@ -240,22 +287,19 @@ def stack_forward(
         bad = ids[(ids < 0) | (ids >= model.vocab_size)][0]
         raise BadToken(f"token id {int(bad)} outside [0, {model.vocab_size})")
     if states is None:
-        pairs = _zero_state_pairs(model, 1)
+        batch_states = _zero_states(model, 1)
     else:
         if len(states) != model.num_layers:
             raise ShapeMismatch(f"expected {model.num_layers} layer states, got {len(states)}")
         spec = cell_spec(model.cell)
-        pairs = [
-            (Tensor(s.h[None, :]), Tensor(s.c[None, :]) if spec.has_memory else None)
-            for s in states
-        ]
+        batch_states = [(s.h[None, :], s.c[None, :] if spec.has_memory else None) for s in states]
+    fused = [_fused(layer) for layer in model.layers]
     rows = []
     for t in range(ids.size):
-        logits, pairs = _step(NO_TAPE, model, ids[t : t + 1], pairs)
-        rows.append(logits.value[0])
+        logits, batch_states = _forward_step(model, fused, ids[t : t + 1], batch_states)
+        rows.append(logits[0])
     out_states = [
-        CellState(h=h.value[0].copy(), c=c.value[0].copy() if c is not None else None)
-        for h, c in pairs
+        CellState(h=h[0].copy(), c=c[0].copy() if c is not None else None) for h, c in batch_states
     ]
     return np.vstack(rows), out_states
 
@@ -292,14 +336,23 @@ class TrainConfig:
 LearningCurve = list[tuple[int, float]]
 
 
-def _window_loss(tape: GradientTape, model: ModelState, X: np.ndarray, Y: np.ndarray, pairs: list[_StatePair]):
-    """Summed cross-entropy of stepping through the columns of X against Y; returns (loss, states)."""
-    total: Tensor | None = None
-    for t in range(X.shape[1]):
-        logits, pairs = _step(tape, model, X[:, t], pairs)
-        step_loss = tape.cross_entropy(logits, Y[:, t])
-        total = step_loss if total is None else tape.add(total, step_loss)
-    return total, pairs
+def _window_loss(tape: GradientTape, model: ModelState, X: np.ndarray, Y: np.ndarray, states: list[_State]):
+    """Summed cross-entropy of stepping through the columns of X against Y; returns (loss, final states).
+
+    The window's (B, T) ids are taken time-major, so row t*B + b of every
+    (T*B, *) matrix is lane b at step t.  The tape gets L + 4 records: the
+    lookup, one recurrence per layer, the projection's matmul and bias, and
+    the loss.  The final states carry values only.
+    """
+    spec = cell_spec(model.cell)
+    v = tape.lookup(model.embedding, X.T.reshape(-1))
+    final: list[_State] = []
+    for layer, (h, c) in zip(model.layers, states):
+        step = functools.partial(_layer_step, spec, _fused(layer))
+        v, h, c = tape.recurrence(v, h, c, layer.weights, layer.biases, step, spec.adjoint)
+        final.append((h, c))
+    logits = tape.add_bias(tape.matmul(v, model.proj_w), model.proj_b)
+    return tape.cross_entropy(logits, Y.T.reshape(-1)), final
 
 
 def train(corpus: TrainingCorpus, config: TrainConfig, seed: int = 0) -> tuple[ModelState, LearningCurve]:
@@ -308,8 +361,8 @@ def train(corpus: TrainingCorpus, config: TrainConfig, seed: int = 0) -> tuple[M
     The token stream splits into batch_size contiguous lanes; each
     iteration consumes one seq_len window across all lanes, sums the
     per-step cross-entropies, clips the global gradient norm, and takes
-    one Adam step.  States carry across windows within an epoch; at epoch
-    start they reset and the learning rate decays.  The curve records the
+    one Adam step.  States carry across windows within an epoch (values,
+    not gradients); at epoch start they reset and the learning rate decays.  The curve records the
     per-token loss, i.e. the window sum divided by batch_size * seq_len.
     """
     rng = np.random.default_rng(seed)
@@ -338,10 +391,10 @@ def train(corpus: TrainingCorpus, config: TrainConfig, seed: int = 0) -> tuple[M
         epoch, w = divmod(iteration, windows)
         if w == 0:
             opt.lr = config.learning_rate * (config.lr_decay ** epoch)
-            pairs = _zero_state_pairs(model, B)
+            states = _zero_states(model, B)
         tape = GradientTape()
         cols = slice(w * T, (w + 1) * T)
-        total, pairs = _window_loss(tape, model, X[:, cols], Y[:, cols], pairs)
+        total, states = _window_loss(tape, model, X[:, cols], Y[:, cols], states)
         tape.backward(total)
         grads = [p.grad if p.grad is not None else np.zeros_like(p.value) for p in params]
         grads = clip_gradients(grads, config.clip_norm)
@@ -349,8 +402,6 @@ def train(corpus: TrainingCorpus, config: TrainConfig, seed: int = 0) -> tuple[M
         for p in params:
             p.grad = None
         curve.append((iteration + 1, float(total.value) / (B * T)))
-        # Detach states between windows: values carry, gradients do not.
-        pairs = [(Tensor(h.value), Tensor(c.value) if c is not None else None) for h, c in pairs]
     return model, curve
 
 
@@ -416,14 +467,15 @@ def sample_batch(
     # Seed ids were checked above and picked ids are in range by
     # construction, so the loop steps the model directly.
     lanes = len(rngs)
-    pairs = _zero_state_pairs(model, lanes)
+    fused = [_fused(layer) for layer in model.layers]
+    states = _zero_states(model, lanes)
     for t in range(ids.size):
-        logits, pairs = _step(NO_TAPE, model, np.full(lanes, ids[t]), pairs)
+        logits, states = _forward_step(model, fused, np.full(lanes, ids[t]), states)
     generated = np.empty((lanes, n), dtype=np.int64)
-    generated[:, 0] = _pick(logits.value, mode, temperature, rngs)
+    generated[:, 0] = _pick(logits, mode, temperature, rngs)
     for t in range(1, n):
-        logits, pairs = _step(NO_TAPE, model, generated[:, t - 1], pairs)
-        generated[:, t] = _pick(logits.value, mode, temperature, rngs)
+        logits, states = _forward_step(model, fused, generated[:, t - 1], states)
+        generated[:, t] = _pick(logits, mode, temperature, rngs)
 
     songs = []
     for row in generated:

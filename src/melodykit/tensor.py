@@ -3,8 +3,9 @@
 Everything is float64.  A GradientTape records each forward op together
 with a closure that routes the output gradient to the inputs; backward
 walks the record list once in reverse (execution order is already
-topological).  Activations live in (batch, features) matrices so the same
-ops serve batched training and single-lane sampling.
+topological).  Activations live in (rows, features) matrices.  Training
+records five kinds of op: `lookup`, `recurrence` (a whole gated layer over
+a whole window), `matmul`, `add_bias` and `cross_entropy`.
 
 numpy supplies the dense array arithmetic; the tape, the loss, and the
 optimiser live here.
@@ -41,22 +42,24 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) to within 2e-16, as 0.5 * (1 + tanh(x / 2)), which never overflows."""
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
+
+
 class GradientTape:
     """Wengert list of (output, backward closure) records.
 
     Ops append in execution order; backward() visits records exactly once
-    in reverse, skipping outputs no gradient ever reached.  A tape built
-    with record=False computes values only, which makes the same forward
-    code serve inference.
+    in reverse, skipping outputs no gradient ever reached.  Inference does
+    not use a tape: it steps plain arrays through the same cell kernels.
     """
 
-    def __init__(self, record: bool = True) -> None:
+    def __init__(self) -> None:
         self._records: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
-        self._record = record
 
     def _push(self, out: Tensor, back: Callable[[np.ndarray], None]) -> Tensor:
-        if self._record:
-            self._records.append((out, back))
+        self._records.append((out, back))
         return out
 
     def matmul(self, a: Tensor, b: Tensor) -> Tensor:
@@ -71,6 +74,11 @@ class GradientTape:
         return self._push(out, back)
 
     def add(self, a: Tensor, b: Tensor) -> Tensor:
+        """Elementwise a + b of equal shapes.
+
+        Training no longer records it.  It stays only because the
+        benchmark's tracer wraps every op its `TAPE_OPS` names.
+        """
         out = Tensor(a.value + b.value)
 
         def back(g: np.ndarray) -> None:
@@ -90,6 +98,11 @@ class GradientTape:
         return self._push(out, back)
 
     def mul(self, a: Tensor, b: Tensor) -> Tensor:
+        """Elementwise a * b of equal shapes.
+
+        Training no longer records it.  It stays only because the
+        benchmark's tracer wraps every op its `TAPE_OPS` names.
+        """
         out = Tensor(a.value * b.value)
 
         def back(g: np.ndarray) -> None:
@@ -99,6 +112,11 @@ class GradientTape:
         return self._push(out, back)
 
     def one_minus(self, a: Tensor) -> Tensor:
+        """Elementwise 1 - a.
+
+        Training no longer records it.  It stays only because the
+        benchmark's tracer wraps every op its `TAPE_OPS` names.
+        """
         out = Tensor(1.0 - a.value)
 
         def back(g: np.ndarray) -> None:
@@ -107,8 +125,12 @@ class GradientTape:
         return self._push(out, back)
 
     def sigmoid(self, a: Tensor) -> Tensor:
-        # Equals 1 / (1 + exp(-x)) to within 2e-16 and never overflows.
-        s = 0.5 * (1.0 + np.tanh(0.5 * a.value))
+        """Elementwise `sigmoid`.
+
+        Training no longer records it.  It stays only because the
+        benchmark's tracer wraps every op its `TAPE_OPS` names.
+        """
+        s = sigmoid(a.value)
         out = Tensor(s)
 
         def back(g: np.ndarray) -> None:
@@ -117,6 +139,11 @@ class GradientTape:
         return self._push(out, back)
 
     def tanh(self, a: Tensor) -> Tensor:
+        """Elementwise tanh.
+
+        Training no longer records it.  It stays only because the
+        benchmark's tracer wraps every op its `TAPE_OPS` names.
+        """
         t = np.tanh(a.value)
         out = Tensor(t)
 
@@ -126,7 +153,11 @@ class GradientTape:
         return self._push(out, back)
 
     def concat(self, a: Tensor, b: Tensor) -> Tensor:
-        """Column-wise concatenation of two (B, *) matrices."""
+        """Column-wise concatenation of two (B, *) matrices.
+
+        Training no longer records it.  It stays only because the
+        benchmark's tracer wraps every op its `TAPE_OPS` names.
+        """
         na = a.value.shape[1]
         out = Tensor(np.concatenate([a.value, b.value], axis=1))
 
@@ -166,15 +197,77 @@ class GradientTape:
 
         return self._push(out, back)
 
+    def recurrence(
+        self,
+        x: Tensor,
+        h: np.ndarray,
+        c: np.ndarray | None,
+        weights: Sequence[Tensor],
+        biases: Sequence[Tensor],
+        step: Callable,
+        adjoint: Callable,
+    ) -> tuple[Tensor, np.ndarray, np.ndarray | None]:
+        """A gated recurrent layer over a whole window, as one record.
+
+        x is (T*B, m), time-major: rows t*B .. t*B+B-1 are the layer's input
+        at step t.  h and c are the (B, n) state the window starts from (c
+        is None for cells without a memory lane).  `step(x_t, h, c) -> (h, c,
+        cache)` is one step of the layer: z = [x_t, h] @ W + b, then the
+        cell's kernel, where W and b are the gate blocks `weights` and
+        `biases` side by side.  Backward calls `adjoint(dh, dc, cache) ->
+        (dz, dh_direct, dc)` (dh_direct: the gradient reaching the old h
+        other than through z, or None) in reverse, then forms the weight
+        gradient and the input gradient as one GEMM each over all T*B rows,
+        in the manner of cuDNN's RNN kernels (Appleyard, Kocisky & Blunsom
+        2016).
+
+        Returns (the T*B new h rows, final h, final c).  Gradients reach x,
+        the weights and the biases; the start and final states carry
+        values only.
+        """
+        batch, n = h.shape
+        if x.value.shape[0] % batch:
+            raise ShapeMismatch(f"recurrence of x {x.value.shape} in lanes of h {h.shape}")
+        steps = x.value.shape[0] // batch
+        # hs[t*B:(t+1)*B] is the h step t starts from; the output is hs[B:].
+        hs = np.empty(((steps + 1) * batch, n))
+        hs[:batch] = h
+        caches = []
+        for t in range(steps):
+            h, c, cache = step(x.value[t * batch : (t + 1) * batch], h, c)
+            hs[(t + 1) * batch : (t + 2) * batch] = h
+            caches.append(cache)
+        out = Tensor(hs[batch:])
+        memory = c is not None
+
+        def back(g: np.ndarray) -> None:
+            w = np.concatenate([p.value for p in weights], axis=1)
+            w_x, w_h = w[: x.value.shape[1]], w[x.value.shape[1] :]
+            dz = np.empty((steps * batch, w.shape[1]))
+            dh_carry = np.zeros((batch, n))
+            dc = np.zeros((batch, n)) if memory else None
+            for t in reversed(range(steps)):
+                rows = slice(t * batch, (t + 1) * batch)
+                dzt, dh_direct, dc = adjoint(g[rows] + dh_carry, dc, caches[t])
+                dz[rows] = dzt
+                if t:
+                    dh_carry = dzt @ w_h.T
+                    if dh_direct is not None:
+                        dh_carry += dh_direct
+            dw = np.concatenate([x.value, hs[:-batch]], axis=1).T @ dz
+            db = dz.sum(axis=0)
+            _accumulate(x, dz @ w_x.T)
+            for k, (wk, bk) in enumerate(zip(weights, biases)):
+                _accumulate(wk, dw[:, k * n : (k + 1) * n])
+                _accumulate(bk, db[k * n : (k + 1) * n])
+
+        return self._push(out, back), h, c
+
     def backward(self, loss: Tensor) -> None:
         loss.grad = np.ones_like(loss.value)
         for out, back in reversed(self._records):
             if out.grad is not None:
                 back(out.grad)
-
-
-# Shared non-recording tape; it never mutates, so sharing is safe.
-NO_TAPE = GradientTape(record=False)
 
 
 def softmax(z: np.ndarray) -> np.ndarray:

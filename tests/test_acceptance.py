@@ -23,7 +23,7 @@ from melodykit.core import (
 )
 from melodykit.metrics import centricity, cmm, lm
 from melodykit.midi import parse_midi, write_midi
-from melodykit.rnn import _window_loss, _zero_state_pairs, init_model, sample
+from melodykit.rnn import _window_loss, _zero_states, init_model, sample
 from melodykit.tensor import GradientTape
 
 from . import oracles
@@ -119,7 +119,7 @@ def batched_loss_fn(model):
             p.value = arr.copy()
             p.grad = None
         tape = GradientTape()
-        total, _ = _window_loss(tape, model, XS, YS, _zero_state_pairs(model, XS.shape[0]))
+        total, _ = _window_loss(tape, model, XS, YS, _zero_states(model, XS.shape[0]))
         tape.backward(total)
         grads = [p.grad.copy() if p.grad is not None else np.zeros_like(p.value) for p in params]
         return float(total.value), grads

@@ -249,6 +249,37 @@ def test_train_is_deterministic(tmp_path):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("output", ["--curve", "--checkpoint"])
+def test_train_missing_output_dir_writes_and_prints_nothing(tmp_path, output):
+    corpus_path = build_corpus_file(tmp_path)
+    paths = {"--checkpoint": tmp_path / "m.ckpt", "--curve": tmp_path / "curve.csv"}
+    paths[output] = tmp_path / "missing_dir" / "out"
+    code, stdout, err = run_cli(
+        ["train", "--corpus", corpus_path, "--checkpoint", paths["--checkpoint"],
+         "--curve", paths["--curve"]] + SMALL_TRAIN
+    )
+    assert_json_error(code, err, "FileNotFoundError")
+    assert "missing_dir" in json.loads(err)["message"]
+    assert stdout == ""
+    assert not (tmp_path / "m.ckpt").exists()
+    assert not (tmp_path / "curve.csv").exists()
+    assert not (tmp_path / "missing_dir").exists()
+
+
+def test_train_failed_checkpoint_write_leaves_no_curve(tmp_path):
+    corpus_path = build_corpus_file(tmp_path)
+    checkpoint = tmp_path / "m.ckpt"
+    checkpoint.mkdir()
+    curve = tmp_path / "curve.csv"
+    code, stdout, err = run_cli(
+        ["train", "--corpus", corpus_path, "--checkpoint", checkpoint, "--curve", curve] + SMALL_TRAIN
+    )
+    assert_json_error(code, err, "IsADirectoryError")
+    assert stdout == ""
+    assert not curve.exists()
+    assert list(checkpoint.iterdir()) == []
+
+
 def test_default_epochs_per_variant():
     ns = argparse.Namespace(
         cell="lstm", num_layers=1, hidden_size=8, embedding_dim=4,
@@ -633,6 +664,18 @@ def test_sweep_grid_and_best(tmp_path):
     code, _, _ = run_cli(args)
     assert code == 0
     assert (out_dir / "summary.csv").read_bytes() == (out_dir2 / "summary.csv").read_bytes()
+
+
+def test_sweep_bad_layers_leaves_no_output_dir(tmp_path):
+    corpus_path = build_corpus_file(tmp_path)
+    out_dir = tmp_path / "sweep"
+    code, stdout, err = run_cli(
+        ["sweep", "--corpus", corpus_path, "--out-dir", out_dir, "--layers", "x"] + SMALL_TRAIN
+    )
+    assert_json_error(code, err, "ValueError")
+    assert "--layers" in json.loads(err)["message"]
+    assert stdout == ""
+    assert not out_dir.exists()
 
 
 def test_sweep_records_per_run_failures(tmp_path):

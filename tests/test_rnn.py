@@ -12,11 +12,13 @@ from melodykit.errors import (
     UnknownSeedToken,
 )
 from melodykit.rnn import (
-    CellParams,
     CellState,
     ModelState,
     TrainConfig,
+    _fused,
+    _layer_step,
     _pick,
+    _window_loss,
     cell_spec,
     init_cell_params,
     init_model,
@@ -27,9 +29,11 @@ from melodykit.rnn import (
     stack_forward,
     train,
 )
-from melodykit.tensor import NO_TAPE, Tensor, softmax
+from melodykit.tensor import GradientTape, Tensor, softmax
 
 from melodykit.errors import PitchOutOfRange
+
+from . import tape_cells
 
 VOCAB = Vocabulary(tokens=tuple(range(48, 85)))
 
@@ -94,14 +98,12 @@ def zero_cell(kind, input_size=3, hidden=2):
 
 
 def cell_step(kind, x, p, h, c=None):
-    """One registered step on a batch of one; returns (h, c) as 1-D arrays."""
+    """One step through the cell's kernel on a batch of one; returns (h, c) as 1-D arrays."""
     def row(v):
-        return Tensor(np.asarray(v, dtype=np.float64)[None])
+        return np.asarray(v, dtype=np.float64)[None]
 
-    pair = (row(h), None if c is None else row(c))
-    out, (h_new, c_new) = cell_spec(kind).step(NO_TAPE, row(x), pair, p)
-    assert out is h_new
-    return h_new.value[0], None if c_new is None else c_new.value[0]
+    h_new, c_new, _ = _layer_step(cell_spec(kind), _fused(p), row(x), row(h), None if c is None else row(c))
+    return h_new[0], None if c_new is None else c_new[0]
 
 
 def test_lstm_step_zero_params():
@@ -180,6 +182,56 @@ def test_step_shape_mismatch():
     q = zero_cell("ugrnn", input_size=3, hidden=2)
     with pytest.raises(ShapeMismatch):
         cell_step("ugrnn", np.ones(3), q, np.zeros(5))
+    # The training path checks the same widths once per window.
+    m = tiny_model(cell="ugrnn", hidden=6, emb=4)
+    with pytest.raises(ShapeMismatch):
+        _window_loss(GradientTape(), m, np.zeros((1, 3), dtype=int), np.zeros((1, 3), dtype=int),
+                     [(np.zeros((1, 5)), None)])
+
+
+# --- the window op against the per-op tape ------------------------------
+
+@pytest.mark.parametrize("steps", [1, 7])
+@pytest.mark.parametrize("batch", [1, 4])
+@pytest.mark.parametrize("layers", [1, 3])
+@pytest.mark.parametrize("cell", ["lstm", "ugrnn"])
+def test_window_loss_matches_per_op_tape(cell, layers, batch, steps):
+    # The window op reorders float sums (one GEMM over all T*B rows), so
+    # agreement is to a tolerance, set from float64 before comparing.
+    rng = np.random.default_rng([layers, batch, steps])
+    model = init_model(VOCAB, DatasetVariant.CONTROL, cell=cell, num_layers=layers,
+                       hidden_size=5, embedding_dim=3, rng=rng, init_scale=0.6)
+    X = rng.integers(0, VOCAB.size, size=(batch, steps))
+    Y = rng.integers(0, VOCAB.size, size=(batch, steps))
+    # Nonzero carried states, as every window after an epoch's first has.
+    states = [
+        (rng.normal(scale=0.5, size=(batch, 5)),
+         rng.normal(scale=0.5, size=(batch, 5)) if cell == "lstm" else None)
+        for _ in range(layers)
+    ]
+
+    def run(window_loss, start):
+        for p in model.parameters():
+            p.grad = None
+        tape = GradientTape()
+        loss, final = window_loss(tape, model, X, Y, start)
+        tape.backward(loss)
+        return float(loss.value), [p.grad.copy() for p in model.parameters()], final
+
+    loss, grads, final = run(_window_loss, states)
+    want_loss, want_grads, want_final = run(
+        tape_cells.window_loss, [(Tensor(h), None if c is None else Tensor(c)) for h, c in states])
+
+    assert loss == pytest.approx(want_loss, rel=1e-12, abs=1e-12)
+    assert len(grads) == 1 + 2 * layers * len(cell_spec(cell).gates) + 2
+    for k, (got, want) in enumerate(zip(grads, want_grads)):  # k == 0 is the embedding
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12, err_msg=f"parameter {k}")
+    for (h, c), (want_h, want_c) in zip(final, want_final):
+        np.testing.assert_allclose(h, want_h.value, rtol=1e-12, atol=1e-12)
+        if cell == "lstm":
+            np.testing.assert_allclose(c, want_c.value, rtol=1e-12, atol=1e-12)
+        else:
+            assert c is None and want_c is None
 
 
 # --- embedding -----------------------------------------------------------

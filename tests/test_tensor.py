@@ -8,7 +8,6 @@ from hypothesis.extra import numpy as hnp
 
 from melodykit.errors import ShapeMismatch
 from melodykit.tensor import (
-    NO_TAPE,
     AdamState,
     GradientTape,
     Tensor,
@@ -146,14 +145,6 @@ def test_taped_cross_entropy_matches_plain():
     assert float(loss.value) == pytest.approx(sum(l for l, _ in per_row), abs=1e-12)
     tape.backward(loss)
     np.testing.assert_allclose(logits.grad, np.stack([g for _, g in per_row]), atol=1e-12)
-
-
-def test_no_tape_records_nothing():
-    x = Tensor([[1.0]])
-    out = NO_TAPE.sigmoid(x)
-    assert NO_TAPE._records == []
-    NO_TAPE.backward(out)
-    assert x.grad is None
 
 
 def test_composite_graph_against_finite_differences():
