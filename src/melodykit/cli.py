@@ -133,7 +133,7 @@ def _train_config(args: argparse.Namespace, variant: DatasetVariant) -> rnn.Trai
 def _write_curve(curve: rnn.LearningCurve, path: Path) -> None:
     lines = ["iteration,loss"]
     lines += [f"{i},{loss!r}" for i, loss in curve]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    core.write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def _require_parent_dir(path: Path, flag: str) -> None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from enum import Enum
@@ -226,3 +227,21 @@ def save_songs_jsonl(songs: list[Song], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for song in songs:
             fh.write(json.dumps(song) + "\n")
+
+
+def write_atomic(path: str | Path, *chunks: bytes) -> None:
+    """Write the chunks to a temporary sibling of path, then rename it over path.
+
+    A failure midway leaves path as it was (absent, or with its old bytes)
+    and removes the temporary file.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

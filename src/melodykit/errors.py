@@ -51,3 +51,7 @@ class MalformedFile(MelodyKitError):
 
 class PolyphonyDetected(MelodyKitError):
     """Two notes sound at the same time in a file expected to be monophonic."""
+
+
+class TrainingDiverged(MelodyKitError):
+    """Training reached a window whose loss is not finite."""

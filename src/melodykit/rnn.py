@@ -8,8 +8,9 @@ block per gate, and act side by side as z = [x, h] @ W + b.
 
 Each cell kind is defined once, by its entry in the literal `CELL_TYPES`
 dict: a pointwise numpy step kernel (pre-activations and state in; new
-state and a cache out) and its hand-written adjoint.  Every path steps a
-layer through `_layer_step`, z = [x, h] @ W + b and then that kernel.
+state and activation blocks out) and its hand-written adjoint, both
+writing into arrays their caller passes in.  Every path steps a layer
+through `_layer_step`, z = [x, h] @ W + b and then that kernel.
 Training records one `GradientTape.recurrence` per layer per window,
 which loops `_layer_step` forward over the window and the adjoint back,
 so a window is one lookup, one record per layer, then one projection and
@@ -17,6 +18,11 @@ one cross-entropy over the (T*B, hidden) stack of top states.
 `sample_batch` and `stack_forward` step plain arrays through
 `_forward_step`: every song is one lane of a single batch, and `sample` is
 the one-lane call.
+
+Memory: `train` keeps one GradientTape for the whole run and resets it
+every window, so the kernels write into the tape's workspace, which is
+allocated in the first iteration and released when `train` returns.
+Sampling and `stack_forward` allocate each step's arrays.
 """
 
 from __future__ import annotations
@@ -31,12 +37,15 @@ from typing import Callable
 
 import numpy as np
 
-from .core import DatasetVariant, Song, TrainingCorpus, Vocabulary, interval_to_song, song_to_interval
+from .core import (
+    DatasetVariant, Song, TrainingCorpus, Vocabulary, interval_to_song, song_to_interval, write_atomic,
+)
 from .errors import (
     BadToken,
     CorpusTooSmall,
     MalformedFile,
     ShapeMismatch,
+    TrainingDiverged,
     UnknownSeedToken,
 )
 from .tensor import AdamState, GradientTape, Tensor, adam_step, clip_gradients, sigmoid, softmax
@@ -54,63 +63,109 @@ _HEADER_KEYS = (
 _State = tuple[np.ndarray, "np.ndarray | None"]
 
 
-def _lstm_step(z: np.ndarray, h: np.ndarray, c: np.ndarray):
+# The kernels and adjoints write only into the arrays they are given, and
+# keep the product and sum order of the formulas in their comments, so
+# every caller gets the same bits wherever its arrays live.  A ufunc's
+# last positional argument is its output (passed positionally, as keyword
+# parsing costs about a sixth of a small ufunc call).
+
+def _lstm_step(z, h, c, h_new, c_new, acts):
+    # f, i, o = sigmoid(z blocks), g = tanh(z block); c_new = f*c + i*g; h_new = o*tanh(c_new)
+    batch, n = h.shape
+    f, i, g, o, tc = acts
+    sigmoid(z[:, : 2 * n].reshape(batch, 2, n).swapaxes(0, 1), acts[:2])  # f and i in one pass
+    np.tanh(z[:, 2 * n : 3 * n], g)
+    sigmoid(z[:, 3 * n :], o)
+    np.multiply(f, c, c_new)
+    c_new += np.multiply(i, g, h_new)  # h_new holds i*g until the last line
+    np.tanh(c_new, tc)
+    np.multiply(o, tc, h_new)
+
+
+def _sigmoid_gate_grad(a, b, s, tmp, out):
+    # out = a*b*s*(1 - s): what reaches the pre-activation of a sigmoid gate s
+    u, w = tmp
+    np.multiply(a, b, u)
+    u *= s
+    np.subtract(1.0, s, w)
+    np.multiply(u, w, out)
+
+
+def _lstm_adjoint(dh, dc, h, c, acts, dz, tmp):
+    # dc += dh*o*(1 - tc*tc); dz = [dc*c*f*(1-f), dc*g*i*(1-i), dc*i*(1 - g*g), dh*tc*o*(1-o)];
+    # the old c's gradient is dc*f.
+    n = dh.shape[1]
+    f, i, g, o, tc = acts
+    u, w = tmp
+    np.multiply(dh, o, u)
+    np.multiply(tc, tc, w)
+    np.subtract(1.0, w, w)
+    u *= w
+    dc += u
+    _sigmoid_gate_grad(dc, c, f, tmp, dz[:, :n])
+    _sigmoid_gate_grad(dc, g, i, tmp, dz[:, n : 2 * n])
+    np.multiply(dc, i, u)
+    np.multiply(g, g, w)
+    np.subtract(1.0, w, w)
+    np.multiply(u, w, dz[:, 2 * n : 3 * n])
+    _sigmoid_gate_grad(dh, tc, o, tmp, dz[:, 3 * n :])
+    dc *= f
+    return None, dc
+
+
+def _ugrnn_step(z, h, c, h_new, c_new, acts):
+    # g = sigmoid(z block), keep = 1 - g, cand = tanh(z block); h_new = g*h + keep*cand
     n = h.shape[1]
-    fi = sigmoid(z[:, : 2 * n])
-    f, i = fi[:, :n], fi[:, n:]
-    g = np.tanh(z[:, 2 * n : 3 * n])
-    o = sigmoid(z[:, 3 * n :])
-    c_new = f * c + i * g
-    tc = np.tanh(c_new)
-    return o * tc, c_new, (c, f, i, g, o, tc)
+    g, keep, cand = acts
+    sigmoid(z[:, :n], g)
+    np.subtract(1.0, g, keep)
+    np.tanh(z[:, n:], cand)
+    np.multiply(g, h, h_new)
+    h_new += keep * cand
 
 
-def _lstm_adjoint(dh: np.ndarray, dc: np.ndarray, cache):
-    c, f, i, g, o, tc = cache
-    dc = dc + dh * o * (1.0 - tc * tc)
-    dz = np.concatenate(
-        [dc * c * f * (1.0 - f), dc * g * i * (1.0 - i), dc * i * (1.0 - g * g), dh * tc * o * (1.0 - o)],
-        axis=1,
-    )
-    return dz, None, dc * f
-
-
-def _ugrnn_step(z: np.ndarray, h: np.ndarray, c: None):
-    n = h.shape[1]
-    g = sigmoid(z[:, :n])
-    keep = 1.0 - g
-    cand = np.tanh(z[:, n:])
-    return g * h + keep * cand, None, (h, g, keep, cand)
-
-
-def _ugrnn_adjoint(dh: np.ndarray, dc: None, cache):
-    h, g, keep, cand = cache
-    d = dh * keep
-    dz = np.concatenate([d * (h - cand) * g, d * (1.0 - cand * cand)], axis=1)
-    return dz, dh * g, None
+def _ugrnn_adjoint(dh, dc, h, c, acts, dz, tmp):
+    # d = dh*keep; dz = [d*(h - cand)*g, d*(1 - cand*cand)]; the old h's direct gradient is dh*g.
+    n = dh.shape[1]
+    g, keep, cand = acts
+    d, u = tmp
+    np.multiply(dh, keep, d)
+    np.subtract(h, cand, u)
+    u *= d
+    np.multiply(u, g, dz[:, :n])
+    np.multiply(cand, cand, u)
+    np.subtract(1.0, u, u)
+    np.multiply(d, u, dz[:, n:])
+    dh *= g
+    return dh, None
 
 
 @dataclass(frozen=True)
 class CellSpec:
     """A cell kind: gate blocks in declaration order, its kernel and the kernel's adjoint.
 
-    `step(z, h, c) -> (h, c, cache)` maps the (B, gates*hidden)
+    `step(z, h, c, h_new, c_new, acts)` maps the (B, gates*hidden)
     pre-activations, gate blocks side by side, and the old state to the new
-    state.  `adjoint(dh, dc, cache) -> (dz, dh_direct, dc)` maps the
-    gradients of the new state to those of z, of the old h other than
-    through z (None where the kernel reads h only through z), and of the
-    old c.
+    state, written into h_new and c_new; it writes the activations the
+    adjoint reads into acts, `acts` (B, hidden) blocks.
+    `adjoint(dh, dc, h, c, acts, dz, tmp) -> (dh_direct, dc)` maps the
+    gradients of the new state to that of z, written into dz, and returns,
+    written over dh and dc, the gradient of the old h other than through z
+    (None where the kernel reads h only through z) and that of the old c;
+    tmp is a (2, B, hidden) scratch.  c, c_new and dc are None for cells
+    without a memory lane.
     """
 
     gates: tuple[str, ...]
     has_memory: bool
+    acts: int
     step: Callable
     adjoint: Callable
 
 
 CELL_TYPES: dict[str, CellSpec] = {
-    "lstm": CellSpec(("forget", "input", "candidate", "output"), True, _lstm_step, _lstm_adjoint),
-    "ugrnn": CellSpec(("update", "candidate"), False, _ugrnn_step, _ugrnn_adjoint),
+    "lstm": CellSpec(("forget", "input", "candidate", "output"), True, 5, _lstm_step, _lstm_adjoint),
+    "ugrnn": CellSpec(("update", "candidate"), False, 3, _ugrnn_step, _ugrnn_adjoint),
 }
 
 
@@ -247,13 +302,25 @@ def _fused(layer: CellParams) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _layer_step(spec: CellSpec, fused: tuple[np.ndarray, np.ndarray], x: np.ndarray, h: np.ndarray, c):
-    """One cell step on plain arrays: z = [x, h] @ W + b, then the kernel; returns (h, c, cache)."""
-    w, b = fused
-    xh = np.concatenate([x, h], axis=1)
+def _layer_step(spec: CellSpec, w: np.ndarray, b: np.ndarray, xh: np.ndarray, h: np.ndarray, c, out=None):
+    """One cell step on plain arrays: z = xh @ W + b, then the kernel; returns (h, c, acts).
+
+    xh holds the step's [x, h] rows.  `out` is (z, h, c, acts), the arrays
+    the step writes: the pre-activations, the new state and the kernel's
+    activation blocks.  Training passes its workspace's; when it is None
+    they are allocated.
+    """
     if xh.shape[1] != w.shape[0] or w.shape[1] != len(spec.gates) * h.shape[1]:
-        raise ShapeMismatch(f"cell step of x {x.shape}, h {h.shape} over W {w.shape}")
-    return spec.step(xh @ w + b, h, c)
+        raise ShapeMismatch(f"cell step of [x, h] {xh.shape}, h {h.shape} over W {w.shape}")
+    if out is None:
+        batch, n = h.shape
+        out = (np.empty((batch, w.shape[1])), np.empty((batch, n)),
+               None if c is None else np.empty((batch, n)), np.empty((spec.acts, batch, n)))
+    z, h_new, c_new, acts = out
+    np.matmul(xh, w, z)
+    z += b
+    spec.step(z, h, c, h_new, c_new, acts)
+    return h_new, c_new, acts
 
 
 def _forward_step(model: ModelState, fused: list, ids: np.ndarray, states: list[_State]):
@@ -264,8 +331,8 @@ def _forward_step(model: ModelState, fused: list, ids: np.ndarray, states: list[
     spec = cell_spec(model.cell)
     v = model.embedding.value[ids]
     new_states: list[_State] = []
-    for wb, (h, c) in zip(fused, states):
-        v, c, _ = _layer_step(spec, wb, v, h, c)
+    for (w, b), (h, c) in zip(fused, states):
+        v, c, _ = _layer_step(spec, w, b, np.concatenate([v, h], axis=1), h, c)
         new_states.append((v, c))
     return v @ model.proj_w.value + model.proj_b.value, new_states
 
@@ -342,14 +409,15 @@ def _window_loss(tape: GradientTape, model: ModelState, X: np.ndarray, Y: np.nda
     The window's (B, T) ids are taken time-major, so row t*B + b of every
     (T*B, *) matrix is lane b at step t.  The tape gets L + 4 records: the
     lookup, one recurrence per layer, the projection's matmul and bias, and
-    the loss.  The final states carry values only.
+    the loss.  The final states carry values only, and are copies: the
+    tape's workspace does not hold them.
     """
     spec = cell_spec(model.cell)
+    step = functools.partial(_layer_step, spec)
     v = tape.lookup(model.embedding, X.T.reshape(-1))
     final: list[_State] = []
     for layer, (h, c) in zip(model.layers, states):
-        step = functools.partial(_layer_step, spec, _fused(layer))
-        v, h, c = tape.recurrence(v, h, c, layer.weights, layer.biases, step, spec.adjoint)
+        v, h, c = tape.recurrence(v, h, c, layer.weights, layer.biases, step, spec.adjoint, spec.acts)
         final.append((h, c))
     logits = tape.add_bias(tape.matmul(v, model.proj_w), model.proj_b)
     return tape.cross_entropy(logits, Y.T.reshape(-1)), final
@@ -364,6 +432,17 @@ def train(corpus: TrainingCorpus, config: TrainConfig, seed: int = 0) -> tuple[M
     one Adam step.  States carry across windows within an epoch (values,
     not gradients); at epoch start they reset and the learning rate decays.  The curve records the
     per-token loss, i.e. the window sum divided by batch_size * seq_len.
+
+    Memory: one GradientTape is kept for the run and reset every window,
+    so its workspace (the window's activations, caches and gradients) is
+    allocated in the first iteration and reused by every later one; the
+    parameter gradients are zeroed in place, `clip_gradients` scales them in
+    place and Adam updates through one scratch pair.  All of it is released
+    when train returns.
+
+    Raises TrainingDiverged at the first iteration whose window loss is not
+    finite; numpy's floating-point warnings are silenced meanwhile, since
+    that check reports the overflow.
     """
     rng = np.random.default_rng(seed)
     model = init_model(
@@ -385,23 +464,39 @@ def train(corpus: TrainingCorpus, config: TrainConfig, seed: int = 0) -> tuple[M
     if config.max_iterations is not None:
         iterations = min(iterations, config.max_iterations)
     params = model.parameters()
-    opt = AdamState.for_params([p.value for p in params], lr=config.learning_rate)
+    values = [p.value for p in params]
+    for p in params:
+        p.grad = np.zeros_like(p.value)
+    grads = [p.grad for p in params]
+    opt = AdamState.for_params(values, lr=config.learning_rate)
+    tape = GradientTape()
     curve: LearningCurve = []
-    for iteration in range(iterations):
-        epoch, w = divmod(iteration, windows)
-        if w == 0:
-            opt.lr = config.learning_rate * (config.lr_decay ** epoch)
-            states = _zero_states(model, B)
-        tape = GradientTape()
-        cols = slice(w * T, (w + 1) * T)
-        total, states = _window_loss(tape, model, X[:, cols], Y[:, cols], states)
-        tape.backward(total)
-        grads = [p.grad if p.grad is not None else np.zeros_like(p.value) for p in params]
-        grads = clip_gradients(grads, config.clip_norm)
-        adam_step([p.value for p in params], grads, opt)
+    # The tape's records hold closures that refer back to the tape, so the
+    # finally block drops them: the workspace is then freed on return,
+    # not by a later garbage collection.
+    try:
+        with np.errstate(all="ignore"):
+            for iteration in range(iterations):
+                epoch, w = divmod(iteration, windows)
+                if w == 0:
+                    opt.lr = config.learning_rate * (config.lr_decay ** epoch)
+                    states = _zero_states(model, B)
+                tape.reset()
+                cols = slice(w * T, (w + 1) * T)
+                total, states = _window_loss(tape, model, X[:, cols], Y[:, cols], states)
+                loss = float(total.value)
+                if not math.isfinite(loss):
+                    raise TrainingDiverged(f"window loss is {loss} at iteration {iteration + 1}")
+                tape.backward(total)
+                clip_gradients(grads, config.clip_norm, opt.scratch[0])
+                adam_step(values, grads, opt)
+                for g in grads:
+                    g.fill(0.0)
+                curve.append((iteration + 1, loss / (B * T)))
+    finally:
+        tape.reset()
         for p in params:
             p.grad = None
-        curve.append((iteration + 1, float(total.value) / (B * T)))
     return model, curve
 
 
@@ -509,7 +604,8 @@ def save_checkpoint(model: ModelState, path: str | Path) -> None:
 
     Blob order matches ModelState.parameters(): embedding rows, each
     layer's gate blocks in declaration order (W then b per gate), then
-    projection W and b.  The header carries a sha256 of the blob.
+    projection W and b.  The header carries a sha256 of the blob.  The file
+    is written whole or not at all (`core.write_atomic`).
     """
     blob = b"".join(p.value.astype("<f8").tobytes() for p in model.parameters())
     header = {
@@ -524,10 +620,7 @@ def save_checkpoint(model: ModelState, path: str | Path) -> None:
         "param_count": sum(p.value.size for p in model.parameters()),
         "blob_sha256": hashlib.sha256(blob).hexdigest(),
     }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        fh.write(b"\n")
-        fh.write(blob)
+    write_atomic(path, json.dumps(header, sort_keys=True).encode("utf-8"), b"\n", blob)
 
 
 def load_checkpoint(path: str | Path) -> ModelState:

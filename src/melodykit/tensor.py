@@ -7,18 +7,28 @@ topological).  Activations live in (rows, features) matrices.  Training
 records five kinds of op: `lookup`, `recurrence` (a whole gated layer over
 a whole window), `matmul`, `add_bias` and `cross_entropy`.
 
+Memory: those five ops write their outputs, the caches their backward
+reads and the first gradient they give each tensor into the tape's
+workspace, arrays handed out in request order.  `GradientTape.reset`
+rewinds that order, so a tape kept across the windows of a training run
+(which all record the same ops at the same shapes) allocates its
+window-sized arrays once.  `clip_gradients` scales the gradients in place
+(its squares can go to a scratch array) and `adam_step` works in the
+scratch pair its `AdamState` holds, so a training iteration allocates
+nothing window- or parameter-sized.
+
 numpy supplies the dense array arithmetic; the tape, the loss, and the
 optimiser live here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import BadToken, ShapeMismatch
 
 
 class Tensor:
@@ -34,29 +44,66 @@ class Tensor:
         return f"Tensor(shape={self.value.shape})"
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    # Copy on first write: closures may hand back views of upstream grads.
-    if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64)
-    else:
-        t.grad += g
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + exp(-x)) to within 2e-16, as 0.5 * (1 + tanh(x / 2)), which never overflows.
 
-
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-x)) to within 2e-16, as 0.5 * (1 + tanh(x / 2)), which never overflows."""
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+    Written into `out` when one is given; x is read once.
+    """
+    out = np.multiply(x, 0.5, out)
+    np.tanh(out, out)
+    out += 1.0
+    out *= 0.5
+    return out
 
 
 class GradientTape:
-    """Wengert list of (output, backward closure) records.
+    """Wengert list of (output, backward closure) records, plus their workspace.
 
     Ops append in execution order; backward() visits records exactly once
     in reverse, skipping outputs no gradient ever reached.  Inference does
     not use a tape: it steps plain arrays through the same cell kernels.
+
+    The workspace: the k-th array an op asks for after a `reset` is the
+    one the k-th request got before it, reallocated only when its shape
+    changed.  So what the ops return, and every gradient they wrote first,
+    stays valid until the next `reset`; whatever must outlive the window
+    (such as the final states `recurrence` returns) is a copy.
     """
 
     def __init__(self) -> None:
         self._records: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
+        self._arrays: list[np.ndarray] = []
+        self._next = 0
+
+    def reset(self) -> None:
+        """Drop the records and hand the workspace's arrays out again from the first."""
+        self._records.clear()
+        self._next = 0
+
+    def _array(self, shape: tuple[int, ...]) -> np.ndarray:
+        """The workspace's next array, of `shape` and uninitialised."""
+        k = self._next
+        self._next += 1
+        if k == len(self._arrays):
+            self._arrays.append(np.empty(shape))
+        elif self._arrays[k].shape != shape:
+            self._arrays[k] = np.empty(shape)
+        return self._arrays[k]
+
+    def _accumulate(self, t: Tensor, g: np.ndarray) -> None:
+        # Copy on first write: closures may hand back views of upstream grads.
+        if t.grad is None:
+            t.grad = self._array(g.shape)
+            np.copyto(t.grad, g)
+        else:
+            t.grad += g
+
+    def _accumulate_own(self, t: Tensor, g: np.ndarray) -> None:
+        """Accumulate g, a workspace array no other tensor holds, so the first write keeps it."""
+        if t.grad is None:
+            t.grad = g
+        else:
+            t.grad += g
 
     def _push(self, out: Tensor, back: Callable[[np.ndarray], None]) -> Tensor:
         self._records.append((out, back))
@@ -65,11 +112,11 @@ class GradientTape:
     def matmul(self, a: Tensor, b: Tensor) -> Tensor:
         if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[1] != b.value.shape[0]:
             raise ShapeMismatch(f"matmul {a.value.shape} @ {b.value.shape}")
-        out = Tensor(a.value @ b.value)
+        out = Tensor(np.matmul(a.value, b.value, out=self._array((a.value.shape[0], b.value.shape[1]))))
 
         def back(g: np.ndarray) -> None:
-            _accumulate(a, g @ b.value.T)
-            _accumulate(b, a.value.T @ g)
+            self._accumulate_own(a, np.matmul(g, b.value.T, out=self._array(a.value.shape)))
+            self._accumulate_own(b, np.matmul(a.value.T, g, out=self._array(b.value.shape)))
 
         return self._push(out, back)
 
@@ -82,18 +129,18 @@ class GradientTape:
         out = Tensor(a.value + b.value)
 
         def back(g: np.ndarray) -> None:
-            _accumulate(a, g)
-            _accumulate(b, g)
+            self._accumulate(a, g)
+            self._accumulate(b, g)
 
         return self._push(out, back)
 
     def add_bias(self, a: Tensor, b: Tensor) -> Tensor:
         """(B, m) + (m,) with the bias gradient summed over the batch."""
-        out = Tensor(a.value + b.value)
+        out = Tensor(np.add(a.value, b.value, out=self._array(a.value.shape)))
 
         def back(g: np.ndarray) -> None:
-            _accumulate(a, g)
-            _accumulate(b, g.sum(axis=0))
+            self._accumulate(a, g)
+            self._accumulate(b, g.sum(axis=0))
 
         return self._push(out, back)
 
@@ -106,8 +153,8 @@ class GradientTape:
         out = Tensor(a.value * b.value)
 
         def back(g: np.ndarray) -> None:
-            _accumulate(a, g * b.value)
-            _accumulate(b, g * a.value)
+            self._accumulate(a, g * b.value)
+            self._accumulate(b, g * a.value)
 
         return self._push(out, back)
 
@@ -120,7 +167,7 @@ class GradientTape:
         out = Tensor(1.0 - a.value)
 
         def back(g: np.ndarray) -> None:
-            _accumulate(a, -g)
+            self._accumulate(a, -g)
 
         return self._push(out, back)
 
@@ -134,7 +181,7 @@ class GradientTape:
         out = Tensor(s)
 
         def back(g: np.ndarray) -> None:
-            _accumulate(a, g * s * (1.0 - s))
+            self._accumulate(a, g * s * (1.0 - s))
 
         return self._push(out, back)
 
@@ -148,7 +195,7 @@ class GradientTape:
         out = Tensor(t)
 
         def back(g: np.ndarray) -> None:
-            _accumulate(a, g * (1.0 - t * t))
+            self._accumulate(a, g * (1.0 - t * t))
 
         return self._push(out, back)
 
@@ -162,19 +209,26 @@ class GradientTape:
         out = Tensor(np.concatenate([a.value, b.value], axis=1))
 
         def back(g: np.ndarray) -> None:
-            _accumulate(a, g[:, :na])
-            _accumulate(b, g[:, na:])
+            self._accumulate(a, g[:, :na])
+            self._accumulate(b, g[:, na:])
 
         return self._push(out, back)
 
     def lookup(self, table: Tensor, ids: np.ndarray) -> Tensor:
         """Gather rows of `table`; backward scatter-adds into the rows."""
         ids = np.asarray(ids, dtype=np.int64)
-        out = Tensor(table.value[ids])
+        rows = table.value.shape[0]
+        if ids.size and (ids.min() < 0 or ids.max() >= rows):
+            raise BadToken(f"lookup of ids in [{ids.min()}, {ids.max()}] from {rows} rows")
+        # The ids are in range, so "clip" gathers straight into the
+        # workspace; the default mode would gather into a temporary first.
+        out = Tensor(np.take(table.value, ids, axis=0, mode="clip",
+                             out=self._array(ids.shape + table.value.shape[1:])))
 
         def back(g: np.ndarray) -> None:
             if table.grad is None:
-                table.grad = np.zeros_like(table.value)
+                table.grad = self._array(table.value.shape)
+                table.grad[...] = 0.0
             np.add.at(table.grad, ids, g)
 
         return self._push(out, back)
@@ -183,17 +237,19 @@ class GradientTape:
         """Summed -log softmax[target] over the batch; returns a scalar Tensor."""
         targets = np.asarray(targets, dtype=np.int64)
         z = logits.value
-        zmax = z.max(axis=1, keepdims=True)
-        ez = np.exp(z - zmax)
-        probs = ez / ez.sum(axis=1, keepdims=True)
+        probs = np.subtract(z, z.max(axis=1, keepdims=True), out=self._array(z.shape))
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=1, keepdims=True)
         rows = np.arange(z.shape[0])
         loss = -np.log(probs[rows, targets]).sum()
         out = Tensor(loss)
 
         def back(g: np.ndarray) -> None:
-            d = probs.copy()
+            d = self._array(probs.shape)
+            np.copyto(d, probs)
             d[rows, targets] -= 1.0
-            _accumulate(logits, g * d)
+            d *= g
+            self._accumulate_own(logits, d)
 
         return self._push(out, back)
 
@@ -206,62 +262,89 @@ class GradientTape:
         biases: Sequence[Tensor],
         step: Callable,
         adjoint: Callable,
+        blocks: int,
     ) -> tuple[Tensor, np.ndarray, np.ndarray | None]:
         """A gated recurrent layer over a whole window, as one record.
 
         x is (T*B, m), time-major: rows t*B .. t*B+B-1 are the layer's input
         at step t.  h and c are the (B, n) state the window starts from (c
-        is None for cells without a memory lane).  `step(x_t, h, c) -> (h, c,
-        cache)` is one step of the layer: z = [x_t, h] @ W + b, then the
-        cell's kernel, where W and b are the gate blocks `weights` and
-        `biases` side by side.  Backward calls `adjoint(dh, dc, cache) ->
-        (dz, dh_direct, dc)` (dh_direct: the gradient reaching the old h
-        other than through z, or None) in reverse, then forms the weight
-        gradient and the input gradient as one GEMM each over all T*B rows,
-        in the manner of cuDNN's RNN kernels (Appleyard, Kocisky & Blunsom
-        2016).
+        is None for cells without a memory lane).  W and b are the gate
+        blocks `weights` and `biases` side by side.  `step(W, b, xh, h, c,
+        out)` is one step of the layer: z = xh @ W + b for the [x_t, h]
+        rows xh, then the cell's kernel, writing out = (z, new h, new c,
+        the step's `blocks` (B, n) activation blocks).  Backward calls
+        `adjoint(dh, dc, h, c, acts, dz, tmp) -> (dh_direct, dc)` in
+        reverse: it writes the gradient of z into dz and returns, written
+        over dh and dc, the gradient reaching the old h other than through
+        z (or None) and that of the old c; tmp is a (2, B, n) scratch.  The
+        weight gradient and the input gradient are then one GEMM each over
+        all T*B rows, in the manner of cuDNN's RNN kernels (Appleyard,
+        Kocisky & Blunsom 2016).
 
-        Returns (the T*B new h rows, final h, final c).  Gradients reach x,
+        Every array lives in the workspace: the [x_t, h] rows, the states,
+        the activations and, in backward, dz.  Returns (the T*B new h rows,
+        final h, final c); the final states are copies.  Gradients reach x,
         the weights and the biases; the start and final states carry
         values only.
         """
         batch, n = h.shape
-        if x.value.shape[0] % batch:
-            raise ShapeMismatch(f"recurrence of x {x.value.shape} in lanes of h {h.shape}")
-        steps = x.value.shape[0] // batch
-        # hs[t*B:(t+1)*B] is the h step t starts from; the output is hs[B:].
-        hs = np.empty(((steps + 1) * batch, n))
-        hs[:batch] = h
-        caches = []
-        for t in range(steps):
-            h, c, cache = step(x.value[t * batch : (t + 1) * batch], h, c)
-            hs[(t + 1) * batch : (t + 2) * batch] = h
-            caches.append(cache)
-        out = Tensor(hs[batch:])
+        rows, m = x.value.shape
+        width = len(weights) * n
+        if rows % batch or any(p.value.shape != (m + n, n) for p in weights) or (
+            c is not None and c.shape != h.shape
+        ):
+            raise ShapeMismatch(
+                f"recurrence of x {x.value.shape} from h {h.shape} over gate blocks {weights[0].value.shape}")
+        steps = rows // batch
         memory = c is not None
+        w = np.concatenate([p.value for p in weights], axis=1, out=self._array((m + n, width)))
+        b = np.concatenate([p.value for p in biases], out=self._array((width,)))
+        # Step t reads xh[t], its [x_t, h] rows, and hs[t] (and cs[t]), the
+        # state it starts from; it writes hs[t + 1], so the output is hs[1:].
+        # Without a memory lane every cs[t] is None.
+        xh = self._array((steps, batch, m + n))
+        hs = self._array((steps + 1, batch, n))
+        cs = self._array((steps + 1, batch, n)) if memory else [None] * (steps + 1)
+        acts = self._array((steps, blocks, batch, n))
+        z = self._array((batch, width))
+        xh[:, :, :m] = x.value.reshape(steps, batch, m)
+        xh[0, :, m:] = h
+        hs[0] = h
+        if memory:
+            cs[0] = c
+        for t in range(steps):
+            step(w, b, xh[t], hs[t], cs[t], (z, hs[t + 1], cs[t + 1], acts[t]))
+            if t + 1 < steps:
+                xh[t + 1, :, m:] = hs[t + 1]
+        out = Tensor(hs[1:].reshape(rows, n))
 
         def back(g: np.ndarray) -> None:
-            w = np.concatenate([p.value for p in weights], axis=1)
-            w_x, w_h = w[: x.value.shape[1]], w[x.value.shape[1] :]
-            dz = np.empty((steps * batch, w.shape[1]))
-            dh_carry = np.zeros((batch, n))
-            dc = np.zeros((batch, n)) if memory else None
+            g = g.reshape(steps, batch, n)
+            w_h = w[m:].T
+            dz = self._array((steps, batch, width))
+            dh = self._array((batch, n))
+            tmp = self._array((2, batch, n))
+            carry = self._array((batch, n))
+            carry[...] = 0.0
+            dc = self._array((batch, n)) if memory else None
+            if memory:
+                dc[...] = 0.0
             for t in reversed(range(steps)):
-                rows = slice(t * batch, (t + 1) * batch)
-                dzt, dh_direct, dc = adjoint(g[rows] + dh_carry, dc, caches[t])
-                dz[rows] = dzt
+                np.add(g[t], carry, dh)
+                dh_direct, dc = adjoint(dh, dc, hs[t], cs[t], acts[t], dz[t], tmp)
                 if t:
-                    dh_carry = dzt @ w_h.T
+                    np.matmul(dz[t], w_h, carry)
                     if dh_direct is not None:
-                        dh_carry += dh_direct
-            dw = np.concatenate([x.value, hs[:-batch]], axis=1).T @ dz
-            db = dz.sum(axis=0)
-            _accumulate(x, dz @ w_x.T)
+                        carry += dh_direct
+            dz_rows = dz.reshape(rows, width)
+            dw = np.matmul(xh.reshape(rows, m + n).T, dz_rows, out=self._array((m + n, width)))
+            db = dz_rows.sum(axis=0)
+            self._accumulate_own(x, np.matmul(dz_rows, w[:m].T, out=self._array((rows, m))))
             for k, (wk, bk) in enumerate(zip(weights, biases)):
-                _accumulate(wk, dw[:, k * n : (k + 1) * n])
-                _accumulate(bk, db[k * n : (k + 1) * n])
+                self._accumulate(wk, dw[:, k * n : (k + 1) * n])
+                self._accumulate(bk, db[k * n : (k + 1) * n])
 
-        return self._push(out, back), h, c
+        return self._push(out, back), hs[steps].copy(), cs[steps].copy() if memory else None
 
     def backward(self, loss: Tensor) -> None:
         loss.grad = np.ones_like(loss.value)
@@ -277,16 +360,25 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def clip_gradients(grads: list[np.ndarray], max_norm: float) -> list[np.ndarray]:
-    """Scale all gradients by a shared factor so the global L2 norm <= max_norm."""
+def clip_gradients(
+    grads: list[np.ndarray], max_norm: float, scratch: np.ndarray | None = None
+) -> list[np.ndarray]:
+    """Scale all gradients in place by a shared factor so the global L2 norm <= max_norm; returns grads.
+
+    `scratch`, a flat array at least as long as the largest gradient, holds
+    each gradient's squares for the norm; without it they are allocated.
+    """
     total = 0.0
     for g in grads:
-        total += float((g * g).sum())
+        squares = None if scratch is None else scratch[: g.size].reshape(g.shape)
+        total += float(np.multiply(g, g, out=squares).sum())
     norm = np.sqrt(total)
     if norm <= max_norm or norm == 0.0:
-        return [g.copy() for g in grads]
+        return grads
     scale = max_norm / norm
-    return [g * scale for g in grads]
+    for g in grads:
+        g *= scale
+    return grads
 
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
@@ -295,18 +387,24 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, step counter and learning rate."""
+    """First/second moment accumulators, step counter and learning rate.
+
+    `scratch` is the update's (2, size) pair of scratch rows, size being
+    that of the largest parameter; `adam_step` grows it when it is short.
+    """
 
     m: list[np.ndarray]
     v: list[np.ndarray]
     t: int = 0
     lr: float = 0.002
+    scratch: np.ndarray = field(default_factory=lambda: np.empty((2, 0)), repr=False)
 
     @classmethod
     def for_params(cls, params: Sequence[np.ndarray], **kwargs) -> "AdamState":
         return cls(
             m=[np.zeros_like(p) for p in params],
             v=[np.zeros_like(p) for p in params],
+            scratch=np.empty((2, max((p.size for p in params), default=0))),
             **kwargs,
         )
 
@@ -314,16 +412,31 @@ class AdamState:
 def adam_step(
     params: list[np.ndarray], grads: list[np.ndarray], state: AdamState
 ) -> tuple[list[np.ndarray], AdamState]:
-    """One bias-corrected Adam update; params are updated in place."""
+    """One bias-corrected Adam update; params are updated in place.
+
+    Each step is m += (1 - beta1) * g, v += (1 - beta2) * g * g after the
+    decays, then p -= lr * m_hat / (sqrt(v_hat) + eps), evaluated in that
+    order in `state.scratch`.
+    """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ShapeMismatch("params, grads, and state must align")
+    largest = max((p.size for p in params), default=0)
+    if state.scratch.shape[1] < largest:
+        state.scratch = np.empty((2, largest))
     state.t += 1
     for p, g, m, v in zip(params, grads, state.m, state.v):
+        a, b = (row[: p.size].reshape(p.shape) for row in state.scratch)
         m *= BETA1
-        m += (1.0 - BETA1) * g
+        m += np.multiply(g, 1.0 - BETA1, out=a)
         v *= BETA2
-        v += (1.0 - BETA2) * g * g
-        m_hat = m / (1.0 - BETA1 ** state.t)
-        v_hat = v / (1.0 - BETA2 ** state.t)
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + EPS)
+        np.multiply(g, 1.0 - BETA2, out=a)
+        a *= g
+        v += a
+        np.divide(m, 1.0 - BETA1 ** state.t, out=a)
+        np.divide(v, 1.0 - BETA2 ** state.t, out=b)
+        a *= state.lr
+        np.sqrt(b, out=b)
+        b += EPS
+        a /= b
+        p -= a
     return params, state

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -278,6 +279,23 @@ def test_train_failed_checkpoint_write_leaves_no_curve(tmp_path):
     assert stdout == ""
     assert not curve.exists()
     assert list(checkpoint.iterdir()) == []
+
+
+def test_train_divergence_exits_1_and_writes_nothing(tmp_path):
+    corpus_path = build_corpus_file(tmp_path)
+    ckpt, curve = tmp_path / "m.ckpt", tmp_path / "curve.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, stdout, err = run_cli(
+            ["train", "--corpus", corpus_path, "--checkpoint", ckpt, "--curve", curve,
+             "--learning-rate", "1e300"] + SMALL_TRAIN
+        )
+    assert_json_error(code, err, "TrainingDiverged")
+    assert "at iteration 2" in json.loads(err)["message"]
+    assert [str(w.message) for w in caught] == []  # no numpy overflow warnings
+    assert stdout == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "corpus_control.json", "corpus_control.vocab.json", "songs.jsonl"]
 
 
 def test_default_epochs_per_variant():
@@ -694,3 +712,22 @@ def test_sweep_records_per_run_failures(tmp_path):
     assert by_layers[9].endswith(",error:ValueError")
     best = (out_dir / "best.csv").read_text().splitlines()
     assert best[1].startswith("ugrnn,1,")
+
+
+def test_sweep_records_divergence_as_an_error_row(tmp_path):
+    corpus_path = build_corpus_file(tmp_path)
+    out_dir = tmp_path / "sweep"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run_cli(
+            ["sweep", "--corpus", corpus_path, "--out-dir", out_dir,
+             "--cells", "ugrnn", "--layers", "1", "--learning-rate", "1e300",
+             "--hidden-size", "8", "--embedding-dim", "4",
+             "--batch-size", "2", "--seq-len", "5", "--epochs", "1"]
+        )
+    assert code == 0, err
+    assert err == "" and [str(w.message) for w in caught] == []
+    rows = (out_dir / "summary.csv").read_text().splitlines()
+    assert rows[1:] == ["ugrnn,1,nan,nan,error:TrainingDiverged"]
+    assert (out_dir / "best.csv").read_text() == "cell,best_layers,final_loss\n"
+    assert not (out_dir / "curve_ugrnn_1.csv").exists()

@@ -1,8 +1,10 @@
+import errno
 import math
 
 import numpy as np
 import pytest
 
+from melodykit import core
 from melodykit.core import DatasetVariant, Vocabulary, build_corpus
 from melodykit.errors import (
     BadToken,
@@ -19,6 +21,7 @@ from melodykit.rnn import (
     _layer_step,
     _pick,
     _window_loss,
+    _zero_states,
     cell_spec,
     init_cell_params,
     init_model,
@@ -29,7 +32,7 @@ from melodykit.rnn import (
     stack_forward,
     train,
 )
-from melodykit.tensor import GradientTape, Tensor, softmax
+from melodykit.tensor import AdamState, GradientTape, Tensor, adam_step, clip_gradients, softmax
 
 from melodykit.errors import PitchOutOfRange
 
@@ -102,7 +105,8 @@ def cell_step(kind, x, p, h, c=None):
     def row(v):
         return np.asarray(v, dtype=np.float64)[None]
 
-    h_new, c_new, _ = _layer_step(cell_spec(kind), _fused(p), row(x), row(h), None if c is None else row(c))
+    h, c = row(h), None if c is None else row(c)
+    h_new, c_new, _ = _layer_step(cell_spec(kind), *_fused(p), np.concatenate([row(x), h], axis=1), h, c)
     return h_new[0], None if c_new is None else c_new[0]
 
 
@@ -424,6 +428,70 @@ def test_train_bitwise_deterministic():
         np.testing.assert_array_equal(p.value, q.value)
 
 
+def reference_train(corpus, config, seed):
+    """train's loop with no state kept between windows: a fresh tape per
+    window, and clipping and Adam on copies of the gradients."""
+    model = init_model(corpus.vocabulary, corpus.variant, cell=config.cell,
+                       num_layers=config.num_layers, hidden_size=config.hidden_size,
+                       embedding_dim=config.embedding_dim, rng=np.random.default_rng(seed))
+    B, T = config.batch_size, config.seq_len
+    lane_len = corpus.x.size // B
+    X = corpus.x[: B * lane_len].reshape(B, lane_len)
+    Y = corpus.y[: B * lane_len].reshape(B, lane_len)
+    windows = lane_len // T
+    params = model.parameters()
+    opt = AdamState.for_params([p.value for p in params], lr=config.learning_rate)
+    curve = []
+    for iteration in range(min(config.epochs * windows, config.max_iterations)):
+        epoch, w = divmod(iteration, windows)
+        if w == 0:
+            opt.lr = config.learning_rate * (config.lr_decay ** epoch)
+            states = _zero_states(model, B)
+        for p in params:
+            p.grad = None
+        tape = GradientTape()
+        cols = slice(w * T, (w + 1) * T)
+        total, states = _window_loss(tape, model, X[:, cols], Y[:, cols], states)
+        tape.backward(total)
+        grads = clip_gradients([p.grad.copy() for p in params], config.clip_norm)
+        adam_step([p.value for p in params], grads, opt)
+        curve.append((iteration + 1, float(total.value) / (B * T)))
+    return model, curve
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("cell", ["lstm", "ugrnn"])
+def test_train_workspace_reuse_keeps_every_bit(cell, layers):
+    # 7 windows per epoch, so the run crosses an epoch boundary.  At this
+    # clip norm 2 to 10 of the 10 iterations clip, depending on the cell and
+    # depth, so both of clip_gradients' branches run.
+    corpus = small_corpus()
+    cfg = TrainConfig(cell=cell, num_layers=layers, hidden_size=4, embedding_dim=3, batch_size=2,
+                      seq_len=5, epochs=2, lr_decay=0.5, clip_norm=0.06, max_iterations=10)
+    model, curve = train(corpus, cfg, seed=3)
+    want_model, want_curve = reference_train(corpus, cfg, seed=3)
+    assert curve == want_curve
+    for p, q in zip(model.parameters(), want_model.parameters()):
+        assert p.value.tobytes() == q.value.tobytes()
+        assert p.grad is None
+
+    # The final states _window_loss returns start the next window: reusing
+    # the tape for that window must leave them as they were.
+    X = corpus.x[:10].reshape(2, 5)
+    Y = corpus.y[:10].reshape(2, 5)
+    tape = GradientTape()
+    total, states = _window_loss(tape, model, X, Y, _zero_states(model, 2))
+    tape.backward(total)
+    kept = [(h.copy(), None if c is None else c.copy()) for h, c in states]
+    tape.reset()
+    total, _ = _window_loss(tape, model, Y, X, states)
+    tape.backward(total)
+    for (h, c), (h0, c0) in zip(states, kept):
+        np.testing.assert_array_equal(h, h0)
+        if c0 is not None:
+            np.testing.assert_array_equal(c, c0)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
@@ -628,6 +696,42 @@ def test_checkpoint_save_is_canonical(tmp_path):
     save_checkpoint(m, p1)
     save_checkpoint(load_checkpoint(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_checkpoint_write_failure_leaves_no_partial_file(tmp_path, monkeypatch, existing):
+    path = tmp_path / "m.ckpt"
+    if existing:
+        save_checkpoint(tiny_model(seed=1), path)
+    before = path.read_bytes() if existing else None
+    real_open = open
+
+    class BlobWriteFails:
+        """A file whose third write, the blob, stops halfway on a full disk."""
+
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes == 3:
+                self.fh.write(data[: len(data) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return self.fh.write(data)
+
+    monkeypatch.setattr(core, "open", lambda *a, **kw: BlobWriteFails(real_open(*a, **kw)), raising=False)
+    with pytest.raises(OSError):
+        save_checkpoint(tiny_model(seed=2), path)
+    monkeypatch.undo()
+    assert list(tmp_path.iterdir()) == ([path] if existing else [])
+    if existing:
+        assert path.read_bytes() == before
 
 
 def test_checkpoint_header_is_json_line(tmp_path):

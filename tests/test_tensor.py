@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from melodykit.errors import ShapeMismatch
+from melodykit.errors import BadToken, ShapeMismatch
 from melodykit.tensor import (
     AdamState,
     GradientTape,
@@ -124,6 +124,14 @@ def test_lookup_scatter_adds_duplicates():
     np.testing.assert_allclose(table.grad, [[0, 0], [2, 2], [1, 1]])
 
 
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_lookup_rejects_ids_outside_the_table(bad):
+    # The gather runs in "clip" mode, which would clamp a bad id, so lookup
+    # checks the range itself; a negative id is refused, not wrapped.
+    with pytest.raises(BadToken):
+        GradientTape().lookup(Tensor(np.zeros((3, 2))), np.array([0, bad]))
+
+
 def row_cross_entropy(z, target):
     """Loss and logit gradient of the taped cross-entropy on one (1, V) row."""
     logits = Tensor(np.asarray(z, dtype=np.float64)[None, :])
@@ -232,7 +240,7 @@ def test_clip_spans_parameter_list():
     out = clip_gradients(g, 5.0)
     np.testing.assert_allclose(out[0], [3.0])
     np.testing.assert_allclose(out[1], [4.0])
-    assert out[0] is not g[0]  # originals untouched
+    assert out[0] is g[0] and out[1] is g[1]  # scaled in place
 
 
 def test_adam_zero_gradient_fixed_point():
