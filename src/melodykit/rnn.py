@@ -434,11 +434,11 @@ def train(corpus: TrainingCorpus, config: TrainConfig, seed: int = 0) -> tuple[M
     per-token loss, i.e. the window sum divided by batch_size * seq_len.
 
     Memory: one GradientTape is kept for the run and reset every window,
-    so its workspace (the window's activations, caches and gradients) is
-    allocated in the first iteration and reused by every later one; the
-    parameter gradients are zeroed in place, `clip_gradients` scales them in
-    place and Adam updates through one scratch pair.  All of it is released
-    when train returns.
+    so its workspace (the window's activations, caches and gradients, the
+    parameters' among them) is allocated in the first iteration and reused
+    by every later one; `clip_gradients` scales the gradients in place and
+    Adam updates through one scratch pair.  All of it is released when
+    train returns.
 
     Raises TrainingDiverged at the first iteration whose window loss is not
     finite; numpy's floating-point warnings are silenced meanwhile, since
@@ -465,15 +465,13 @@ def train(corpus: TrainingCorpus, config: TrainConfig, seed: int = 0) -> tuple[M
         iterations = min(iterations, config.max_iterations)
     params = model.parameters()
     values = [p.value for p in params]
-    for p in params:
-        p.grad = np.zeros_like(p.value)
-    grads = [p.grad for p in params]
     opt = AdamState.for_params(values, lr=config.learning_rate)
     tape = GradientTape()
     curve: LearningCurve = []
     # The tape's records hold closures that refer back to the tape, so the
-    # finally block drops them: the workspace is then freed on return,
-    # not by a later garbage collection.
+    # finally block drops them, and the parameters' gradients with them:
+    # the workspace is then freed on return, not by a later garbage
+    # collection.
     try:
         with np.errstate(all="ignore"):
             for iteration in range(iterations):
@@ -488,15 +486,12 @@ def train(corpus: TrainingCorpus, config: TrainConfig, seed: int = 0) -> tuple[M
                 if not math.isfinite(loss):
                     raise TrainingDiverged(f"window loss is {loss} at iteration {iteration + 1}")
                 tape.backward(total)
+                grads = [p.grad for p in params]
                 clip_gradients(grads, config.clip_norm, opt.scratch[0])
                 adam_step(values, grads, opt)
-                for g in grads:
-                    g.fill(0.0)
                 curve.append((iteration + 1, loss / (B * T)))
     finally:
         tape.reset()
-        for p in params:
-            p.grad = None
     return model, curve
 
 

@@ -10,12 +10,12 @@ a whole window), `matmul`, `add_bias` and `cross_entropy`.
 Memory: those five ops write their outputs, the caches their backward
 reads and the first gradient they give each tensor into the tape's
 workspace, arrays handed out in request order.  `GradientTape.reset`
-rewinds that order, so a tape kept across the windows of a training run
-(which all record the same ops at the same shapes) allocates its
-window-sized arrays once.  `clip_gradients` scales the gradients in place
-(its squares can go to a scratch array) and `adam_step` works in the
-scratch pair its `AdamState` holds, so a training iteration allocates
-nothing window- or parameter-sized.
+rewinds that order and takes back every gradient it handed out, so a
+tape kept across the windows of a training run (which all record the same
+ops at the same shapes) allocates its window-sized arrays once.
+`clip_gradients` scales the gradients in place, its squares in a scratch
+row, and `adam_step` works in the scratch pair its `AdamState` holds, so
+a training iteration allocates nothing window- or parameter-sized.
 
 numpy supplies the dense array arithmetic; the tape, the loss, and the
 optimiser live here.
@@ -65,19 +65,26 @@ class GradientTape:
 
     The workspace: the k-th array an op asks for after a `reset` is the
     one the k-th request got before it, reallocated only when its shape
-    changed.  So what the ops return, and every gradient they wrote first,
-    stays valid until the next `reset`; whatever must outlive the window
-    (such as the final states `recurrence` returns) is a copy.
+    changed.  So what the ops return stays valid until the next `reset`;
+    whatever must outlive the window (such as the final states `recurrence`
+    returns) is a copy.  A tensor whose gradient the tape wrote first holds
+    a workspace array, so `reset` sets that gradient back to None; a
+    gradient the caller allocated before backward is only added to, and
+    outlives the reset.
     """
 
     def __init__(self) -> None:
         self._records: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
         self._arrays: list[np.ndarray] = []
         self._next = 0
+        self._granted: list[Tensor] = []
 
     def reset(self) -> None:
-        """Drop the records and hand the workspace's arrays out again from the first."""
+        """Drop the records and the gradients the tape wrote first; hand the arrays out again from the first."""
         self._records.clear()
+        for t in self._granted:
+            t.grad = None
+        self._granted.clear()
         self._next = 0
 
     def _array(self, shape: tuple[int, ...]) -> np.ndarray:
@@ -90,10 +97,15 @@ class GradientTape:
             self._arrays[k] = np.empty(shape)
         return self._arrays[k]
 
+    def _grant(self, t: Tensor, g: np.ndarray) -> None:
+        """Make the workspace array g t's gradient until the next `reset`."""
+        t.grad = g
+        self._granted.append(t)
+
     def _accumulate(self, t: Tensor, g: np.ndarray) -> None:
         # Copy on first write: closures may hand back views of upstream grads.
         if t.grad is None:
-            t.grad = self._array(g.shape)
+            self._grant(t, self._array(g.shape))
             np.copyto(t.grad, g)
         else:
             t.grad += g
@@ -101,7 +113,7 @@ class GradientTape:
     def _accumulate_own(self, t: Tensor, g: np.ndarray) -> None:
         """Accumulate g, a workspace array no other tensor holds, so the first write keeps it."""
         if t.grad is None:
-            t.grad = g
+            self._grant(t, g)
         else:
             t.grad += g
 
@@ -227,7 +239,7 @@ class GradientTape:
 
         def back(g: np.ndarray) -> None:
             if table.grad is None:
-                table.grad = self._array(table.value.shape)
+                self._grant(table, self._array(table.value.shape))
                 table.grad[...] = 0.0
             np.add.at(table.grad, ids, g)
 
@@ -360,18 +372,15 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def clip_gradients(
-    grads: list[np.ndarray], max_norm: float, scratch: np.ndarray | None = None
-) -> list[np.ndarray]:
+def clip_gradients(grads: list[np.ndarray], max_norm: float, scratch: np.ndarray) -> list[np.ndarray]:
     """Scale all gradients in place by a shared factor so the global L2 norm <= max_norm; returns grads.
 
     `scratch`, a flat array at least as long as the largest gradient, holds
-    each gradient's squares for the norm; without it they are allocated.
+    each gradient's squares for the norm.
     """
     total = 0.0
     for g in grads:
-        squares = None if scratch is None else scratch[: g.size].reshape(g.shape)
-        total += float(np.multiply(g, g, out=squares).sum())
+        total += float(np.multiply(g, g, out=scratch[: g.size].reshape(g.shape)).sum())
     norm = np.sqrt(total)
     if norm <= max_norm or norm == 0.0:
         return grads
@@ -390,23 +399,21 @@ class AdamState:
     """First/second moment accumulators, step counter and learning rate.
 
     `scratch` is the update's (2, size) pair of scratch rows, size being
-    that of the largest parameter; `adam_step` grows it when it is short.
+    that of the largest parameter.
     """
 
     m: list[np.ndarray]
     v: list[np.ndarray]
     t: int = 0
     lr: float = 0.002
-    scratch: np.ndarray = field(default_factory=lambda: np.empty((2, 0)), repr=False)
+    scratch: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.scratch = np.empty((2, max((m.size for m in self.m), default=0)))
 
     @classmethod
     def for_params(cls, params: Sequence[np.ndarray], **kwargs) -> "AdamState":
-        return cls(
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-            scratch=np.empty((2, max((p.size for p in params), default=0))),
-            **kwargs,
-        )
+        return cls(m=[np.zeros_like(p) for p in params], v=[np.zeros_like(p) for p in params], **kwargs)
 
 
 def adam_step(
@@ -420,9 +427,6 @@ def adam_step(
     """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ShapeMismatch("params, grads, and state must align")
-    largest = max((p.size for p in params), default=0)
-    if state.scratch.shape[1] < largest:
-        state.scratch = np.empty((2, largest))
     state.t += 1
     for p, g, m, v in zip(params, grads, state.m, state.v):
         a, b = (row[: p.size].reshape(p.shape) for row in state.scratch)

@@ -453,7 +453,8 @@ def reference_train(corpus, config, seed):
         cols = slice(w * T, (w + 1) * T)
         total, states = _window_loss(tape, model, X[:, cols], Y[:, cols], states)
         tape.backward(total)
-        grads = clip_gradients([p.grad.copy() for p in params], config.clip_norm)
+        grads = clip_gradients([p.grad.copy() for p in params], config.clip_norm,
+                               np.empty(max(p.value.size for p in params)))
         adam_step([p.value for p in params], grads, opt)
         curve.append((iteration + 1, float(total.value) / (B * T)))
     return model, curve
@@ -476,9 +477,13 @@ def test_train_workspace_reuse_keeps_every_bit(cell, layers):
         assert p.grad is None
 
     # The final states _window_loss returns start the next window: reusing
-    # the tape for that window must leave them as they were.
+    # the tape for that window must leave them as they were.  The
+    # parameters' gradients are the tape's workspace arrays here, so the
+    # reused tape's second window must also give the gradients a fresh
+    # tape gives.
     X = corpus.x[:10].reshape(2, 5)
     Y = corpus.y[:10].reshape(2, 5)
+    params = model.parameters()
     tape = GradientTape()
     total, states = _window_loss(tape, model, X, Y, _zero_states(model, 2))
     tape.backward(total)
@@ -490,6 +495,14 @@ def test_train_workspace_reuse_keeps_every_bit(cell, layers):
         np.testing.assert_array_equal(h, h0)
         if c0 is not None:
             np.testing.assert_array_equal(c, c0)
+    reused = [p.grad.copy() for p in params]
+    tape.reset()
+    assert all(p.grad is None for p in params)
+    fresh = GradientTape()
+    total, _ = _window_loss(fresh, model, Y, X, kept)
+    fresh.backward(total)
+    for p, g in zip(params, reused):
+        assert p.grad.tobytes() == g.tobytes()
 
 
 def test_config_validation():

@@ -37,6 +37,26 @@ def test_matmul_backward():
     np.testing.assert_allclose(b.grad, a.value.T @ ones)
 
 
+def test_reset_takes_back_the_gradients_it_handed_out():
+    # a's gradient is the tape's workspace array, b's one the caller
+    # allocated.  After reset a starts afresh, so the second window's
+    # gradient is not added to the first one's nor to an array the tape
+    # hands out again; b's keeps accumulating.
+    rng = np.random.default_rng(0)
+    a = Tensor(rng.normal(size=(2, 3)))
+    b = Tensor(rng.normal(size=(3, 4)))
+    b.grad = np.zeros((3, 4))
+    kept = b.grad
+    tape = GradientTape()
+    tape.backward(tape.matmul(a, b))
+    first = a.grad.copy()
+    tape.reset()
+    assert a.grad is None and b.grad is kept
+    tape.backward(tape.matmul(a, b))
+    np.testing.assert_array_equal(a.grad, first)
+    np.testing.assert_allclose(b.grad, 2 * (a.value.T @ np.ones((2, 4))))
+
+
 def test_matmul_shape_check():
     with pytest.raises(ShapeMismatch):
         GradientTape().matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
@@ -227,17 +247,17 @@ def test_cross_entropy_nonnegative(z, t):
 
 def test_clip_gradients():
     g = [np.array([0.6, 0.8])]
-    np.testing.assert_allclose(clip_gradients(g, 5.0)[0], g[0])  # norm 1
+    np.testing.assert_allclose(clip_gradients(g, 5.0, np.empty(2))[0], [0.6, 0.8])  # norm 1
     g = [np.array([3.0, 4.0])]
-    np.testing.assert_allclose(clip_gradients(g, 5.0)[0], g[0])  # boundary
+    np.testing.assert_allclose(clip_gradients(g, 5.0, np.empty(2))[0], [3.0, 4.0])  # boundary
     g = [np.array([6.0, 8.0])]
-    np.testing.assert_allclose(clip_gradients(g, 5.0)[0], [3.0, 4.0])
+    np.testing.assert_allclose(clip_gradients(g, 5.0, np.empty(2))[0], [3.0, 4.0])
 
 
 def test_clip_spans_parameter_list():
     # global norm sqrt(36+64) = 10 across two arrays
     g = [np.array([6.0]), np.array([8.0])]
-    out = clip_gradients(g, 5.0)
+    out = clip_gradients(g, 5.0, np.empty(1))
     np.testing.assert_allclose(out[0], [3.0])
     np.testing.assert_allclose(out[1], [4.0])
     assert out[0] is g[0] and out[1] is g[1]  # scaled in place
