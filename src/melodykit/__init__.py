@@ -6,14 +6,12 @@ from .core import (
     TrainingCorpus,
     Vocabulary,
     build_corpus,
-    build_vocabulary,
     clean_corpus,
     interval_to_song,
     load_songs_jsonl,
     save_songs_jsonl,
     song_to_db12,
     song_to_interval,
-    transpose,
 )
 from .errors import MelodyKitError
 from .metrics import (

@@ -46,18 +46,21 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 
 
 def _write_corpus(corpus: TrainingCorpus, out: Path) -> Path:
-    payload = {
-        "variant": corpus.variant.value,
-        "x": corpus.x.tolist(),
-        "y": corpus.y.tolist(),
-    }
-    out.write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
+    """Write json.dumps({"variant", "x", "y"}, sort_keys=True) and the vocabulary sidecar.
+
+    y is x shifted by one, so both id lists are slices of one join over the
+    id stream.  Each file is replaced atomically.
+    """
+    ids = np.append(corpus.x, corpus.y[-1:])
+    names = np.array([str(i) for i in range(corpus.vocabulary.size)], dtype=object)
+    ids_text = ", ".join(names[ids].tolist())
+    x_text = ids_text[: len(ids_text) - len(names[ids[-1]]) - 2]
+    y_text = ids_text[len(names[ids[0]]) + 2 :]
+    text = f'{{"variant": {json.dumps(corpus.variant.value)}, "x": [{x_text}], "y": [{y_text}]}}\n'
+    core.write_atomic(out, text.encode("utf-8"))
     sidecar = out.with_name(out.stem + ".vocab.json")
-    sidecar.write_text(
-        json.dumps({"variant": corpus.variant.value, "tokens": list(corpus.vocabulary.tokens)},
-                   sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    vocab = {"variant": corpus.variant.value, "tokens": list(corpus.vocabulary.tokens)}
+    core.write_atomic(sidecar, (json.dumps(vocab, sort_keys=True) + "\n").encode("utf-8"))
     return sidecar
 
 

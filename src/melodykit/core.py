@@ -7,10 +7,16 @@ stream.  Three dataset variants feed the trainer:
 * interval - signed semitone deltas, so transposed copies collapse to one
 * db12     - every song plus eleven chromatic transpositions centred on
              middle C, so the model sees each melody in twelve keys
+
+build_corpus works on arrays, not per note: each song's twelve db12 keys
+are one (12, len) block, and one presence table over the token stream
+gives both the vocabulary and the ids.  The corpus it returns is the same
+whichever way it is computed.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -44,9 +50,10 @@ def check_song(song: Song, what: str = "song") -> None:
     """Validate non-emptiness and MIDI range; raises on violation."""
     if len(song) == 0:
         raise SongTooShort(f"{what} is empty")
-    for i, note in enumerate(song):
-        if not (MIDI_MIN <= note <= MIDI_MAX):
-            raise PitchOutOfRange(f"{what}[{i}] = {note} outside [{MIDI_MIN}, {MIDI_MAX}]")
+    if min(song) < MIDI_MIN or max(song) > MIDI_MAX:
+        for i, note in enumerate(song):
+            if not (MIDI_MIN <= note <= MIDI_MAX):
+                raise PitchOutOfRange(f"{what}[{i}] = {note} outside [{MIDI_MIN}, {MIDI_MAX}]")
 
 
 def clean_corpus(songs: list[Song]) -> list[Song]:
@@ -81,27 +88,28 @@ def interval_to_song(start: int, intervals: IntervalSequence) -> Song:
     return song
 
 
-def transpose(song: Song, shift: int) -> Song:
-    """Shift every note by `shift` semitones; range-checked."""
-    moved = [n + shift for n in song]
-    for i, note in enumerate(moved):
-        if not (MIDI_MIN <= note <= MIDI_MAX):
-            raise PitchOutOfRange(f"shift {shift}: note[{i}] = {note} outside [{MIDI_MIN}, {MIDI_MAX}]")
-    return moved
+# Row `down` holds the twelve db12 shifts of a song that sends `down` copies
+# down: 0, then -1..-down, then +1..+(11 - down).
+_DB12_SHIFTS = np.array(
+    [[0] + [-k for k in range(1, down + 1)] + list(range(1, 12 - down)) for down in range(12)],
+    dtype=np.int64,
+)
 
 
-def song_to_db12(song: Song) -> list[Song]:
-    """The song plus eleven transpositions spread around middle C.
+def song_to_db12(song: Song) -> np.ndarray:
+    """The song plus eleven transpositions spread around middle C, as a (12, len) block.
 
     The melody's range midpoint decides how many of the eleven shifted
     copies go down versus up: the counts split the remaining budget after
     reserving the gap to middle C, and a melody already more than eleven
-    semitones off-centre sends all eleven copies toward middle C.  Output
+    semitones off-centre sends all eleven copies toward middle C.  Row
     order is the original, then down-shifts -1..-down, then up-shifts
-    +1..+up, with up + down == 11 always.
+    +1..+up, with up + down == 11 always.  A copy that leaves the MIDI
+    range raises PitchOutOfRange naming its shift and its first bad note.
     """
     check_song(song)
-    middle = (max(song) - min(song)) // 2 + min(song)
+    low, high = min(song), max(song)
+    middle = (high - low) // 2 + low
     gap = CENTRAL_C - middle
     remaining = 11 - abs(gap)
     if remaining >= 0:
@@ -109,16 +117,16 @@ def song_to_db12(song: Song) -> list[Song]:
         down = remaining - up
         if gap < 0:
             down += -gap
-        else:
-            up += gap
     else:
-        down, up = (11, 0) if gap <= 0 else (0, 11)
-    out = [list(song)]
-    for i in range(down):
-        out.append(transpose(song, -(i + 1)))
-    for i in range(up):
-        out.append(transpose(song, i + 1))
-    return out
+        down = 11 if gap <= 0 else 0
+    shifts = _DB12_SHIFTS[down]
+    block = np.asarray(song, dtype=np.int64) + shifts[:, None]
+    if low - down < MIDI_MIN or high + (11 - down) > MIDI_MAX:
+        bad = (block < MIDI_MIN) | (block > MIDI_MAX)
+        row, i = divmod(int(bad.argmax()), len(song))
+        raise PitchOutOfRange(
+            f"shift {shifts[row]}: note[{i}] = {block[row, i]} outside [{MIDI_MIN}, {MIDI_MAX}]")
+    return block
 
 
 @dataclass(frozen=True)
@@ -150,16 +158,6 @@ class Vocabulary:
         return [self.tokens[int(i)] for i in ids]
 
 
-def build_vocabulary(token_streams: list[list[int]]) -> Vocabulary:
-    """Distinct tokens across all streams, ascending."""
-    seen: set[int] = set()
-    for stream in token_streams:
-        seen.update(stream)
-    if not seen:
-        raise EmptyCorpus("no tokens in corpus")
-    return Vocabulary(tokens=tuple(sorted(seen)))
-
-
 @dataclass(frozen=True)
 class TrainingCorpus:
     """Next-token training pairs: y is x shifted left by one position."""
@@ -170,35 +168,44 @@ class TrainingCorpus:
     variant: DatasetVariant
 
 
-def token_stream(songs: list[Song], variant: DatasetVariant) -> list[int]:
-    """Concatenated token stream for a variant; per-song transforms first."""
-    stream: list[int] = []
-    if variant is DatasetVariant.CONTROL:
-        for s in songs:
-            stream.extend(s)
-    elif variant is DatasetVariant.INTERVAL:
-        for s in songs:
-            stream.extend(song_to_interval(s))
-    elif variant is DatasetVariant.DB12:
-        for s in songs:
-            for copy in song_to_db12(s):
-                stream.extend(copy)
-    else:
+def _token_stream(songs: list[Song], variant: DatasetVariant) -> np.ndarray:
+    """The variant's tokens of every song, concatenated, checking each song in order."""
+    if variant is DatasetVariant.DB12:
+        blocks = [song_to_db12(s).ravel() for s in songs]
+        return np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
+    if variant not in (DatasetVariant.CONTROL, DatasetVariant.INTERVAL):
         raise ValueError(f"unknown variant {variant!r}")
-    return stream
+    for song in songs:
+        if variant is DatasetVariant.INTERVAL and len(song) < 2:
+            raise SongTooShort(f"need at least 2 notes, got {len(song)}")
+        check_song(song)
+    lengths = np.array([len(s) for s in songs], dtype=np.int64)
+    notes = np.fromiter(itertools.chain.from_iterable(songs), dtype=np.int64, count=int(lengths.sum()))
+    if variant is DatasetVariant.CONTROL:
+        return notes
+    # Drop the step from each song's last note to the next song's first.
+    return np.delete(np.diff(notes), np.cumsum(lengths)[:-1] - 1)
 
 
 def build_corpus(songs: list[Song], variant: DatasetVariant) -> TrainingCorpus:
     """Transform songs, concatenate, and emit shift-by-one id pairs.
 
-    Callers pass cleaned songs (every length >= 4); transform errors
-    propagate unchanged.
+    Callers pass cleaned songs (every length >= 4); each song must pass
+    check_song, and the interval variant needs two notes per song.  The
+    first failing song's error propagates unchanged.
     """
-    stream = token_stream(songs, variant)
-    if len(stream) < 2:
-        raise EmptyCorpus(f"token stream has {len(stream)} tokens; need at least 2")
-    vocab = build_vocabulary([stream])
-    ids = vocab.encode(stream)
+    stream = _token_stream(songs, variant)
+    if stream.size < 2:
+        raise EmptyCorpus(f"token stream has {stream.size} tokens; need at least 2")
+    # Every token is a pitch or a step between two pitches, so a presence
+    # table over [min, max] lists the vocabulary in ascending order, and
+    # its running count is each token's rank: no sort and no dict lookup.
+    low = int(stream.min())
+    offsets = stream - low
+    present = np.zeros(int(stream.max()) - low + 1, dtype=bool)
+    present[offsets] = True
+    ids = (np.cumsum(present, dtype=np.int64) - 1)[offsets]
+    vocab = Vocabulary(tokens=tuple((np.flatnonzero(present) + low).tolist()))
     return TrainingCorpus(x=ids[:-1], y=ids[1:], vocabulary=vocab, variant=variant)
 
 

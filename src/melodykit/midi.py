@@ -4,10 +4,16 @@ The parser accepts format 0 and 1 files, walks every track with running
 status, and collects note-on events (velocity 0 counts as note-off).
 Notes merge across tracks ordered by absolute tick, then track order.
 Overlapping notes are a hard error: this package only models one voice.
+So is a channel event's data byte with its high bit set.
 
 The writer emits a fixed shape: format 0, one track, 480 ticks per
 quarter note, a 120 BPM tempo event, then each note as a velocity-90
 note-on lasting exactly 480 ticks.  parse_midi(write_midi(song)) == song.
+
+Neither makes a Python object per note: the parser keeps every note's
+start tick, end tick and pitch in three flat lists and reads one-byte
+delta times inline, and the writer copies the pitches into a repeated
+note template.  The file format is the same either way.
 """
 
 from __future__ import annotations
@@ -42,97 +48,84 @@ def _read_vlq(data: bytes, pos: int) -> tuple[int, int]:
     raise MalformedFile("variable-length quantity longer than 4 bytes")
 
 
-def _vlq_bytes(value: int) -> bytes:
-    if value < 0:
-        raise ValueError("delta time must be >= 0")
-    chunks = [value & 0x7F]
-    value >>= 7
-    while value:
-        chunks.append((value & 0x7F) | 0x80)
-        value >>= 7
-    return bytes(reversed(chunks))
-
-
-class _NoteSpan:
-    __slots__ = ("start", "end", "pitch", "track", "order")
-
-    def __init__(self, start: int, pitch: int, track: int, order: int) -> None:
-        self.start = start
-        self.end: int | None = None
-        self.pitch = pitch
-        self.track = track
-        self.order = order
-
-
-def _parse_track(data: bytes, track_index: int) -> list[_NoteSpan]:
-    """Walk one MTrk payload and return the completed note spans."""
-    spans: list[_NoteSpan] = []
-    open_notes: dict[tuple[int, int], list[_NoteSpan]] = {}
+def _parse_track(
+    data: bytes, track_index: int, starts: list[int], ends: list[int], pitches: list[int]
+) -> None:
+    """Walk one MTrk payload and append each note's start tick, end tick and pitch."""
+    # (channel << 7 | pitch) -> indices of that key's sounding notes, oldest first
+    sounding: dict[int, list[int]] = {}
+    size = len(data)
     pos = 0
     tick = 0
-    order = 0
     running_status: int | None = None
-    while pos < len(data):
-        delta, pos = _read_vlq(data, pos)
+    while pos < size:
+        delta = data[pos]
+        if delta < 0x80:  # a one-byte delta time, the common case
+            pos += 1
+        else:
+            delta, pos = _read_vlq(data, pos)
         tick += delta
-        if pos >= len(data):
+        if pos >= size:
             raise MalformedFile(f"track {track_index}: truncated event")
         status = data[pos]
         if status & 0x80:
             pos += 1
-            if status < 0xF0:
-                running_status = status
-            else:
-                running_status = None  # meta and sysex cancel running status
+            # meta and sysex cancel running status
+            running_status = status if status < 0xF0 else None
+        elif running_status is None:
+            raise MalformedFile(f"track {track_index}: data byte with no running status")
         else:
-            if running_status is None:
-                raise MalformedFile(f"track {track_index}: data byte with no running status")
             status = running_status
 
-        if status == 0xFF:  # meta event
-            if pos >= len(data):
-                raise MalformedFile(f"track {track_index}: truncated meta event")
-            meta_type = data[pos]
-            pos += 1
-            length, pos = _read_vlq(data, pos)
-            if pos + length > len(data):
-                raise MalformedFile(f"track {track_index}: meta event overruns track")
-            pos += length
-            if meta_type == 0x2F:  # end of track
-                break
-            continue
-        if status in (0xF0, 0xF7):  # sysex
-            length, pos = _read_vlq(data, pos)
-            if pos + length > len(data):
-                raise MalformedFile(f"track {track_index}: sysex overruns track")
-            pos += length
-            continue
-        if status < 0x80:
-            raise MalformedFile(f"track {track_index}: bad status byte {status:#x}")
+        if status >= 0xF0:
+            if status == 0xFF:  # meta event
+                if pos >= size:
+                    raise MalformedFile(f"track {track_index}: truncated meta event")
+                meta_type = data[pos]
+                length, pos = _read_vlq(data, pos + 1)
+                if pos + length > size:
+                    raise MalformedFile(f"track {track_index}: meta event overruns track")
+                pos += length
+                if meta_type == 0x2F:  # end of track
+                    break
+                continue
+            if status == 0xF0 or status == 0xF7:  # sysex
+                length, pos = _read_vlq(data, pos)
+                if pos + length > size:
+                    raise MalformedFile(f"track {track_index}: sysex overruns track")
+                pos += length
+                continue
+            # any other system status reads two data bytes like a channel event
 
         kind = status & 0xF0
-        channel = status & 0x0F
-        n_data = 1 if kind in (0xC0, 0xD0) else 2
-        if pos + n_data > len(data):
+        n_data = 1 if kind == 0xC0 or kind == 0xD0 else 2
+        if pos + n_data > size:
             raise MalformedFile(f"track {track_index}: truncated channel event")
         d1 = data[pos]
         d2 = data[pos + 1] if n_data == 2 else 0
         pos += n_data
+        if (d1 | d2) & 0x80:
+            bad = d1 if d1 & 0x80 else d2
+            raise MalformedFile(f"track {track_index}: data byte {bad:#x} has its high bit set")
 
-        if kind == 0x90 and d2 > 0:  # note on
-            span = _NoteSpan(tick, d1, track_index, order)
-            order += 1
-            open_notes.setdefault((channel, d1), []).append(span)
-            spans.append(span)
-        elif kind == 0x80 or (kind == 0x90 and d2 == 0):  # note off
-            stack = open_notes.get((channel, d1))
-            if stack:
-                stack.pop(0).end = tick
+        if kind == 0x90 and d2:  # note on
+            key = (status & 0x0F) << 7 | d1
+            notes = sounding.get(key)
+            if notes is None:
+                sounding[key] = [len(pitches)]
+            else:
+                notes.append(len(pitches))
+            starts.append(tick)
+            ends.append(tick)
+            pitches.append(d1)
+        elif kind == 0x80 or kind == 0x90:  # note off
+            notes = sounding.get((status & 0x0F) << 7 | d1)
+            if notes:
+                ends[notes.pop(0)] = tick
         # other channel events carry no note information
-    for span in spans:
-        if span.end is None:
-            span.end = tick  # close dangling notes at the track's final tick
-    return spans
+    for notes in sounding.values():
+        for i in notes:
+            ends[i] = tick  # close dangling notes at the track's final tick
 
 
 def parse_midi(data: bytes) -> Song:
@@ -149,7 +142,9 @@ def parse_midi(data: bytes) -> Song:
     if fmt == 0 and ntracks != 1:
         raise MalformedFile(f"format 0 must have exactly 1 track, declares {ntracks}")
 
-    spans: list[_NoteSpan] = []
+    starts: list[int] = []
+    ends: list[int] = []
+    pitches: list[int] = []
     pos = 8 + header_len
     track_index = 0
     while track_index < ntracks:
@@ -161,35 +156,41 @@ def parse_midi(data: bytes) -> Song:
         if payload_start + chunk_len > len(data):
             raise MalformedFile("chunk overruns file")
         if chunk_id == b"MTrk":
-            spans.extend(_parse_track(data[payload_start : payload_start + chunk_len], track_index))
+            _parse_track(data[payload_start : payload_start + chunk_len], track_index, starts, ends, pitches)
             track_index += 1
         # unknown chunk ids are skipped per the format
         pos = payload_start + chunk_len
 
-    spans.sort(key=lambda s: (s.start, s.track, s.order))
+    # Tracks are walked in order and ticks only grow within one, so a stable
+    # sort by start tick orders the notes by (tick, track, order in track).
+    order = sorted(range(len(pitches)), key=starts.__getitem__)
     latest_end = None
-    for span in spans:
-        if latest_end is not None and span.start < latest_end:
+    for i in order:
+        if latest_end is not None and starts[i] < latest_end:
             raise PolyphonyDetected(
-                f"note {span.pitch} at tick {span.start} overlaps a note ending at tick {latest_end}"
+                f"note {pitches[i]} at tick {starts[i]} overlaps a note ending at tick {latest_end}"
             )
-        if latest_end is None or span.end > latest_end:
-            latest_end = span.end
-    return [span.pitch for span in spans]
+        if latest_end is None or ends[i] > latest_end:
+            latest_end = ends[i]
+    return [pitches[i] for i in order]
+
+
+# Each note is the same nine bytes but for its pitch (offsets 2 and 7): a
+# note-on at delta 0, then its note-off 480 ticks later (two-byte VLQ).
+_NOTE = bytes([0x00, 0x90, 0, NOTE_VELOCITY,
+               0x80 | TICKS_PER_QUARTER >> 7, TICKS_PER_QUARTER & 0x7F, 0x80, 0, 0x00])
+_HEADER = (b"MThd" + (6).to_bytes(4, "big") + (0).to_bytes(2, "big") + (1).to_bytes(2, "big")
+           + TICKS_PER_QUARTER.to_bytes(2, "big"))
+_TEMPO = bytes([0x00, 0xFF, 0x51, 0x03]) + TEMPO_USEC_PER_QUARTER.to_bytes(3, "big")
+_END_OF_TRACK = bytes([0x00, 0xFF, 0x2F, 0x00])
 
 
 def write_midi(song: Song) -> bytes:
     """Serialise a song as format 0: 480-tick quarter notes at 120 BPM."""
     check_song(song)
-    track = bytearray()
-    track += _vlq_bytes(0) + bytes([0xFF, 0x51, 0x03]) + TEMPO_USEC_PER_QUARTER.to_bytes(3, "big")
-    for note in song:
-        track += _vlq_bytes(0) + bytes([0x90, note, NOTE_VELOCITY])
-        track += _vlq_bytes(TICKS_PER_QUARTER) + bytes([0x80, note, 0])
-    track += _vlq_bytes(0) + bytes([0xFF, 0x2F, 0x00])
-
-    out = bytearray()
-    out += b"MThd" + (6).to_bytes(4, "big")
-    out += (0).to_bytes(2, "big") + (1).to_bytes(2, "big") + TICKS_PER_QUARTER.to_bytes(2, "big")
-    out += b"MTrk" + len(track).to_bytes(4, "big") + track
-    return bytes(out)
+    pitches = bytes(song)
+    notes = bytearray(_NOTE * len(pitches))
+    notes[2 :: len(_NOTE)] = pitches
+    notes[7 :: len(_NOTE)] = pitches
+    track_len = len(_TEMPO) + len(notes) + len(_END_OF_TRACK)
+    return b"".join((_HEADER, b"MTrk", track_len.to_bytes(4, "big"), _TEMPO, notes, _END_OF_TRACK))

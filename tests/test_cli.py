@@ -1,4 +1,5 @@
 import argparse
+import errno
 import hashlib
 import json
 import warnings
@@ -6,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from melodykit import core
 from melodykit.cli import DEFAULT_EPOCHS, _train_config
 from melodykit.core import DatasetVariant, load_songs_jsonl, save_songs_jsonl
 from melodykit.midi import parse_midi, write_midi
@@ -128,6 +130,72 @@ def test_dataset_from_midi_directory(tmp_path):
     assert "2 kept" in stdout
     payload = json.loads(out.read_text())
     assert len(payload["x"]) == len(song_a) + len(song_b) - 1
+
+
+@pytest.mark.parametrize("variant", ["control", "interval", "db12"])
+def test_dataset_rejects_midi_data_byte_with_high_bit(tmp_path, variant):
+    # Before, pitch byte 200 became a note: exit 0 and vocabulary [60, 64, 65, 200].
+    midi_dir = tmp_path / "mid"
+    midi_dir.mkdir()
+    (midi_dir / "a.mid").write_bytes(write_midi([60, 62, 64, 62]))
+    bad = bytearray(write_midi([60, 64, 64, 65]))
+    bad[bad.index(bytes([0x90, 64]), 30) + 1] = 200  # the second note-on's pitch
+    (midi_dir / "b.mid").write_bytes(bytes(bad))
+    out = tmp_path / "corpus.json"
+    code, stdout, err = run_cli(["dataset", "--midi-dir", midi_dir, "--variant", variant, "--out", out])
+    assert_json_error(code, err, "MalformedFile")
+    assert "track 0: data byte 0xc8" in json.loads(err)["message"]
+    assert stdout == "" and list(tmp_path.iterdir()) == [midi_dir]
+
+
+@pytest.mark.parametrize("failing", ["corpus", "sidecar"])
+def test_dataset_write_failure_keeps_old_outputs(tmp_path, monkeypatch, failing):
+    songs_path = tmp_path / "songs.jsonl"
+    make_train_songs(songs_path)
+    out = tmp_path / "corpus.json"
+    sidecar = tmp_path / "corpus.vocab.json"
+    code, _, err = run_cli(["dataset", "--songs", songs_path, "--variant", "control", "--out", out])
+    assert code == 0, err
+    before = {p: p.read_bytes() for p in (out, sidecar)}
+    real_open = open
+    writes = []
+
+    class WriteFails:
+        """A file whose write stops halfway on a full disk when it is the failing output."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            writes.append(data)
+            if len(writes) == (1 if failing == "corpus" else 2):
+                self.fh.write(data[: len(data) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return self.fh.write(data)
+
+    def failing_open(path, mode="r", *args, **kwargs):
+        fh = real_open(path, mode, *args, **kwargs)
+        return WriteFails(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(core, "open", failing_open, raising=False)
+    code, _, err = run_cli(["dataset", "--songs", songs_path, "--variant", "db12", "--out", out])
+    monkeypatch.undo()
+    assert_json_error(code, err, "OSError")
+    assert sorted(tmp_path.iterdir()) == sorted([songs_path, out, sidecar])  # no temporary file
+    assert sidecar.read_bytes() == before[sidecar]
+    if failing == "corpus":
+        assert out.read_bytes() == before[out]
+    else:
+        # The new corpus is in place, but its old sidecar's variant no longer
+        # matches, so train refuses the pair.
+        code, _, err = run_cli(["train", "--corpus", out, "--checkpoint", tmp_path / "m.ckpt"])
+        assert_json_error(code, err, "MalformedFile")
 
 
 def test_dataset_requires_one_input_source(tmp_path):

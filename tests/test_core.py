@@ -1,13 +1,16 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from melodykit.cli import _write_corpus
 from melodykit.core import (
     DatasetVariant,
     Vocabulary,
     build_corpus,
-    build_vocabulary,
     check_song,
     clean_corpus,
     interval_to_song,
@@ -15,11 +18,10 @@ from melodykit.core import (
     save_songs_jsonl,
     song_to_db12,
     song_to_interval,
-    token_stream,
-    transpose,
 )
 from melodykit.errors import EmptyCorpus, PitchOutOfRange, SongTooShort
 
+from . import oracles
 from .oracles import brute_intervals
 
 # range-safe for db12: 11 semitones of headroom both ways
@@ -72,10 +74,15 @@ def test_interval_matches_oracle(song):
     assert song_to_interval(song) == brute_intervals(song)
 
 
-def test_transpose_checks_range():
-    assert transpose([60, 62], 7) == [67, 69]
-    with pytest.raises(PitchOutOfRange):
-        transpose([125], 7)
+def test_db12_names_the_shift_that_leaves_the_range():
+    # midpoint 61: 6 copies down, 5 up; the last row is the +5 copy
+    assert song_to_db12([60, 62])[11].tolist() == [65, 67]
+    # midpoint 63: 7 copies down, 4 up; the -1 copy is the first to leave
+    with pytest.raises(PitchOutOfRange, match=r"^shift -1: note\[0\] = -1 outside \[0, 127\]$"):
+        song_to_db12([0, 127])
+    # midpoint 69: 10 copies down, 1 up, which takes 127 to 128
+    with pytest.raises(PitchOutOfRange, match=r"^shift 1: note\[1\] = 128 outside"):
+        song_to_db12([12, 127])
 
 
 def test_check_song_rejects():
@@ -89,10 +96,16 @@ def db12_shifts(song, outputs):
     return [out[0] - song[0] for out in outputs]
 
 
+def db12_rows(song):
+    block = song_to_db12(song)
+    assert block.shape == (12, len(song)) and block.dtype == np.int64
+    return block.tolist()
+
+
 def test_db12_hand_anchor_centred():
     # midpoint 62, two below middle C: budget 9 splits 5 up / 4 down,
     # then the gap moves 2 more down
-    outs = song_to_db12([60, 62, 64])
+    outs = db12_rows([60, 62, 64])
     assert len(outs) == 12
     assert outs[0] == [60, 62, 64]
     shifts = db12_shifts([60, 62, 64], outs)
@@ -100,17 +113,17 @@ def test_db12_hand_anchor_centred():
 
 
 def test_db12_hand_anchor_single_note():
-    outs = song_to_db12([60])
+    outs = db12_rows([60])
     shifts = db12_shifts([60], outs)
     assert shifts == [0, -1, -2, -3, -4, -5, 1, 2, 3, 4, 5, 6]
 
 
 def test_db12_far_off_centre():
     # midpoint 100 is 40 above middle C: every copy moves down
-    outs = song_to_db12([95, 100, 105])
+    outs = db12_rows([95, 100, 105])
     shifts = db12_shifts([95, 100, 105], outs)
     assert shifts == [0] + [-k for k in range(1, 12)]
-    outs = song_to_db12([15, 20])
+    outs = db12_rows([15, 20])
     shifts = db12_shifts([15, 20], outs)
     assert shifts == [0] + list(range(1, 12))
 
@@ -118,7 +131,7 @@ def test_db12_far_off_centre():
 @given(safe_songs)
 @settings(max_examples=300)
 def test_db12_cardinality_and_invariance(song):
-    outs = song_to_db12(song)
+    outs = db12_rows(song)
     assert len(outs) == 12
     assert outs[0] == song
     shifts = db12_shifts(song, outs)
@@ -132,11 +145,11 @@ def test_db12_cardinality_and_invariance(song):
 
 
 def test_vocabulary_examples():
-    assert build_vocabulary([[60, 62, 60]]).size == 2
-    assert build_vocabulary([[0], [127]]).size == 2
-    v = build_vocabulary([[-3, 0, 2, 2]])
-    assert v.size == 3
-    assert v.tokens == (-3, 0, 2)
+    assert build_corpus([[60, 62, 60, 62]], DatasetVariant.CONTROL).vocabulary.size == 2
+    assert build_corpus([[0], [127]], DatasetVariant.CONTROL).vocabulary.tokens == (0, 127)
+    c = build_corpus([[3, 0, 0, 2, 4]], DatasetVariant.INTERVAL)  # steps -3, 0, 2, 2
+    assert c.vocabulary.tokens == (-3, 0, 2)
+    assert c.x.tolist() == [0, 1, 2] and c.y.tolist() == [1, 2, 2]
 
 
 def test_vocabulary_roundtrip_and_lookup():
@@ -156,9 +169,20 @@ def test_vocabulary_rejects_unordered_tokens(tokens):
         Vocabulary(tokens=tokens)
 
 
-def test_build_vocabulary_empty():
-    with pytest.raises(EmptyCorpus):
-        build_vocabulary([[]])
+@pytest.mark.parametrize(
+    "songs, variant",
+    [([], DatasetVariant.CONTROL), ([[60]], DatasetVariant.CONTROL), ([[60, 62]], DatasetVariant.INTERVAL)],
+    ids=["no-songs", "one-note", "one-step"],
+)
+def test_build_corpus_needs_two_tokens(songs, variant):
+    with pytest.raises(EmptyCorpus, match="need at least 2"):
+        build_corpus(songs, variant)
+
+
+@pytest.mark.parametrize("variant", list(DatasetVariant))
+def test_build_corpus_checks_every_song(variant):
+    with pytest.raises(PitchOutOfRange, match=r"^song\[2\] = 200 outside"):
+        build_corpus([[60, 62, 64, 65], [60, 62, 200, 64]], variant)
 
 
 def test_build_corpus_control():
@@ -181,11 +205,51 @@ def test_build_corpus_db12_length():
     assert c.x.size == 12 * len(song) - 1
 
 
-def test_token_stream_variants():
+def corpus_tokens(corpus):
+    return corpus.vocabulary.decode(corpus.x) + corpus.vocabulary.decode(corpus.y[-1:])
+
+
+def test_build_corpus_token_streams():
     songs = [[60, 62, 64, 65], [70, 71, 72, 73]]
-    assert token_stream(songs, DatasetVariant.CONTROL) == [60, 62, 64, 65, 70, 71, 72, 73]
-    assert token_stream(songs, DatasetVariant.INTERVAL) == [2, 2, 1, 1, 1, 1]
-    assert len(token_stream(songs, DatasetVariant.DB12)) == 12 * 8
+    assert corpus_tokens(build_corpus(songs, DatasetVariant.CONTROL)) == [60, 62, 64, 65, 70, 71, 72, 73]
+    # no step from the first song's last note to the second's first
+    assert corpus_tokens(build_corpus(songs, DatasetVariant.INTERVAL)) == [2, 2, 1, 1, 1, 1]
+    db12 = corpus_tokens(build_corpus(songs, DatasetVariant.DB12))
+    assert db12 == [n for s in songs for row in song_to_db12(s).tolist() for n in row]
+    assert len(db12) == 12 * 8
+
+
+@st.composite
+def song_sets(draw):
+    """A few songs of 0..127; lengths 1 and 2 and wide ranges are common, and
+    now and then one pitch lies outside [0, 127]."""
+    songs = draw(st.lists(st.lists(st.integers(0, 127), min_size=1, max_size=12), max_size=5))
+    if songs and draw(st.integers(0, 7)) == 0:
+        song = draw(st.sampled_from(songs))
+        song[draw(st.integers(0, len(song) - 1))] = draw(st.sampled_from([-1, 128]))
+    return songs
+
+
+@given(song_sets(), st.sampled_from(list(DatasetVariant)))
+@settings(max_examples=150, deadline=None)
+def test_build_corpus_and_corpus_text_match_the_oracle(songs, variant):
+    try:
+        tokens, ids = oracles.brute_corpus(songs, variant.value)
+    except oracles.Rejected as expected:
+        with pytest.raises((SongTooShort, PitchOutOfRange, EmptyCorpus)) as got:
+            build_corpus(songs, variant)
+        assert (type(got.value).__name__, str(got.value)) == (expected.kind, str(expected))
+        return
+    corpus = build_corpus(songs, variant)
+    assert corpus.vocabulary.tokens == tuple(tokens)
+    assert corpus.x.dtype == corpus.y.dtype == np.int64
+    assert corpus.x.tolist() == ids[:-1] and corpus.y.tolist() == ids[1:]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "corpus.json"
+        sidecar = _write_corpus(corpus, out)
+        expected = oracles.brute_corpus_files(variant.value, tokens, ids)
+        assert (out.read_bytes(), sidecar.read_bytes()) == tuple(t.encode() for t in expected)
+        assert sorted(p.name for p in Path(tmp).iterdir()) == ["corpus.json", "corpus.vocab.json"]
 
 
 def test_build_corpus_y_is_x_shifted():

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 from melodykit.errors import MalformedFile, PolyphonyDetected
 from melodykit.midi import parse_midi, write_midi
 
+from . import oracles
+
 songs = st.lists(st.integers(0, 127), min_size=1, max_size=50)
 
 
@@ -75,6 +77,9 @@ def test_roundtrip_examples():
 @settings(max_examples=200)
 def test_roundtrip_property(song):
     assert parse_midi(write_midi(song)) == song
+    # the undamaged files of the oracle comparison below
+    for make in (running_status_tracks, multi_tracks):
+        assert parse_midi(assemble(*make(song))) == song
 
 
 # --- parser behaviors -----------------------------------------------------
@@ -143,6 +148,13 @@ def test_polyphony_within_a_track():
         parse_midi(header(0, 1) + track(body))
 
 
+def test_note_off_ends_the_oldest_sounding_note():
+    # two 60s sound from ticks 0 and 16; the off at 32 ends the first one
+    body = on(60) + on(60, delta=0x10) + off(60, delta=0x10) + off(60) + END
+    with pytest.raises(PolyphonyDetected, match="^note 60 at tick 16 overlaps a note ending at tick 32$"):
+        parse_midi(header(0, 1) + track(body))
+
+
 def test_polyphony_across_tracks():
     t0 = on(60) + off(60) + END           # note spans ticks [0, 96]
     t1 = bytes([0x10, 0x90, 62, 90]) + off(62) + END  # starts at tick 16
@@ -192,3 +204,95 @@ def test_truncated_vlq_rejected():
 @settings(max_examples=50)
 def test_parse_pitches_in_range(song):
     assert all(0 <= p <= 127 for p in parse_midi(write_midi(song)))
+
+
+@pytest.mark.parametrize(
+    "event",
+    [
+        bytes([0x00, 0x90, 200, 90]),     # note-on pitch
+        bytes([0x00, 0x90, 64, 200]),     # note-on velocity
+        bytes([0x00, 0x80, 200, 0x40]),   # note-off pitch
+        bytes([0x00, 64, 0x80]),          # running status, second data byte
+        bytes([0x00, 0xC0, 0x85]),        # program change, one data byte
+    ],
+)
+def test_data_byte_with_high_bit_rejected(event):
+    # A data byte of 0x80 or more used to be read as a pitch: [60, 200, 64, 65].
+    body = on(60) + off(60) + event + on(64) + off(64) + on(65) + off(65) + END
+    with pytest.raises(MalformedFile, match=r"^track 0: data byte 0x[89a-f][0-9a-f] has its high bit set$"):
+        parse_midi(header(0, 1) + track(body))
+
+
+# --- against the object-per-note parser ----------------------------------
+
+def written_tracks(song):
+    data = write_midi(song)
+    return 0, [data[22:]]
+
+
+def running_status_tracks(song):
+    """One note-on status byte, then every event on running status (velocity 0 ends a note)."""
+    body = bytes([0x00, 0x90, song[0], 90])
+    for i, pitch in enumerate(song):
+        if i:
+            body += bytes([0x00, pitch, 90])
+        body += bytes([0x83, 0x60, pitch, 0])
+    return 0, [body + END]
+
+
+def multi_tracks(song):
+    """Format 1: a tempo track, then the song's notes dealt to two tracks by turn."""
+    bodies = [bytes([0x00, 0xFF, 0x51, 0x03, 0x07, 0xA1, 0x20]) + END]
+    for parity in (0, 1):
+        body, last = b"", 0
+        for i in range(parity, len(song), 2):
+            delta = 0x60 * i - last  # a two-byte VLQ, even when it is 0
+            body += bytes([0x80 | delta >> 7, delta & 0x7F, 0x90, song[i], 90])
+            body += bytes([0x60, 0x80, song[i], 0x40])
+            last = 0x60 * (i + 1)
+        bodies.append(body + END)
+    return 1, bodies
+
+
+def assemble(fmt, bodies):
+    return header(fmt, len(bodies)) + b"".join(track(b) for b in bodies)
+
+
+@st.composite
+def damaged(draw, data):
+    data = bytearray(data)
+    for _ in range(draw(st.integers(1, 3))):
+        pos = draw(st.integers(0, len(data)))
+        how = draw(st.sampled_from(["flip", "flip", "cut", "insert"]))
+        if how == "flip" and pos < len(data):
+            data[pos] ^= draw(st.integers(1, 255))
+        elif how == "cut":
+            del data[pos:]
+        elif how == "insert":
+            data[pos:pos] = draw(st.binary(min_size=1, max_size=3))
+    return bytes(data)
+
+
+@st.composite
+def damaged_files(draw):
+    """A file damaged anywhere, or one of its tracks damaged inside a chunk of the right length."""
+    song = draw(st.lists(st.integers(0, 127), min_size=1, max_size=8))
+    fmt, bodies = draw(st.sampled_from([written_tracks, running_status_tracks, multi_tracks]))(song)
+    if draw(st.booleans()):
+        return draw(damaged(assemble(fmt, bodies)))
+    i = draw(st.integers(0, len(bodies) - 1))
+    bodies[i] = draw(damaged(bodies[i]))
+    return assemble(fmt, bodies)
+
+
+@given(damaged_files())
+@settings(max_examples=300, deadline=None)
+def test_parse_matches_the_object_per_note_parser(data):
+    try:
+        expected = oracles.brute_parse_midi(data)
+    except oracles.Rejected as rejected:
+        with pytest.raises((MalformedFile, PolyphonyDetected)) as got:
+            parse_midi(data)
+        assert (type(got.value).__name__, str(got.value)) == (rejected.kind, str(rejected))
+        return
+    assert parse_midi(data) == expected
