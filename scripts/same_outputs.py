@@ -1,0 +1,129 @@
+#!/usr/bin/env python3
+"""Run a fixed list of CLI commands in a parent revision and in the working tree; compare every output byte.
+
+    python3 scripts/same_outputs.py --parent HEAD
+
+Both trees are exported as `scripts/bench_pairs.py` exports them, into a
+temporary directory that is deleted afterwards.  Each command runs as
+`python -m melodykit.cli` from its tree's root, with that tree's `src` on
+the path, the MELODYKIT_* variables unset and one BLAS thread; all paths
+are relative, so the trees' stdout can be compared as text.  The list
+builds the bundled corpus in all three variants, trains an LSTM x1 at
+batch 50 (db12), a UGRNN x3 at batch 4 (control) and an LSTM x2 whose
+gradients are clipped at norm 0.5 (interval), samples greedily and at a
+temperature, and runs `eval --checkpoint`.  Then each tree samples again
+from the parent's checkpoints, so a change must also read what the parent
+wrote.
+
+Every command's exit code and stdout, and every file either tree wrote,
+are compared.  Prints one line per difference and a summary; exits 1 if
+anything differs, 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import filecmp
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from bench_pairs import describe, export_revision, export_working_tree
+
+SONGS = "data/mini_corpus.jsonl"
+TRAIN = ["--max-iterations", "30", "--seed", "1"]
+
+COMMANDS = [
+    ["dataset", "--songs", SONGS, "--variant", "control", "--out", "out/control.json"],
+    ["dataset", "--songs", SONGS, "--variant", "interval", "--out", "out/interval.json"],
+    ["dataset", "--songs", SONGS, "--variant", "db12", "--out", "out/db12.json"],
+    ["train", "--corpus", "out/db12.json", "--checkpoint", "out/lstm1.ckpt", "--curve", "out/lstm1.csv",
+     "--cell", "lstm", "--num-layers", "1", "--batch-size", "50", *TRAIN],
+    ["train", "--corpus", "out/control.json", "--checkpoint", "out/ugrnn3.ckpt", "--curve", "out/ugrnn3.csv",
+     "--cell", "ugrnn", "--num-layers", "3", "--batch-size", "4", *TRAIN],
+    ["train", "--corpus", "out/interval.json", "--checkpoint", "out/lstm2.ckpt", "--curve", "out/lstm2.csv",
+     "--cell", "lstm", "--num-layers", "2", "--batch-size", "4", "--clip-norm", "0.5", *TRAIN],
+]
+
+
+def sampling(ckpt_dir: str, out_dir: str) -> list[list[str]]:
+    """Greedy and temperature sampling and `eval --checkpoint` from the checkpoints in ckpt_dir."""
+    return [
+        ["sample", "--checkpoint", f"{ckpt_dir}/lstm1.ckpt", "--out-dir", f"{out_dir}/greedy",
+         "--mode", "greedy", "--count", "20"],
+        ["sample", "--checkpoint", f"{ckpt_dir}/ugrnn3.ckpt", "--out-dir", f"{out_dir}/temperature",
+         "--mode", "temperature", "--temperature", "0.8", "--count", "20", "--seed", "2"],
+        ["sample", "--checkpoint", f"{ckpt_dir}/lstm2.ckpt", "--out-dir", f"{out_dir}/interval",
+         "--mode", "temperature", "--count", "20", "--seed", "3"],
+        ["eval", "--checkpoint", f"{ckpt_dir}/lstm1.ckpt", "--out-dir", f"{out_dir}/eval", "--count", "20"],
+    ]
+
+
+def run(tree: Path, argv: list[str]) -> tuple[int, str]:
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MELODYKIT_")}
+    env.update(PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "melodykit.cli", *argv], cwd=tree, env=env,
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stdout + proc.stderr
+
+
+def written(tree: Path, top: str) -> set[str]:
+    return {str(p.relative_to(tree)) for p in (tree / top).rglob("*") if p.is_file()}
+
+
+def run_both(trees: dict[str, Path], commands: list[list[str]]) -> list[str]:
+    """Run each command in both trees; returns the commands whose exit code or output differ."""
+    differences = []
+    for argv in commands:
+        got = {side: run(tree, argv) for side, tree in trees.items()}
+        line = "melodykit " + " ".join(argv)
+        if got["parent"][0]:
+            raise SystemExit(f"{line} failed in the parent:\n{got['parent'][1]}")
+        same = got["parent"] == got["change"]
+        print(f"{'same' if same else 'DIFFERENT'} stdout: {line}")
+        if not same:
+            differences.append(line)
+    return differences
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True, help="parent revision, e.g. HEAD or a commit")
+    args = ap.parse_args(argv)
+
+    work = Path(tempfile.mkdtemp(prefix="same_outputs_"))
+    trees = {"parent": work / "parent", "change": work / "change"}
+    try:
+        export_revision(args.parent, trees["parent"])
+        export_working_tree(trees["change"])
+        for tree in trees.values():
+            (tree / "out").mkdir()
+        commands = COMMANDS + sampling("out", "out")
+        differences = run_both(trees, commands)
+        # Both trees sample again from the parent's checkpoints.
+        for tree in trees.values():
+            (tree / "from_parent").mkdir()
+            for ckpt in (trees["parent"] / "out").glob("*.ckpt"):
+                shutil.copyfile(ckpt, tree / "from_parent" / ckpt.name)
+        reread = sampling("from_parent", "reread")
+        differences += run_both(trees, reread)
+        files = sorted(set().union(*(written(tree, top) for tree in trees.values() for top in ("out", "reread"))))
+        for name in files:
+            a, b = trees["parent"] / name, trees["change"] / name
+            if not (a.is_file() and b.is_file() and filecmp.cmp(a, b, shallow=False)):
+                print(f"DIFFERENT file: {name}")
+                differences.append(name)
+        print(f"parent {describe(args.parent)} against the working tree: "
+              f"{len(commands) + len(reread)} commands, {len(files)} files written, "
+              + ("all byte-identical" if not differences else f"{len(differences)} differ"))
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -87,7 +87,7 @@ def _read_corpus(path: Path) -> TrainingCorpus:
         corpus = TrainingCorpus(
             x=np.asarray(payload["x"], dtype=np.int64),
             y=np.asarray(payload["y"], dtype=np.int64),
-            vocabulary=Vocabulary(tokens=tuple(int(t) for t in vocab_payload["tokens"])),
+            vocabulary=Vocabulary(tokens=core.json_ints(vocab_payload["tokens"], f"{sidecar}: tokens")),
             variant=DatasetVariant(payload["variant"]),
         )
     except TypeError as exc:

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyCorpus, PitchOutOfRange, SongTooShort
+from .errors import EmptyCorpus, MalformedFile, PitchOutOfRange, SongTooShort
 
 Song = list[int]
 IntervalSequence = list[int]
@@ -54,6 +54,13 @@ def check_song(song: Song, what: str = "song") -> None:
         for i, note in enumerate(song):
             if not (MIDI_MIN <= note <= MIDI_MAX):
                 raise PitchOutOfRange(f"{what}[{i}] = {note} outside [{MIDI_MIN}, {MIDI_MAX}]")
+
+
+def json_ints(values, what: str) -> tuple[int, ...]:
+    """A JSON list of integers as a tuple; MalformedFile naming `what` if any item is a float, string or bool."""
+    if not isinstance(values, list) or any(type(v) is not int for v in values):
+        raise MalformedFile(f"{what} must be a list of integers (not floats, strings or booleans)")
+    return tuple(values)
 
 
 def clean_corpus(songs: list[Song]) -> list[Song]:

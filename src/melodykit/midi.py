@@ -4,7 +4,8 @@ The parser accepts format 0 and 1 files, walks every track with running
 status, and collects note-on events (velocity 0 counts as note-off).
 Notes merge across tracks ordered by absolute tick, then track order.
 Overlapping notes are a hard error: this package only models one voice.
-So is a channel event's data byte with its high bit set.
+So is a channel event's data byte with its high bit set, and a status
+byte 0xF1-0xFE other than 0xF7, which a MIDI file may not hold.
 
 The writer emits a fixed shape: format 0, one track, 480 ticks per
 quarter note, a 120 BPM tempo event, then each note as a velocity-90
@@ -95,7 +96,7 @@ def _parse_track(
                     raise MalformedFile(f"track {track_index}: sysex overruns track")
                 pos += length
                 continue
-            # any other system status reads two data bytes like a channel event
+            raise MalformedFile(f"track {track_index}: status byte {status:#x} is not allowed in a MIDI file")
 
         kind = status & 0xF0
         n_data = 1 if kind == 0xC0 or kind == 0xD0 else 2

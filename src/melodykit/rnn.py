@@ -3,8 +3,9 @@
 A model is an embedding table, a stack of identical gated cells, and a
 linear projection to vocabulary logits; everything trains jointly by
 taping each window of the sequence and running Adam on the summed
-cross-entropy.  Weight blocks are stored (input_size + hidden, hidden), one
-block per gate, and act side by side as z = [x, h] @ W + b.
+cross-entropy.  A layer is one W (input_size + hidden, gates * hidden) and
+one b, gate blocks side by side, for z = [x, h] @ W + b; `_gate_blocks` is
+the one place that cuts them into checkpoint v1's per-gate blocks.
 
 Each cell kind is defined once, by its entry in the literal `CELL_TYPES`
 dict: a pointwise numpy step kernel (pre-activations and state in; new
@@ -38,7 +39,7 @@ from typing import Callable
 import numpy as np
 
 from .core import (
-    DatasetVariant, Song, TrainingCorpus, Vocabulary, interval_to_song, song_to_interval, write_atomic,
+    DatasetVariant, Song, TrainingCorpus, Vocabulary, interval_to_song, json_ints, song_to_interval, write_atomic,
 )
 from .errors import (
     BadToken,
@@ -178,14 +179,28 @@ def cell_spec(kind: str) -> CellSpec:
 
 @dataclass
 class CellParams:
-    """Per-gate weight and bias blocks for one layer."""
+    """One layer's fused gates: W (input_size + hidden, gates * hidden) and b (gates * hidden,)."""
 
-    weights: list[Tensor]
-    biases: list[Tensor]
+    w: Tensor
+    b: Tensor
 
-    @property
-    def hidden_size(self) -> int:
-        return self.weights[0].value.shape[1]
+
+def _gate_blocks(w: np.ndarray, b: np.ndarray, gates: int) -> list[np.ndarray]:
+    """A layer's per-gate blocks as views: each gate's W block, then its b block, in declaration order."""
+    n = b.shape[0] // gates
+    return [a for k in range(gates) for a in (w[:, k * n : (k + 1) * n], b[k * n : (k + 1) * n])]
+
+
+def _v1_blocks(cell: str, arrays: list[np.ndarray]) -> list[np.ndarray]:
+    """Checkpoint v1's blocks, as views, of per-parameter arrays in `parameters()` order.
+
+    v1 holds the embedding, each layer's `_gate_blocks`, then the
+    projection's W and b.  Checkpoints are written and read through these
+    views, and the clipping norm sums its squares over them.
+    """
+    gates = len(cell_spec(cell).gates)
+    layers = [a for w, b in zip(arrays[1:-2:2], arrays[2:-2:2]) for a in _gate_blocks(w, b, gates)]
+    return [arrays[0], *layers, *arrays[-2:]]
 
 
 def init_cell_params(
@@ -195,18 +210,20 @@ def init_cell_params(
     rng: np.random.Generator,
     init_scale: float = 0.08,
 ) -> CellParams:
-    """Uniform [-init_scale, init_scale] weights, zero biases.
+    """Uniform [-init_scale, init_scale] weights, drawn gate by gate in checkpoint v1's order; zero biases.
 
     The LSTM forget-gate bias starts at 1.0 so early training does not
     flush the memory lane.
     """
-    spec = cell_spec(kind)
-    rows = input_size + hidden_size
-    weights = [Tensor(rng.uniform(-init_scale, init_scale, size=(rows, hidden_size))) for _ in spec.gates]
-    biases = [Tensor(np.zeros(hidden_size)) for _ in spec.gates]
+    gates = len(cell_spec(kind).gates)
+    w = np.empty((input_size + hidden_size, gates * hidden_size))
+    b = np.zeros(gates * hidden_size)
+    blocks = _gate_blocks(w, b, gates)
+    for block in blocks[::2]:
+        block[...] = rng.uniform(-init_scale, init_scale, size=block.shape)
     if kind == "lstm":
-        biases[0].value[:] = 1.0
-    return CellParams(weights=weights, biases=biases)
+        blocks[1][...] = 1.0
+    return CellParams(Tensor(w), Tensor(b))
 
 
 @dataclass
@@ -235,7 +252,7 @@ class ModelState:
 
     @property
     def hidden_size(self) -> int:
-        return self.layers[0].hidden_size
+        return self.proj_w.value.shape[0]
 
     @property
     def embedding_dim(self) -> int:
@@ -246,13 +263,9 @@ class ModelState:
         return self.embedding.value.shape[0]
 
     def parameters(self) -> list[Tensor]:
-        """Checkpoint order: embedding, per-layer gate blocks (W then b), projection W, b."""
-        out = [self.embedding]
-        for layer in self.layers:
-            for w, b in zip(layer.weights, layer.biases):
-                out.extend([w, b])
-        out.extend([self.proj_w, self.proj_b])
-        return out
+        """Embedding, each layer's W and b, projection W and b."""
+        layers = [t for layer in self.layers for t in (layer.w, layer.b)]
+        return [self.embedding, *layers, self.proj_w, self.proj_b]
 
 
 def init_model(
@@ -288,18 +301,8 @@ def init_model(
 
 def _zero_states(model: ModelState, batch: int) -> list[_State]:
     has_memory = cell_spec(model.cell).has_memory
-    return [
-        (np.zeros((batch, layer.hidden_size)), np.zeros((batch, layer.hidden_size)) if has_memory else None)
-        for layer in model.layers
-    ]
-
-
-def _fused(layer: CellParams) -> tuple[np.ndarray, np.ndarray]:
-    """The layer's gate blocks side by side: W (rows, gates*hidden) and b."""
-    return (
-        np.concatenate([w.value for w in layer.weights], axis=1),
-        np.concatenate([b.value for b in layer.biases]),
-    )
+    shape = (batch, model.hidden_size)
+    return [(np.zeros(shape), np.zeros(shape) if has_memory else None) for _ in model.layers]
 
 
 def _layer_step(spec: CellSpec, w: np.ndarray, b: np.ndarray, xh: np.ndarray, h: np.ndarray, c, out=None):
@@ -323,16 +326,13 @@ def _layer_step(spec: CellSpec, w: np.ndarray, b: np.ndarray, xh: np.ndarray, h:
     return h_new, c_new, acts
 
 
-def _forward_step(model: ModelState, fused: list, ids: np.ndarray, states: list[_State]):
-    """One time step of a batch of token ids on plain arrays: embed, stack, project.
-
-    `fused` holds `_fused(layer)` of each layer; returns (logits, states).
-    """
+def _forward_step(model: ModelState, ids: np.ndarray, states: list[_State]):
+    """One time step of a batch of token ids on plain arrays: embed, stack, project; returns (logits, states)."""
     spec = cell_spec(model.cell)
     v = model.embedding.value[ids]
     new_states: list[_State] = []
-    for (w, b), (h, c) in zip(fused, states):
-        v, c, _ = _layer_step(spec, w, b, np.concatenate([v, h], axis=1), h, c)
+    for layer, (h, c) in zip(model.layers, states):
+        v, c, _ = _layer_step(spec, layer.w.value, layer.b.value, np.concatenate([v, h], axis=1), h, c)
         new_states.append((v, c))
     return v @ model.proj_w.value + model.proj_b.value, new_states
 
@@ -360,14 +360,11 @@ def stack_forward(
             raise ShapeMismatch(f"expected {model.num_layers} layer states, got {len(states)}")
         spec = cell_spec(model.cell)
         batch_states = [(s.h[None, :], s.c[None, :] if spec.has_memory else None) for s in states]
-    fused = [_fused(layer) for layer in model.layers]
     rows = []
     for t in range(ids.size):
-        logits, batch_states = _forward_step(model, fused, ids[t : t + 1], batch_states)
+        logits, batch_states = _forward_step(model, ids[t : t + 1], batch_states)
         rows.append(logits[0])
-    out_states = [
-        CellState(h=h[0].copy(), c=c[0].copy() if c is not None else None) for h, c in batch_states
-    ]
+    out_states = [CellState(h=h[0].copy(), c=None if c is None else c[0].copy()) for h, c in batch_states]
     return np.vstack(rows), out_states
 
 
@@ -417,7 +414,7 @@ def _window_loss(tape: GradientTape, model: ModelState, X: np.ndarray, Y: np.nda
     v = tape.lookup(model.embedding, X.T.reshape(-1))
     final: list[_State] = []
     for layer, (h, c) in zip(model.layers, states):
-        v, h, c = tape.recurrence(v, h, c, layer.weights, layer.biases, step, spec.adjoint, spec.acts)
+        v, h, c = tape.recurrence(v, h, c, layer.w, layer.b, step, spec.adjoint, spec.acts)
         final.append((h, c))
     logits = tape.add_bias(tape.matmul(v, model.proj_w), model.proj_b)
     return tape.cross_entropy(logits, Y.T.reshape(-1)), final
@@ -487,7 +484,8 @@ def train(corpus: TrainingCorpus, config: TrainConfig, seed: int = 0) -> tuple[M
                     raise TrainingDiverged(f"window loss is {loss} at iteration {iteration + 1}")
                 tape.backward(total)
                 grads = [p.grad for p in params]
-                clip_gradients(grads, config.clip_norm, opt.scratch[0])
+                # Squares summed per gate block: over a whole fused W the norm's last bits differ.
+                clip_gradients(_v1_blocks(model.cell, grads), config.clip_norm, opt.scratch[0])
                 adam_step(values, grads, opt)
                 curve.append((iteration + 1, loss / (B * T)))
     finally:
@@ -557,14 +555,13 @@ def sample_batch(
     # Seed ids were checked above and picked ids are in range by
     # construction, so the loop steps the model directly.
     lanes = len(rngs)
-    fused = [_fused(layer) for layer in model.layers]
     states = _zero_states(model, lanes)
     for t in range(ids.size):
-        logits, states = _forward_step(model, fused, np.full(lanes, ids[t]), states)
+        logits, states = _forward_step(model, np.full(lanes, ids[t]), states)
     generated = np.empty((lanes, n), dtype=np.int64)
     generated[:, 0] = _pick(logits, mode, temperature, rngs)
     for t in range(1, n):
-        logits, states = _forward_step(model, fused, generated[:, t - 1], states)
+        logits, states = _forward_step(model, generated[:, t - 1], states)
         generated[:, t] = _pick(logits, mode, temperature, rngs)
 
     songs = []
@@ -597,12 +594,13 @@ def sample(
 def save_checkpoint(model: ModelState, path: str | Path) -> None:
     """Write a one-line JSON header, newline, then the little-endian float64 blob.
 
-    Blob order matches ModelState.parameters(): embedding rows, each
-    layer's gate blocks in declaration order (W then b per gate), then
-    projection W and b.  The header carries a sha256 of the blob.  The file
-    is written whole or not at all (`core.write_atomic`).
+    The blob holds `_v1_blocks` of the parameters: embedding rows, each
+    layer's gates in declaration order (that gate's W block, then its b
+    block), then projection W and b.  The header carries a sha256 of the
+    blob.  The file is written whole or not at all (`core.write_atomic`).
     """
-    blob = b"".join(p.value.astype("<f8").tobytes() for p in model.parameters())
+    blocks = _v1_blocks(model.cell, [p.value for p in model.parameters()])
+    blob = b"".join(a.astype("<f8").tobytes() for a in blocks)
     header = {
         "format": CHECKPOINT_FORMAT,
         "format_version": CHECKPOINT_VERSION,
@@ -612,7 +610,7 @@ def save_checkpoint(model: ModelState, path: str | Path) -> None:
         "embedding_dim": model.embedding_dim,
         "variant": model.variant.value,
         "vocabulary": [int(t) for t in model.vocabulary.tokens],
-        "param_count": sum(p.value.size for p in model.parameters()),
+        "param_count": sum(a.size for a in blocks),
         "blob_sha256": hashlib.sha256(blob).hexdigest(),
     }
     write_atomic(path, json.dumps(header, sort_keys=True).encode("utf-8"), b"\n", blob)
@@ -622,7 +620,7 @@ def load_checkpoint(path: str | Path) -> ModelState:
     """Rebuild a ModelState from a checkpoint file.
 
     The header must carry every key and the blob its checksum.  The model is
-    built by init_model from the header and its parameters() are filled in
+    built by init_model from the header and its `_v1_blocks` are filled in
     order, so the blob must hold exactly as many values as they need.
     """
     data = Path(path).read_bytes()
@@ -648,8 +646,9 @@ def load_checkpoint(path: str | Path) -> ModelState:
         raise MalformedFile(f"{path}: expected {header['param_count']} values, found {flat.size}")
 
     try:
-        vocabulary = Vocabulary(tokens=tuple(int(t) for t in header["vocabulary"]))
-        hidden, emb = int(header["hidden_size"]), int(header["embedding_dim"])
+        vocabulary = Vocabulary(tokens=json_ints(header["vocabulary"], f"{path}: vocabulary"))
+        layers, hidden, emb = json_ints([header[k] for k in ("num_layers", "hidden_size", "embedding_dim")],
+                                        f"{path}: num_layers, hidden_size and embedding_dim")
         # init_model allocates before the blob is matched against its
         # parameters.  Refuse sizes whose embedding table, first gate block or
         # projection alone overflows the blob, so that an edited header cannot
@@ -658,17 +657,15 @@ def load_checkpoint(path: str | Path) -> ModelState:
             raise ValueError(f"sizes hidden {hidden}, embedding {emb} overflow {flat.size} values")
         model = init_model(
             vocabulary, DatasetVariant(header["variant"]),
-            cell=header["cell"], num_layers=int(header["num_layers"]),
+            cell=header["cell"], num_layers=layers,
             hidden_size=hidden, embedding_dim=emb,
         )
     except (TypeError, ValueError) as exc:
         raise MalformedFile(f"{path}: bad header ({exc})") from exc
-    params = model.parameters()
-    expected = sum(p.value.size for p in params)
-    if flat.size != expected:
-        raise MalformedFile(f"{path}: header describes {expected} values, blob holds {flat.size}")
-    pos = 0
-    for p in params:
-        p.value[...] = flat[pos : pos + p.value.size].reshape(p.value.shape)
-        pos += p.value.size
+    blocks = _v1_blocks(model.cell, [p.value for p in model.parameters()])
+    ends = np.cumsum([a.size for a in blocks])
+    if flat.size != ends[-1]:
+        raise MalformedFile(f"{path}: header describes {ends[-1]} values, blob holds {flat.size}")
+    for block, values in zip(blocks, np.split(flat, ends[:-1])):
+        block[...] = values.reshape(block.shape)
     return model

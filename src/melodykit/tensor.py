@@ -270,8 +270,8 @@ class GradientTape:
         x: Tensor,
         h: np.ndarray,
         c: np.ndarray | None,
-        weights: Sequence[Tensor],
-        biases: Sequence[Tensor],
+        weight: Tensor,
+        bias: Tensor,
         step: Callable,
         adjoint: Callable,
         blocks: int,
@@ -280,11 +280,11 @@ class GradientTape:
 
         x is (T*B, m), time-major: rows t*B .. t*B+B-1 are the layer's input
         at step t.  h and c are the (B, n) state the window starts from (c
-        is None for cells without a memory lane).  W and b are the gate
-        blocks `weights` and `biases` side by side.  `step(W, b, xh, h, c,
-        out)` is one step of the layer: z = xh @ W + b for the [x_t, h]
-        rows xh, then the cell's kernel, writing out = (z, new h, new c,
-        the step's `blocks` (B, n) activation blocks).  Backward calls
+        is None for cells without a memory lane).  W (m + n, width) and b
+        are the values of `weight` and `bias`, the gate blocks side by side.
+        `step(W, b, xh, h, c, out)` is one step of the layer: z = xh @ W + b
+        for the [x_t, h] rows xh, then the cell's kernel, writing out = (z,
+        new h, new c, the step's `blocks` (B, n) activation blocks).  Backward calls
         `adjoint(dh, dc, h, c, acts, dz, tmp) -> (dh_direct, dc)` in
         reverse: it writes the gradient of z into dz and returns, written
         over dh and dc, the gradient reaching the old h other than through
@@ -294,23 +294,19 @@ class GradientTape:
         Kocisky & Blunsom 2016).
 
         Every array lives in the workspace: the [x_t, h] rows, the states,
-        the activations and, in backward, dz.  Returns (the T*B new h rows,
-        final h, final c); the final states are copies.  Gradients reach x,
-        the weights and the biases; the start and final states carry
-        values only.
+        the activations and, in backward, dz, dW and db.  Returns (the T*B
+        new h rows, final h, final c); the final states are copies.
+        Gradients reach x, `weight` and `bias`; the start and final states
+        carry values only.
         """
         batch, n = h.shape
         rows, m = x.value.shape
-        width = len(weights) * n
-        if rows % batch or any(p.value.shape != (m + n, n) for p in weights) or (
-            c is not None and c.shape != h.shape
-        ):
-            raise ShapeMismatch(
-                f"recurrence of x {x.value.shape} from h {h.shape} over gate blocks {weights[0].value.shape}")
+        w, b = weight.value, bias.value
+        width = b.shape[0]
+        if rows % batch or w.shape != (m + n, width) or b.ndim != 1 or (c is not None and c.shape != h.shape):
+            raise ShapeMismatch(f"recurrence of x {x.value.shape} from h {h.shape} over W {w.shape}, b {b.shape}")
         steps = rows // batch
         memory = c is not None
-        w = np.concatenate([p.value for p in weights], axis=1, out=self._array((m + n, width)))
-        b = np.concatenate([p.value for p in biases], out=self._array((width,)))
         # Step t reads xh[t], its [x_t, h] rows, and hs[t] (and cs[t]), the
         # state it starts from; it writes hs[t + 1], so the output is hs[1:].
         # Without a memory lane every cs[t] is None.
@@ -349,12 +345,9 @@ class GradientTape:
                     if dh_direct is not None:
                         carry += dh_direct
             dz_rows = dz.reshape(rows, width)
-            dw = np.matmul(xh.reshape(rows, m + n).T, dz_rows, out=self._array((m + n, width)))
-            db = dz_rows.sum(axis=0)
+            self._accumulate_own(weight, np.matmul(xh.reshape(rows, m + n).T, dz_rows, out=self._array(w.shape)))
+            self._accumulate_own(bias, np.sum(dz_rows, axis=0, out=self._array(b.shape)))
             self._accumulate_own(x, np.matmul(dz_rows, w[:m].T, out=self._array((rows, m))))
-            for k, (wk, bk) in enumerate(zip(weights, biases)):
-                self._accumulate(wk, dw[:, k * n : (k + 1) * n])
-                self._accumulate(bk, db[k * n : (k + 1) * n])
 
         return self._push(out, back), hs[steps].copy(), cs[steps].copy() if memory else None
 

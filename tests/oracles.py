@@ -245,6 +245,9 @@ def _brute_track(data, track_index):
                 raise Rejected("MalformedFile", f"track {track_index}: sysex overruns track")
             pos += length
             continue
+        if status > 0xF0:
+            raise Rejected("MalformedFile",
+                           f"track {track_index}: status byte {status:#x} is not allowed in a MIDI file")
 
         kind = status & 0xF0
         channel = status & 0x0F

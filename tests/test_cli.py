@@ -424,9 +424,13 @@ def test_train_rejects_corpus_ids_outside_vocabulary(tmp_path, key, index, bad_i
         ("corpus", lambda p: {**p, "y": p["y"][:-1]}),
         ("sidecar", lambda p: {**p, "tokens": 5}),
         ("sidecar", lambda p: {k: v for k, v in p.items() if k != "variant"}),
+        # Tokens int() used to read as 58, 60 and 1.
+        ("sidecar", lambda p: {**p, "tokens": [58.0] + p["tokens"][1:]}),
+        ("sidecar", lambda p: {**p, "tokens": [p["tokens"][0], "60"] + p["tokens"][2:]}),
+        ("sidecar", lambda p: {**p, "tokens": [True] + p["tokens"][1:]}),
     ],
     ids=["no-x", "no-y", "no-variant", "no-tokens", "list", "null-x", "2d-x", "short-y", "int-tokens",
-         "no-sidecar-variant"],
+         "no-sidecar-variant", "float-token", "string-token", "bool-token"],
 )
 def test_train_rejects_malformed_corpus(tmp_path, target, edit):
     corpus_path = build_corpus_file(tmp_path)
@@ -437,6 +441,28 @@ def test_train_rejects_malformed_corpus(tmp_path, target, edit):
     )
     assert_json_error(code, err, "MalformedFile")
     assert not (tmp_path / "m.ckpt").exists()
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda h: h.update(num_layers=True),
+        lambda h: h.update(hidden_size="8"),
+        lambda h: h["vocabulary"].__setitem__(0, 58.0),
+    ],
+    ids=["bool-layers", "string-hidden", "float-token"],
+)
+def test_sample_rejects_non_integer_checkpoint_header(tmp_path, edit):
+    # Each edit writes the size or token it replaces (ugrnn x1, hidden 8,
+    # first token 58) in a form int() used to load.
+    ckpt = train_checkpoint(tmp_path)
+    head, blob = ckpt.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    edit(header)
+    ckpt.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + blob)
+    code, _, err = run_cli(["sample", "--checkpoint", ckpt, "--out-dir", tmp_path / "gen"])
+    assert_json_error(code, err, "MalformedFile")
+    assert not (tmp_path / "gen").exists()
 
 
 @pytest.mark.parametrize("command", ["train", "sweep"])

@@ -223,6 +223,19 @@ def test_data_byte_with_high_bit_rejected(event):
         parse_midi(header(0, 1) + track(body))
 
 
+@pytest.mark.parametrize("status", [0xF1, 0xF8, 0xFE])
+def test_reserved_status_byte_rejected(status):
+    # A MIDI file may hold no system status but 0xF0, 0xF7 and 0xFF.  0xF8
+    # used to be read as an event with two data bytes, so this track parsed
+    # to its four notes.
+    notes = on(60) + off(60) + on(62) + off(62) + on(64) + off(64) + on(65) + off(65)
+    body = bytes([0x00, status, 0x3C, 0x5A]) + notes + END
+    for parse in (parse_midi, oracles.brute_parse_midi):
+        with pytest.raises((MalformedFile, oracles.Rejected),
+                           match=rf"^track 0: status byte {status:#x} is not allowed in a MIDI file$"):
+            parse(header(0, 1) + track(body))
+
+
 # --- against the object-per-note parser ----------------------------------
 
 def written_tracks(song):

@@ -17,9 +17,9 @@ from melodykit.rnn import (
     CellState,
     ModelState,
     TrainConfig,
-    _fused,
     _layer_step,
     _pick,
+    _v1_blocks,
     _window_loss,
     _zero_states,
     cell_spec,
@@ -74,29 +74,22 @@ def test_unknown_cell_lists_known():
 def test_init_cell_params_shapes_and_biases():
     rng = np.random.default_rng(0)
     p = init_cell_params("lstm", input_size=4, hidden_size=6, rng=rng, init_scale=0.05)
-    assert len(p.weights) == len(p.biases) == 4
-    for w in p.weights:
-        assert w.value.shape == (10, 6)
-        assert np.abs(w.value).max() <= 0.05
-    np.testing.assert_array_equal(p.biases[0].value, np.ones(6))  # forget bias
-    for b in p.biases[1:]:
-        np.testing.assert_array_equal(b.value, np.zeros(6))
-    assert p.hidden_size == 6
+    assert p.w.value.shape == (10, 4 * 6)
+    assert np.abs(p.w.value).max() <= 0.05
+    np.testing.assert_array_equal(p.b.value[:6], np.ones(6))  # forget bias
+    np.testing.assert_array_equal(p.b.value[6:], np.zeros(3 * 6))
 
     q = init_cell_params("ugrnn", 4, 6, rng)
-    assert len(q.weights) == 2
-    for b in q.biases:
-        np.testing.assert_array_equal(b.value, np.zeros(6))
+    assert q.w.value.shape == (10, 2 * 6)
+    np.testing.assert_array_equal(q.b.value, np.zeros(2 * 6))
 
 
 # --- single cell steps ---------------------------------------------------
 
 def zero_cell(kind, input_size=3, hidden=2):
     p = init_cell_params(kind, input_size, hidden, np.random.default_rng(0))
-    for w in p.weights:
-        w.value[:] = 0.0
-    for b in p.biases:
-        b.value[:] = 0.0
+    p.w.value[:] = 0.0
+    p.b.value[:] = 0.0
     return p
 
 
@@ -106,7 +99,8 @@ def cell_step(kind, x, p, h, c=None):
         return np.asarray(v, dtype=np.float64)[None]
 
     h, c = row(h), None if c is None else row(c)
-    h_new, c_new, _ = _layer_step(cell_spec(kind), *_fused(p), np.concatenate([row(x), h], axis=1), h, c)
+    xh = np.concatenate([row(x), h], axis=1)
+    h_new, c_new, _ = _layer_step(cell_spec(kind), p.w.value, p.b.value, xh, h, c)
     return h_new[0], None if c_new is None else c_new[0]
 
 
@@ -118,10 +112,10 @@ def test_lstm_step_zero_params():
 
 
 def test_lstm_step_saturated_gates_pass_memory():
-    p = zero_cell("lstm")
-    p.biases[0].value[:] = 30.0   # forget ~ 1
-    p.biases[1].value[:] = -30.0  # input ~ 0
-    p.biases[3].value[:] = 30.0   # output ~ 1
+    p = zero_cell("lstm")  # hidden 2: gates forget, input, candidate, output
+    p.b.value[0:2] = 30.0   # forget ~ 1
+    p.b.value[2:4] = -30.0  # input ~ 0
+    p.b.value[6:8] = 30.0   # output ~ 1
     c0 = np.array([0.7, -0.2])
     h, c = cell_step("lstm", np.ones(3), p, np.zeros(2), c0)
     np.testing.assert_allclose(c, c0, atol=1e-9)
@@ -131,9 +125,8 @@ def test_lstm_step_saturated_gates_pass_memory():
 def test_lstm_step_scalar_hand_value():
     # 1-unit cell, input width 1: every gate sees 0.5*x + 0.25*h + bias
     p = init_cell_params("lstm", 1, 1, np.random.default_rng(0))
-    for w, b, bias in zip(p.weights, p.biases, (0.1, -0.2, 0.3, 0.0)):
-        w.value[:] = [[0.5], [0.25]]
-        b.value[:] = bias
+    p.w.value[:] = [[0.5] * 4, [0.25] * 4]
+    p.b.value[:] = [0.1, -0.2, 0.3, 0.0]
     x, h0, c0 = 0.8, 0.4, -0.3
     pre = 0.5 * x + 0.25 * h0
 
@@ -158,8 +151,8 @@ def test_ugrnn_step_zero_params_halves_state():
 
 
 def test_ugrnn_step_saturated_gate_carries():
-    p = zero_cell("ugrnn")
-    p.biases[0].value[:] = 30.0
+    p = zero_cell("ugrnn")  # hidden 2: gates update, candidate
+    p.b.value[:2] = 30.0
     v = np.array([0.6, -1.0])
     h, _ = cell_step("ugrnn", [5.0, -3.0, 2.0], p, v)
     np.testing.assert_allclose(h, v, atol=1e-9)
@@ -167,10 +160,8 @@ def test_ugrnn_step_saturated_gate_carries():
 
 def test_ugrnn_step_scalar_hand_value():
     p = init_cell_params("ugrnn", 1, 1, np.random.default_rng(0))
-    p.weights[0].value[:] = [[0.3], [-0.6]]
-    p.weights[1].value[:] = [[1.2], [0.4]]
-    p.biases[0].value[:] = 0.05
-    p.biases[1].value[:] = -0.1
+    p.w.value[:] = [[0.3, 1.2], [-0.6, 0.4]]  # columns: update, candidate
+    p.b.value[:] = [0.05, -0.1]
     x, h0 = -0.5, 0.9
     g = 1 / (1 + math.exp(-(0.3 * x - 0.6 * h0 + 0.05)))
     c = math.tanh(1.2 * x + 0.4 * h0 - 0.1)
@@ -214,20 +205,23 @@ def test_window_loss_matches_per_op_tape(cell, layers, batch, steps):
         for _ in range(layers)
     ]
 
-    def run(window_loss, start):
-        for p in model.parameters():
-            p.grad = None
-        tape = GradientTape()
-        loss, final = window_loss(tape, model, X, Y, start)
-        tape.backward(loss)
-        return float(loss.value), [p.grad.copy() for p in model.parameters()], final
+    # Both sides' gradients are compared block by block, in checkpoint v1's
+    # order: the oracle keeps one W and one b Tensor per gate.
+    params = model.parameters()
+    assert len(params) == 1 + 2 * layers + 2
+    tape = GradientTape()
+    loss, final = _window_loss(tape, model, X, Y, states)
+    tape.backward(loss)
+    loss, grads = float(loss.value), _v1_blocks(cell, [p.grad for p in params])
 
-    loss, grads, final = run(_window_loss, states)
-    want_loss, want_grads, want_final = run(
-        tape_cells.window_loss, [(Tensor(h), None if c is None else Tensor(c)) for h, c in states])
+    tape = GradientTape()
+    want_loss, want_final, gate_params = tape_cells.window_loss(
+        tape, model, X, Y, [(Tensor(h), None if c is None else Tensor(c)) for h, c in states])
+    tape.backward(want_loss)
+    want_loss, want_grads = float(want_loss.value), [p.grad for p in gate_params]
 
     assert loss == pytest.approx(want_loss, rel=1e-12, abs=1e-12)
-    assert len(grads) == 1 + 2 * layers * len(cell_spec(cell).gates) + 2
+    assert len(grads) == len(want_grads) == 1 + 2 * layers * len(cell_spec(cell).gates) + 2
     for k, (got, want) in enumerate(zip(grads, want_grads)):  # k == 0 is the embedding
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12, err_msg=f"parameter {k}")
     for (h, c), (want_h, want_c) in zip(final, want_final):
@@ -284,11 +278,12 @@ def test_init_model_deterministic():
 def test_parameter_order_and_shapes():
     m = tiny_model(cell="lstm", layers=2, hidden=6, emb=4)
     params = m.parameters()
-    # embedding + 2 layers * 4 gates * (W, b) + projection W, b
-    assert len(params) == 1 + 2 * 4 * 2 + 2
+    # embedding + 2 layers * (W, b) + projection W, b
+    assert len(params) == 1 + 2 * 2 + 2
     assert params[0].value.shape == (VOCAB.size, 4)
-    assert params[1].value.shape == (4 + 6, 6)     # layer 0 gate W
-    assert params[9].value.shape == (6 + 6, 6)     # layer 1 consumes h
+    assert params[1].value.shape == (4 + 6, 4 * 6)  # layer 0 W, gates side by side
+    assert params[2].value.shape == (4 * 6,)
+    assert params[3].value.shape == (6 + 6, 4 * 6)  # layer 1 consumes h
     assert params[-2].value.shape == (6, VOCAB.size)
     assert m.num_layers == 2 and m.hidden_size == 6
     assert m.embedding_dim == 4 and m.vocab_size == VOCAB.size
@@ -324,7 +319,7 @@ def test_stack_forward_matches_manual_composition():
 
     def lstm(x, h, c, layer):
         xh = np.concatenate([x, h])
-        f, i, g, o = (xh @ w.value + b.value for w, b in zip(layer.weights, layer.biases))
+        f, i, g, o = np.split(xh @ layer.w.value + layer.b.value, 4)
         c = sig(f) * c + sig(i) * np.tanh(g)
         return sig(o) * np.tanh(c), c
 
@@ -356,8 +351,8 @@ def test_stack_forward_state_threading():
 
 def test_lstm_memory_survives_100_steps():
     m = zeroed(tiny_model(cell="lstm", hidden=4))
-    m.layers[0].biases[0].value[:] = 30.0   # forget open
-    m.layers[0].biases[1].value[:] = -30.0  # input shut
+    m.layers[0].b.value[0:4] = 30.0   # forget open
+    m.layers[0].b.value[4:8] = -30.0  # input shut
     c0 = np.array([0.5, -0.5, 0.25, 0.8])
     states = [CellState(h=np.zeros(4), c=c0.copy())]
     for _ in range(100):
@@ -430,7 +425,8 @@ def test_train_bitwise_deterministic():
 
 def reference_train(corpus, config, seed):
     """train's loop with no state kept between windows: a fresh tape per
-    window, and clipping and Adam on copies of the gradients."""
+    window, and clipping (its norm summed over checkpoint v1's blocks) and
+    Adam on copies of the gradients."""
     model = init_model(corpus.vocabulary, corpus.variant, cell=config.cell,
                        num_layers=config.num_layers, hidden_size=config.hidden_size,
                        embedding_dim=config.embedding_dim, rng=np.random.default_rng(seed))
@@ -453,8 +449,9 @@ def reference_train(corpus, config, seed):
         cols = slice(w * T, (w + 1) * T)
         total, states = _window_loss(tape, model, X[:, cols], Y[:, cols], states)
         tape.backward(total)
-        grads = clip_gradients([p.grad.copy() for p in params], config.clip_norm,
-                               np.empty(max(p.value.size for p in params)))
+        grads = [p.grad.copy() for p in params]
+        clip_gradients(_v1_blocks(config.cell, grads), config.clip_norm,
+                       np.empty(max(p.value.size for p in params)))
         adam_step([p.value for p in params], grads, opt)
         curve.append((iteration + 1, float(total.value) / (B * T)))
     return model, curve
@@ -747,6 +744,27 @@ def test_checkpoint_write_failure_leaves_no_partial_file(tmp_path, monkeypatch, 
         assert path.read_bytes() == before
 
 
+@pytest.mark.parametrize("cell, gates", [("lstm", 4), ("ugrnn", 2)])
+def test_checkpoint_v1_blob_is_the_init_draws_in_order(tmp_path, cell, gates):
+    # init_model draws from its generator in checkpoint v1's order: the
+    # embedding, each layer's gates' W blocks, then the projection.  Biases
+    # are zero but for the LSTM forget gate's, which are 1.  So the blob of a
+    # fresh model is those draws, each gate's W followed by its b.
+    hidden, emb, scale = 6, 4, 0.08
+    model = init_model(VOCAB, DatasetVariant.CONTROL, cell=cell, num_layers=2, hidden_size=hidden,
+                       embedding_dim=emb, rng=np.random.default_rng(21), init_scale=scale)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+    rng = np.random.default_rng(21)
+    blocks = [rng.uniform(-scale, scale, size=(VOCAB.size, emb))]
+    for rows in (emb + hidden, hidden + hidden):
+        for k in range(gates):
+            blocks.append(rng.uniform(-scale, scale, size=(rows, hidden)))
+            blocks.append(np.full(hidden, 1.0 if cell == "lstm" and k == 0 else 0.0))
+    blocks += [rng.uniform(-scale, scale, size=(hidden, VOCAB.size)), np.zeros(VOCAB.size)]
+    assert path.read_bytes().split(b"\n", 1)[1] == b"".join(b.astype("<f8").tobytes() for b in blocks)
+
+
 def test_checkpoint_header_is_json_line(tmp_path):
     import json
 
@@ -785,6 +803,13 @@ def edit_header(data, **changes):
         lambda data: edit_header(data, hidden_size=3),       # blob no longer fits
         lambda data: edit_header(data, hidden_size=10**7),   # refused before allocating
         lambda data: edit_header(data, num_layers="two"),
+        # Sizes and tokens that int() would have turned into the right ones.
+        lambda data: edit_header(data, num_layers=True),
+        lambda data: edit_header(data, hidden_size=6.0),
+        lambda data: edit_header(data, embedding_dim="4"),
+        lambda data: edit_header(data, vocabulary=[float(t) for t in VOCAB.tokens]),
+        lambda data: edit_header(data, vocabulary=[str(t) for t in VOCAB.tokens]),
+        lambda data: edit_header(data, vocabulary=[48.7] + list(VOCAB.tokens[1:])),
         lambda data: edit_header(data, vocabulary=VOCAB.tokens[::-1]),  # same size, reversed
         lambda data: edit_header(data, vocabulary=(48,) + VOCAB.tokens[:-1]),  # 48 twice
         lambda data: edit_header(data, cell="gru"),          # not in CELL_TYPES
