@@ -10,8 +10,10 @@ the path, the MELODYKIT_* variables unset and one BLAS thread; all paths
 are relative, so the trees' stdout can be compared as text.  The list
 builds the bundled corpus in all three variants, trains an LSTM x1 at
 batch 50 (db12), a UGRNN x3 at batch 4 (control) and an LSTM x2 whose
-gradients are clipped at norm 0.5 (interval), samples greedily and at a
-temperature, and runs `eval --checkpoint`.  Then each tree samples again
+gradients are clipped at norm 0.5 (interval), scores the bundled songs
+(`eval --songs`, many lengths in one call) with the default spans and with
+20-note spans, samples greedily and at a temperature, and runs
+`eval --checkpoint`.  Then each tree samples again
 from the parent's checkpoints, so a change must also read what the parent
 wrote.
 
@@ -46,6 +48,9 @@ COMMANDS = [
      "--cell", "ugrnn", "--num-layers", "3", "--batch-size", "4", *TRAIN],
     ["train", "--corpus", "out/interval.json", "--checkpoint", "out/lstm2.ckpt", "--curve", "out/lstm2.csv",
      "--cell", "lstm", "--num-layers", "2", "--batch-size", "4", "--clip-norm", "0.5", *TRAIN],
+    ["eval", "--songs", SONGS, "--out-dir", "out/eval_songs"],
+    ["eval", "--songs", SONGS, "--out-dir", "out/eval_songs_n20", "--span-n", "20", "--span-lb", "3",
+     "--span-ub", "15"],
 ]
 
 

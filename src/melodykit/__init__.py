@@ -23,9 +23,7 @@ from .metrics import (
     dataset_stats,
     evaluate_song,
     lm,
-    llm,
     representative_song,
-    span_count,
 )
 from .midi import parse_midi, write_midi
 from .rnn import (

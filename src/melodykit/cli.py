@@ -74,6 +74,21 @@ def _read_json_object(path: Path, keys: tuple[str, ...]) -> dict:
     return payload
 
 
+def _read_ids(values, what: str) -> np.ndarray:
+    """A JSON id list as a 1-D int64 array; MalformedFile naming `what` if it is not a flat list of integers.
+
+    Floats, strings, nulls, nested lists and ids beyond int64 are refused.
+    A bool among integers passes as 0 or 1, because numpy reads it so.
+    """
+    try:
+        ids = np.asarray(values)
+    except ValueError as exc:  # a ragged nested list
+        raise MalformedFile(f"{what} must be a flat list of integers") from exc
+    if ids.ndim != 1 or (ids.dtype.kind != "i" and ids.size):
+        raise MalformedFile(f"{what} must be a flat list of integers")
+    return ids.astype(np.int64, copy=False)
+
+
 def _read_corpus(path: Path) -> TrainingCorpus:
     payload = _read_json_object(path, ("variant", "x", "y"))
     sidecar = path.with_name(path.stem + ".vocab.json")
@@ -83,16 +98,13 @@ def _read_corpus(path: Path) -> TrainingCorpus:
     if vocab_payload["variant"] != payload["variant"]:
         raise MalformedFile(
             f"{sidecar}: variant {vocab_payload['variant']!r} is not {path}'s {payload['variant']!r}")
-    try:
-        corpus = TrainingCorpus(
-            x=np.asarray(payload["x"], dtype=np.int64),
-            y=np.asarray(payload["y"], dtype=np.int64),
-            vocabulary=Vocabulary(tokens=core.json_ints(vocab_payload["tokens"], f"{sidecar}: tokens")),
-            variant=DatasetVariant(payload["variant"]),
-        )
-    except TypeError as exc:
-        raise MalformedFile(f"{path}: bad corpus value ({exc})") from exc
-    if corpus.x.ndim != 1 or corpus.x.shape != corpus.y.shape:
+    corpus = TrainingCorpus(
+        x=_read_ids(payload["x"], f"{path}: x"),
+        y=_read_ids(payload["y"], f"{path}: y"),
+        vocabulary=Vocabulary(tokens=core.json_ints(vocab_payload["tokens"], f"{sidecar}: tokens")),
+        variant=DatasetVariant(payload["variant"]),
+    )
+    if corpus.x.shape != corpus.y.shape:
         raise MalformedFile(f"{path}: x and y must be flat id lists of one length")
     size = corpus.vocabulary.size
     for name, ids in (("x", corpus.x), ("y", corpus.y)):

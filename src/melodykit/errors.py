@@ -21,10 +21,6 @@ class EmptyCorpus(MelodyKitError):
     """No usable songs or tokens to work with."""
 
 
-class BadSpanLength(MelodyKitError):
-    """A span does not match the configured span length."""
-
-
 class EmptyInput(MelodyKitError):
     """An aggregate was asked for over zero elements."""
 

@@ -4,17 +4,24 @@ Three numbers summarise how melodic a note stream is: chromatic melodic
 movement (mean absolute step size), local macroharmony (how many distinct
 pitches each span uses, penalised outside a comfort band), and centricity
 (how dominant each span's most frequent pitch is).  All metrics need at
-least one full span, so songs shorter than the span length are rejected.
+least one full span and one step, so shorter songs are rejected.
+
+`dataset_stats` scores the songs of each length as one array, in chunks
+of at most `_CHUNK_CELLS` table cells so memory stays flat; the one-song
+calls take the same path.  Reports equal a per-span loop's bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import asdict, astuple, dataclass
 
+import numpy as np
+
 from .core import Song
-from .errors import BadSpanLength, EmptyInput, MelodyKitError, SongTooShort
+from .errors import EmptyInput, SongTooShort
+
+_CHUNK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -51,71 +58,62 @@ class MetricStats:
     count: int
 
 
-def span_count(song_len: int, n: int) -> int:
-    """Number of length-n sliding windows (stride 1); 1 when the song fits in one."""
-    return max(1, song_len - n + 1)
+def _score_block(block: np.ndarray, cfg: SpanConfig) -> np.ndarray:
+    """(songs, 3) cmm, lm, centr of a (songs, length) pitch array.
+
+    Entry t of a (pitch, song) row of the cumulative one-hot table counts that pitch
+    among the song's first t notes, so span j's counts are entries j + n minus entries j.
+    Sums are of integers but centricity's, a row-wise cumsum that adds in span order.
+    """
+    songs, length = block.shape
+    spans = length - cfg.n + 1
+    low = block.min()
+    table = np.zeros((int(block.max() - low) + 1, songs, length + 1), dtype=np.int32)
+    table[block - low, np.arange(songs)[:, None], np.arange(1, length + 1)] = 1
+    np.add.accumulate(table, axis=2, out=table)
+    counts = table[:, :, cfg.n :] - table[:, :, :spans]
+    distinct = np.count_nonzero(counts, axis=0)
+    # Outside [lb, ub] a span scores 1 plus its distance to the band.
+    span_lm = np.maximum(np.maximum(cfg.lb - distinct, distinct - cfg.ub), 0) + 1
+    return np.stack([np.abs(np.diff(block, axis=1)).sum(axis=1) / (length - 1),
+                     span_lm.sum(axis=1) / spans,
+                     np.cumsum(counts.max(axis=0) / cfg.n, axis=1)[:, -1] / spans], axis=1)
 
 
-def _require_full_span(song: Song, n: int) -> None:
-    if len(song) < n:
-        raise SongTooShort(f"metrics need at least {n} notes, got {len(song)}")
+def dataset_stats(songs: list[Song], cfg: SpanConfig = SpanConfig()) -> tuple[list[MetricReport], MetricStats]:
+    """Per-song reports and their stats; SongTooShort names the first too-short song by its index."""
+    need = max(cfg.n, 2)  # one full span, and one step for CMM
+    lengths = np.fromiter(map(len, songs), dtype=np.int64, count=len(songs))
+    if (short := np.flatnonzero(lengths < need)).size:
+        raise SongTooShort(f"song {short[0]}: metrics need at least {need} notes, got {lengths[short[0]]}")
+    values = np.empty((len(songs), 3))
+    for length in np.unique(lengths).tolist():
+        index = np.flatnonzero(lengths == length)
+        block = np.array([songs[i] for i in index], dtype=np.int64)
+        rows = max(1, _CHUNK_CELLS // ((length + 1) * (int(block.max() - block.min()) + 1)))
+        for start in range(0, index.size, rows):
+            values[index[start : start + rows]] = _score_block(block[start : start + rows], cfg)
+    reports = [MetricReport(*row) for row in values.tolist()]
+    return reports, stats_of_reports(reports)
 
 
 def cmm(song: Song, cfg: SpanConfig = SpanConfig()) -> float:
     """Mean absolute semitone step between consecutive notes."""
-    _require_full_span(song, cfg.n)
-    total = sum(abs(song[i + 1] - song[i]) for i in range(len(song) - 1))
-    return total / (len(song) - 1)
-
-
-def llm(span: Song, cfg: SpanConfig = SpanConfig()) -> float:
-    """Macroharmony score of one span.
-
-    1 inside the comfort band; outside it the penalty grows linearly with
-    the distance to the band, so 1 and n distinct notes score the same.
-    Pitches count as distinct per octave (no pitch-class folding).
-    """
-    if len(span) != cfg.n:
-        raise BadSpanLength(f"span must have exactly {cfg.n} notes, got {len(span)}")
-    d = len(set(span))
-    if cfg.lb <= d <= cfg.ub:
-        return 1.0
-    if d < cfg.lb:
-        return float(cfg.lb - d + 1)
-    return float(d - cfg.ub + 1)
+    return evaluate_song(song, cfg).cmm
 
 
 def lm(song: Song, cfg: SpanConfig = SpanConfig()) -> float:
-    """Mean llm over all sliding spans."""
-    _require_full_span(song, cfg.n)
-    spans = span_count(len(song), cfg.n)
-    return sum(llm(song[j : j + cfg.n], cfg) for j in range(spans)) / spans
+    """Mean span score: 1 for lb..ub distinct pitches (per octave), else 1 + the distance to that band."""
+    return evaluate_song(song, cfg).lm
 
 
 def centricity(song: Song, cfg: SpanConfig = SpanConfig()) -> float:
     """Mean over spans of the most frequent pitch's share of the span."""
-    _require_full_span(song, cfg.n)
-    spans = span_count(len(song), cfg.n)
-    total = 0.0
-    for j in range(spans):
-        counts = Counter(song[j : j + cfg.n])
-        total += max(counts.values()) / cfg.n
-    return total / spans
+    return evaluate_song(song, cfg).centr
 
 
 def evaluate_song(song: Song, cfg: SpanConfig = SpanConfig()) -> MetricReport:
-    return MetricReport(cmm=cmm(song, cfg), lm=lm(song, cfg), centr=centricity(song, cfg))
-
-
-def dataset_stats(songs: list[Song], cfg: SpanConfig = SpanConfig()) -> tuple[list[MetricReport], MetricStats]:
-    """Per-song reports and their stats; an error names the song it came from."""
-    reports = []
-    for i, song in enumerate(songs):
-        try:
-            reports.append(evaluate_song(song, cfg))
-        except MelodyKitError as exc:
-            raise type(exc)(f"song {i}: {exc}") from exc
-    return reports, stats_of_reports(reports)
+    return dataset_stats([song], cfg)[0][0]
 
 
 def stats_of_reports(reports: list[MetricReport]) -> MetricStats:

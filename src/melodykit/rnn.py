@@ -493,12 +493,13 @@ def train(corpus: TrainingCorpus, config: TrainConfig, seed: int = 0) -> tuple[M
     return model, curve
 
 
-def _pick(logits: np.ndarray, mode: str, temperature: float, rngs: list[np.random.Generator]) -> np.ndarray:
+def _pick(logits: np.ndarray, mode: str, temperature: float, uniforms: np.ndarray | None) -> np.ndarray:
     """Next token id of each lane from its (lanes, V) logits row.
 
     A temperature draw is what `rng.choice(V, p=row)` makes of the row's
-    softmax: one `rng.random()` per lane, searched in the row's cumulative
-    sum divided by its last entry, to the right of any tie.
+    softmax: the lane's uniform in [0, 1) (one `rng.random()`), searched in
+    the row's cumulative sum divided by its last entry, to the right of any
+    tie.  Greedy mode takes no uniforms.
     """
     if not np.isfinite(logits).all():
         raise ValueError("the model produced non-finite logits")
@@ -512,8 +513,7 @@ def _pick(logits: np.ndarray, mode: str, temperature: float, rngs: list[np.rando
         raise ValueError(f"temperature {temperature} gives non-finite probabilities")
     cdf = probs.cumsum(axis=1)
     cdf /= cdf[:, -1:]
-    u = np.array([rng.random() for rng in rngs])
-    return (cdf <= u[:, None]).sum(axis=1)
+    return (cdf <= uniforms[:, None]).sum(axis=1)
 
 
 def sample_batch(
@@ -555,14 +555,20 @@ def sample_batch(
     # Seed ids were checked above and picked ids are in range by
     # construction, so the loop steps the model directly.
     lanes = len(rngs)
+    if mode == "temperature":
+        # rng.random(n) yields the doubles of n successive rng.random() calls;
+        # row t holds every lane's uniform for step t.
+        uniforms = np.stack([rng.random(n) for rng in rngs], axis=1)
+    else:
+        uniforms = [None] * n
     states = _zero_states(model, lanes)
     for t in range(ids.size):
         logits, states = _forward_step(model, np.full(lanes, ids[t]), states)
     generated = np.empty((lanes, n), dtype=np.int64)
-    generated[:, 0] = _pick(logits, mode, temperature, rngs)
+    generated[:, 0] = _pick(logits, mode, temperature, uniforms[0])
     for t in range(1, n):
         logits, states = _forward_step(model, generated[:, t - 1], states)
-        generated[:, t] = _pick(logits, mode, temperature, rngs)
+        generated[:, t] = _pick(logits, mode, temperature, uniforms[t])
 
     songs = []
     for row in generated:

@@ -75,6 +75,19 @@ def brute_centr(song, n=SPAN):
     return total / sq
 
 
+def brute_reports(songs, n=SPAN, lb=LOWER, ub=UPPER):
+    """Each song's (cmm, lm, centr), scored span by span in input order.
+
+    Refuses the first song shorter than one span, or than the two notes
+    CMM needs, by its index.
+    """
+    need = max(n, 2)
+    for i, song in enumerate(songs):
+        if len(song) < need:
+            raise Rejected("SongTooShort", f"song {i}: metrics need at least {need} notes, got {len(song)}")
+    return [(brute_cmm(s), brute_lm(s, n, lb, ub), brute_centr(s, n)) for s in songs]
+
+
 def brute_mean_std(values):
     mean = sum(values) / len(values)
     var = sum((v - mean) ** 2 for v in values) / len(values)

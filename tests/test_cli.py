@@ -428,9 +428,15 @@ def test_train_rejects_corpus_ids_outside_vocabulary(tmp_path, key, index, bad_i
         ("sidecar", lambda p: {**p, "tokens": [58.0] + p["tokens"][1:]}),
         ("sidecar", lambda p: {**p, "tokens": [p["tokens"][0], "60"] + p["tokens"][2:]}),
         ("sidecar", lambda p: {**p, "tokens": [True] + p["tokens"][1:]}),
+        # Ids that a cast to int64 used to read as 2 and 3, or failed on outside the error contract.
+        ("corpus", lambda p: {**p, "x": [2.7] + p["x"][1:]}),
+        ("corpus", lambda p: {**p, "x": ["3"] + p["x"][1:]}),
+        ("corpus", lambda p: {**p, "x": [p["x"][:2]] + p["x"][1:]}),
+        ("corpus", lambda p: {**p, "x": [2**70] + p["x"][1:]}),
     ],
     ids=["no-x", "no-y", "no-variant", "no-tokens", "list", "null-x", "2d-x", "short-y", "int-tokens",
-         "no-sidecar-variant", "float-token", "string-token", "bool-token"],
+         "no-sidecar-variant", "float-token", "string-token", "bool-token",
+         "float-id", "string-id", "nested-id", "huge-id"],
 )
 def test_train_rejects_malformed_corpus(tmp_path, target, edit):
     corpus_path = build_corpus_file(tmp_path)

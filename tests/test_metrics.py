@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from melodykit.errors import BadSpanLength, EmptyInput, SongTooShort
+from melodykit.errors import EmptyInput, SongTooShort
 from melodykit.metrics import (
     MetricReport,
     SpanConfig,
@@ -11,10 +11,8 @@ from melodykit.metrics import (
     cmm,
     dataset_stats,
     evaluate_song,
-    llm,
     lm,
     representative_song,
-    span_count,
     stats_of_reports,
 )
 
@@ -28,7 +26,15 @@ scoreable_songs = st.lists(st.integers(0, 127), min_size=12, max_size=40)
 
 @pytest.mark.parametrize("length,n,expected", [(12, 12, 1), (34, 12, 23), (5, 12, 1)])
 def test_span_count(length, n, expected):
-    assert span_count(length, n) == expected
+    # The first span holds 9 distinct pitches and scores 2; every later one
+    # holds 8 and scores 1, so lm = (spans + 1) / spans.  A song shorter than
+    # one span has no span to score and is refused.
+    song = [59] + [60 + i % 8 for i in range(1, length)]
+    if length < n:
+        with pytest.raises(SongTooShort):
+            lm(song, SpanConfig(n=n))
+    else:
+        assert lm(song, SpanConfig(n=n)) == (expected + 1) / expected
 
 
 def test_cmm_anchors():
@@ -45,18 +51,29 @@ def test_cmm_rejects_short_songs():
 
 
 def test_llm_band():
+    # One-span songs: lm is that span's macroharmony score.
     span = [60, 61, 62, 63, 64, 65, 60, 61, 62, 63, 64, 65]  # 6 distinct
-    assert llm(span) == 1.0
-    assert llm(CONSTANT_12) == 5.0  # (5-1)+1
+    assert lm(span) == 1.0
+    assert lm(CONSTANT_12) == 5.0  # (5-1)+1
     span10 = [60, 61, 62, 63, 64, 65, 66, 67, 68, 69, 60, 61]  # 10 distinct
-    assert llm(span10) == 3.0  # (10-8)+1
+    assert lm(span10) == 3.0  # (10-8)+1
 
 
 def test_llm_wants_exact_span():
-    with pytest.raises(BadSpanLength):
-        llm([60] * 11)
-    with pytest.raises(BadSpanLength):
-        llm([60] * 13)
+    with pytest.raises(SongTooShort):
+        lm([60] * 11)
+    with pytest.raises(SongTooShort) as exc_info:
+        dataset_stats([[60] * 13, [60] * 11])
+    assert str(exc_info.value) == "song 1: metrics need at least 12 notes, got 11"
+
+
+def test_one_note_span_needs_a_step():
+    # CMM divides by the step count: one note has none.
+    cfg = SpanConfig(n=1, lb=1, ub=1)
+    with pytest.raises(SongTooShort) as exc_info:
+        dataset_stats([[60, 62], [60]], cfg)
+    assert str(exc_info.value) == "song 1: metrics need at least 2 notes, got 1"
+    assert evaluate_song([60, 62], cfg) == MetricReport(2.0, 1.0, 1.0)
 
 
 def test_lm_anchors():
@@ -100,7 +117,7 @@ def test_cmm_reversal_invariance(song):
 
 @given(scoreable_songs)
 def test_llm_at_least_one(song):
-    score = llm(song[:12])
+    score = lm(song[:12])
     assert score >= 1.0
     assert (score == 1.0) == (5 <= len(set(song[:12])) <= 8)
 
@@ -111,7 +128,7 @@ def test_span_config_validation():
     with pytest.raises(ValueError):
         SpanConfig(n=4, lb=5, ub=8)
     cfg = SpanConfig(n=6, lb=2, ub=3)
-    assert llm([60, 61, 60, 61, 60, 61], cfg) == 1.0
+    assert lm([60, 61, 60, 61, 60, 61], cfg) == 1.0
 
 
 def test_dataset_stats_single_song():
@@ -140,6 +157,44 @@ def test_dataset_stats_matches_oracle():
     assert stats.std.cmm == pytest.approx(cmm_std, abs=1e-12)
     assert stats.mean.lm == pytest.approx(lm_mean, abs=1e-12)
     assert stats.std.lm == pytest.approx(lm_std, abs=1e-12)
+
+
+@st.composite
+def song_sets(draw):
+    """A SpanConfig and 1-8 songs of mixed lengths over one pitch range.
+
+    Lengths repeat often, and several songs of 200 notes over a wide range
+    fill more than one chunk, so grouping and chunk boundaries are both hit.
+    """
+    n = draw(st.integers(1, 20))
+    lb = draw(st.integers(1, n))
+    cfg = SpanConfig(n=n, lb=lb, ub=draw(st.integers(lb, n)))
+    low = draw(st.integers(0, 127))
+    pitches = st.integers(low, draw(st.integers(low, 127)))
+    lengths = st.sampled_from([max(n, 2), 200]) | st.integers(max(n, 2), 200)
+    songs = draw(st.lists(lengths.flatmap(lambda k: st.lists(pitches, min_size=k, max_size=k)),
+                          min_size=1, max_size=8))
+    return cfg, songs
+
+
+@given(song_sets(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_dataset_stats_equals_span_loop(case, data):
+    cfg, songs = case
+    if data.draw(st.booleans()):  # put in some songs too short to score
+        for _ in range(data.draw(st.integers(1, 3))):
+            short = data.draw(st.lists(st.integers(0, 127), max_size=max(cfg.n, 2) - 1))
+            songs.insert(data.draw(st.integers(0, len(songs))), short)
+    try:
+        want = oracles.brute_reports(songs, cfg.n, cfg.lb, cfg.ub)
+    except oracles.Rejected as exc:
+        with pytest.raises(SongTooShort) as exc_info:
+            dataset_stats(songs, cfg)
+        assert (type(exc_info.value).__name__, str(exc_info.value)) == (exc.kind, str(exc))
+        return
+    reports, _ = dataset_stats(songs, cfg)
+    assert [(r.cmm, r.lm, r.centr) for r in reports] == want
+    assert all(type(v) is float for r in reports for v in (r.cmm, r.lm, r.centr))
 
 
 def test_dataset_stats_names_offender():

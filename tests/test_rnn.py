@@ -603,7 +603,7 @@ def test_sample_equals_streaming_stack_forward(toy_runs, cell, mode):
         logits, states = stack_forward(model.vocabulary.encode(seed_song), model)
         picked = []
         for _ in range(25):
-            picked.append(int(_pick(logits[-1:], mode, 1.0, [rng])[0]))
+            picked.append(int(_pick(logits[-1:], mode, 1.0, rng.random(1))[0]))
             logits, states = stack_forward(picked[-1:], model, states)
         assert got == seed_song + model.vocabulary.decode(picked)
 
@@ -639,16 +639,17 @@ def test_sample_batch_lane_equals_one_lane_call(toy_runs, cell, mode, variant):
 
 def test_pick_draw_equals_rng_choice():
     # Reference: one rng.choice per lane on the row's probabilities, as
-    # sampling drew before lanes were batched.
+    # sampling drew before lanes were batched.  Each lane's uniforms come
+    # from one rng.random(50), as sample_batch draws them.
     rng = np.random.default_rng(8)
     for vocab_size in (1, 2, 7, 40, 300):
-        rngs = [np.random.default_rng([1, i]) for i in range(40)]
+        uniforms = np.stack([np.random.default_rng([1, i]).random(50) for i in range(40)], axis=1)
         refs = [np.random.default_rng([1, i]) for i in range(40)]
         for step in range(50):
             # A wide spread makes some probabilities underflow to exactly 0.
             logits = rng.normal(scale=rng.choice([0.1, 3.0, 400.0]), size=(40, vocab_size))
             temperature = float(rng.choice([0.3, 1.0, 2.5]))
-            got = _pick(logits, "temperature", temperature, rngs)
+            got = _pick(logits, "temperature", temperature, uniforms[step])
             for lane, ref in enumerate(refs):
                 p = softmax(logits[lane] / temperature)
                 p = p / p.sum()
