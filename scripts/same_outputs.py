@@ -10,12 +10,13 @@ the path, the MELODYKIT_* variables unset and one BLAS thread; all paths
 are relative, so the trees' stdout can be compared as text.  The list
 builds the bundled corpus in all three variants, trains an LSTM x1 at
 batch 50 (db12), a UGRNN x3 at batch 4 (control) and an LSTM x2 whose
-gradients are clipped at norm 0.5 (interval), scores the bundled songs
-(`eval --songs`, many lengths in one call) with the default spans and with
-20-note spans, samples greedily and at a temperature, and runs
-`eval --checkpoint`.  Then each tree samples again
-from the parent's checkpoints, so a change must also read what the parent
-wrote.
+gradients are clipped at norm 0.5 (interval), sweeps {lstm, ugrnn, gru} x
+{1, 2} layers on the control corpus (`gru` is no cell, so its rows are
+error rows), scores the bundled songs (`eval --songs`, many lengths in one
+call) with the default spans and with 20-note spans, samples greedily and
+at a temperature, and runs `eval --checkpoint`.  Then each tree samples
+again from the parent's checkpoints, so a change must also read what the
+parent wrote.
 
 Every command's exit code and stdout, and every file either tree wrote,
 are compared.  Prints one line per difference and a summary; exits 1 if
@@ -48,6 +49,9 @@ COMMANDS = [
      "--cell", "ugrnn", "--num-layers", "3", "--batch-size", "4", *TRAIN],
     ["train", "--corpus", "out/interval.json", "--checkpoint", "out/lstm2.ckpt", "--curve", "out/lstm2.csv",
      "--cell", "lstm", "--num-layers", "2", "--batch-size", "4", "--clip-norm", "0.5", *TRAIN],
+    ["sweep", "--corpus", "out/control.json", "--out-dir", "out/sweep", "--cells", "lstm,ugrnn,gru",
+     "--layers", "1,2", "--batch-size", "4", "--hidden-size", "16", "--embedding-dim", "8",
+     "--max-iterations", "5"],
     ["eval", "--songs", SONGS, "--out-dir", "out/eval_songs"],
     ["eval", "--songs", SONGS, "--out-dir", "out/eval_songs_n20", "--span-n", "20", "--span-lb", "3",
      "--span-ub", "15"],

@@ -1,12 +1,15 @@
 """Command-line pipeline: dataset, train, sweep, sample, eval.
 
 Every command exits 0 on success and 1 with a one-line JSON error object
-on stderr otherwise, bad flags included.  Path flags fall back to MELODYKIT_* env vars
-(paths only, never numeric settings).  Given identical inputs, flags, and
-seeds, each command writes byte-identical outputs on the same platform, that
-is, with the same code and the same numpy/BLAS build.  Another build may sum
-floats in another order, so its losses, and with them the training
-trajectory, can differ in the last bits and beyond.
+on stderr otherwise, bad flags included.  Every output file is replaced
+whole or not at all (core.write_atomic), but a command is not atomic: a
+failure at its k-th file leaves files 1..k-1 new beside older ones.  Path
+flags fall back to MELODYKIT_* env vars (paths only, never numeric
+settings).  Given identical inputs, flags, and seeds, each command writes
+byte-identical outputs on the same platform, that is, with the same code
+and the same numpy/BLAS build.  Another build may sum floats in another
+order, so its losses, and with them the training trajectory, can differ in
+the last bits and beyond.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ def _write_corpus(corpus: TrainingCorpus, out: Path) -> Path:
     """Write json.dumps({"variant", "x", "y"}, sort_keys=True) and the vocabulary sidecar.
 
     y is x shifted by one, so both id lists are slices of one join over the
-    id stream.  Each file is replaced atomically.
+    id stream.
     """
     ids = np.append(corpus.x, corpus.y[-1:])
     names = np.array([str(i) for i in range(corpus.vocabulary.size)], dtype=object)
@@ -219,7 +222,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         f"{r['cell']},{r['layers']},{r['initial_loss']!r},{r['final_loss']!r},{r['status']}"
         for r in rows
     ]
-    (out_dir / "summary.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    core.write_atomic(out_dir / "summary.csv", ("\n".join(lines) + "\n").encode("utf-8"))
 
     best_lines = ["cell,best_layers,final_loss"]
     for cell in cells:
@@ -228,7 +231,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             best = min(ok, key=lambda r: r["final_loss"])
             best_lines.append(f"{cell},{best['layers']},{best['final_loss']!r}")
             print(f"best for {cell}: {best['layers']} layers (final {best['final_loss']:.4f})")
-    (out_dir / "best.csv").write_text("\n".join(best_lines) + "\n", encoding="utf-8")
+    core.write_atomic(out_dir / "best.csv", ("\n".join(best_lines) + "\n").encode("utf-8"))
     print(f"wrote {out_dir / 'summary.csv'} and {out_dir / 'best.csv'}")
     return 0
 
@@ -245,7 +248,7 @@ def _write_song_files(songs: list[Song], out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     core.save_songs_jsonl(songs, out_dir / "songs.jsonl")
     for i, song in enumerate(songs):
-        (out_dir / f"song_{i:03d}.mid").write_bytes(midi.write_midi(song))
+        core.write_atomic(out_dir / f"song_{i:03d}.mid", midi.write_midi(song))
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
@@ -274,20 +277,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.checkpoint is not None:
         core.save_songs_jsonl(songs, out_dir / "songs.jsonl")
-    with open(out_dir / "reports.jsonl", "w", encoding="utf-8") as fh:
-        for r in reports:
-            fh.write(json.dumps(r.as_dict(), sort_keys=True) + "\n")
+    core.write_atomic(out_dir / "reports.jsonl",
+                      "".join(json.dumps(r._asdict(), sort_keys=True) + "\n" for r in reports).encode("utf-8"))
     stats_payload = {"count": stats.count, "representative_index": rep_index}
     csv_lines = ["metric,mean,std"]
     summary = [f"songs: {stats.count}"]
-    for name, mean in stats.mean.as_dict().items():
-        std = getattr(stats.std, name)
+    for name, mean, std in zip(metrics.MetricReport._fields, stats.mean, stats.std):
         stats_payload[name] = {"mean": mean, "std": std}
         csv_lines.append(f"{name},{mean!r},{std!r}")
         summary.append(f"{name + ':':7}{mean:.4f} +- {std:.4f}")
-    (out_dir / "stats.json").write_text(json.dumps(stats_payload, sort_keys=True) + "\n", encoding="utf-8")
-    (out_dir / "stats.csv").write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
-    (out_dir / "representative.mid").write_bytes(midi.write_midi(songs[rep_index]))
+    core.write_atomic(out_dir / "stats.json", (json.dumps(stats_payload, sort_keys=True) + "\n").encode("utf-8"))
+    core.write_atomic(out_dir / "stats.csv", ("\n".join(csv_lines) + "\n").encode("utf-8"))
+    core.write_atomic(out_dir / "representative.mid", midi.write_midi(songs[rep_index]))
 
     print("\n".join(summary))
     print(f"representative: song {rep_index} -> {out_dir / 'representative.mid'}")
@@ -385,7 +386,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (MelodyKitError, ValueError, OSError) as exc:
+    except (MelodyKitError, ValueError, OSError, MemoryError) as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(payload), file=sys.stderr)
         return 1

@@ -238,9 +238,8 @@ def load_songs_jsonl(path: str | Path) -> list[Song]:
 
 
 def save_songs_jsonl(songs: list[Song], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for song in songs:
-            fh.write(json.dumps(song) + "\n")
+    """Write one song per line as a JSON array, replacing path whole."""
+    write_atomic(path, "".join(json.dumps(song) + "\n" for song in songs).encode("utf-8"))
 
 
 def write_atomic(path: str | Path, *chunks: bytes) -> None:

@@ -14,7 +14,8 @@ calls take the same path.  Reports equal a per-span loop's bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,16 +38,12 @@ class SpanConfig:
             raise ValueError(f"need 1 <= lb <= ub <= n, got n={self.n} lb={self.lb} ub={self.ub}")
 
 
-@dataclass(frozen=True)
-class MetricReport:
+class MetricReport(NamedTuple):
     """One value per metric; every output lists the metrics in this order."""
 
     cmm: float
     lm: float
     centr: float
-
-    def as_dict(self) -> dict[str, float]:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -120,7 +117,7 @@ def stats_of_reports(reports: list[MetricReport]) -> MetricStats:
     if not reports:
         raise EmptyInput("no reports to aggregate")
     n = len(reports)
-    columns = list(zip(*(astuple(r) for r in reports)))
+    columns = list(zip(*reports))
     means = [sum(col) / n for col in columns]
     stds = [math.sqrt(sum((v - m) ** 2 for v in col) / n) for col, m in zip(columns, means)]
     return MetricStats(mean=MetricReport(*means), std=MetricReport(*stds), count=n)
@@ -133,11 +130,10 @@ def representative_song(reports: list[MetricReport], centroid: MetricReport) -> 
     """
     if not reports:
         raise EmptyInput("no reports to choose from")
-    c = astuple(centroid)
     best_i = 0
     best_d = math.inf
     for i, r in enumerate(reports):
-        d = math.sqrt(sum((a - b) ** 2 for a, b in zip(astuple(r), c)))
+        d = math.sqrt(sum((a - b) ** 2 for a, b in zip(r, centroid)))
         if d < best_d:
             best_i, best_d = i, d
     return best_i

@@ -148,21 +148,12 @@ def test_dataset_rejects_midi_data_byte_with_high_bit(tmp_path, variant):
     assert stdout == "" and list(tmp_path.iterdir()) == [midi_dir]
 
 
-@pytest.mark.parametrize("failing", ["corpus", "sidecar"])
-def test_dataset_write_failure_keeps_old_outputs(tmp_path, monkeypatch, failing):
-    songs_path = tmp_path / "songs.jsonl"
-    make_train_songs(songs_path)
-    out = tmp_path / "corpus.json"
-    sidecar = tmp_path / "corpus.vocab.json"
-    code, _, err = run_cli(["dataset", "--songs", songs_path, "--variant", "control", "--out", out])
-    assert code == 0, err
-    before = {p: p.read_bytes() for p in (out, sidecar)}
+def fail_kth_output(monkeypatch, k):
+    """Make the k-th file that core opens for writing stop halfway through its first write on a full disk."""
     real_open = open
-    writes = []
+    opened = []
 
     class WriteFails:
-        """A file whose write stops halfway on a full disk when it is the failing output."""
-
         def __init__(self, fh):
             self.fh = fh
 
@@ -173,17 +164,30 @@ def test_dataset_write_failure_keeps_old_outputs(tmp_path, monkeypatch, failing)
             self.fh.close()
 
         def write(self, data):
-            writes.append(data)
-            if len(writes) == (1 if failing == "corpus" else 2):
-                self.fh.write(data[: len(data) // 2])
-                raise OSError(errno.ENOSPC, "No space left on device")
-            return self.fh.write(data)
+            self.fh.write(data[: len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
 
     def failing_open(path, mode="r", *args, **kwargs):
         fh = real_open(path, mode, *args, **kwargs)
-        return WriteFails(fh) if "w" in mode else fh
+        if "w" in mode:
+            opened.append(path)
+            if len(opened) == k:
+                return WriteFails(fh)
+        return fh
 
     monkeypatch.setattr(core, "open", failing_open, raising=False)
+
+
+@pytest.mark.parametrize("failing", ["corpus", "sidecar"])
+def test_dataset_write_failure_keeps_old_outputs(tmp_path, monkeypatch, failing):
+    songs_path = tmp_path / "songs.jsonl"
+    make_train_songs(songs_path)
+    out = tmp_path / "corpus.json"
+    sidecar = tmp_path / "corpus.vocab.json"
+    code, _, err = run_cli(["dataset", "--songs", songs_path, "--variant", "control", "--out", out])
+    assert code == 0, err
+    before = {p: p.read_bytes() for p in (out, sidecar)}
+    fail_kth_output(monkeypatch, 1 if failing == "corpus" else 2)
     code, _, err = run_cli(["dataset", "--songs", songs_path, "--variant", "db12", "--out", out])
     monkeypatch.undo()
     assert_json_error(code, err, "OSError")
@@ -495,6 +499,18 @@ def test_train_rejects_zero_width(tmp_path, flag):
     )
     assert_json_error(code, err, "ValueError")
     assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_train_oversized_width_is_one_json_line(tmp_path):
+    # Memory is the only bound on --hidden-size; 10**7 units ask for a
+    # petabyte weight matrix, beyond any address space.
+    corpus_path = build_corpus_file(tmp_path)
+    code, stdout, err = run_cli(
+        ["train", "--corpus", corpus_path, "--checkpoint", tmp_path / "m.ckpt",
+         "--hidden-size", str(10**7), "--max-iterations", "1", "--batch-size", "4"]
+    )
+    assert_json_error(code, err, "MemoryError")
+    assert stdout == "" and not (tmp_path / "m.ckpt").exists()
 
 
 # --- sample ----------------------------------------------------------------
@@ -831,3 +847,43 @@ def test_sweep_records_divergence_as_an_error_row(tmp_path):
     assert rows[1:] == ["ugrnn,1,nan,nan,error:TrainingDiverged"]
     assert (out_dir / "best.csv").read_text() == "cell,best_layers,final_loss\n"
     assert not (out_dir / "curve_ugrnn_1.csv").exists()
+
+
+# --- a failed write --------------------------------------------------------
+
+WRITE_ORDER = {
+    "sample": ["songs.jsonl"] + [f"song_{i:03d}.mid" for i in range(4)],
+    "eval": ["songs.jsonl", "reports.jsonl", "stats.json", "stats.csv", "representative.mid"],
+    "sweep": ["curve_ugrnn_1.csv", "summary.csv", "best.csv"],
+}
+
+
+@pytest.mark.parametrize("command, k", [
+    ("sample", 1), ("sample", 3), ("sample", 5),
+    ("eval", 1), ("eval", 3), ("eval", 5),
+    ("sweep", 1), ("sweep", 2), ("sweep", 3),
+])
+def test_write_failure_keeps_that_output_and_later_ones_old(tmp_path, monkeypatch, command, k):
+    # The command reruns with another seed over its own outputs and its k-th
+    # file write fails halfway: files 1..k-1 are new, the rest keep their old
+    # bytes, and no temporary file is left.
+    if command == "sweep":
+        argv = ["sweep", "--corpus", build_corpus_file(tmp_path), "--cells", "ugrnn", "--layers", "1"] + SMALL_TRAIN
+    else:
+        argv = [command, "--checkpoint", train_checkpoint(tmp_path), "--mode", "temperature",
+                "--count", "4", "--notes", "12"]
+    order = WRITE_ORDER[command]
+    out_dir, fresh = tmp_path / "out", tmp_path / "fresh"
+    for where, seed in ((out_dir, "1"), (fresh, "2")):
+        code, _, err = run_cli(argv + ["--out-dir", where, "--seed", seed])
+        assert code == 0, err
+    old = {name: (out_dir / name).read_bytes() for name in order}
+    new = {name: (fresh / name).read_bytes() for name in order}
+    assert all(old[name] != new[name] for name in order)
+    fail_kth_output(monkeypatch, k)
+    code, _, err = run_cli(argv + ["--out-dir", out_dir, "--seed", "2"])
+    monkeypatch.undo()
+    assert_json_error(code, err, "OSError")
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted(order)
+    for i, name in enumerate(order, start=1):
+        assert (out_dir / name).read_bytes() == (new if i < k else old)[name], name
