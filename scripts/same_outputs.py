@@ -14,9 +14,10 @@ gradients are clipped at norm 0.5 (interval), sweeps {lstm, ugrnn, gru} x
 {1, 2} layers on the control corpus (`gru` is no cell, so its rows are
 error rows), scores the bundled songs (`eval --songs`, many lengths in one
 call) with the default spans and with 20-note spans, samples greedily and
-at a temperature, and runs `eval --checkpoint`.  Then each tree samples
-again from the parent's checkpoints, so a change must also read what the
-parent wrote.
+at a temperature, runs `eval --checkpoint`, and reads two of the sampled
+MIDI directories back with `dataset --midi-dir` (db12 and interval).  Then
+each tree samples and reads back again from the parent's checkpoints, so a
+change must also read what the parent wrote.
 
 Every command's exit code and stdout, and every file either tree wrote,
 are compared.  Prints one line per difference and a summary; exits 1 if
@@ -59,7 +60,11 @@ COMMANDS = [
 
 
 def sampling(ckpt_dir: str, out_dir: str) -> list[list[str]]:
-    """Greedy and temperature sampling and `eval --checkpoint` from the checkpoints in ckpt_dir."""
+    """Greedy and temperature sampling and `eval --checkpoint` from the checkpoints in ckpt_dir.
+
+    Two of the sampled MIDI directories are then read back with
+    `dataset --midi-dir`, as db12 and as interval corpora.
+    """
     return [
         ["sample", "--checkpoint", f"{ckpt_dir}/lstm1.ckpt", "--out-dir", f"{out_dir}/greedy",
          "--mode", "greedy", "--count", "20"],
@@ -68,6 +73,10 @@ def sampling(ckpt_dir: str, out_dir: str) -> list[list[str]]:
         ["sample", "--checkpoint", f"{ckpt_dir}/lstm2.ckpt", "--out-dir", f"{out_dir}/interval",
          "--mode", "temperature", "--count", "20", "--seed", "3"],
         ["eval", "--checkpoint", f"{ckpt_dir}/lstm1.ckpt", "--out-dir", f"{out_dir}/eval", "--count", "20"],
+        ["dataset", "--midi-dir", f"{out_dir}/temperature", "--variant", "db12",
+         "--out", f"{out_dir}/midi_db12.json"],
+        ["dataset", "--midi-dir", f"{out_dir}/interval", "--variant", "interval",
+         "--out", f"{out_dir}/midi_interval.json"],
     ]
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import core, metrics, midi, rnn
 from .core import DatasetVariant, Song, TrainingCorpus, Vocabulary
-from .errors import BadToken, MalformedFile, MelodyKitError
+from .errors import BadToken, MalformedFile, MelodyKitError, PolyphonyDetected
 
 DEFAULT_SEED_SONG = [60, 62, 64, 62]
 DEFAULT_EPOCHS = {DatasetVariant.CONTROL: 300, DatasetVariant.INTERVAL: 300, DatasetVariant.DB12: 50}
@@ -125,7 +125,13 @@ def _load_input_songs(songs_path: str | None, midi_dir: str | None) -> list[Song
     paths = sorted(p for p in Path(midi_dir).iterdir() if p.suffix.lower() in (".mid", ".midi"))
     if not paths:
         raise ValueError(f"no .mid or .midi files in {midi_dir}")
-    return [midi.parse_midi(p.read_bytes()) for p in paths]
+    songs = []
+    for p in paths:
+        try:
+            songs.append(midi.parse_midi(p.read_bytes()))
+        except (MalformedFile, PolyphonyDetected) as exc:
+            raise type(exc)(f"{p}: {exc}") from exc
+    return songs
 
 
 def cmd_dataset(args: argparse.Namespace) -> int:
@@ -160,9 +166,10 @@ def _require_parent_dir(path: Path, flag: str) -> None:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    # Check every output's directory before training, write the checkpoint
-    # last (removing the curve if that write fails) and print only after
-    # it, so a failure leaves neither output and no stdout.
+    # Check every output's directory before training and print only after
+    # the last write.  The checkpoint is written first, then the curve, so a
+    # failed checkpoint leaves both files old and a failed curve leaves the
+    # new checkpoint beside the old curve.
     corpus = _read_corpus(Path(_require(args.corpus, "--corpus", "CORPUS")))
     checkpoint = Path(_require(args.checkpoint, "--checkpoint", "CHECKPOINT"))
     curve_path = None if args.curve is None else Path(args.curve)
@@ -171,14 +178,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     if curve_path is not None:
         _require_parent_dir(curve_path, "--curve")
     model, curve = rnn.train(corpus, config, seed=args.seed)
+    rnn.save_checkpoint(model, checkpoint)
     if curve_path is not None:
         _write_curve(curve, curve_path)
-    try:
-        rnn.save_checkpoint(model, checkpoint)
-    except BaseException:
-        if curve_path is not None:
-            curve_path.unlink(missing_ok=True)
-        raise
     print(f"trained {config.cell} x{config.num_layers} for {len(curve)} iterations")
     if curve:
         print(f"loss: {curve[0][1]:.4f} -> {curve[-1][1]:.4f}")
@@ -240,7 +242,10 @@ def _sample_songs(model: rnn.ModelState, args: argparse.Namespace) -> list[Song]
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
     seed_song = [int(s) for s in str(args.seed_song).split(",")]
-    rngs = [np.random.default_rng([args.seed, i]) for i in range(args.count)]
+    if args.mode == "temperature":
+        rngs = [np.random.default_rng([args.seed, i]) for i in range(args.count)]
+    else:  # greedy decoding draws nothing; sample_batch only counts the lanes
+        rngs = [None] * args.count
     return rnn.sample_batch(model, seed_song, args.notes, args.mode, args.temperature, rngs)
 
 

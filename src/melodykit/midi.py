@@ -11,10 +11,12 @@ The writer emits a fixed shape: format 0, one track, 480 ticks per
 quarter note, a 120 BPM tempo event, then each note as a velocity-90
 note-on lasting exactly 480 ticks.  parse_midi(write_midi(song)) == song.
 
-Neither makes a Python object per note: the parser keeps every note's
-start tick, end tick and pitch in three flat lists and reads one-byte
-delta times inline, and the writer copies the pitches into a repeated
-note template.  The file format is the same either way.
+Neither makes a Python object per note: the writer copies the pitches into
+a repeated note template.  The reader first inverts that layout: it takes
+the note-on pitch bytes from their fixed offsets, re-encodes them and
+returns them if the result equals the file byte for byte.  Any other file
+goes to the track walker, which keeps every note's start tick, end tick
+and pitch in three flat lists and reads one-byte delta times inline.
 """
 
 from __future__ import annotations
@@ -131,6 +133,12 @@ def _parse_track(
 
 def parse_midi(data: bytes) -> Song:
     """Extract the monophonic note sequence from a format 0 or 1 file."""
+    # A file in write_midi's layout is a 29-byte prefix, one 9-byte record
+    # per note whose third byte is its pitch, and a 4-byte end of track:
+    # 33 + 9k bytes, the k pitches at offsets 31, 40, ...
+    pitches = data[31:-4:9]
+    if len(data) == 33 + 9 * len(pitches) and pitches and pitches.isascii() and _encode(pitches) == data:
+        return list(pitches)
     if len(data) < 14 or data[0:4] != b"MThd":
         raise MalformedFile("missing MThd header")
     header_len = _read_u32(data, 4)
@@ -189,7 +197,11 @@ _END_OF_TRACK = bytes([0x00, 0xFF, 0x2F, 0x00])
 def write_midi(song: Song) -> bytes:
     """Serialise a song as format 0: 480-tick quarter notes at 120 BPM."""
     check_song(song)
-    pitches = bytes(song)
+    return _encode(bytes(song))
+
+
+def _encode(pitches: bytes) -> bytes:
+    """write_midi's bytes for pitches already known to lie in [0, 127]."""
     notes = bytearray(_NOTE * len(pitches))
     notes[2 :: len(_NOTE)] = pitches
     notes[7 :: len(_NOTE)] = pitches

@@ -268,6 +268,29 @@ class ModelState:
         return [self.embedding, *layers, self.proj_w, self.proj_b]
 
 
+def _check_sizes(cell: str, num_layers: int, hidden_size: int, embedding_dim: int) -> CellSpec:
+    """The cell's spec; ValueError on an unknown cell or a layer count or width out of range."""
+    if not (1 <= num_layers <= MAX_LAYERS):
+        raise ValueError(f"num_layers must be in [1, {MAX_LAYERS}], got {num_layers}")
+    if hidden_size < 1 or embedding_dim < 1:
+        raise ValueError(f"hidden_size and embedding_dim must be >= 1, got {hidden_size} and {embedding_dim}")
+    return cell_spec(cell)
+
+
+def _empty_model(
+    vocabulary: Vocabulary, variant: DatasetVariant, cell: str, num_layers: int, hidden_size: int, embedding_dim: int
+) -> ModelState:
+    """A model of these sizes whose parameter arrays are allocated but not set."""
+    width = len(_check_sizes(cell, num_layers, hidden_size, embedding_dim).gates) * hidden_size
+    layers = [CellParams(Tensor(np.empty((n + hidden_size, width))), Tensor(np.empty(width)))
+              for n in [embedding_dim] + [hidden_size] * (num_layers - 1)]
+    return ModelState(
+        cell=cell, embedding=Tensor(np.empty((vocabulary.size, embedding_dim))), layers=layers,
+        proj_w=Tensor(np.empty((hidden_size, vocabulary.size))), proj_b=Tensor(np.empty(vocabulary.size)),
+        vocabulary=vocabulary, variant=variant,
+    )
+
+
 def init_model(
     vocabulary: Vocabulary,
     variant: DatasetVariant,
@@ -278,11 +301,7 @@ def init_model(
     rng: np.random.Generator | int | None = None,
     init_scale: float = 0.08,
 ) -> ModelState:
-    if not (1 <= num_layers <= MAX_LAYERS):
-        raise ValueError(f"num_layers must be in [1, {MAX_LAYERS}], got {num_layers}")
-    if hidden_size < 1 or embedding_dim < 1:
-        raise ValueError(f"hidden_size and embedding_dim must be >= 1, got {hidden_size} and {embedding_dim}")
-    cell_spec(cell)
+    _check_sizes(cell, num_layers, hidden_size, embedding_dim)
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(0 if rng is None else rng)
     vocab_size = vocabulary.size
@@ -522,15 +541,16 @@ def sample_batch(
     n: int,
     mode: str,
     temperature: float,
-    rngs: list[np.random.Generator],
+    rngs: list[np.random.Generator | None],
 ) -> list[Song]:
     """Sample one song per generator, all as lanes of one batch.
 
     Every lane is warmed on the same seed song, then generates n tokens,
     feeding back its own picks; lane i draws only from rngs[i], so its song
-    does not depend on how many other lanes run beside it.  A song is the
-    seed with the decoded continuation appended; interval models rebuild
-    notes from the seed's last pitch.
+    does not depend on how many other lanes run beside it.  Greedy decoding
+    draws nothing, so there rngs only gives the lane count and may hold
+    None.  A song is the seed with the decoded continuation appended;
+    interval models rebuild notes from the seed's last pitch.
     """
     if mode not in ("greedy", "temperature"):
         raise ValueError(f"mode must be 'greedy' or 'temperature', got {mode!r}")
@@ -625,9 +645,10 @@ def save_checkpoint(model: ModelState, path: str | Path) -> None:
 def load_checkpoint(path: str | Path) -> ModelState:
     """Rebuild a ModelState from a checkpoint file.
 
-    The header must carry every key and the blob its checksum.  The model is
-    built by init_model from the header and its `_v1_blocks` are filled in
-    order, so the blob must hold exactly as many values as they need.
+    The header must carry every key and the blob its checksum.  The model's
+    arrays are allocated from the header's sizes, unset, and its
+    `_v1_blocks` are filled in order, so the blob must hold exactly as many
+    values as they need.
     """
     data = Path(path).read_bytes()
     nl = data.find(b"\n")
@@ -655,17 +676,13 @@ def load_checkpoint(path: str | Path) -> ModelState:
         vocabulary = Vocabulary(tokens=json_ints(header["vocabulary"], f"{path}: vocabulary"))
         layers, hidden, emb = json_ints([header[k] for k in ("num_layers", "hidden_size", "embedding_dim")],
                                         f"{path}: num_layers, hidden_size and embedding_dim")
-        # init_model allocates before the blob is matched against its
+        # The model is allocated before the blob is matched against its
         # parameters.  Refuse sizes whose embedding table, first gate block or
         # projection alone overflows the blob, so that an edited header cannot
         # make it allocate far more than the file holds.
         if max(vocabulary.size * emb, (emb + hidden) * hidden, hidden * vocabulary.size) > flat.size:
             raise ValueError(f"sizes hidden {hidden}, embedding {emb} overflow {flat.size} values")
-        model = init_model(
-            vocabulary, DatasetVariant(header["variant"]),
-            cell=header["cell"], num_layers=layers,
-            hidden_size=hidden, embedding_dim=emb,
-        )
+        model = _empty_model(vocabulary, DatasetVariant(header["variant"]), header["cell"], layers, hidden, emb)
     except (TypeError, ValueError) as exc:
         raise MalformedFile(f"{path}: bad header ({exc})") from exc
     blocks = _v1_blocks(model.cell, [p.value for p in model.parameters()])

@@ -15,6 +15,7 @@ from melodykit.rnn import load_checkpoint, save_checkpoint
 
 from . import oracles
 from .conftest import run_cli
+from .test_midi import assemble, multi_tracks, running_status_tracks
 
 PITCHES = [58, 60, 62, 64, 65]
 
@@ -133,6 +134,27 @@ def test_dataset_from_midi_directory(tmp_path):
 
 
 @pytest.mark.parametrize("variant", ["control", "interval", "db12"])
+def test_dataset_from_mixed_midi_directory_equals_songs_corpus(tmp_path, variant):
+    # write_midi's files are read by re-encoding their pitches, the
+    # running-status and format 1 files by the track walker; all give back
+    # the songs, so the corpus is the one --songs builds.
+    songs_path = tmp_path / "songs.jsonl"
+    songs = make_train_songs(songs_path, count=4)
+    midi_dir = tmp_path / "mid"
+    midi_dir.mkdir()
+    for i, (song, make) in enumerate(zip(songs, [None, running_status_tracks, multi_tracks, None])):
+        (midi_dir / f"song_{i}.mid").write_bytes(write_midi(song) if make is None else assemble(*make(song)))
+    outs = {}
+    for source, flag in ((songs_path, "--songs"), (midi_dir, "--midi-dir")):
+        out = tmp_path / flag.strip("-") / "corpus.json"
+        out.parent.mkdir()
+        code, stdout, err = run_cli(["dataset", flag, source, "--variant", variant, "--out", out])
+        assert code == 0, err
+        outs[flag] = stdout.splitlines()[:2], out.read_bytes(), out.with_name("corpus.vocab.json").read_bytes()
+    assert outs["--midi-dir"] == outs["--songs"]
+
+
+@pytest.mark.parametrize("variant", ["control", "interval", "db12"])
 def test_dataset_rejects_midi_data_byte_with_high_bit(tmp_path, variant):
     # Before, pitch byte 200 became a note: exit 0 and vocabulary [60, 64, 65, 200].
     midi_dir = tmp_path / "mid"
@@ -144,7 +166,7 @@ def test_dataset_rejects_midi_data_byte_with_high_bit(tmp_path, variant):
     out = tmp_path / "corpus.json"
     code, stdout, err = run_cli(["dataset", "--midi-dir", midi_dir, "--variant", variant, "--out", out])
     assert_json_error(code, err, "MalformedFile")
-    assert "track 0: data byte 0xc8" in json.loads(err)["message"]
+    assert json.loads(err)["message"] == f"{midi_dir / 'b.mid'}: track 0: data byte 0xc8 has its high bit set"
     assert stdout == "" and list(tmp_path.iterdir()) == [midi_dir]
 
 
@@ -546,6 +568,23 @@ def test_sample_greedy_rerun_is_byte_identical(tmp_path):
     assert blobs[0] == blobs[1]
 
 
+def test_sample_greedy_makes_no_generator(tmp_path, monkeypatch):
+    ckpt = train_checkpoint(tmp_path)
+    argv = ["sample", "--checkpoint", ckpt, "--count", "3", "--notes", "6"]
+    code, _, err = run_cli(argv + ["--out-dir", tmp_path / "a"])
+    assert code == 0, err
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("greedy sampling made a generator")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    code, _, err = run_cli(argv + ["--out-dir", tmp_path / "b"])
+    monkeypatch.undo()
+    assert code == 0, err
+    for name in ["songs.jsonl"] + [f"song_{i:03d}.mid" for i in range(3)]:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 def test_sample_custom_seed_song(tmp_path):
     ckpt = train_checkpoint(tmp_path)
     out_dir = tmp_path / "gen"
@@ -852,6 +891,7 @@ def test_sweep_records_divergence_as_an_error_row(tmp_path):
 # --- a failed write --------------------------------------------------------
 
 WRITE_ORDER = {
+    "train": ["model.ckpt", "curve.csv"],
     "sample": ["songs.jsonl"] + [f"song_{i:03d}.mid" for i in range(4)],
     "eval": ["songs.jsonl", "reports.jsonl", "stats.json", "stats.csv", "representative.mid"],
     "sweep": ["curve_ugrnn_1.csv", "summary.csv", "best.csv"],
@@ -859,6 +899,7 @@ WRITE_ORDER = {
 
 
 @pytest.mark.parametrize("command, k", [
+    ("train", 1), ("train", 2),
     ("sample", 1), ("sample", 3), ("sample", 5),
     ("eval", 1), ("eval", 3), ("eval", 5),
     ("sweep", 1), ("sweep", 2), ("sweep", 3),
@@ -867,21 +908,30 @@ def test_write_failure_keeps_that_output_and_later_ones_old(tmp_path, monkeypatc
     # The command reruns with another seed over its own outputs and its k-th
     # file write fails halfway: files 1..k-1 are new, the rest keep their old
     # bytes, and no temporary file is left.
-    if command == "sweep":
+    if command == "train":
+        argv = ["train", "--corpus", build_corpus_file(tmp_path)] + SMALL_TRAIN
+    elif command == "sweep":
         argv = ["sweep", "--corpus", build_corpus_file(tmp_path), "--cells", "ugrnn", "--layers", "1"] + SMALL_TRAIN
     else:
         argv = [command, "--checkpoint", train_checkpoint(tmp_path), "--mode", "temperature",
                 "--count", "4", "--notes", "12"]
+
+    def into(where):
+        if command != "train":
+            return ["--out-dir", where]
+        where.mkdir(exist_ok=True)
+        return ["--checkpoint", where / "model.ckpt", "--curve", where / "curve.csv"]
+
     order = WRITE_ORDER[command]
     out_dir, fresh = tmp_path / "out", tmp_path / "fresh"
     for where, seed in ((out_dir, "1"), (fresh, "2")):
-        code, _, err = run_cli(argv + ["--out-dir", where, "--seed", seed])
+        code, _, err = run_cli(argv + into(where) + ["--seed", seed])
         assert code == 0, err
     old = {name: (out_dir / name).read_bytes() for name in order}
     new = {name: (fresh / name).read_bytes() for name in order}
     assert all(old[name] != new[name] for name in order)
     fail_kth_output(monkeypatch, k)
-    code, _, err = run_cli(argv + ["--out-dir", out_dir, "--seed", "2"])
+    code, _, err = run_cli(argv + into(out_dir) + ["--seed", "2"])
     monkeypatch.undo()
     assert_json_error(code, err, "OSError")
     assert sorted(p.name for p in out_dir.iterdir()) == sorted(order)

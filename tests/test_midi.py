@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from melodykit import midi
 from melodykit.errors import MalformedFile, PolyphonyDetected
 from melodykit.midi import parse_midi, write_midi
 
@@ -33,6 +34,26 @@ def on(pitch, vel=90, delta=0, status=True, channel=0):
 
 def off(pitch, delta=0x60, status=True, channel=0):
     return bytes([delta]) + (bytes([0x80 | channel]) if status else b"") + bytes([pitch, 0x40])
+
+
+# The parser skips an unknown chunk, and a file that ends in one no longer
+# has write_midi's layout, so parse_midi reads it with the track walker.
+UNKNOWN_CHUNK = b"XFIH" + (0).to_bytes(4, "big")
+
+
+def walk(data):
+    return parse_midi(data + UNKNOWN_CHUNK)
+
+
+def outcome(parse, data):
+    try:
+        return parse(data)
+    except (MalformedFile, PolyphonyDetected) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("called")
 
 
 # --- writer anatomy -------------------------------------------------------
@@ -68,18 +89,69 @@ def test_write_rejects_bad_songs():
 
 
 def test_roundtrip_examples():
-    assert parse_midi(write_midi([60])) == [60]
-    assert parse_midi(write_midi([60, 62, 64, 62])) == [60, 62, 64, 62]
-    assert parse_midi(write_midi([0, 127])) == [0, 127]
+    for song in ([60], [60, 62, 64, 62], [0, 127]):
+        assert parse_midi(write_midi(song)) == song
+        assert walk(write_midi(song)) == song
 
 
 @given(songs)
 @settings(max_examples=200)
 def test_roundtrip_property(song):
     assert parse_midi(write_midi(song)) == song
+    assert walk(write_midi(song)) == song
     # the undamaged files of the oracle comparison below
     for make in (running_status_tracks, multi_tracks):
         assert parse_midi(assemble(*make(song))) == song
+
+
+# --- the writer's layout, read back by re-encoding -----------------------
+
+def test_appended_chunk_is_read_by_the_walker(monkeypatch):
+    data = write_midi([60, 62, 64])
+    monkeypatch.setattr(midi, "_encode", refuse)
+    assert walk(data) == [60, 62, 64]
+
+
+def test_parse_does_not_call_write_midi(monkeypatch):
+    # perfbench wraps midi.write_midi to count the bytes it writes, so the
+    # reader must re-encode without going through that name.
+    data = write_midi([60, 62, 64])
+    monkeypatch.setattr(midi, "write_midi", refuse)
+    assert parse_midi(data) == [60, 62, 64]
+
+
+@st.composite
+def writer_layouts(draw):
+    """write_midi's layout for any pitch bytes, 0x80 and above too, maybe with one track byte changed."""
+    data = bytearray(midi._encode(bytes(draw(st.lists(st.integers(0, 255), min_size=1, max_size=30)))))
+    if draw(st.booleans()):
+        data[draw(st.integers(22, len(data) - 1))] = draw(st.integers(0, 255))
+    return bytes(data)
+
+
+@given(writer_layouts())
+@settings(max_examples=300)
+def test_writer_layout_reads_as_the_walker_reads_it(data):
+    assert outcome(parse_midi, data) == outcome(walk, data)
+
+
+@pytest.mark.parametrize("offsets", [(31 + 9,), (31 + 9, 36 + 9)], ids=["note-on", "note-on-and-off"])
+def test_writer_layout_with_a_high_pitch_byte_is_refused_by_the_walker(offsets):
+    # Setting the second note's note-on and note-off pitch bytes both gives
+    # exactly the writer's layout around a pitch byte of 0xc8.
+    data = bytearray(write_midi([60, 64, 64, 65]))
+    for i in offsets:
+        data[i] = 0xC8
+    with pytest.raises(MalformedFile, match="^track 0: data byte 0xc8 has its high bit set$"):
+        parse_midi(bytes(data))
+
+
+@pytest.mark.parametrize("velocity, expected", [(100, [60, 62, 64]), (0, [60, 64])])
+def test_writer_layout_with_another_velocity_is_read_by_the_walker(velocity, expected):
+    # Velocity 0 makes the second note-on a note-off, so that note is gone.
+    data = bytearray(write_midi([60, 62, 64]))
+    data[32 + 9] = velocity
+    assert parse_midi(bytes(data)) == walk(bytes(data)) == expected
 
 
 # --- parser behaviors -----------------------------------------------------

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from melodykit import core
+from melodykit import core, rnn
 from melodykit.core import DatasetVariant, Vocabulary, build_corpus
 from melodykit.errors import (
     BadToken,
@@ -260,8 +260,8 @@ def test_init_model_layer_bounds():
 
 
 def test_init_model_rejects_zero_width():
-    # train and load_checkpoint both build through init_model, so a
-    # degenerate width is refused on either path.
+    # init_model and load_checkpoint share one size check, so a degenerate
+    # width is refused on either path.
     with pytest.raises(ValueError):
         tiny_model(hidden=0)
     with pytest.raises(ValueError):
@@ -635,6 +635,8 @@ def test_sample_batch_lane_equals_one_lane_call(toy_runs, cell, mode, variant):
         for i, song in enumerate(songs):
             assert song == sample(model, seed_song, 25, mode=mode, temperature=0.8,
                                   rng=np.random.default_rng([5, i]))
+        if mode == "greedy":  # greedy lanes draw nothing, so they need no generator
+            assert sample_batch(model, seed_song, 25, mode, 0.8, [None] * 6) == songs
 
 
 def test_pick_draw_equals_rng_choice():
@@ -707,6 +709,27 @@ def test_checkpoint_save_is_canonical(tmp_path):
     save_checkpoint(m, p1)
     save_checkpoint(load_checkpoint(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("cell, layers", [("lstm", 1), ("ugrnn", 3)])
+def test_load_checkpoint_draws_no_initial_weights(tmp_path, monkeypatch, cell, layers):
+    # load_checkpoint fills freshly allocated arrays from the blob: it does
+    # not build the model through init_model or make a generator.
+    model = tiny_model(cell=cell, layers=layers, seed=3)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew initial weights")
+
+    monkeypatch.setattr(rnn, "init_model", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    loaded = load_checkpoint(path)
+    monkeypatch.undo()
+    assert (loaded.cell, loaded.num_layers) == (cell, layers)
+    for p, q in zip(model.parameters(), loaded.parameters()):
+        assert p.value.shape == q.value.shape
+        np.testing.assert_array_equal(p.value, q.value)
 
 
 @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
