@@ -6,18 +6,20 @@
 Both trees are exported as `scripts/bench_pairs.py` exports them, into a
 temporary directory that is deleted afterwards.  Each command runs as
 `python -m melodykit.cli` from its tree's root, with that tree's `src` on
-the path, the MELODYKIT_* variables unset and one BLAS thread; all paths
-are relative, so the trees' stdout can be compared as text.  The list
-builds the bundled corpus in all three variants, trains an LSTM x1 at
-batch 50 (db12), a UGRNN x3 at batch 4 (control) and an LSTM x2 whose
-gradients are clipped at norm 0.5 (interval), sweeps {lstm, ugrnn, gru} x
-{1, 2} layers on the control corpus (`gru` is no cell, so its rows are
-error rows), scores the bundled songs (`eval --songs`, many lengths in one
-call) with the default spans and with 20-note spans, samples greedily and
-at a temperature, runs `eval --checkpoint`, and reads two of the sampled
-MIDI directories back with `dataset --midi-dir` (db12 and interval).  Then
-each tree samples and reads back again from the parent's checkpoints, so a
-change must also read what the parent wrote.
+the path and one BLAS thread; all paths are relative, so the trees' stdout
+can be compared as text.  The MELODYKIT_* variables are unset, except that
+one `sample` and one `dataset --midi-dir` of each sampling round take
+their paths from them in place of flags.  The list builds the bundled
+corpus in all three variants, trains an LSTM x1 at batch 50 (db12), a
+UGRNN x3 at batch 4 (control) and an LSTM x2 whose gradients are clipped
+at norm 0.5 (interval), sweeps {lstm, ugrnn, gru} x {1, 2} layers on the
+control corpus (`gru` is no cell, so its rows are error rows), scores the
+bundled songs (`eval --songs`, many lengths in one call) with the default
+spans and with 20-note spans, samples greedily and at a temperature, runs
+`eval --checkpoint`, and reads two of the sampled MIDI directories back
+with `dataset --midi-dir` (db12 and interval).  Then each tree samples and
+reads back again from the parent's checkpoints, so a change must also read
+what the parent wrote.
 
 Every command's exit code and stdout, and every file either tree wrote,
 are compared.  Prints one line per difference and a summary; exits 1 if
@@ -59,11 +61,13 @@ COMMANDS = [
 ]
 
 
-def sampling(ckpt_dir: str, out_dir: str) -> list[list[str]]:
+def sampling(ckpt_dir: str, out_dir: str) -> list:
     """Greedy and temperature sampling and `eval --checkpoint` from the checkpoints in ckpt_dir.
 
     Two of the sampled MIDI directories are then read back with
-    `dataset --midi-dir`, as db12 and as interval corpora.
+    `dataset --midi-dir`, as db12 and as interval corpora.  The last two
+    commands, an (env, argv) pair each, repeat a greedy `sample` and the
+    db12 read-back with their paths in MELODYKIT_* variables.
     """
     return [
         ["sample", "--checkpoint", f"{ckpt_dir}/lstm1.ckpt", "--out-dir", f"{out_dir}/greedy",
@@ -77,11 +81,17 @@ def sampling(ckpt_dir: str, out_dir: str) -> list[list[str]]:
          "--out", f"{out_dir}/midi_db12.json"],
         ["dataset", "--midi-dir", f"{out_dir}/interval", "--variant", "interval",
          "--out", f"{out_dir}/midi_interval.json"],
+        ({"MELODYKIT_CHECKPOINT": f"{ckpt_dir}/lstm1.ckpt", "MELODYKIT_OUT_DIR": f"{out_dir}/greedy_env"},
+         ["sample", "--mode", "greedy", "--count", "20"]),
+        ({"MELODYKIT_MIDI_DIR": f"{out_dir}/temperature", "MELODYKIT_OUT": f"{out_dir}/midi_db12_env.json"},
+         ["dataset", "--variant", "db12"]),
     ]
 
 
-def run(tree: Path, argv: list[str]) -> tuple[int, str]:
+def run(tree: Path, argv: list[str], paths: dict[str, str] | None = None) -> tuple[int, str]:
+    """Exit code and output of one command; `paths` sets MELODYKIT_* variables, which are otherwise unset."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("MELODYKIT_")}
+    env.update(paths or {})
     env.update(PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, "-m", "melodykit.cli", *argv], cwd=tree, env=env,
@@ -93,12 +103,16 @@ def written(tree: Path, top: str) -> set[str]:
     return {str(p.relative_to(tree)) for p in (tree / top).rglob("*") if p.is_file()}
 
 
-def run_both(trees: dict[str, Path], commands: list[list[str]]) -> list[str]:
-    """Run each command in both trees; returns the commands whose exit code or output differ."""
+def run_both(trees: dict[str, Path], commands: list) -> list[str]:
+    """Run each command, an argv or an (env, argv) pair, in both trees.
+
+    Returns the commands whose exit code or output differ.
+    """
     differences = []
-    for argv in commands:
-        got = {side: run(tree, argv) for side, tree in trees.items()}
-        line = "melodykit " + " ".join(argv)
+    for command in commands:
+        paths, argv = command if isinstance(command, tuple) else ({}, command)
+        got = {side: run(tree, argv, paths) for side, tree in trees.items()}
+        line = " ".join([*(f"{k}={v}" for k, v in paths.items()), "melodykit", *argv])
         if got["parent"][0]:
             raise SystemExit(f"{line} failed in the parent:\n{got['parent'][1]}")
         same = got["parent"] == got["change"]

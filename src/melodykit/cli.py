@@ -3,13 +3,14 @@
 Every command exits 0 on success and 1 with a one-line JSON error object
 on stderr otherwise, bad flags included.  Every output file is replaced
 whole or not at all (core.write_atomic), but a command is not atomic: a
-failure at its k-th file leaves files 1..k-1 new beside older ones.  Path
-flags fall back to MELODYKIT_* env vars (paths only, never numeric
-settings).  Given identical inputs, flags, and seeds, each command writes
-byte-identical outputs on the same platform, that is, with the same code
-and the same numpy/BLAS build.  Another build may sum floats in another
-order, so its losses, and with them the training trajectory, can differ in
-the last bits and beyond.
+failure at its k-th file leaves files 1..k-1 new beside older ones.  A
+path flag left unset falls back to the environment variable
+MELODYKIT_<FLAG>, read on each call: --midi-dir to MELODYKIT_MIDI_DIR, for
+example (paths only, never numeric settings).  Given identical inputs,
+flags, and seeds, each command writes byte-identical outputs on the same
+platform, that is, with the same code and the same numpy/BLAS build.
+Another build may sum floats in another order, so its losses, and with
+them the training trajectory, can differ in the last bits and beyond.
 """
 
 from __future__ import annotations
@@ -31,13 +32,13 @@ DEFAULT_SEED_SONG = [60, 62, 64, 62]
 DEFAULT_EPOCHS = {DatasetVariant.CONTROL: 300, DatasetVariant.INTERVAL: 300, DatasetVariant.DB12: 50}
 
 
-def _env_path(name: str) -> str | None:
-    return os.environ.get(f"MELODYKIT_{name}")
+# The dests of the path flags, which fall back to MELODYKIT_<FLAG>.
+_PATH_DESTS = ("songs", "midi_dir", "out", "corpus", "checkpoint", "curve", "out_dir")
 
 
-def _require(value, flag: str, env: str):
+def _require(value, flag: str):
     if value is None:
-        raise ValueError(f"{flag} is required (or set MELODYKIT_{env})")
+        raise ValueError(f"{flag} is required (or set MELODYKIT_{flag[2:].upper().replace('-', '_')})")
     return value
 
 
@@ -135,7 +136,7 @@ def _load_input_songs(songs_path: str | None, midi_dir: str | None) -> list[Song
 
 
 def cmd_dataset(args: argparse.Namespace) -> int:
-    out = Path(_require(args.out, "--out", "OUT"))
+    out = Path(_require(args.out, "--out"))
     variant = DatasetVariant(args.variant)
     raw = _load_input_songs(args.songs, args.midi_dir)
     kept = core.clean_corpus(raw)
@@ -170,8 +171,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     # the last write.  The checkpoint is written first, then the curve, so a
     # failed checkpoint leaves both files old and a failed curve leaves the
     # new checkpoint beside the old curve.
-    corpus = _read_corpus(Path(_require(args.corpus, "--corpus", "CORPUS")))
-    checkpoint = Path(_require(args.checkpoint, "--checkpoint", "CHECKPOINT"))
+    corpus = _read_corpus(Path(_require(args.corpus, "--corpus")))
+    checkpoint = Path(_require(args.checkpoint, "--checkpoint"))
     curve_path = None if args.curve is None else Path(args.curve)
     config = _train_config(args, corpus.variant)
     _require_parent_dir(checkpoint, "--checkpoint")
@@ -192,8 +193,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     # Parse the grid before creating --out-dir, so a bad flag leaves no output.
-    corpus = _read_corpus(Path(_require(args.corpus, "--corpus", "CORPUS")))
-    out_dir = Path(_require(args.out_dir, "--out-dir", "OUT_DIR"))
+    corpus = _read_corpus(Path(_require(args.corpus, "--corpus")))
+    out_dir = Path(_require(args.out_dir, "--out-dir"))
     cells = [c.strip() for c in args.cells.split(",") if c.strip()]
     layer_counts = _parse_int_list(args.layers, "--layers")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -257,8 +258,8 @@ def _write_song_files(songs: list[Song], out_dir: Path) -> None:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    model = rnn.load_checkpoint(_require(args.checkpoint, "--checkpoint", "CHECKPOINT"))
-    out_dir = Path(_require(args.out_dir, "--out-dir", "OUT_DIR"))
+    model = rnn.load_checkpoint(_require(args.checkpoint, "--checkpoint"))
+    out_dir = Path(_require(args.out_dir, "--out-dir"))
     songs = _sample_songs(model, args)
     _write_song_files(songs, out_dir)
     print(f"wrote {len(songs)} songs ({len(songs[0]) if songs else 0} notes each) to {out_dir}")
@@ -267,7 +268,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     # Check, load and score before creating --out-dir, so a failure leaves no output.
-    out_dir = Path(_require(args.out_dir, "--out-dir", "OUT_DIR"))
+    out_dir = Path(_require(args.out_dir, "--out-dir"))
     if (args.songs is None) == (args.checkpoint is None):
         raise ValueError("pass exactly one of --songs or --checkpoint")
     cfg = metrics.SpanConfig(n=args.span_n, lb=args.span_lb, ub=args.span_ub)
@@ -340,23 +341,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("dataset", help="transform songs into a token corpus")
-    p.add_argument("--songs", default=_env_path("SONGS"), help="JSON Lines song file")
-    p.add_argument("--midi-dir", default=_env_path("MIDI_DIR"), help="directory of .mid files")
+    p.add_argument("--songs", help="JSON Lines song file")
+    p.add_argument("--midi-dir", help="directory of .mid files")
     p.add_argument("--variant", default="control", choices=[v.value for v in DatasetVariant])
-    p.add_argument("--out", default=_env_path("OUT"), help="corpus JSON output path")
+    p.add_argument("--out", help="corpus JSON output path")
     p.set_defaults(func=cmd_dataset)
 
     p = sub.add_parser("train", help="train one model on a corpus")
-    p.add_argument("--corpus", default=_env_path("CORPUS"))
-    p.add_argument("--checkpoint", default=_env_path("CHECKPOINT"))
-    p.add_argument("--curve", default=_env_path("CURVE"), help="learning-curve CSV path")
+    p.add_argument("--corpus")
+    p.add_argument("--checkpoint")
+    p.add_argument("--curve", help="learning-curve CSV path")
     _add_model_flags(p)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("sweep", help="train a grid of cells x layer counts")
-    p.add_argument("--corpus", default=_env_path("CORPUS"))
-    p.add_argument("--out-dir", default=_env_path("OUT_DIR"))
+    p.add_argument("--corpus")
+    p.add_argument("--out-dir")
     p.add_argument("--cells", default="lstm,ugrnn", help="comma-separated cell kinds")
     p.add_argument("--layers", default="1,2,3", help="comma-separated layer counts")
     _add_model_flags(p)
@@ -364,18 +365,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("sample", help="generate songs from a checkpoint")
-    p.add_argument("--checkpoint", default=_env_path("CHECKPOINT"))
-    p.add_argument("--out-dir", default=_env_path("OUT_DIR"))
+    p.add_argument("--checkpoint")
+    p.add_argument("--out-dir")
     p.add_argument("--mode", default="greedy", choices=["greedy", "temperature"])
     _add_sampling_flags(p)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("eval", help="score songs (or a checkpoint's samples)")
-    p.add_argument("--songs", default=_env_path("SONGS"), help="JSON Lines song file to score")
-    p.add_argument("--checkpoint", default=_env_path("CHECKPOINT"),
-                   help="sample from this checkpoint, then score")
-    p.add_argument("--out-dir", default=_env_path("OUT_DIR"))
+    p.add_argument("--songs", help="JSON Lines song file to score")
+    p.add_argument("--checkpoint", help="sample from this checkpoint, then score")
+    p.add_argument("--out-dir")
     p.add_argument("--mode", default="temperature", choices=["greedy", "temperature"])
     _add_sampling_flags(p)
     p.add_argument("--span-n", type=int, default=12)
@@ -387,9 +387,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
+        for dest in _PATH_DESTS:
+            if getattr(args, dest, "") is None:
+                setattr(args, dest, os.environ.get(f"MELODYKIT_{dest.upper()}"))
         return args.func(args)
     except (MelodyKitError, ValueError, OSError, MemoryError) as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}

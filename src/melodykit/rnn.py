@@ -4,8 +4,12 @@ A model is an embedding table, a stack of identical gated cells, and a
 linear projection to vocabulary logits; everything trains jointly by
 taping each window of the sequence and running Adam on the summed
 cross-entropy.  A layer is one W (input_size + hidden, gates * hidden) and
-one b, gate blocks side by side, for z = [x, h] @ W + b; `_gate_blocks` is
-the one place that cuts them into checkpoint v1's per-gate blocks.
+one b, gate blocks side by side, for z = [x, h] @ W + b.  `_shapes` is
+the one list of a model's parameter shapes, in `parameters()` order, and
+`_empty_model` the one allocator, which `init_model` and `load_checkpoint`
+both call.  `_v1_blocks` (through `_gate_blocks`, which cuts a layer into
+its per-gate blocks) is the one order: `init_model` draws, checkpoint v1
+is written and read, and the clipping norm is summed block by block in it.
 
 Each cell kind is defined once, by its entry in the literal `CELL_TYPES`
 dict: a pointwise numpy step kernel (pre-activations and state in; new
@@ -195,35 +199,13 @@ def _v1_blocks(cell: str, arrays: list[np.ndarray]) -> list[np.ndarray]:
     """Checkpoint v1's blocks, as views, of per-parameter arrays in `parameters()` order.
 
     v1 holds the embedding, each layer's `_gate_blocks`, then the
-    projection's W and b.  Checkpoints are written and read through these
-    views, and the clipping norm sums its squares over them.
+    projection's W and b.  `init_model` draws in their order, checkpoints
+    are written and read through these views, and the clipping norm sums
+    its squares over them.
     """
     gates = len(cell_spec(cell).gates)
     layers = [a for w, b in zip(arrays[1:-2:2], arrays[2:-2:2]) for a in _gate_blocks(w, b, gates)]
     return [arrays[0], *layers, *arrays[-2:]]
-
-
-def init_cell_params(
-    kind: str,
-    input_size: int,
-    hidden_size: int,
-    rng: np.random.Generator,
-    init_scale: float = 0.08,
-) -> CellParams:
-    """Uniform [-init_scale, init_scale] weights, drawn gate by gate in checkpoint v1's order; zero biases.
-
-    The LSTM forget-gate bias starts at 1.0 so early training does not
-    flush the memory lane.
-    """
-    gates = len(cell_spec(kind).gates)
-    w = np.empty((input_size + hidden_size, gates * hidden_size))
-    b = np.zeros(gates * hidden_size)
-    blocks = _gate_blocks(w, b, gates)
-    for block in blocks[::2]:
-        block[...] = rng.uniform(-init_scale, init_scale, size=block.shape)
-    if kind == "lstm":
-        blocks[1][...] = 1.0
-    return CellParams(Tensor(w), Tensor(b))
 
 
 @dataclass
@@ -268,26 +250,27 @@ class ModelState:
         return [self.embedding, *layers, self.proj_w, self.proj_b]
 
 
-def _check_sizes(cell: str, num_layers: int, hidden_size: int, embedding_dim: int) -> CellSpec:
-    """The cell's spec; ValueError on an unknown cell or a layer count or width out of range."""
+def _shapes(cell: str, vocab_size: int, num_layers: int, hidden_size: int, embedding_dim: int) -> list[tuple]:
+    """The parameter shapes in `parameters()` order; ValueError on an unknown cell or a size out of range."""
     if not (1 <= num_layers <= MAX_LAYERS):
         raise ValueError(f"num_layers must be in [1, {MAX_LAYERS}], got {num_layers}")
     if hidden_size < 1 or embedding_dim < 1:
         raise ValueError(f"hidden_size and embedding_dim must be >= 1, got {hidden_size} and {embedding_dim}")
-    return cell_spec(cell)
+    width = len(cell_spec(cell).gates) * hidden_size
+    inputs = [embedding_dim] + [hidden_size] * (num_layers - 1)
+    layers = [shape for n in inputs for shape in ((n + hidden_size, width), (width,))]
+    return [(vocab_size, embedding_dim), *layers, (hidden_size, vocab_size), (vocab_size,)]
 
 
 def _empty_model(
     vocabulary: Vocabulary, variant: DatasetVariant, cell: str, num_layers: int, hidden_size: int, embedding_dim: int
 ) -> ModelState:
     """A model of these sizes whose parameter arrays are allocated but not set."""
-    width = len(_check_sizes(cell, num_layers, hidden_size, embedding_dim).gates) * hidden_size
-    layers = [CellParams(Tensor(np.empty((n + hidden_size, width))), Tensor(np.empty(width)))
-              for n in [embedding_dim] + [hidden_size] * (num_layers - 1)]
+    shapes = _shapes(cell, vocabulary.size, num_layers, hidden_size, embedding_dim)
+    embedding, *layers, proj_w, proj_b = [Tensor(np.empty(shape)) for shape in shapes]
     return ModelState(
-        cell=cell, embedding=Tensor(np.empty((vocabulary.size, embedding_dim))), layers=layers,
-        proj_w=Tensor(np.empty((hidden_size, vocabulary.size))), proj_b=Tensor(np.empty(vocabulary.size)),
-        vocabulary=vocabulary, variant=variant,
+        cell=cell, embedding=embedding, layers=[CellParams(w, b) for w, b in zip(layers[::2], layers[1::2])],
+        proj_w=proj_w, proj_b=proj_b, vocabulary=vocabulary, variant=variant,
     )
 
 
@@ -301,21 +284,20 @@ def init_model(
     rng: np.random.Generator | int | None = None,
     init_scale: float = 0.08,
 ) -> ModelState:
-    _check_sizes(cell, num_layers, hidden_size, embedding_dim)
+    """Uniform [-init_scale, init_scale] weights, drawn block by block in checkpoint v1's order; zero biases.
+
+    The LSTM forget-gate bias starts at 1.0 so early training does not
+    flush the memory lane.
+    """
+    model = _empty_model(vocabulary, variant, cell, num_layers, hidden_size, embedding_dim)
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(0 if rng is None else rng)
-    vocab_size = vocabulary.size
-    embedding = Tensor(rng.uniform(-init_scale, init_scale, size=(vocab_size, embedding_dim)))
-    layers = []
-    for i in range(num_layers):
-        in_size = embedding_dim if i == 0 else hidden_size
-        layers.append(init_cell_params(cell, in_size, hidden_size, rng, init_scale))
-    proj_w = Tensor(rng.uniform(-init_scale, init_scale, size=(hidden_size, vocab_size)))
-    proj_b = Tensor(np.zeros(vocab_size))
-    return ModelState(
-        cell=cell, embedding=embedding, layers=layers,
-        proj_w=proj_w, proj_b=proj_b, vocabulary=vocabulary, variant=variant,
-    )
+    for block in _v1_blocks(cell, [p.value for p in model.parameters()]):
+        block[...] = rng.uniform(-init_scale, init_scale, size=block.shape) if block.ndim == 2 else 0.0
+    if cell == "lstm":
+        for layer in model.layers:
+            layer.b.value[:hidden_size] = 1.0  # the forget gate's block
+    return model
 
 
 def _zero_states(model: ModelState, batch: int) -> list[_State]:
@@ -582,13 +564,16 @@ def sample_batch(
     else:
         uniforms = [None] * n
     states = _zero_states(model, lanes)
-    for t in range(ids.size):
-        logits, states = _forward_step(model, np.full(lanes, ids[t]), states)
     generated = np.empty((lanes, n), dtype=np.int64)
-    generated[:, 0] = _pick(logits, mode, temperature, uniforms[0])
-    for t in range(1, n):
-        logits, states = _forward_step(model, generated[:, t - 1], states)
-        generated[:, t] = _pick(logits, mode, temperature, uniforms[t])
+    # Weights that overflow give non-finite logits, which _pick reports, so
+    # numpy's warnings on the way there are silenced.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(ids.size):
+            logits, states = _forward_step(model, np.full(lanes, ids[t]), states)
+        generated[:, 0] = _pick(logits, mode, temperature, uniforms[0])
+        for t in range(1, n):
+            logits, states = _forward_step(model, generated[:, t - 1], states)
+            generated[:, t] = _pick(logits, mode, temperature, uniforms[t])
 
     songs = []
     for row in generated:
@@ -645,10 +630,10 @@ def save_checkpoint(model: ModelState, path: str | Path) -> None:
 def load_checkpoint(path: str | Path) -> ModelState:
     """Rebuild a ModelState from a checkpoint file.
 
-    The header must carry every key and the blob its checksum.  The model's
-    arrays are allocated from the header's sizes, unset, and its
-    `_v1_blocks` are filled in order, so the blob must hold exactly as many
-    values as they need.
+    The header must carry every key and the blob its checksum, and the
+    blob exactly as many values as the header's sizes describe; that count
+    is checked before anything is allocated.  The model's arrays are then
+    allocated unset and its `_v1_blocks` are filled in order.
     """
     data = Path(path).read_bytes()
     nl = data.find(b"\n")
@@ -676,19 +661,17 @@ def load_checkpoint(path: str | Path) -> ModelState:
         vocabulary = Vocabulary(tokens=json_ints(header["vocabulary"], f"{path}: vocabulary"))
         layers, hidden, emb = json_ints([header[k] for k in ("num_layers", "hidden_size", "embedding_dim")],
                                         f"{path}: num_layers, hidden_size and embedding_dim")
-        # The model is allocated before the blob is matched against its
-        # parameters.  Refuse sizes whose embedding table, first gate block or
-        # projection alone overflows the blob, so that an edited header cannot
-        # make it allocate far more than the file holds.
-        if max(vocabulary.size * emb, (emb + hidden) * hidden, hidden * vocabulary.size) > flat.size:
-            raise ValueError(f"sizes hidden {hidden}, embedding {emb} overflow {flat.size} values")
-        model = _empty_model(vocabulary, DatasetVariant(header["variant"]), header["cell"], layers, hidden, emb)
+        cell, variant = header["cell"], DatasetVariant(header["variant"])
+        # Counted before allocating, so an edited header cannot make it
+        # allocate more than the file holds.
+        count = sum(math.prod(shape) for shape in _shapes(cell, vocabulary.size, layers, hidden, emb))
+        if count != flat.size:
+            raise ValueError(f"sizes describe {count} values, blob holds {flat.size}")
+        model = _empty_model(vocabulary, variant, cell, layers, hidden, emb)
     except (TypeError, ValueError) as exc:
         raise MalformedFile(f"{path}: bad header ({exc})") from exc
-    blocks = _v1_blocks(model.cell, [p.value for p in model.parameters()])
+    blocks = _v1_blocks(cell, [p.value for p in model.parameters()])
     ends = np.cumsum([a.size for a in blocks])
-    if flat.size != ends[-1]:
-        raise MalformedFile(f"{path}: header describes {ends[-1]} values, blob holds {flat.size}")
     for block, values in zip(blocks, np.split(flat, ends[:-1])):
         block[...] = values.reshape(block.shape)
     return model

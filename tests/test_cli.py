@@ -2,6 +2,7 @@ import argparse
 import errno
 import hashlib
 import json
+import os
 import warnings
 
 import numpy as np
@@ -249,6 +250,60 @@ def test_dataset_env_var_paths(tmp_path, monkeypatch):
     assert out.exists()
 
 
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """A song file, a MIDI directory of the same songs, a corpus and a checkpoint trained on it."""
+    tmp_path = tmp_path_factory.mktemp("inputs")
+    songs = make_train_songs(tmp_path / "songs.jsonl")
+    (tmp_path / "midi").mkdir()
+    for i, song in enumerate(songs):
+        (tmp_path / "midi" / f"song_{i}.mid").write_bytes(write_midi(song))
+    ckpt = train_checkpoint(tmp_path)
+    return tmp_path, ckpt
+
+
+# Every command's path flags, each in a full command line; the {in} and
+# {out} fields are the input and output directories.
+PATH_FLAG_COMMANDS = [
+    ("dataset", "--songs", "{in}/songs.jsonl", "--out", "{out}/corpus.json"),
+    ("dataset", "--midi-dir", "{in}/midi", "--out", "{out}/corpus.json"),
+    ("train", "--corpus", "{in}/corpus_control.json", "--checkpoint", "{out}/m.ckpt", "--curve", "{out}/curve.csv",
+     *SMALL_TRAIN),
+    ("sweep", "--corpus", "{in}/corpus_control.json", "--out-dir", "{out}/sweep", "--cells", "ugrnn",
+     "--layers", "1", "--hidden-size", "8", "--embedding-dim", "4", "--batch-size", "2", "--seq-len", "5",
+     "--epochs", "1"),
+    ("sample", "--checkpoint", "{in}/model.ckpt", "--out-dir", "{out}/gen", "--count", "2", "--notes", "3"),
+    ("eval", "--songs", "{in}/songs.jsonl", "--out-dir", "{out}/eval"),
+    ("eval", "--checkpoint", "{in}/model.ckpt", "--out-dir", "{out}/eval", "--count", "2", "--notes", "10"),
+]
+
+
+@pytest.mark.parametrize("command, flag", [
+    pytest.param(argv, flag, id=f"{argv[0]}_{argv[1][2:]}_{flag[2:]}")
+    for argv in PATH_FLAG_COMMANDS for flag in argv if flag in (
+        "--songs", "--midi-dir", "--out", "--corpus", "--checkpoint", "--curve", "--out-dir")
+])
+def test_path_flag_falls_back_to_its_env_var(tmp_path, monkeypatch, cli_inputs, command, flag):
+    # The variables are set after the CLI was imported, so they are read on
+    # each call; an explicit flag wins over its variable.
+    inputs, _ = cli_inputs
+    for name in [name for name in os.environ if name.startswith("MELODYKIT_")]:
+        monkeypatch.delenv(name)
+    argv = [a.format(**{"in": inputs, "out": tmp_path}) for a in command]
+    i = argv.index(flag)
+    var = "MELODYKIT_" + flag[2:].upper().replace("-", "_")
+    code, want, err = run_cli(argv)
+    assert code == 0, err
+
+    monkeypatch.setenv(var, argv[i + 1])
+    code, got, err = run_cli(argv[:i] + argv[i + 2 :])
+    assert (code, got) == (0, want), err
+
+    monkeypatch.setenv(var, str(tmp_path / "missing" / "path"))
+    code, got, err = run_cli(argv)
+    assert (code, got) == (0, want), err
+
+
 # --- train -----------------------------------------------------------------
 
 def test_train_writes_checkpoint_and_curve(tmp_path):
@@ -390,6 +445,32 @@ def test_train_divergence_exits_1_and_writes_nothing(tmp_path):
     assert stdout == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "corpus_control.json", "corpus_control.vocab.json", "songs.jsonl"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--mode", "greedy"],
+    ["sample", "--mode", "temperature"],
+    ["eval", "--mode", "temperature"],
+], ids=["sample-greedy", "sample-temperature", "eval-checkpoint"])
+def test_sampling_overflowed_weights_warns_nothing(tmp_path, argv):
+    # One step at a huge learning rate leaves weights whose products
+    # overflow; the cells saturate, so the logits stay finite and sampling
+    # succeeds without numpy's overflow warnings on stderr.
+    corpus_path = build_corpus_file(tmp_path)
+    ckpt = tmp_path / "m.ckpt"
+    code, _, err = run_cli(
+        ["train", "--corpus", corpus_path, "--checkpoint", ckpt, "--learning-rate", "1e300",
+         "--max-iterations", "1", "--batch-size", "4", "--seq-len", "5", "--hidden-size", "16",
+         "--embedding-dim", "8"]
+    )
+    assert code == 0, err
+    out_dir = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run_cli(argv + ["--checkpoint", ckpt, "--out-dir", out_dir, "--count", "3"])
+    assert code == 0, err
+    assert [str(w.message) for w in caught] == []
+    assert len(load_songs_jsonl(out_dir / "songs.jsonl")) == 3
 
 
 def test_default_epochs_per_variant():

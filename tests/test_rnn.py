@@ -14,6 +14,7 @@ from melodykit.errors import (
     UnknownSeedToken,
 )
 from melodykit.rnn import (
+    CellParams,
     CellState,
     ModelState,
     TrainConfig,
@@ -23,7 +24,6 @@ from melodykit.rnn import (
     _window_loss,
     _zero_states,
     cell_spec,
-    init_cell_params,
     init_model,
     load_checkpoint,
     sample,
@@ -71,26 +71,23 @@ def test_unknown_cell_lists_known():
     assert "lstm" in str(exc_info.value) and "ugrnn" in str(exc_info.value)
 
 
-def test_init_cell_params_shapes_and_biases():
-    rng = np.random.default_rng(0)
-    p = init_cell_params("lstm", input_size=4, hidden_size=6, rng=rng, init_scale=0.05)
-    assert p.w.value.shape == (10, 4 * 6)
-    assert np.abs(p.w.value).max() <= 0.05
-    np.testing.assert_array_equal(p.b.value[:6], np.ones(6))  # forget bias
-    np.testing.assert_array_equal(p.b.value[6:], np.zeros(3 * 6))
-
-    q = init_cell_params("ugrnn", 4, 6, rng)
-    assert q.w.value.shape == (10, 2 * 6)
-    np.testing.assert_array_equal(q.b.value, np.zeros(2 * 6))
+@pytest.mark.parametrize("cell, gates", [("lstm", 4), ("ugrnn", 2)])
+def test_init_model_shapes_and_biases(cell, gates):
+    model = init_model(VOCAB, DatasetVariant.CONTROL, cell=cell, num_layers=2, hidden_size=6,
+                       embedding_dim=4, rng=np.random.default_rng(0), init_scale=0.05)
+    for layer, rows in zip(model.layers, (4 + 6, 6 + 6)):  # layer 1 consumes h
+        assert layer.w.value.shape == (rows, gates * 6)
+        assert np.abs(layer.w.value).max() <= 0.05
+        forget = 6 if cell == "lstm" else 0  # the LSTM forget gate's block comes first
+        np.testing.assert_array_equal(layer.b.value[:forget], np.ones(forget))
+        np.testing.assert_array_equal(layer.b.value[forget:], np.zeros(gates * 6 - forget))
 
 
 # --- single cell steps ---------------------------------------------------
 
 def zero_cell(kind, input_size=3, hidden=2):
-    p = init_cell_params(kind, input_size, hidden, np.random.default_rng(0))
-    p.w.value[:] = 0.0
-    p.b.value[:] = 0.0
-    return p
+    width = len(cell_spec(kind).gates) * hidden
+    return CellParams(Tensor(np.zeros((input_size + hidden, width))), Tensor(np.zeros(width)))
 
 
 def cell_step(kind, x, p, h, c=None):
@@ -124,9 +121,7 @@ def test_lstm_step_saturated_gates_pass_memory():
 
 def test_lstm_step_scalar_hand_value():
     # 1-unit cell, input width 1: every gate sees 0.5*x + 0.25*h + bias
-    p = init_cell_params("lstm", 1, 1, np.random.default_rng(0))
-    p.w.value[:] = [[0.5] * 4, [0.25] * 4]
-    p.b.value[:] = [0.1, -0.2, 0.3, 0.0]
+    p = CellParams(Tensor(np.array([[0.5] * 4, [0.25] * 4])), Tensor(np.array([0.1, -0.2, 0.3, 0.0])))
     x, h0, c0 = 0.8, 0.4, -0.3
     pre = 0.5 * x + 0.25 * h0
 
@@ -159,9 +154,8 @@ def test_ugrnn_step_saturated_gate_carries():
 
 
 def test_ugrnn_step_scalar_hand_value():
-    p = init_cell_params("ugrnn", 1, 1, np.random.default_rng(0))
-    p.w.value[:] = [[0.3, 1.2], [-0.6, 0.4]]  # columns: update, candidate
-    p.b.value[:] = [0.05, -0.1]
+    p = CellParams(Tensor(np.array([[0.3, 1.2], [-0.6, 0.4]])),  # columns: update, candidate
+                   Tensor(np.array([0.05, -0.1])))
     x, h0 = -0.5, 0.9
     g = 1 / (1 + math.exp(-(0.3 * x - 0.6 * h0 + 0.05)))
     c = math.tanh(1.2 * x + 0.4 * h0 - 0.1)
@@ -838,13 +832,21 @@ def edit_header(data, **changes):
         lambda data: edit_header(data, vocabulary=(48,) + VOCAB.tokens[:-1]),  # 48 twice
         lambda data: edit_header(data, cell="gru"),          # not in CELL_TYPES
         lambda data: edit_header(data, variant="pentatonic"),
+        # Each of five layers' arrays fits the one-layer blob; all of them do not.
+        lambda data: edit_header(data, num_layers=5),
     ],
 )
-def test_checkpoint_rejects_corruption(tmp_path, mangle):
+def test_checkpoint_rejects_corruption(tmp_path, monkeypatch, mangle):
     m = tiny_model()
     path = tmp_path / "m.ckpt"
     save_checkpoint(m, path)
     path.write_bytes(mangle(path.read_bytes()))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("load_checkpoint allocated a model for a corrupt file")
+
+    # Every corruption is refused before the model is allocated.
+    monkeypatch.setattr(rnn, "_empty_model", refuse)
     with pytest.raises(MalformedFile):
         load_checkpoint(path)
 
