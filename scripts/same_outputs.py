@@ -15,9 +15,11 @@ UGRNN x3 at batch 4 (control) and an LSTM x2 whose gradients are clipped
 at norm 0.5 (interval), sweeps {lstm, ugrnn, gru} x {1, 2} layers on the
 control corpus (`gru` is no cell, so its rows are error rows), scores the
 bundled songs (`eval --songs`, many lengths in one call) with the default
-spans and with 20-note spans, samples greedily and at a temperature, runs
-`eval --checkpoint`, and reads two of the sampled MIDI directories back
-with `dataset --midi-dir` (db12 and interval).  Then each tree samples and
+spans and with 20-note spans, samples greedily and at a temperature at 20
+lanes and once at a temperature at 100 lanes (`--count 100`, the lane
+count of the benchmark's `sample-score-ingest`), runs `eval --checkpoint`,
+and reads two of the sampled MIDI directories back with
+`dataset --midi-dir` (db12 and interval).  Then each tree samples and
 reads back again from the parent's checkpoints, so a change must also read
 what the parent wrote.
 
@@ -62,7 +64,7 @@ COMMANDS = [
 
 
 def sampling(ckpt_dir: str, out_dir: str) -> list:
-    """Greedy and temperature sampling and `eval --checkpoint` from the checkpoints in ckpt_dir.
+    """Greedy and temperature sampling (20 and 100 lanes) and `eval --checkpoint` from the checkpoints in ckpt_dir.
 
     Two of the sampled MIDI directories are then read back with
     `dataset --midi-dir`, as db12 and as interval corpora.  The last two
@@ -76,6 +78,8 @@ def sampling(ckpt_dir: str, out_dir: str) -> list:
          "--mode", "temperature", "--temperature", "0.8", "--count", "20", "--seed", "2"],
         ["sample", "--checkpoint", f"{ckpt_dir}/lstm2.ckpt", "--out-dir", f"{out_dir}/interval",
          "--mode", "temperature", "--count", "20", "--seed", "3"],
+        ["sample", "--checkpoint", f"{ckpt_dir}/lstm1.ckpt", "--out-dir", f"{out_dir}/temperature100",
+         "--mode", "temperature", "--count", "100", "--seed", "4"],
         ["eval", "--checkpoint", f"{ckpt_dir}/lstm1.ckpt", "--out-dir", f"{out_dir}/eval", "--count", "20"],
         ["dataset", "--midi-dir", f"{out_dir}/temperature", "--variant", "db12",
          "--out", f"{out_dir}/midi_db12.json"],

@@ -8,9 +8,13 @@ path flag left unset falls back to the environment variable
 MELODYKIT_<FLAG>, read on each call: --midi-dir to MELODYKIT_MIDI_DIR, for
 example (paths only, never numeric settings).  Given identical inputs,
 flags, and seeds, each command writes byte-identical outputs on the same
-platform, that is, with the same code and the same numpy/BLAS build.
-Another build may sum floats in another order, so its losses, and with
-them the training trajectory, can differ in the last bits and beyond.
+platform, that is, with the same code, the same numpy/BLAS build and the
+same CPU.  Another build may sum floats in another order, so its losses,
+and with them the training trajectory, can differ in the last bits and
+beyond.  `sample` and `eval --checkpoint` compute in float32 where the
+weights allow it (see `rnn`), and BLAS picks its kernel by the number of
+songs, so a song's logits can differ in the last bits between --count
+values; its tokens agreed in every case checked.
 """
 
 from __future__ import annotations
@@ -242,7 +246,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def _sample_songs(model: rnn.ModelState, args: argparse.Namespace) -> list[Song]:
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
-    seed_song = [int(s) for s in str(args.seed_song).split(",")]
+    seed_song = _parse_int_list(args.seed_song, "--seed-song")
     if args.mode == "temperature":
         rngs = [np.random.default_rng([args.seed, i]) for i in range(args.count)]
     else:  # greedy decoding draws nothing; sample_batch only counts the lanes

@@ -24,6 +24,18 @@ one cross-entropy over the (T*B, hidden) stack of top states.
 `_forward_step`: every song is one lane of a single batch, and `sample` is
 the one-lane call.
 
+Precision: training, clipping, Adam, checkpoints and `stack_forward`
+compute in float64.  `sample_batch` steps a float32 copy of the weights,
+made once per call, whenever they fit `_fits_float32`'s range guard, and
+the float64 arrays otherwise; `_pick` reads the logits as float64 either
+way.  The same code, checkpoint, seed, lane count, numpy/BLAS build and
+CPU give the same songs.  Songs equal to float64 sampling (melodykit
+0.1.x) are expected, since a draw flips only when float32 rounding moves a
+cumulative probability across its uniform, but not promised.  Neither is
+a lane's bit-equality across lane counts: BLAS picks its kernel by row
+count, so a lane's logits can differ in the last bits between batches of
+different sizes, although its tokens agreed in every case checked.
+
 Memory: `train` keeps one GradientTape for the whole run and resets it
 every window, so the kernels write into the tape's workspace, which is
 allocated in the first iteration and released when `train` returns.
@@ -300,10 +312,10 @@ def init_model(
     return model
 
 
-def _zero_states(model: ModelState, batch: int) -> list[_State]:
+def _zero_states(model: ModelState, batch: int, dtype=np.float64) -> list[_State]:
     has_memory = cell_spec(model.cell).has_memory
     shape = (batch, model.hidden_size)
-    return [(np.zeros(shape), np.zeros(shape) if has_memory else None) for _ in model.layers]
+    return [(np.zeros(shape, dtype), np.zeros(shape, dtype) if has_memory else None) for _ in model.layers]
 
 
 def _layer_step(spec: CellSpec, w: np.ndarray, b: np.ndarray, xh: np.ndarray, h: np.ndarray, c, out=None):
@@ -312,14 +324,16 @@ def _layer_step(spec: CellSpec, w: np.ndarray, b: np.ndarray, xh: np.ndarray, h:
     xh holds the step's [x, h] rows.  `out` is (z, h, c, acts), the arrays
     the step writes: the pre-activations, the new state and the kernel's
     activation blocks.  Training passes its workspace's; when it is None
-    they are allocated.
+    they are allocated in xh's dtype, so a float32 step stays on BLAS's
+    float32 GEMM.
     """
     if xh.shape[1] != w.shape[0] or w.shape[1] != len(spec.gates) * h.shape[1]:
         raise ShapeMismatch(f"cell step of [x, h] {xh.shape}, h {h.shape} over W {w.shape}")
     if out is None:
         batch, n = h.shape
-        out = (np.empty((batch, w.shape[1])), np.empty((batch, n)),
-               None if c is None else np.empty((batch, n)), np.empty((spec.acts, batch, n)))
+        dtype = xh.dtype
+        out = (np.empty((batch, w.shape[1]), dtype), np.empty((batch, n), dtype),
+               None if c is None else np.empty((batch, n), dtype), np.empty((spec.acts, batch, n), dtype))
     z, h_new, c_new, acts = out
     np.matmul(xh, w, z)
     z += b
@@ -327,15 +341,38 @@ def _layer_step(spec: CellSpec, w: np.ndarray, b: np.ndarray, xh: np.ndarray, h:
     return h_new, c_new, acts
 
 
-def _forward_step(model: ModelState, ids: np.ndarray, states: list[_State]):
-    """One time step of a batch of token ids on plain arrays: embed, stack, project; returns (logits, states)."""
-    spec = cell_spec(model.cell)
-    v = model.embedding.value[ids]
+def _forward_step(spec: CellSpec, weights: list[np.ndarray], ids: np.ndarray, states: list[_State]):
+    """One time step of a batch of token ids: embed, stack, project; returns (logits, states).
+
+    `weights` are the parameter arrays in `parameters()` order, all of one
+    dtype, in which the step computes.
+    """
+    embedding, *layers, proj_w, proj_b = weights
+    v = embedding[ids]
     new_states: list[_State] = []
-    for layer, (h, c) in zip(model.layers, states):
-        v, c, _ = _layer_step(spec, layer.w.value, layer.b.value, np.concatenate([v, h], axis=1), h, c)
+    for w, b, (h, c) in zip(layers[::2], layers[1::2], states):
+        v, c, _ = _layer_step(spec, w, b, np.concatenate([v, h], axis=1), h, c)
         new_states.append((v, c))
-    return v @ model.proj_w.value + model.proj_b.value, new_states
+    return v @ proj_w + proj_b, new_states
+
+
+# Bounds under which no product or sum of a step overflows float32 (max
+# about 2**128): a layer's input [x, h] is an embedding row or a lower
+# layer's h, and h stays in [-1, 1], so with |weight| <= 2**56 and an input
+# width m + n < 2**15, |z| <= (m + n) * 2**112 + 2**56 < 2**127; the
+# logits are smaller still.  c grows by at most 1 per step and enters only
+# through tanh.
+_F32_MAX_WEIGHT = 2.0 ** 56
+_F32_MAX_WIDTH = 2 ** 15
+
+
+def _fits_float32(weights: list[np.ndarray]) -> bool:
+    """Whether a step on these parameter arrays (in `parameters()` order) stays within float32's range.
+
+    A NaN weight fails the comparison, so such a model keeps float64.
+    """
+    return all(w.shape[0] < _F32_MAX_WIDTH for w in weights[1:-2:2]) and all(
+        np.abs(a).max(initial=0.0) <= _F32_MAX_WEIGHT for a in weights)
 
 
 def stack_forward(
@@ -354,16 +391,17 @@ def stack_forward(
     if (ids < 0).any() or (ids >= model.vocab_size).any():
         bad = ids[(ids < 0) | (ids >= model.vocab_size)][0]
         raise BadToken(f"token id {int(bad)} outside [0, {model.vocab_size})")
+    spec = cell_spec(model.cell)
     if states is None:
         batch_states = _zero_states(model, 1)
     else:
         if len(states) != model.num_layers:
             raise ShapeMismatch(f"expected {model.num_layers} layer states, got {len(states)}")
-        spec = cell_spec(model.cell)
         batch_states = [(s.h[None, :], s.c[None, :] if spec.has_memory else None) for s in states]
+    weights = [p.value for p in model.parameters()]
     rows = []
     for t in range(ids.size):
-        logits, batch_states = _forward_step(model, ids[t : t + 1], batch_states)
+        logits, batch_states = _forward_step(spec, weights, ids[t : t + 1], batch_states)
         rows.append(logits[0])
     out_states = [CellState(h=h[0].copy(), c=None if c is None else c[0].copy()) for h, c in batch_states]
     return np.vstack(rows), out_states
@@ -556,6 +594,10 @@ def sample_batch(
 
     # Seed ids were checked above and picked ids are in range by
     # construction, so the loop steps the model directly.
+    spec = cell_spec(model.cell)
+    weights = [p.value for p in model.parameters()]
+    if _fits_float32(weights):
+        weights = [a.astype(np.float32) for a in weights]
     lanes = len(rngs)
     if mode == "temperature":
         # rng.random(n) yields the doubles of n successive rng.random() calls;
@@ -563,17 +605,18 @@ def sample_batch(
         uniforms = np.stack([rng.random(n) for rng in rngs], axis=1)
     else:
         uniforms = [None] * n
-    states = _zero_states(model, lanes)
+    states = _zero_states(model, lanes, weights[0].dtype)
     generated = np.empty((lanes, n), dtype=np.int64)
-    # Weights that overflow give non-finite logits, which _pick reports, so
-    # numpy's warnings on the way there are silenced.
+    # Weights that overflow (float64 ones, past the guard) give non-finite
+    # logits, which _pick reports, so numpy's warnings on the way there are
+    # silenced.
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(ids.size):
-            logits, states = _forward_step(model, np.full(lanes, ids[t]), states)
-        generated[:, 0] = _pick(logits, mode, temperature, uniforms[0])
+            logits, states = _forward_step(spec, weights, np.full(lanes, ids[t]), states)
+        generated[:, 0] = _pick(logits.astype(np.float64, copy=False), mode, temperature, uniforms[0])
         for t in range(1, n):
-            logits, states = _forward_step(model, generated[:, t - 1], states)
-            generated[:, t] = _pick(logits, mode, temperature, uniforms[t])
+            logits, states = _forward_step(spec, weights, generated[:, t - 1], states)
+            generated[:, t] = _pick(logits.astype(np.float64, copy=False), mode, temperature, uniforms[t])
 
     songs = []
     for row in generated:

@@ -678,6 +678,31 @@ def test_sample_custom_seed_song(tmp_path):
     assert songs[0][:2] == [60, 62] and len(songs[0]) == 6
 
 
+@pytest.mark.parametrize("command", ["sample", "eval"])
+def test_seed_song_parses_like_layers(tmp_path, command):
+    # A trailing comma is skipped, as --layers skips it.
+    ckpt = train_checkpoint(tmp_path)
+    out_dir = tmp_path / "gen"
+    code, _, err = run_cli(
+        [command, "--checkpoint", ckpt, "--out-dir", out_dir,
+         "--seed-song", "60,62,", "--count", "1", "--notes", "14"]
+    )
+    assert code == 0, err
+    songs = load_songs_jsonl(out_dir / "songs.jsonl")
+    assert songs[0][:2] == [60, 62] and len(songs[0]) == 16
+
+
+@pytest.mark.parametrize("command", ["sample", "eval"])
+def test_seed_song_error_names_the_flag(tmp_path, command):
+    ckpt = train_checkpoint(tmp_path)
+    code, _, err = run_cli(
+        [command, "--checkpoint", ckpt, "--out-dir", tmp_path / "gen", "--seed-song", "60,abc"]
+    )
+    assert_json_error(code, err, "ValueError")
+    assert "--seed-song" in json.loads(err)["message"]
+    assert not (tmp_path / "gen").exists()
+
+
 def test_sample_unknown_seed_token(tmp_path):
     ckpt = train_checkpoint(tmp_path)
     code, _, err = run_cli(

@@ -178,6 +178,25 @@ def test_step_shape_mismatch():
                      [(np.zeros((1, 5)), None)])
 
 
+@pytest.mark.parametrize("kind", ["lstm", "ugrnn"])
+def test_layer_step_allocates_in_its_inputs_dtype(kind):
+    # A float64 output would send a float32 GEMM off BLAS's float32 path.
+    spec = cell_spec(kind)
+    rng = np.random.default_rng(3)
+    w, b = rng.uniform(-1, 1, (5, len(spec.gates) * 2)), rng.uniform(-1, 1, len(spec.gates) * 2)
+    xh = rng.uniform(-1, 1, (4, 5))
+    c = rng.uniform(-1, 1, (4, 2)) if spec.has_memory else None
+    want = _layer_step(spec, w, b, xh, xh[:, 3:], c)
+    f32 = [None if a is None else a.astype(np.float32) for a in (w, b, xh, c)]
+    got = _layer_step(spec, *f32[:3], f32[2][:, 3:], f32[3])
+    for g, v in zip(got, want):
+        if v is None:
+            assert g is None
+        else:
+            assert g.dtype == np.float32
+            np.testing.assert_allclose(g, v, atol=1e-6)
+
+
 # --- the window op against the per-op tape ------------------------------
 
 @pytest.mark.parametrize("steps", [1, 7])
@@ -631,6 +650,67 @@ def test_sample_batch_lane_equals_one_lane_call(toy_runs, cell, mode, variant):
                                   rng=np.random.default_rng([5, i]))
         if mode == "greedy":  # greedy lanes draw nothing, so they need no generator
             assert sample_batch(model, seed_song, 25, mode, 0.8, [None] * 6) == songs
+
+
+def stepped_dtypes(monkeypatch, model):
+    """The dtypes of W in every `_layer_step` call of a temperature `sample` (or of its raise)."""
+    seen = set()
+
+    def spy(spec, w, *args):
+        seen.add(w.dtype)
+        return _layer_step(spec, w, *args)
+
+    monkeypatch.setattr(rnn, "_layer_step", spy)
+    try:
+        sample(model, [60, 62, 64, 62], 5, mode="temperature", rng=1)
+    except ValueError:  # a NaN weight gives non-finite logits
+        pass
+    monkeypatch.undo()
+    return seen
+
+
+@pytest.mark.parametrize("cell", ["lstm", "ugrnn"])
+def test_sampling_steps_a_float32_copy_of_weights_that_fit(toy_runs, monkeypatch, cell):
+    model = toy_runs[cell].model
+    assert stepped_dtypes(monkeypatch, model) == {np.dtype(np.float32)}
+    assert all(p.value.dtype == np.float64 for p in model.parameters())
+
+
+@pytest.mark.parametrize("big", [1e300, 2.0 ** 56 * (1 + 2.0 ** -52), float("nan")])
+def test_sampling_keeps_float64_for_weights_past_the_guard(monkeypatch, big):
+    model = tiny_model(layers=2)
+    assert stepped_dtypes(monkeypatch, model) == {np.dtype(np.float32)}
+    model.layers[1].w.value[0, 0] = big
+    assert stepped_dtypes(monkeypatch, model) == {np.dtype(np.float64)}
+
+
+def test_float32_guard_bounds():
+    def weights(rows, value=0.0):
+        return [np.zeros((3, 2)), np.full((rows, 8), value), np.zeros(8), np.zeros((2, 3)), np.zeros(3)]
+
+    assert rnn._fits_float32(weights(2 ** 15 - 1, 2.0 ** 56))
+    assert rnn._fits_float32(weights(4, -(2.0 ** 56)))
+    assert not rnn._fits_float32(weights(2 ** 15))
+    assert not rnn._fits_float32(weights(4, np.nextafter(2.0 ** 56, np.inf)))
+    assert not rnn._fits_float32(weights(4, -np.inf))
+
+
+def test_training_and_stack_forward_stay_float64(monkeypatch):
+    corpus = small_corpus()
+    grad_dtypes = set()
+
+    def spy(grads, *args):
+        grad_dtypes.update(g.dtype for g in grads)
+        return clip_gradients(grads, *args)
+
+    monkeypatch.setattr(rnn, "clip_gradients", spy)
+    model, _ = train(corpus, TrainConfig(cell="lstm", num_layers=2, hidden_size=4, embedding_dim=3,
+                                         batch_size=2, seq_len=5, max_iterations=3), seed=0)
+    assert grad_dtypes == {np.dtype(np.float64)}
+    assert all(p.value.dtype == np.float64 for p in model.parameters())
+    logits, states = stack_forward([0, 1, 2], model)
+    assert logits.dtype == np.float64
+    assert all(s.h.dtype == s.c.dtype == np.float64 for s in states)
 
 
 def test_pick_draw_equals_rng_choice():
