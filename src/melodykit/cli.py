@@ -11,10 +11,15 @@ flags, and seeds, each command writes byte-identical outputs on the same
 platform, that is, with the same code, the same numpy/BLAS build and the
 same CPU.  Another build may sum floats in another order, so its losses,
 and with them the training trajectory, can differ in the last bits and
-beyond.  `sample` and `eval --checkpoint` compute in float32 where the
-weights allow it (see `rnn`), and BLAS picks its kernel by the number of
-songs, so a song's logits can differ in the last bits between --count
-values; its tokens agreed in every case checked.
+beyond.  Since melodykit 0.3.0 `train` and `sweep` run forward and
+backward in float32 over float64 master weights, which clipping, Adam and
+the checkpoint hold, so their checkpoints and curves differ in the last
+bits from 0.2.x's; a step that leaves a weight past float32's safe range
+fails as TrainingDiverged and saves nothing.  `sample` and
+`eval --checkpoint` compute in float32 where the weights allow it (see
+`rnn`), and BLAS picks its kernel by the number of songs, so a song's
+logits can differ in the last bits between --count values; its tokens
+agreed in every case checked.
 """
 
 from __future__ import annotations

@@ -24,22 +24,32 @@ one cross-entropy over the (T*B, hidden) stack of top states.
 `_forward_step`: every song is one lane of a single batch, and `sample` is
 the one-lane call.
 
-Precision: training, clipping, Adam, checkpoints and `stack_forward`
-compute in float64.  `sample_batch` steps a float32 copy of the weights,
-made once per call, whenever they fit `_fits_float32`'s range guard, and
-the float64 arrays otherwise; `_pick` reads the logits as float64 either
-way.  The same code, checkpoint, seed, lane count, numpy/BLAS build and
-CPU give the same songs.  Songs equal to float64 sampling (melodykit
-0.1.x) are expected, since a draw flips only when float32 rounding moves a
-cumulative probability across its uniform, but not promised.  Neither is
-a lane's bit-equality across lane counts: BLAS picks its kernel by row
-count, so a lane's logits can differ in the last bits between batches of
-different sizes, although its tokens agreed in every case checked.
+Precision (melodykit 0.3.0): `train` runs forward and backward on a
+float32 tape over a float32 shadow of the parameters; the parameters
+themselves (the master weights), the gradients `clip_gradients` scales,
+Adam's moments and step, and the checkpoints stay float64, and the curve
+records the float64 sum of the window's per-row losses.  The
+masters are checked against `_fits_float32`'s range guard after every
+step, before the shadow is refreshed from them.  `stack_forward` computes
+in float64.  `sample_batch` steps a float32 copy of the weights, made once
+per call, whenever they fit that guard, and the float64 arrays otherwise;
+`_pick` reads the logits as float64 either way.  The same code, seed and
+inputs, numpy/BLAS build and CPU give the same checkpoints, curves and
+songs; their bits differ from melodykit 0.2.x's trained models, whose
+gradients were float64.  Songs sampled from one checkpoint equal float64
+sampling's (melodykit 0.1.x) in tokens as expected, since a draw flips
+only when float32 rounding moves a cumulative probability across its
+uniform, but not promised.  Neither is a lane's bit-equality across lane
+counts: BLAS picks its kernel by row count, so a lane's logits can differ
+in the last bits between batches of different sizes, although its tokens
+agreed in every case checked.
 
-Memory: `train` keeps one GradientTape for the whole run and resets it
-every window, so the kernels write into the tape's workspace, which is
-allocated in the first iteration and released when `train` returns.
-Sampling and `stack_forward` allocate each step's arrays.
+Memory: `train` keeps one float32 GradientTape for the whole run and
+resets it every window, so the kernels write into the tape's workspace,
+which is allocated in the first iteration and released when `train`
+returns.  Beside it the run keeps the float32 shadow and one float64
+gradient list, each the size of the parameters.  Sampling and
+`stack_forward` allocate each step's arrays.
 """
 
 from __future__ import annotations
@@ -275,11 +285,12 @@ def _shapes(cell: str, vocab_size: int, num_layers: int, hidden_size: int, embed
 
 
 def _empty_model(
-    vocabulary: Vocabulary, variant: DatasetVariant, cell: str, num_layers: int, hidden_size: int, embedding_dim: int
+    vocabulary: Vocabulary, variant: DatasetVariant, cell: str, num_layers: int, hidden_size: int, embedding_dim: int,
+    dtype=np.float64,
 ) -> ModelState:
-    """A model of these sizes whose parameter arrays are allocated but not set."""
+    """A model of these sizes whose parameter arrays are allocated, in `dtype`, but not set."""
     shapes = _shapes(cell, vocabulary.size, num_layers, hidden_size, embedding_dim)
-    embedding, *layers, proj_w, proj_b = [Tensor(np.empty(shape)) for shape in shapes]
+    embedding, *layers, proj_w, proj_b = [Tensor(np.empty(shape, dtype)) for shape in shapes]
     return ModelState(
         cell=cell, embedding=embedding, layers=[CellParams(w, b) for w, b in zip(layers[::2], layers[1::2])],
         proj_w=proj_w, proj_b=proj_b, vocabulary=vocabulary, variant=variant,
@@ -369,10 +380,12 @@ _F32_MAX_WIDTH = 2 ** 15
 def _fits_float32(weights: list[np.ndarray]) -> bool:
     """Whether a step on these parameter arrays (in `parameters()` order) stays within float32's range.
 
-    A NaN weight fails the comparison, so such a model keeps float64.
+    Each array is read by two reductions, max and min, so the check
+    allocates nothing parameter-sized.  A NaN weight makes both reductions
+    NaN, which fails the comparisons.
     """
     return all(w.shape[0] < _F32_MAX_WIDTH for w in weights[1:-2:2]) and all(
-        np.abs(a).max(initial=0.0) <= _F32_MAX_WEIGHT for a in weights)
+        a.max(initial=0.0) <= _F32_MAX_WEIGHT and a.min(initial=0.0) >= -_F32_MAX_WEIGHT for a in weights)
 
 
 def stack_forward(
@@ -469,16 +482,27 @@ def train(corpus: TrainingCorpus, config: TrainConfig, seed: int = 0) -> tuple[M
     not gradients); at epoch start they reset and the learning rate decays.  The curve records the
     per-token loss, i.e. the window sum divided by batch_size * seq_len.
 
-    Memory: one GradientTape is kept for the run and reset every window,
-    so its workspace (the window's activations, caches and gradients, the
-    parameters' among them) is allocated in the first iteration and reused
-    by every later one; `clip_gradients` scales the gradients in place and
-    Adam updates through one scratch pair.  All of it is released when
-    train returns.
+    Precision: the returned model holds the float64 master weights.  Each
+    window runs forward and backward on a float32 tape over a float32
+    shadow of them, with float32 carried states; its gradients are copied
+    into float64 arrays, which `clip_gradients` scales and `adam_step`
+    applies to the masters.  The masters must then pass `_fits_float32`,
+    whose bound keeps the float32 forward from overflowing, and are copied
+    into the shadow.  The loss the curve records is a float64 sum.
 
+    Memory: one GradientTape is kept for the run and reset every window,
+    so its workspace (the window's activations, caches and the shadow's
+    gradients) is allocated in the first iteration and reused by every
+    later one; so are the shadow and the float64 gradient list.
+    `clip_gradients` scales the gradients in place and Adam updates
+    through one scratch pair.  All of it is released when train returns.
+
+    Raises ValueError if a layer's input is too wide for `_fits_float32`.
     Raises TrainingDiverged at the first iteration whose window loss is not
-    finite; numpy's floating-point warnings are silenced meanwhile, since
-    that check reports the overflow.
+    finite, or whose Adam step leaves weights past `_fits_float32`'s bound,
+    the last step included, so a diverged model is never returned; numpy's
+    floating-point warnings are silenced meanwhile, since those checks
+    report the overflow.
     """
     rng = np.random.default_rng(seed)
     model = init_model(
@@ -499,33 +523,46 @@ def train(corpus: TrainingCorpus, config: TrainConfig, seed: int = 0) -> tuple[M
     iterations = config.epochs * windows
     if config.max_iterations is not None:
         iterations = min(iterations, config.max_iterations)
-    params = model.parameters()
-    values = [p.value for p in params]
+    values = [p.value for p in model.parameters()]
+    # The initial weights are within init_scale, so only a width can fail.
+    if not _fits_float32(values):
+        raise ValueError(f"float32 training needs every layer's input width (input + hidden) below {_F32_MAX_WIDTH}")
+    shadow = _empty_model(corpus.vocabulary, corpus.variant, config.cell, config.num_layers,
+                          config.hidden_size, config.embedding_dim, np.float32)
+    shadow_params = shadow.parameters()
+    for s, v in zip(shadow_params, values):
+        np.copyto(s.value, v)
+    grads = [np.empty_like(v) for v in values]
     opt = AdamState.for_params(values, lr=config.learning_rate)
-    tape = GradientTape()
+    tape = GradientTape(np.float32)
     curve: LearningCurve = []
     # The tape's records hold closures that refer back to the tape, so the
-    # finally block drops them, and the parameters' gradients with them:
-    # the workspace is then freed on return, not by a later garbage
-    # collection.
+    # finally block drops them, and the shadow's gradients with them: the
+    # workspace is then freed on return, not by a later garbage collection.
     try:
         with np.errstate(all="ignore"):
             for iteration in range(iterations):
                 epoch, w = divmod(iteration, windows)
                 if w == 0:
                     opt.lr = config.learning_rate * (config.lr_decay ** epoch)
-                    states = _zero_states(model, B)
+                    states = _zero_states(model, B, np.float32)
                 tape.reset()
                 cols = slice(w * T, (w + 1) * T)
-                total, states = _window_loss(tape, model, X[:, cols], Y[:, cols], states)
+                total, states = _window_loss(tape, shadow, X[:, cols], Y[:, cols], states)
                 loss = float(total.value)
                 if not math.isfinite(loss):
                     raise TrainingDiverged(f"window loss is {loss} at iteration {iteration + 1}")
                 tape.backward(total)
-                grads = [p.grad for p in params]
+                for g, s in zip(grads, shadow_params):
+                    np.copyto(g, s.grad)
                 # Squares summed per gate block: over a whole fused W the norm's last bits differ.
                 clip_gradients(_v1_blocks(model.cell, grads), config.clip_norm, opt.scratch[0])
                 adam_step(values, grads, opt)
+                if not _fits_float32(values):
+                    raise TrainingDiverged(f"weights past float32's range (|w| > 2**56) at iteration "
+                                           f"{iteration + 2}, after the Adam step of iteration {iteration + 1}")
+                for s, v in zip(shadow_params, values):
+                    np.copyto(s.value, v)
                 curve.append((iteration + 1, loss / (B * T)))
     finally:
         tape.reset()

@@ -1,11 +1,19 @@
 """Reverse-mode autodiff tape plus the optimiser it feeds.
 
-Everything is float64.  A GradientTape records each forward op together
-with a closure that routes the output gradient to the inputs; backward
-walks the record list once in reverse (execution order is already
-topological).  Activations live in (rows, features) matrices.  Training
-records five kinds of op: `lookup`, `recurrence` (a whole gated layer over
-a whole window), `matmul`, `add_bias` and `cross_entropy`.
+A GradientTape records each forward op together with a closure that
+routes the output gradient to the inputs; backward walks the record list
+once in reverse (execution order is already topological).  Activations
+live in (rows, features) matrices.  Training records five kinds of op:
+`lookup`, `recurrence` (a whole gated layer over a whole window),
+`matmul`, `add_bias` and `cross_entropy`.
+
+Precision: a Tensor holds float32 or float64 (anything else is taken as
+float64), and a tape computes in the dtype it is made with, float64 by
+default: its workspace is allocated in that dtype, so the five training
+ops compute in their inputs' dtype.  `rnn.train` runs a float32 tape;
+finite-difference checks run the float64 default.  `cross_entropy`'s
+summed loss is a float64 scalar whatever the dtype.  Clipping and Adam
+work on whatever arrays they are given; training gives them float64.
 
 Memory: those five ops write their outputs, the caches their backward
 reads and the first gradient they give each tensor into the tape's
@@ -32,12 +40,16 @@ from .errors import BadToken, ShapeMismatch
 
 
 class Tensor:
-    """A float64 array with a lazily allocated accumulated gradient."""
+    """A float32 or float64 array with a lazily allocated accumulated gradient.
+
+    A float32 array keeps its dtype; any other value is taken as float64.
+    """
 
     __slots__ = ("value", "grad")
 
     def __init__(self, value) -> None:
-        self.value = np.asarray(value, dtype=np.float64)
+        value = np.asarray(value)
+        self.value = value if value.dtype == np.float32 else value.astype(np.float64, copy=False)
         self.grad: np.ndarray | None = None
 
     def __repr__(self) -> str:
@@ -70,10 +82,13 @@ class GradientTape:
     returns) is a copy.  A tensor whose gradient the tape wrote first holds
     a workspace array, so `reset` sets that gradient back to None; a
     gradient the caller allocated before backward is only added to, and
-    outlives the reset.
+    outlives the reset.  Every workspace array, and so every value and
+    gradient the ops write (all but `cross_entropy`'s float64 loss), is of
+    the tape's `dtype`.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, dtype=np.float64) -> None:
+        self.dtype = np.dtype(dtype)
         self._records: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
         self._arrays: list[np.ndarray] = []
         self._next = 0
@@ -92,9 +107,9 @@ class GradientTape:
         k = self._next
         self._next += 1
         if k == len(self._arrays):
-            self._arrays.append(np.empty(shape))
+            self._arrays.append(np.empty(shape, self.dtype))
         elif self._arrays[k].shape != shape:
-            self._arrays[k] = np.empty(shape)
+            self._arrays[k] = np.empty(shape, self.dtype)
         return self._arrays[k]
 
     def _grant(self, t: Tensor, g: np.ndarray) -> None:
@@ -246,15 +261,22 @@ class GradientTape:
         return self._push(out, back)
 
     def cross_entropy(self, logits: Tensor, targets: np.ndarray) -> Tensor:
-        """Summed -log softmax[target] over the batch; returns a scalar Tensor."""
+        """Summed -log softmax[target] over the batch; returns a float64 scalar Tensor.
+
+        Row r's loss is log sum_j exp(z_rj - max_r) - (z_r,target - max_r),
+        the log taken and the rows summed in float64.  Unlike -log of the
+        target's probability, that stays finite when the probability
+        underflows the compute dtype.
+        """
         targets = np.asarray(targets, dtype=np.int64)
         z = logits.value
-        probs = np.subtract(z, z.max(axis=1, keepdims=True), out=self._array(z.shape))
-        np.exp(probs, out=probs)
-        probs /= probs.sum(axis=1, keepdims=True)
         rows = np.arange(z.shape[0])
-        loss = -np.log(probs[rows, targets]).sum()
-        out = Tensor(loss)
+        probs = np.subtract(z, z.max(axis=1, keepdims=True), out=self._array(z.shape))
+        shifted = probs[rows, targets]
+        np.exp(probs, out=probs)
+        sums = probs.sum(axis=1, keepdims=True)
+        out = Tensor((np.log(sums[:, 0], dtype=np.float64) - shifted).sum())
+        probs /= sums
 
         def back(g: np.ndarray) -> None:
             d = self._array(probs.shape)
@@ -352,7 +374,8 @@ class GradientTape:
         return self._push(out, back), hs[steps].copy(), cs[steps].copy() if memory else None
 
     def backward(self, loss: Tensor) -> None:
-        loss.grad = np.ones_like(loss.value)
+        # Seeded in the tape's dtype, not the loss's, so every gradient is.
+        loss.grad = np.ones(loss.value.shape, self.dtype)
         for out, back in reversed(self._records):
             if out.grad is not None:
                 back(out.grad)

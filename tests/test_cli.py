@@ -447,23 +447,46 @@ def test_train_divergence_exits_1_and_writes_nothing(tmp_path):
         "corpus_control.json", "corpus_control.vocab.json", "songs.jsonl"]
 
 
+def test_train_refuses_to_save_an_overflowed_last_step(tmp_path):
+    # The only step is the last, so no later window loss could report it.
+    corpus_path = build_corpus_file(tmp_path)
+    ckpt, curve = tmp_path / "m.ckpt", tmp_path / "curve.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, stdout, err = run_cli(
+            ["train", "--corpus", corpus_path, "--checkpoint", ckpt, "--curve", curve,
+             "--learning-rate", "1e300", "--max-iterations", "1", "--batch-size", "4",
+             "--seq-len", "5", "--hidden-size", "16", "--embedding-dim", "8"]
+        )
+    assert_json_error(code, err, "TrainingDiverged")
+    assert "after the Adam step of iteration 1" in json.loads(err)["message"]
+    assert [str(w.message) for w in caught] == []
+    assert stdout == ""
+    assert not ckpt.exists() and not curve.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["sample", "--mode", "greedy"],
     ["sample", "--mode", "temperature"],
     ["eval", "--mode", "temperature"],
 ], ids=["sample-greedy", "sample-temperature", "eval-checkpoint"])
 def test_sampling_overflowed_weights_warns_nothing(tmp_path, argv):
-    # One step at a huge learning rate leaves weights whose products
-    # overflow; the cells saturate, so the logits stay finite and sampling
-    # succeeds without numpy's overflow warnings on stderr.
+    # Weights scaled up to about 1e300, as one step at a huge learning rate
+    # used to leave them (train now refuses to save such a model), overflow
+    # their products; the cells saturate, so the logits stay finite and
+    # sampling succeeds without numpy's overflow warnings on stderr.
     corpus_path = build_corpus_file(tmp_path)
     ckpt = tmp_path / "m.ckpt"
     code, _, err = run_cli(
-        ["train", "--corpus", corpus_path, "--checkpoint", ckpt, "--learning-rate", "1e300",
+        ["train", "--corpus", corpus_path, "--checkpoint", ckpt,
          "--max-iterations", "1", "--batch-size", "4", "--seq-len", "5", "--hidden-size", "16",
          "--embedding-dim", "8"]
     )
     assert code == 0, err
+    model = load_checkpoint(ckpt)
+    for p in model.parameters():
+        p.value *= 1e300
+    save_checkpoint(model, ckpt)
     out_dir = tmp_path / "out"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -1,5 +1,6 @@
 import errno
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,6 +196,51 @@ def test_layer_step_allocates_in_its_inputs_dtype(kind):
         else:
             assert g.dtype == np.float32
             np.testing.assert_allclose(g, v, atol=1e-6)
+
+
+def model_copy(model, dtype):
+    copy = rnn._empty_model(model.vocabulary, model.variant, model.cell, model.num_layers,
+                            model.hidden_size, model.embedding_dim, dtype)
+    for c, p in zip(copy.parameters(), model.parameters()):
+        c.value[...] = p.value
+    return copy
+
+
+# float32 is stepped from the float64 model rounded to float32, and sums
+# over up to T*B rows; measured at these shapes: the loss within 0.3 eps
+# relative, each parameter's gradient within 2.5 eps of its largest entry.
+F32_LOSS_RTOL = 4 * np.finfo(np.float32).eps
+F32_GRAD_RTOL = 16 * np.finfo(np.float32).eps
+
+
+@pytest.mark.parametrize("layers", [1, 3])
+@pytest.mark.parametrize("cell", ["lstm", "ugrnn"])
+def test_float32_window_stays_float32_and_matches_float64(cell, layers):
+    rng = np.random.default_rng([layers, 7])
+    model = init_model(VOCAB, DatasetVariant.CONTROL, cell=cell, num_layers=layers,
+                       hidden_size=5, embedding_dim=3, rng=rng, init_scale=0.6)
+    X = rng.integers(0, VOCAB.size, size=(4, 7))
+    Y = rng.integers(0, VOCAB.size, size=(4, 7))
+    states = [(rng.normal(scale=0.5, size=(4, 5)), rng.normal(scale=0.5, size=(4, 5)) if cell == "lstm" else None)
+              for _ in range(layers)]
+    tape = GradientTape()
+    want, _ = _window_loss(tape, model, X, Y, states)
+    tape.backward(want)
+
+    f32 = model_copy(model, np.float32)
+    tape = GradientTape(np.float32)
+    loss, final = _window_loss(tape, f32, X, Y, [(h.astype(np.float32), None if c is None else c.astype(np.float32))
+                                                 for h, c in states])
+    tape.backward(loss)
+    # A float64 array anywhere would send its GEMMs off BLAS's float32 path.
+    assert {a.dtype for a in tape._arrays} == {np.dtype(np.float32)}
+    assert {p.grad.dtype for p in f32.parameters()} == {np.dtype(np.float32)}
+    assert {a.dtype for state in final for a in state if a is not None} == {np.dtype(np.float32)}
+    # The summed loss is float64 whatever the tape computes in.
+    assert loss.value.dtype == np.float64 and loss.value.shape == ()
+    assert float(loss.value) == pytest.approx(float(want.value), rel=F32_LOSS_RTOL)
+    for p, q in zip(f32.parameters(), model.parameters()):
+        np.testing.assert_allclose(p.grad, q.grad, rtol=0, atol=F32_GRAD_RTOL * np.abs(q.grad).max())
 
 
 # --- the window op against the per-op tape ------------------------------
@@ -436,10 +482,11 @@ def test_train_bitwise_deterministic():
         np.testing.assert_array_equal(p.value, q.value)
 
 
-def reference_train(corpus, config, seed):
-    """train's loop with no state kept between windows: a fresh tape per
-    window, and clipping (its norm summed over checkpoint v1's blocks) and
-    Adam on copies of the gradients."""
+def reference_train(corpus, config, seed, dtype=np.float32):
+    """train's loop with no state kept between windows: each window a fresh
+    tape of `dtype` (train's is float32) over a fresh `dtype` copy of the
+    float64 parameters, and clipping (its norm summed over checkpoint v1's
+    blocks) and Adam on float64 copies of the gradients."""
     model = init_model(corpus.vocabulary, corpus.variant, cell=config.cell,
                        num_layers=config.num_layers, hidden_size=config.hidden_size,
                        embedding_dim=config.embedding_dim, rng=np.random.default_rng(seed))
@@ -455,14 +502,13 @@ def reference_train(corpus, config, seed):
         epoch, w = divmod(iteration, windows)
         if w == 0:
             opt.lr = config.learning_rate * (config.lr_decay ** epoch)
-            states = _zero_states(model, B)
-        for p in params:
-            p.grad = None
-        tape = GradientTape()
+            states = _zero_states(model, B, dtype)
+        copy = model_copy(model, dtype)
+        tape = GradientTape(dtype)
         cols = slice(w * T, (w + 1) * T)
-        total, states = _window_loss(tape, model, X[:, cols], Y[:, cols], states)
+        total, states = _window_loss(tape, copy, X[:, cols], Y[:, cols], states)
         tape.backward(total)
-        grads = [p.grad.copy() for p in params]
+        grads = [p.grad.astype(np.float64) for p in copy.parameters()]
         clip_gradients(_v1_blocks(config.cell, grads), config.clip_norm,
                        np.empty(max(p.value.size for p in params)))
         adam_step([p.value for p in params], grads, opt)
@@ -513,6 +559,37 @@ def test_train_workspace_reuse_keeps_every_bit(cell, layers):
     fresh.backward(total)
     for p, g in zip(params, reused):
         assert p.grad.tobytes() == g.tobytes()
+
+
+# The stated drift of mixed-precision training from float64 over the
+# 10 iterations below, in float32's epsilon (about 1.2e-7).  Measured:
+# losses within 0.13 eps relative, parameters within 2.5 eps absolute.
+DRIFT_LOSS_RTOL = 4 * np.finfo(np.float32).eps
+DRIFT_PARAM_ATOL = 32 * np.finfo(np.float32).eps
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("cell", ["lstm", "ugrnn"])
+def test_mixed_precision_training_tracks_float64(cell, layers):
+    # The float32 tape changes the trajectory's bits, not its course: train
+    # stays close to the same loop run on a float64 tape.
+    corpus = small_corpus()
+    cfg = TrainConfig(cell=cell, num_layers=layers, hidden_size=4, embedding_dim=3, batch_size=2,
+                      seq_len=5, epochs=2, lr_decay=0.5, clip_norm=0.06, max_iterations=10)
+    model, curve = train(corpus, cfg, seed=3)
+    want_model, want_curve = reference_train(corpus, cfg, seed=3, dtype=np.float64)
+    assert [i for i, _ in curve] == [i for i, _ in want_curve]
+    np.testing.assert_allclose([x for _, x in curve], [x for _, x in want_curve], rtol=DRIFT_LOSS_RTOL)
+    for p, q in zip(model.parameters(), want_model.parameters()):
+        np.testing.assert_allclose(p.value, q.value, rtol=0, atol=DRIFT_PARAM_ATOL)
+
+
+def test_train_refuses_a_layer_input_too_wide_for_float32():
+    # embedding_dim + hidden_size = 2**15 inputs to the first layer, past
+    # the width under which a float32 step provably cannot overflow.
+    cfg = TrainConfig(hidden_size=1, embedding_dim=2 ** 15 - 1, batch_size=2, seq_len=5, max_iterations=1)
+    with pytest.raises(ValueError, match="input width"):
+        train(small_corpus(), cfg)
 
 
 def test_config_validation():
@@ -693,6 +770,19 @@ def test_float32_guard_bounds():
     assert not rnn._fits_float32(weights(2 ** 15))
     assert not rnn._fits_float32(weights(4, np.nextafter(2.0 ** 56, np.inf)))
     assert not rnn._fits_float32(weights(4, -np.inf))
+
+
+def test_float32_guard_allocates_nothing_parameter_sized():
+    # train runs the guard after every step, so a temporary as large as a
+    # parameter (as np.abs made) would cost a pass and an allocation each.
+    weights = [np.zeros((3, 2)), np.full((1000, 1000), -1.0), np.zeros(1000), np.zeros((2, 3)), np.zeros(3)]
+    tracemalloc.start()
+    try:
+        assert rnn._fits_float32(weights)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < weights[1].nbytes // 100
 
 
 def test_training_and_stack_forward_stay_float64(monkeypatch):

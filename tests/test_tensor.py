@@ -25,6 +25,42 @@ finite_vectors = hnp.arrays(
 
 # --- tape mechanics -----------------------------------------------------
 
+@pytest.mark.parametrize("value, dtype", [
+    (np.ones(3, np.float32), np.float32),
+    (np.ones(3), np.float64),
+    (np.ones(3, np.float16), np.float64),
+    (np.arange(3), np.float64),
+    ([1, 2], np.float64),
+    (2.5, np.float64),
+])
+def test_tensor_keeps_float32_and_takes_the_rest_as_float64(value, dtype):
+    assert Tensor(value).value.dtype == dtype
+
+
+def test_float32_tape_ops_stay_float32():
+    rng = np.random.default_rng(1)
+    tape = GradientTape(np.float32)
+    a = Tensor(rng.normal(size=(3, 4)).astype(np.float32))
+    w = Tensor(rng.normal(size=(4, 5)).astype(np.float32))
+    b = Tensor(rng.normal(size=5).astype(np.float32))
+    loss = tape.cross_entropy(tape.add_bias(tape.matmul(a, w), b), np.array([0, 4, 2]))
+    tape.backward(loss)
+    assert loss.value.dtype == np.float64
+    assert {t.grad.dtype for t in (a, w, b)} == {np.dtype(np.float32)}
+    assert {x.dtype for x in tape._arrays} == {np.dtype(np.float32)}
+
+
+def test_float32_cross_entropy_survives_an_underflowed_probability():
+    # exp(-200) underflows float32 to 0; -log of that probability would be
+    # inf, a divergence that did not happen.
+    z = np.array([[0.0, -200.0, -1.0]])
+    want = GradientTape().cross_entropy(Tensor(z), np.array([1]))
+    got = GradientTape(np.float32).cross_entropy(Tensor(z.astype(np.float32)), np.array([1]))
+    assert got.value.dtype == np.float64
+    assert float(got.value) == pytest.approx(float(want.value), rel=np.finfo(np.float32).eps)
+    assert float(want.value) == pytest.approx(200 + math.log1p(math.exp(-200) + math.exp(-1)), rel=1e-15)
+
+
 def test_matmul_backward():
     rng = np.random.default_rng(0)
     a = Tensor(rng.normal(size=(2, 3)))
