@@ -19,9 +19,11 @@ spans and with 20-note spans, samples greedily and at a temperature at 20
 lanes and once at a temperature at 100 lanes (`--count 100`, the lane
 count of the benchmark's `sample-score-ingest`), runs `eval --checkpoint`,
 and reads two of the sampled MIDI directories back with
-`dataset --midi-dir` (db12 and interval).  Then each tree samples and
-reads back again from the parent's checkpoints, so a change must also read
-what the parent wrote.
+`dataset --midi-dir` (db12 and interval).  Then both trees get copies of
+the parent's checkpoints, corpora with their vocabulary sidecars, and
+sampled `songs.jsonl` files.  From those each tree samples and reads back
+again, runs a short `train` on every corpus and an `eval --songs` on every
+songs file, so a change must also read what the parent wrote.
 
 Every command's exit code and stdout, and every file either tree wrote,
 are compared.  Prints one line per difference and a summary; exits 1 if
@@ -43,6 +45,8 @@ from bench_pairs import describe, export_revision, export_working_tree
 
 SONGS = "data/mini_corpus.jsonl"
 TRAIN = ["--max-iterations", "30", "--seed", "1"]
+SHORT_TRAIN = ["--cell", "lstm", "--num-layers", "1", "--hidden-size", "16", "--embedding-dim", "8",
+               "--batch-size", "4", "--max-iterations", "5", "--seed", "1"]
 
 COMMANDS = [
     ["dataset", "--songs", SONGS, "--variant", "control", "--out", "out/control.json"],
@@ -89,6 +93,16 @@ def sampling(ckpt_dir: str, out_dir: str) -> list:
          ["sample", "--mode", "greedy", "--count", "20"]),
         ({"MELODYKIT_MIDI_DIR": f"{out_dir}/temperature", "MELODYKIT_OUT": f"{out_dir}/midi_db12_env.json"},
          ["dataset", "--variant", "db12"]),
+    ]
+
+
+def reading(in_dir: str, corpora: list[str], songs: list[str], out_dir: str) -> list:
+    """A short `train` on each corpus and an `eval --songs` of each songs file, all named relative to in_dir."""
+    return [
+        *(["train", "--corpus", f"{in_dir}/{name}", "--checkpoint", f"{out_dir}/{Path(name).stem}.ckpt",
+           "--curve", f"{out_dir}/{Path(name).stem}.csv", *SHORT_TRAIN] for name in corpora),
+        *(["eval", "--songs", f"{in_dir}/{name}", "--out-dir", f"{out_dir}/eval_{Path(name).stem}"]
+          for name in songs),
     ]
 
 
@@ -140,12 +154,17 @@ def main(argv=None) -> int:
             (tree / "out").mkdir()
         commands = COMMANDS + sampling("out", "out")
         differences = run_both(trees, commands)
-        # Both trees sample again from the parent's checkpoints.
+        # Both trees read the parent's checkpoints, corpora (with their
+        # sidecars) and sampled songs, each songs file renamed after its directory.
+        parent_out = trees["parent"] / "out"
+        copies = {p.name: p for p in sorted([*parent_out.glob("*.ckpt"), *parent_out.glob("*.json")])}
+        songs = {f"{p.parent.name}.jsonl": p for p in sorted(parent_out.glob("*/songs.jsonl"))}
         for tree in trees.values():
             (tree / "from_parent").mkdir()
-            for ckpt in (trees["parent"] / "out").glob("*.ckpt"):
-                shutil.copyfile(ckpt, tree / "from_parent" / ckpt.name)
-        reread = sampling("from_parent", "reread")
+            for name, path in {**copies, **songs}.items():
+                shutil.copyfile(path, tree / "from_parent" / name)
+        corpora = [name for name in copies if name.endswith(".json") and not name.endswith(".vocab.json")]
+        reread = sampling("from_parent", "reread") + reading("from_parent", corpora, list(songs), "reread")
         differences += run_both(trees, reread)
         files = sorted(set().union(*(written(tree, top) for tree in trees.values() for top in ("out", "reread"))))
         for name in files:

@@ -78,28 +78,13 @@ def _write_corpus(corpus: TrainingCorpus, out: Path) -> Path:
 
 
 def _read_json_object(path: Path, keys: tuple[str, ...]) -> dict:
-    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload = core.read_json(path.read_bytes(), str(path))
     if not isinstance(payload, dict):
         raise MalformedFile(f"{path}: expected a JSON object, got {type(payload).__name__}")
     missing = [key for key in keys if key not in payload]
     if missing:
         raise MalformedFile(f"{path}: lacks {', '.join(missing)}")
     return payload
-
-
-def _read_ids(values, what: str) -> np.ndarray:
-    """A JSON id list as a 1-D int64 array; MalformedFile naming `what` if it is not a flat list of integers.
-
-    Floats, strings, nulls, nested lists and ids beyond int64 are refused.
-    A bool among integers passes as 0 or 1, because numpy reads it so.
-    """
-    try:
-        ids = np.asarray(values)
-    except ValueError as exc:  # a ragged nested list
-        raise MalformedFile(f"{what} must be a flat list of integers") from exc
-    if ids.ndim != 1 or (ids.dtype.kind != "i" and ids.size):
-        raise MalformedFile(f"{what} must be a flat list of integers")
-    return ids.astype(np.int64, copy=False)
 
 
 def _read_corpus(path: Path) -> TrainingCorpus:
@@ -112,18 +97,20 @@ def _read_corpus(path: Path) -> TrainingCorpus:
         raise MalformedFile(
             f"{sidecar}: variant {vocab_payload['variant']!r} is not {path}'s {payload['variant']!r}")
     corpus = TrainingCorpus(
-        x=_read_ids(payload["x"], f"{path}: x"),
-        y=_read_ids(payload["y"], f"{path}: y"),
-        vocabulary=Vocabulary(tokens=core.json_ints(vocab_payload["tokens"], f"{sidecar}: tokens")),
+        x=core.json_ints(payload["x"], f"{path}: x"),
+        y=core.json_ints(payload["y"], f"{path}: y"),
+        vocabulary=Vocabulary(tokens=tuple(core.json_ints(vocab_payload["tokens"], f"{sidecar}: tokens").tolist())),
         variant=DatasetVariant(payload["variant"]),
     )
     if corpus.x.shape != corpus.y.shape:
-        raise MalformedFile(f"{path}: x and y must be flat id lists of one length")
+        raise MalformedFile(f"{path}: x and y must be id lists of one length")
     size = corpus.vocabulary.size
     for name, ids in (("x", corpus.x), ("y", corpus.y)):
         bad = ids[(ids < 0) | (ids >= size)]
         if bad.size:
             raise BadToken(f"{path}: {name} holds id {int(bad[0])} outside [0, {size})")
+    if not np.array_equal(corpus.x[1:], corpus.y[:-1]):
+        raise MalformedFile(f"{path}: y is not x shifted left by one")
     return corpus
 
 
@@ -252,6 +239,11 @@ def _sample_songs(model: rnn.ModelState, args: argparse.Namespace) -> list[Song]
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
     seed_song = _parse_int_list(args.seed_song, "--seed-song")
+    # Size the (count, notes) output before making one object per lane, so an unindexable size fails at once.
+    try:
+        np.empty((args.count, max(args.notes, 0)), dtype=np.int64)
+    except ValueError as exc:
+        raise ValueError(f"--count {args.count} x --notes {args.notes}: {exc}") from None
     if args.mode == "temperature":
         rngs = [np.random.default_rng([args.seed, i]) for i in range(args.count)]
     else:  # greedy decoding draws nothing; sample_batch only counts the lanes

@@ -56,11 +56,22 @@ def check_song(song: Song, what: str = "song") -> None:
                 raise PitchOutOfRange(f"{what}[{i}] = {note} outside [{MIDI_MIN}, {MIDI_MAX}]")
 
 
-def json_ints(values, what: str) -> tuple[int, ...]:
-    """A JSON list of integers as a tuple; MalformedFile naming `what` if any item is a float, string or bool."""
-    if not isinstance(values, list) or any(type(v) is not int for v in values):
-        raise MalformedFile(f"{what} must be a list of integers (not floats, strings or booleans)")
-    return tuple(values)
+def read_json(data: bytes, what: str):
+    """The JSON value in data, decoded as strict UTF-8; MalformedFile naming `what` if there is none."""
+    try:
+        return json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, an int past 4300 digits, deep nesting
+        raise MalformedFile(f"{what}: invalid JSON ({exc})") from exc
+
+
+def json_ints(values, what: str) -> np.ndarray:
+    """A JSON list as a 1-D int64 array; MalformedFile naming `what` unless every item is an int within int64."""
+    if isinstance(values, list) and set(map(type, values)) <= {int}:
+        try:
+            return np.array(values, dtype=np.int64)
+        except OverflowError:
+            pass
+    raise MalformedFile(f"{what}: expected a list of int64 integers, not floats, strings, booleans, nulls or lists")
 
 
 def clean_corpus(songs: list[Song]) -> list[Song]:
@@ -217,23 +228,14 @@ def build_corpus(songs: list[Song], variant: DatasetVariant) -> TrainingCorpus:
 
 
 def load_songs_jsonl(path: str | Path) -> list[Song]:
-    """Read one song per line, each a JSON array of MIDI note numbers."""
+    """One song per line, each a JSON array of MIDI note numbers; a bad line is MalformedFile naming `path:lineno`."""
     songs: list[Song] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                notes = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(notes, list) or not all(
-                isinstance(n, int) and not isinstance(n, bool) for n in notes
-            ):
-                raise ValueError(f"{path}:{lineno}: expected an array of integers")
-            check_song(notes, what=f"{path}:{lineno}")
-            songs.append(notes)
+    for lineno, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        if line.strip():
+            what = f"{path}:{lineno}"
+            song = json_ints(read_json(line, what), what).tolist()
+            check_song(song, what=what)
+            songs.append(song)
     return songs
 
 

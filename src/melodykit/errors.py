@@ -42,7 +42,7 @@ class UnknownSeedToken(MelodyKitError):
 
 
 class MalformedFile(MelodyKitError):
-    """A MIDI file violates the format."""
+    """An input file breaks its format: a MIDI file, or JSON input that is not strict UTF-8 of the expected shape."""
 
 
 class PolyphonyDetected(MelodyKitError):
@@ -50,4 +50,4 @@ class PolyphonyDetected(MelodyKitError):
 
 
 class TrainingDiverged(MelodyKitError):
-    """Training reached a window whose loss is not finite."""
+    """Training reached a window whose loss is not finite, or a step left a weight past 2**56, float32's safe range."""

@@ -65,7 +65,8 @@ from typing import Callable
 import numpy as np
 
 from .core import (
-    DatasetVariant, Song, TrainingCorpus, Vocabulary, interval_to_song, json_ints, song_to_interval, write_atomic,
+    DatasetVariant, Song, TrainingCorpus, Vocabulary, interval_to_song, json_ints, read_json, song_to_interval,
+    write_atomic,
 )
 from .errors import (
     BadToken,
@@ -719,10 +720,7 @@ def load_checkpoint(path: str | Path) -> ModelState:
     nl = data.find(b"\n")
     if nl < 0:
         raise MalformedFile(f"{path}: missing header line")
-    try:
-        header = json.loads(data[:nl].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise MalformedFile(f"{path}: bad header ({exc})") from exc
+    header = read_json(data[:nl], f"{path}: header")
     if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
         raise MalformedFile(f"{path}: not a {CHECKPOINT_FORMAT} file")
     if header.get("format_version") != CHECKPOINT_VERSION:
@@ -738,9 +736,9 @@ def load_checkpoint(path: str | Path) -> ModelState:
         raise MalformedFile(f"{path}: expected {header['param_count']} values, found {flat.size}")
 
     try:
-        vocabulary = Vocabulary(tokens=json_ints(header["vocabulary"], f"{path}: vocabulary"))
+        vocabulary = Vocabulary(tokens=tuple(json_ints(header["vocabulary"], f"{path}: vocabulary").tolist()))
         layers, hidden, emb = json_ints([header[k] for k in ("num_layers", "hidden_size", "embedding_dim")],
-                                        f"{path}: num_layers, hidden_size and embedding_dim")
+                                        f"{path}: num_layers, hidden_size and embedding_dim").tolist()
         cell, variant = header["cell"], DatasetVariant(header["variant"])
         # Counted before allocating, so an edited header cannot make it
         # allocate more than the file holds.

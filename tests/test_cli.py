@@ -563,10 +563,13 @@ def test_train_rejects_corpus_ids_outside_vocabulary(tmp_path, key, index, bad_i
         ("corpus", lambda p: {**p, "x": ["3"] + p["x"][1:]}),
         ("corpus", lambda p: {**p, "x": [p["x"][:2]] + p["x"][1:]}),
         ("corpus", lambda p: {**p, "x": [2**70] + p["x"][1:]}),
+        # Trained with exit 0 before: a bool id read as 0 or 1, and y need not follow x.
+        ("corpus", lambda p: {**p, "x": [True] + p["x"][1:]}),
+        ("corpus", lambda p: {**p, "y": p["y"][::-1]}),
     ],
     ids=["no-x", "no-y", "no-variant", "no-tokens", "list", "null-x", "2d-x", "short-y", "int-tokens",
          "no-sidecar-variant", "float-token", "string-token", "bool-token",
-         "float-id", "string-id", "nested-id", "huge-id"],
+         "float-id", "string-id", "nested-id", "huge-id", "bool-id", "unshifted-y"],
 )
 def test_train_rejects_malformed_corpus(tmp_path, target, edit):
     corpus_path = build_corpus_file(tmp_path)
@@ -599,6 +602,36 @@ def test_sample_rejects_non_integer_checkpoint_header(tmp_path, edit):
     code, _, err = run_cli(["sample", "--checkpoint", ckpt, "--out-dir", tmp_path / "gen"])
     assert_json_error(code, err, "MalformedFile")
     assert not (tmp_path / "gen").exists()
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        lambda h: json.dumps(h).encode("utf-16"),
+        lambda h: b"[" * 200_000,
+        lambda h: json.dumps({**h, "hidden_size": "@"}).replace('"@"', "9" * 5000).encode(),
+    ],
+    ids=["utf-16", "deep-nesting", "5000-digits"],
+)
+def test_sample_rejects_unreadable_checkpoint_header(tmp_path, header):
+    ckpt = train_checkpoint(tmp_path)
+    head, blob = ckpt.read_bytes().split(b"\n", 1)
+    ckpt.write_bytes(header(json.loads(head)) + b"\n" + blob)
+    code, _, err = run_cli(["sample", "--checkpoint", ckpt, "--out-dir", tmp_path / "gen"])
+    assert_json_error(code, err, "MalformedFile")
+    assert not (tmp_path / "gen").exists()
+
+
+@pytest.mark.parametrize("target", ["corpus", "sidecar"])
+def test_deeply_nested_corpus_json_is_malformed_file(tmp_path, target):
+    # Nesting past the recursion limit used to end in a RecursionError traceback.
+    corpus_path = build_corpus_file(tmp_path)
+    path = corpus_path if target == "corpus" else corpus_path.with_name(corpus_path.stem + ".vocab.json")
+    path.write_text("[" * 200_000 + "\n")
+    code, _, err = run_cli(["train", "--corpus", corpus_path, "--checkpoint", tmp_path / "m.ckpt"] + SMALL_TRAIN)
+    assert_json_error(code, err, "MalformedFile")
+    assert str(path) in json.loads(err)["message"]
+    assert not (tmp_path / "m.ckpt").exists()
 
 
 @pytest.mark.parametrize("command", ["train", "sweep"])
@@ -791,6 +824,25 @@ def test_sampling_rejects_count_below_one(tmp_path, command, count):
     assert_json_error(code, err, "ValueError")
     assert "--count" in json.loads(err)["message"]
     assert not (tmp_path / "gen" / "songs.jsonl").exists()
+
+
+@pytest.mark.parametrize("flag", ["--count", "--notes"])
+@pytest.mark.parametrize("command, mode", [("sample", "greedy"), ("sample", "temperature"), ("eval", "greedy")])
+def test_sampling_size_past_any_array_is_one_json_line(tmp_path, monkeypatch, command, mode, flag):
+    # These used to end in an OverflowError traceback.  The (count, notes)
+    # output is sized before any lane's generator is made, so none may be.
+    ckpt = train_checkpoint(tmp_path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a generator was made before the output was sized")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    code, _, err = run_cli(
+        [command, "--checkpoint", ckpt, "--out-dir", tmp_path / "gen", "--mode", mode, flag, str(10**20)]
+    )
+    assert_json_error(code, err, "ValueError")
+    assert flag in json.loads(err)["message"]
+    assert not (tmp_path / "gen").exists()
 
 
 @pytest.mark.parametrize("mode", ["greedy", "temperature"])

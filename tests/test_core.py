@@ -19,7 +19,7 @@ from melodykit.core import (
     song_to_db12,
     song_to_interval,
 )
-from melodykit.errors import EmptyCorpus, PitchOutOfRange, SongTooShort
+from melodykit.errors import EmptyCorpus, MalformedFile, PitchOutOfRange, SongTooShort
 
 from . import oracles
 from .oracles import brute_intervals
@@ -266,11 +266,12 @@ def test_songs_jsonl_roundtrip(tmp_path):
 
 @pytest.mark.parametrize(
     "line",
-    ['{"not": "a list"}', "[60, 61.5]", "[60, true]", "not json", '[60, "x"]'],
+    ['{"not": "a list"}', "[60, 61.5]", "[60, true]", "not json", '[60, "x"]',
+     pytest.param("[" * 200_000, id="deep-nesting")],
 )
 def test_songs_jsonl_rejects_bad_lines(tmp_path, line):
     path = tmp_path / "bad.jsonl"
     path.write_text("[60, 62]\n" + line + "\n")
-    with pytest.raises(ValueError) as exc_info:
+    with pytest.raises(MalformedFile) as exc_info:
         load_songs_jsonl(path)
     assert ":2:" in str(exc_info.value)  # offending line is named
