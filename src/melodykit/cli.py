@@ -15,7 +15,9 @@ beyond.  Since melodykit 0.3.0 `train` and `sweep` run forward and
 backward in float32 over float64 master weights, which clipping, Adam and
 the checkpoint hold, so their checkpoints and curves differ in the last
 bits from 0.2.x's; a step that leaves a weight past float32's safe range
-fails as TrainingDiverged and saves nothing.  `sample` and
+fails as TrainingDiverged and saves nothing.  Since 0.4.0 each layer step
+sums h @ W[m:] and x @ W[:m] + b apart (see `rnn`), so checkpoints and
+curves differ in the last bits from 0.3.x's too.  `sample` and
 `eval --checkpoint` compute in float32 where the weights allow it (see
 `rnn`), and BLAS picks its kernel by the number of songs, so a song's
 logits can differ in the last bits between --count values; its tokens

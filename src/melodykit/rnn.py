@@ -4,7 +4,9 @@ A model is an embedding table, a stack of identical gated cells, and a
 linear projection to vocabulary logits; everything trains jointly by
 taping each window of the sequence and running Adam on the summed
 cross-entropy.  A layer is one W (input_size + hidden, gates * hidden) and
-one b, gate blocks side by side, for z = [x, h] @ W + b.  `_shapes` is
+one b, gate blocks side by side, for z = [x, h] @ W + b, which every
+path computes as h @ W[m:] + zx, zx = x @ W[:m] + b being the input's
+share (m the input width).  `_shapes` is
 the one list of a model's parameter shapes, in `parameters()` order, and
 `_empty_model` the one allocator, which `init_model` and `load_checkpoint`
 both call.  `_v1_blocks` (through `_gate_blocks`, which cuts a layer into
@@ -15,16 +17,21 @@ Each cell kind is defined once, by its entry in the literal `CELL_TYPES`
 dict: a pointwise numpy step kernel (pre-activations and state in; new
 state and activation blocks out) and its hand-written adjoint, both
 writing into arrays their caller passes in.  Every path steps a layer
-through `_layer_step`, z = [x, h] @ W + b and then that kernel.
-Training records one `GradientTape.recurrence` per layer per window,
-which loops `_layer_step` forward over the window and the adjoint back,
-so a window is one lookup, one record per layer, then one projection and
-one cross-entropy over the (T*B, hidden) stack of top states.
+through `_layer_step`, z = h @ W[m:] + zx and then that kernel.  The
+first layer's zx depends only on the token, so every path reads it from
+a token table, E @ W[:m] + b, of V rows (at most 255, and 21 to 31 on
+the bundled corpora), made once per window in training and once per call
+in sampling and `stack_forward`.  Training records one
+`GradientTape.recurrence` per layer per window, which computes the
+layer's zx in one GEMM (the table, or over an upper layer's T*B input
+rows), loops `_layer_step` forward over the window and the adjoint back,
+so a window is one record per layer, then one projection and one
+cross-entropy over the (T*B, hidden) stack of top states.
 `sample_batch` and `stack_forward` step plain arrays through
 `_forward_step`: every song is one lane of a single batch, and `sample` is
 the one-lane call.
 
-Precision (melodykit 0.3.0): `train` runs forward and backward on a
+Precision (since melodykit 0.3.0): `train` runs forward and backward on a
 float32 tape over a float32 shadow of the parameters; the parameters
 themselves (the master weights), the gradients `clip_gradients` scales,
 Adam's moments and step, and the checkpoints stay float64, and the curve
@@ -36,7 +43,9 @@ per call, whenever they fit that guard, and the float64 arrays otherwise;
 `_pick` reads the logits as float64 either way.  The same code, seed and
 inputs, numpy/BLAS build and CPU give the same checkpoints, curves and
 songs; their bits differ from melodykit 0.2.x's trained models, whose
-gradients were float64.  Songs sampled from one checkpoint equal float64
+gradients were float64, and from 0.3.x's, which summed each z as
+[x, h] @ W + b in one GEMM and the input gradients in another order.
+Songs sampled from one checkpoint equal float64
 sampling's (melodykit 0.1.x) in tokens as expected, since a draw flips
 only when float32 rounding moves a cumulative probability across its
 uniform, but not promised.  Neither is a lane's bit-equality across lane
@@ -330,50 +339,75 @@ def _zero_states(model: ModelState, batch: int, dtype=np.float64) -> list[_State
     return [(np.zeros(shape, dtype), np.zeros(shape, dtype) if has_memory else None) for _ in model.layers]
 
 
-def _layer_step(spec: CellSpec, w: np.ndarray, b: np.ndarray, xh: np.ndarray, h: np.ndarray, c, out=None):
-    """One cell step on plain arrays: z = xh @ W + b, then the kernel; returns (h, c, acts).
+def _layer_step(spec: CellSpec, w_h: np.ndarray, zx: np.ndarray, h: np.ndarray, c, out=None):
+    """One cell step on plain arrays: z = h @ W_h + zx, then the kernel; returns (h, c, acts).
 
-    xh holds the step's [x, h] rows.  `out` is (z, h, c, acts), the arrays
-    the step writes: the pre-activations, the new state and the kernel's
-    activation blocks.  Training passes its workspace's; when it is None
-    they are allocated in xh's dtype, so a float32 step stays on BLAS's
-    float32 GEMM.
+    The layer's z = [x, h] @ W + b is split in two: W_h is W[m:], the rows
+    that the state h multiplies, and zx is the step's (B, width) input
+    share x @ W[:m] + b, which every caller computes ahead of the step.  A
+    first layer's share is a row of its token table E @ W[:m] + b, gathered
+    by token id (`_token_table`, or the table `GradientTape.recurrence`
+    makes); an upper layer's is its input rows through W[:m], plus b.
+    `out` is (z, h, c, acts), the arrays the step writes: the
+    pre-activations, the new state and the kernel's activation blocks.
+    Training passes its workspace's; when it is None they are allocated in
+    zx's dtype, so a float32 step stays on BLAS's float32 GEMM.
     """
-    if xh.shape[1] != w.shape[0] or w.shape[1] != len(spec.gates) * h.shape[1]:
-        raise ShapeMismatch(f"cell step of [x, h] {xh.shape}, h {h.shape} over W {w.shape}")
+    batch, n = h.shape
+    if w_h.shape != (n, len(spec.gates) * n) or zx.shape != (batch, w_h.shape[1]):
+        raise ShapeMismatch(f"cell step of h {h.shape} over W_h {w_h.shape} plus input share {zx.shape}")
     if out is None:
-        batch, n = h.shape
-        dtype = xh.dtype
-        out = (np.empty((batch, w.shape[1]), dtype), np.empty((batch, n), dtype),
+        dtype = zx.dtype
+        out = (np.empty(zx.shape, dtype), np.empty((batch, n), dtype),
                None if c is None else np.empty((batch, n), dtype), np.empty((spec.acts, batch, n), dtype))
     z, h_new, c_new, acts = out
-    np.matmul(xh, w, z)
-    z += b
+    np.matmul(h, w_h, z)
+    z += zx
     spec.step(z, h, c, h_new, c_new, acts)
     return h_new, c_new, acts
 
 
-def _forward_step(spec: CellSpec, weights: list[np.ndarray], ids: np.ndarray, states: list[_State]):
-    """One time step of a batch of token ids: embed, stack, project; returns (logits, states).
+def _token_table(weights: list[np.ndarray]) -> np.ndarray:
+    """The first layer's input share of every token, E @ W[:m] + b: a (V, width) table.
+
+    `weights` are the parameter arrays in `parameters()` order.
+    """
+    embedding, w, b = weights[:3]
+    table = embedding @ w[: embedding.shape[1]]
+    table += b
+    return table
+
+
+def _forward_step(spec: CellSpec, weights: list[np.ndarray], table: np.ndarray, ids: np.ndarray,
+                  states: list[_State]):
+    """One time step of a batch of token ids through the stack and the projection; returns (logits, states).
 
     `weights` are the parameter arrays in `parameters()` order, all of one
-    dtype, in which the step computes.
+    dtype, in which the step computes, and `table` is their
+    `_token_table`, whose rows for the ids are the first layer's input
+    share; an upper layer's is its lower layer's new h @ W[:m] + b.
     """
     embedding, *layers, proj_w, proj_b = weights
-    v = embedding[ids]
+    m, zx = embedding.shape[1], table[ids]
     new_states: list[_State] = []
     for w, b, (h, c) in zip(layers[::2], layers[1::2], states):
-        v, c, _ = _layer_step(spec, w, b, np.concatenate([v, h], axis=1), h, c)
+        if new_states:
+            m = v.shape[1]
+            zx = v @ w[:m]
+            zx += b
+        v, c, _ = _layer_step(spec, w[m:], zx, h, c)
         new_states.append((v, c))
     return v @ proj_w + proj_b, new_states
 
 
 # Bounds under which no product or sum of a step overflows float32 (max
-# about 2**128): a layer's input [x, h] is an embedding row or a lower
-# layer's h, and h stays in [-1, 1], so with |weight| <= 2**56 and an input
-# width m + n < 2**15, |z| <= (m + n) * 2**112 + 2**56 < 2**127; the
-# logits are smaller still.  c grows by at most 1 per step and enters only
-# through tanh.
+# about 2**128): a layer's input x is an embedding row or a lower layer's
+# h, and h stays in [-1, 1], so with |weight| <= 2**56 and an input width
+# m + n < 2**15, |z| <= (m + n) * 2**112 + 2**56 < 2**127; the logits are
+# smaller still.  The bound holds for the split sum too: the input share
+# x @ W[:m] + b (a token table row, for the first layer) and h @ W[m:]
+# each stay within it, and so does their sum.  c grows by at most 1 per
+# step and enters only through tanh.
 _F32_MAX_WEIGHT = 2.0 ** 56
 _F32_MAX_WIDTH = 2 ** 15
 
@@ -413,9 +447,10 @@ def stack_forward(
             raise ShapeMismatch(f"expected {model.num_layers} layer states, got {len(states)}")
         batch_states = [(s.h[None, :], s.c[None, :] if spec.has_memory else None) for s in states]
     weights = [p.value for p in model.parameters()]
+    table = _token_table(weights)
     rows = []
     for t in range(ids.size):
-        logits, batch_states = _forward_step(spec, weights, ids[t : t + 1], batch_states)
+        logits, batch_states = _forward_step(spec, weights, table, ids[t : t + 1], batch_states)
         rows.append(logits[0])
     out_states = [CellState(h=h[0].copy(), c=None if c is None else c[0].copy()) for h, c in batch_states]
     return np.vstack(rows), out_states
@@ -457,17 +492,20 @@ def _window_loss(tape: GradientTape, model: ModelState, X: np.ndarray, Y: np.nda
     """Summed cross-entropy of stepping through the columns of X against Y; returns (loss, final states).
 
     The window's (B, T) ids are taken time-major, so row t*B + b of every
-    (T*B, *) matrix is lane b at step t.  The tape gets L + 4 records: the
-    lookup, one recurrence per layer, the projection's matmul and bias, and
-    the loss.  The final states carry values only, and are copies: the
+    (T*B, *) matrix is lane b at step t.  The tape gets L + 3 records: one
+    recurrence per layer, the projection's matmul and bias, and the loss.
+    The first layer's recurrence reads the embedding table by token id, so
+    no (T*B, embedding_dim) array is made; an id outside the vocabulary is
+    BadToken.  The final states carry values only, and are copies: the
     tape's workspace does not hold them.
     """
     spec = cell_spec(model.cell)
     step = functools.partial(_layer_step, spec)
-    v = tape.lookup(model.embedding, X.T.reshape(-1))
+    v, ids = model.embedding, X.T.reshape(-1)
     final: list[_State] = []
     for layer, (h, c) in zip(model.layers, states):
-        v, h, c = tape.recurrence(v, h, c, layer.w, layer.b, step, spec.adjoint, spec.acts)
+        v, h, c = tape.recurrence(v, h, c, layer.w, layer.b, step, spec.adjoint, spec.acts, ids)
+        ids = None  # every upper layer reads the rows of the layer below
         final.append((h, c))
     logits = tape.add_bias(tape.matmul(v, model.proj_w), model.proj_b)
     return tape.cross_entropy(logits, Y.T.reshape(-1)), final
@@ -649,11 +687,12 @@ def sample_batch(
     # logits, which _pick reports, so numpy's warnings on the way there are
     # silenced.
     with np.errstate(over="ignore", invalid="ignore"):
+        table = _token_table(weights)
         for t in range(ids.size):
-            logits, states = _forward_step(spec, weights, np.full(lanes, ids[t]), states)
+            logits, states = _forward_step(spec, weights, table, np.full(lanes, ids[t]), states)
         generated[:, 0] = _pick(logits.astype(np.float64, copy=False), mode, temperature, uniforms[0])
         for t in range(1, n):
-            logits, states = _forward_step(spec, weights, generated[:, t - 1], states)
+            logits, states = _forward_step(spec, weights, table, generated[:, t - 1], states)
             generated[:, t] = _pick(logits.astype(np.float64, copy=False), mode, temperature, uniforms[t])
 
     songs = []
@@ -723,8 +762,9 @@ def load_checkpoint(path: str | Path) -> ModelState:
     header = read_json(data[:nl], f"{path}: header")
     if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
         raise MalformedFile(f"{path}: not a {CHECKPOINT_FORMAT} file")
-    if header.get("format_version") != CHECKPOINT_VERSION:
-        raise MalformedFile(f"{path}: unsupported format version {header.get('format_version')}")
+    version, = json_ints([header.get("format_version")], f"{path}: format_version").tolist()
+    if version != CHECKPOINT_VERSION:
+        raise MalformedFile(f"{path}: unsupported format version {version}")
     missing = [key for key in _HEADER_KEYS if key not in header]
     if missing:
         raise MalformedFile(f"{path}: header lacks {', '.join(missing)}")
@@ -732,8 +772,9 @@ def load_checkpoint(path: str | Path) -> ModelState:
     if hashlib.sha256(blob).hexdigest() != header["blob_sha256"]:
         raise MalformedFile(f"{path}: checksum mismatch (truncated or corrupted)")
     flat = np.frombuffer(blob, dtype="<f8")
-    if flat.size != header["param_count"]:
-        raise MalformedFile(f"{path}: expected {header['param_count']} values, found {flat.size}")
+    param_count, = json_ints([header["param_count"]], f"{path}: param_count").tolist()
+    if flat.size != param_count:
+        raise MalformedFile(f"{path}: expected {param_count} values, found {flat.size}")
 
     try:
         vocabulary = Vocabulary(tokens=tuple(json_ints(header["vocabulary"], f"{path}: vocabulary").tolist()))

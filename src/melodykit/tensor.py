@@ -3,19 +3,23 @@
 A GradientTape records each forward op together with a closure that
 routes the output gradient to the inputs; backward walks the record list
 once in reverse (execution order is already topological).  Activations
-live in (rows, features) matrices.  Training records five kinds of op:
-`lookup`, `recurrence` (a whole gated layer over a whole window),
-`matmul`, `add_bias` and `cross_entropy`.
+live in (rows, features) matrices.  Training records four kinds of op:
+`recurrence` (a whole gated layer over a whole window, the first layer
+reading the embedding table by token id), `matmul`, `add_bias` and
+`cross_entropy`.  The per-op kinds training no longer records, `lookup`
+among them, stay callable: the benchmark's tracer wraps every op its
+`TAPE_OPS` names, and `tests/tape_cells.py`, the per-op oracle that
+training's window is checked against, records them.
 
 Precision: a Tensor holds float32 or float64 (anything else is taken as
 float64), and a tape computes in the dtype it is made with, float64 by
-default: its workspace is allocated in that dtype, so the five training
+default: its workspace is allocated in that dtype, so the four training
 ops compute in their inputs' dtype.  `rnn.train` runs a float32 tape;
 finite-difference checks run the float64 default.  `cross_entropy`'s
 summed loss is a float64 scalar whatever the dtype.  Clipping and Adam
 work on whatever arrays they are given; training gives them float64.
 
-Memory: those five ops write their outputs, the caches their backward
+Memory: those four ops write their outputs, the caches their backward
 reads and the first gradient they give each tensor into the tape's
 workspace, arrays handed out in request order.  `GradientTape.reset`
 rewinds that order and takes back every gradient it handed out, so a
@@ -242,7 +246,12 @@ class GradientTape:
         return self._push(out, back)
 
     def lookup(self, table: Tensor, ids: np.ndarray) -> Tensor:
-        """Gather rows of `table`; backward scatter-adds into the rows."""
+        """Gather rows of `table`; backward scatter-adds into the rows.
+
+        Training no longer records it (`recurrence` reads the embedding
+        table by id).  It stays for the per-op oracle in the tests and the
+        benchmark's tracer, which wraps every op its `TAPE_OPS` names.
+        """
         ids = np.asarray(ids, dtype=np.int64)
         rows = table.value.shape[0]
         if ids.size and (ids.min() < 0 or ids.max() >= rows):
@@ -297,60 +306,79 @@ class GradientTape:
         step: Callable,
         adjoint: Callable,
         blocks: int,
+        ids: np.ndarray | None = None,
     ) -> tuple[Tensor, np.ndarray, np.ndarray | None]:
         """A gated recurrent layer over a whole window, as one record.
 
-        x is (T*B, m), time-major: rows t*B .. t*B+B-1 are the layer's input
-        at step t.  h and c are the (B, n) state the window starts from (c
-        is None for cells without a memory lane).  W (m + n, width) and b
-        are the values of `weight` and `bias`, the gate blocks side by side.
-        `step(W, b, xh, h, c, out)` is one step of the layer: z = xh @ W + b
-        for the [x_t, h] rows xh, then the cell's kernel, writing out = (z,
-        new h, new c, the step's `blocks` (B, n) activation blocks).  Backward calls
-        `adjoint(dh, dc, h, c, acts, dz, tmp) -> (dh_direct, dc)` in
-        reverse: it writes the gradient of z into dz and returns, written
-        over dh and dc, the gradient reaching the old h other than through
-        z (or None) and that of the old c; tmp is a (2, B, n) scratch.  The
-        weight gradient and the input gradient are then one GEMM each over
-        all T*B rows, in the manner of cuDNN's RNN kernels (Appleyard,
-        Kocisky & Blunsom 2016).
+        The layer's input is T*B rows of width m, time-major: rows t*B ..
+        t*B+B-1 are its input at step t.  They are x, (T*B, m), or, given
+        the T*B token ids `ids`, the rows x[ids] of the (V, m) table x.  h
+        and c are the (B, n) state the window starts from (c is None for
+        cells without a memory lane).  W (m + n, width) and b are the values
+        of `weight` and `bias`, the gate blocks side by side.
 
-        Every array lives in the workspace: the [x_t, h] rows, the states,
-        the activations and, in backward, dz, dW and db.  Returns (the T*B
-        new h rows, final h, final c); the final states are copies.
-        Gradients reach x, `weight` and `bias`; the start and final states
-        carry values only.
+        z = [x_t, h] @ W + b is split as h @ W[m:] + zx_t.  The input share
+        zx = x @ W[:m] + b is one GEMM ahead of the loop, as in cuDNN's RNN
+        kernels (Appleyard, Kocisky & Blunsom 2016); with `ids` it is a
+        V-row token table that each step gathers from.  `step(W_h, zx_t, h,
+        c, out)` is one step: z = h @ W_h + zx_t, then the cell's kernel,
+        writing out = (z, new h, new c, the step's `blocks` (B, n)
+        activation blocks).  Backward calls `adjoint(dh, dc, h, c, acts, dz,
+        tmp) -> (dh_direct, dc)` in reverse: it writes the gradient of z
+        into dz and returns, written over dh and dc, the gradient reaching
+        the old h other than through z (or None) and that of the old c; tmp
+        is a (2, B, n) scratch.  Then dW[m:] = hs^T dz over all T*B rows;
+        S is dz, or with `ids` dz summed per token by one one-hot (V, T*B)
+        GEMM, and dW[:m] = x^T S, db = sum S, and x's gradient is S W[:m]^T.
+
+        Every array lives in the workspace.  Returns (the T*B new h rows,
+        final h, final c); the final states are copies.  Gradients reach x,
+        `weight` and `bias`; the states carry values only.  An id outside
+        the table is BadToken.
         """
         batch, n = h.shape
-        rows, m = x.value.shape
         w, b = weight.value, bias.value
         width = b.shape[0]
+        m = x.value.shape[1]
+        if ids is None:
+            rows = x.value.shape[0]
+        else:
+            ids = np.asarray(ids, dtype=np.int64)
+            rows, tokens = ids.size, x.value.shape[0]
+            # The gather below runs in "clip" mode, which would clamp a bad id.
+            if rows and (ids.min() < 0 or ids.max() >= tokens):
+                raise BadToken(f"ids in [{ids.min()}, {ids.max()}] from a table of {tokens} rows")
         if rows % batch or w.shape != (m + n, width) or b.ndim != 1 or (c is not None and c.shape != h.shape):
             raise ShapeMismatch(f"recurrence of x {x.value.shape} from h {h.shape} over W {w.shape}, b {b.shape}")
         steps = rows // batch
         memory = c is not None
-        # Step t reads xh[t], its [x_t, h] rows, and hs[t] (and cs[t]), the
-        # state it starts from; it writes hs[t + 1], so the output is hs[1:].
-        # Without a memory lane every cs[t] is None.
-        xh = self._array((steps, batch, m + n))
+        w_h = w[m:]
+        zx = np.matmul(x.value, w[:m], out=self._array((x.value.shape[0], width)))
+        zx += b
+        if ids is not None:
+            step_ids = ids.reshape(steps, batch)
+            gathered = self._array((batch, width))
+        # Step t reads hs[t] (and cs[t]), the state it starts from, and
+        # writes hs[t + 1], so the output is hs[1:].  Without a memory lane
+        # every cs[t] is None.
         hs = self._array((steps + 1, batch, n))
         cs = self._array((steps + 1, batch, n)) if memory else [None] * (steps + 1)
         acts = self._array((steps, blocks, batch, n))
         z = self._array((batch, width))
-        xh[:, :, :m] = x.value.reshape(steps, batch, m)
-        xh[0, :, m:] = h
         hs[0] = h
         if memory:
             cs[0] = c
         for t in range(steps):
-            step(w, b, xh[t], hs[t], cs[t], (z, hs[t + 1], cs[t + 1], acts[t]))
-            if t + 1 < steps:
-                xh[t + 1, :, m:] = hs[t + 1]
+            if ids is None:
+                zx_t = zx[t * batch : (t + 1) * batch]
+            else:
+                zx_t = np.take(zx, step_ids[t], axis=0, mode="clip", out=gathered)
+            step(w_h, zx_t, hs[t], cs[t], (z, hs[t + 1], cs[t + 1], acts[t]))
         out = Tensor(hs[1:].reshape(rows, n))
 
         def back(g: np.ndarray) -> None:
             g = g.reshape(steps, batch, n)
-            w_h = w[m:].T
+            w_ht = w_h.T
             dz = self._array((steps, batch, width))
             dh = self._array((batch, n))
             tmp = self._array((2, batch, n))
@@ -363,13 +391,23 @@ class GradientTape:
                 np.add(g[t], carry, dh)
                 dh_direct, dc = adjoint(dh, dc, hs[t], cs[t], acts[t], dz[t], tmp)
                 if t:
-                    np.matmul(dz[t], w_h, carry)
+                    np.matmul(dz[t], w_ht, carry)
                     if dh_direct is not None:
                         carry += dh_direct
             dz_rows = dz.reshape(rows, width)
-            self._accumulate_own(weight, np.matmul(xh.reshape(rows, m + n).T, dz_rows, out=self._array(w.shape)))
-            self._accumulate_own(bias, np.sum(dz_rows, axis=0, out=self._array(b.shape)))
-            self._accumulate_own(x, np.matmul(dz_rows, w[:m].T, out=self._array((rows, m))))
+            dw = self._array(w.shape)
+            np.matmul(hs[:steps].reshape(rows, n).T, dz_rows, out=dw[m:])
+            if ids is None:
+                s = dz_rows
+            else:
+                onehot = self._array((x.value.shape[0], rows))
+                onehot[...] = 0.0
+                onehot[ids, np.arange(rows)] = 1.0
+                s = np.matmul(onehot, dz_rows, out=self._array(zx.shape))
+            np.matmul(x.value.T, s, out=dw[:m])
+            self._accumulate_own(weight, dw)
+            self._accumulate_own(bias, np.sum(s, axis=0, out=self._array(b.shape)))
+            self._accumulate_own(x, np.matmul(s, w[:m].T, out=self._array(x.value.shape)))
 
         return self._push(out, back), hs[steps].copy(), cs[steps].copy() if memory else None
 

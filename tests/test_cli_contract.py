@@ -146,3 +146,22 @@ def test_training_sizes_keep_the_error_contract(inputs, sizes):
         for flag, value in sizes.items():
             argv += [flag, value]
         assert_contract(argv, work, "out.ckpt")
+
+
+@pytest.mark.parametrize("key, form", [("format_version", lambda v: True), ("param_count", float),
+                                       ("param_count", str)], ids=["bool-version", "float-count", "string-count"])
+def test_checkpoint_header_integers_refuse_other_types(inputs, tmp_path, key, form):
+    # Each edit writes the right value (True == 1) in a form that is not a
+    # JSON integer; each is MalformedFile naming the field.
+    head, blob = (inputs / "model.ckpt").read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    header[key] = form(header[key])
+    (tmp_path / "model.ckpt").write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + blob)
+    argv, output = command("model.ckpt", tmp_path)
+    code, _, err = run_cli(argv)
+    assert code == 1
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    error = json.loads(lines[0])
+    assert error["error"] == "MalformedFile" and key in error["message"]
+    assert not (tmp_path / output).exists()

@@ -96,9 +96,10 @@ def cell_step(kind, x, p, h, c=None):
     def row(v):
         return np.asarray(v, dtype=np.float64)[None]
 
-    h, c = row(h), None if c is None else row(c)
-    xh = np.concatenate([row(x), h], axis=1)
-    h_new, c_new, _ = _layer_step(cell_spec(kind), p.w.value, p.b.value, xh, h, c)
+    x, h, c = row(x), row(h), None if c is None else row(c)
+    m = x.shape[1]  # W's first m rows take x, the rest h
+    zx = x @ p.w.value[:m] + p.b.value
+    h_new, c_new, _ = _layer_step(cell_spec(kind), p.w.value[m:], zx, h, c)
     return h_new[0], None if c_new is None else c_new[0]
 
 
@@ -184,12 +185,12 @@ def test_layer_step_allocates_in_its_inputs_dtype(kind):
     # A float64 output would send a float32 GEMM off BLAS's float32 path.
     spec = cell_spec(kind)
     rng = np.random.default_rng(3)
-    w, b = rng.uniform(-1, 1, (5, len(spec.gates) * 2)), rng.uniform(-1, 1, len(spec.gates) * 2)
-    xh = rng.uniform(-1, 1, (4, 5))
+    w_h, zx = rng.uniform(-1, 1, (2, len(spec.gates) * 2)), rng.uniform(-1, 1, (4, len(spec.gates) * 2))
+    h = rng.uniform(-1, 1, (4, 2))
     c = rng.uniform(-1, 1, (4, 2)) if spec.has_memory else None
-    want = _layer_step(spec, w, b, xh, xh[:, 3:], c)
-    f32 = [None if a is None else a.astype(np.float32) for a in (w, b, xh, c)]
-    got = _layer_step(spec, *f32[:3], f32[2][:, 3:], f32[3])
+    want = _layer_step(spec, w_h, zx, h, c)
+    f32 = [None if a is None else a.astype(np.float32) for a in (w_h, zx, h, c)]
+    got = _layer_step(spec, *f32)
     for g, v in zip(got, want):
         if v is None:
             assert g is None
@@ -292,6 +293,16 @@ def test_window_loss_matches_per_op_tape(cell, layers, batch, steps):
 
 
 # --- embedding -----------------------------------------------------------
+
+@pytest.mark.parametrize("bad", [VOCAB.size, -1])
+def test_window_loss_rejects_ids_outside_the_vocabulary(bad):
+    # The first layer gathers its token table's rows in "clip" mode, which
+    # would clamp a bad id to the last (or first) row.
+    m = tiny_model(cell="ugrnn")
+    X = np.array([[0, bad, 1]])
+    with pytest.raises(BadToken):
+        _window_loss(GradientTape(), m, X, np.zeros_like(X), _zero_states(m, 1))
+
 
 def test_training_touches_only_seen_embedding_rows():
     # token 64 appears in y but never in x's first window, so its
