@@ -39,4 +39,4 @@ from .rnn import (
     train,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

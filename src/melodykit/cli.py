@@ -17,7 +17,11 @@ the checkpoint hold, so their checkpoints and curves differ in the last
 bits from 0.2.x's; a step that leaves a weight past float32's safe range
 fails as TrainingDiverged and saves nothing.  Since 0.4.0 each layer step
 sums h @ W[m:] and x @ W[:m] + b apart (see `rnn`), so checkpoints and
-curves differ in the last bits from 0.3.x's too.  `sample` and
+curves differ in the last bits from 0.3.x's too.  Since 0.5.0 the clipping
+norm is summed over each whole gradient and Adam folds its bias
+corrections into its step size, so checkpoints differ in the last bits
+from 0.4.x's.  A checkpoint holding a NaN or infinite weight is refused
+as MalformedFile, since `train` never saves one.  `sample` and
 `eval --checkpoint` compute in float32 where the weights allow it (see
 `rnn`), and BLAS picks its kernel by the number of songs, so a song's
 logits can differ in the last bits between --count values; its tokens

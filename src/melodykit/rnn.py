@@ -10,8 +10,8 @@ share (m the input width).  `_shapes` is
 the one list of a model's parameter shapes, in `parameters()` order, and
 `_empty_model` the one allocator, which `init_model` and `load_checkpoint`
 both call.  `_v1_blocks` (through `_gate_blocks`, which cuts a layer into
-its per-gate blocks) is the one order: `init_model` draws, checkpoint v1
-is written and read, and the clipping norm is summed block by block in it.
+its per-gate blocks) is the one order in which `init_model` draws and
+checkpoint v1 is written and read.
 
 Each cell kind is defined once, by its entry in the literal `CELL_TYPES`
 dict: a pointwise numpy step kernel (pre-activations and state in; new
@@ -35,7 +35,9 @@ Precision (since melodykit 0.3.0): `train` runs forward and backward on a
 float32 tape over a float32 shadow of the parameters; the parameters
 themselves (the master weights), the gradients `clip_gradients` scales,
 Adam's moments and step, and the checkpoints stay float64, and the curve
-records the float64 sum of the window's per-row losses.  The
+records the float64 sum of the window's per-row losses.  Since 0.5.0 the
+clipping norm is summed over each whole gradient and Adam folds its bias
+corrections into its step size, so checkpoint bits differ from 0.4.x's.  The
 masters are checked against `_fits_float32`'s range guard after every
 step, before the shadow is refreshed from them.  `stack_forward` computes
 in float64.  `sample_batch` steps a float32 copy of the weights, made once
@@ -231,9 +233,8 @@ def _v1_blocks(cell: str, arrays: list[np.ndarray]) -> list[np.ndarray]:
     """Checkpoint v1's blocks, as views, of per-parameter arrays in `parameters()` order.
 
     v1 holds the embedding, each layer's `_gate_blocks`, then the
-    projection's W and b.  `init_model` draws in their order, checkpoints
-    are written and read through these views, and the clipping norm sums
-    its squares over them.
+    projection's W and b.  `init_model` draws in their order, and
+    checkpoints are written and read through these views.
     """
     gates = len(cell_spec(cell).gates)
     layers = [a for w, b in zip(arrays[1:-2:2], arrays[2:-2:2]) for a in _gate_blocks(w, b, gates)]
@@ -533,8 +534,10 @@ def train(corpus: TrainingCorpus, config: TrainConfig, seed: int = 0) -> tuple[M
     so its workspace (the window's activations, caches and the shadow's
     gradients) is allocated in the first iteration and reused by every
     later one; so are the shadow and the float64 gradient list.
-    `clip_gradients` scales the gradients in place and Adam updates
-    through one scratch pair.  All of it is released when train returns.
+    `clip_gradients` sums the norm over the whole gradient list and scales
+    it in place, and Adam updates through one scratch pair.  Each is called
+    once per iteration, through this module's globals.  All of it is
+    released when train returns.
 
     Raises ValueError if a layer's input is too wide for `_fits_float32`.
     Raises TrainingDiverged at the first iteration whose window loss is not
@@ -594,8 +597,7 @@ def train(corpus: TrainingCorpus, config: TrainConfig, seed: int = 0) -> tuple[M
                 tape.backward(total)
                 for g, s in zip(grads, shadow_params):
                     np.copyto(g, s.grad)
-                # Squares summed per gate block: over a whole fused W the norm's last bits differ.
-                clip_gradients(_v1_blocks(model.cell, grads), config.clip_norm, opt.scratch[0])
+                clip_gradients(grads, config.clip_norm)
                 adam_step(values, grads, opt)
                 if not _fits_float32(values):
                     raise TrainingDiverged(f"weights past float32's range (|w| > 2**56) at iteration "
@@ -753,7 +755,9 @@ def load_checkpoint(path: str | Path) -> ModelState:
     The header must carry every key and the blob its checksum, and the
     blob exactly as many values as the header's sizes describe; that count
     is checked before anything is allocated.  The model's arrays are then
-    allocated unset and its `_v1_blocks` are filled in order.
+    allocated unset and its `_v1_blocks` are filled in order.  A NaN or
+    infinite value is MalformedFile naming its parameter: `train` never
+    saves one, and what sampling would make of it depends on where it sits.
     """
     data = Path(path).read_bytes()
     nl = data.find(b"\n")
@@ -793,4 +797,10 @@ def load_checkpoint(path: str | Path) -> ModelState:
     ends = np.cumsum([a.size for a in blocks])
     for block, values in zip(blocks, np.split(flat, ends[:-1])):
         block[...] = values.reshape(block.shape)
+    # Elementwise: a sum would overflow on large finite weights, which load.
+    names = ["embedding", *(f"layer {k} {x}" for k in range(1, layers + 1) for x in "Wb"), "projection W",
+             "projection b"]
+    for name, p in zip(names, model.parameters()):
+        if not np.isfinite(p.value).all():
+            raise MalformedFile(f"{path}: {name} holds a non-finite value")
     return model

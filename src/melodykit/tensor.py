@@ -25,9 +25,10 @@ workspace, arrays handed out in request order.  `GradientTape.reset`
 rewinds that order and takes back every gradient it handed out, so a
 tape kept across the windows of a training run (which all record the same
 ops at the same shapes) allocates its window-sized arrays once.
-`clip_gradients` scales the gradients in place, its squares in a scratch
-row, and `adam_step` works in the scratch pair its `AdamState` holds, so
-a training iteration allocates nothing window- or parameter-sized.
+`clip_gradients` sums the squared norm one gradient at a time and scales
+the gradients in place, and `adam_step` works in the scratch pair
+its `AdamState` holds, so a training iteration allocates nothing window-
+or parameter-sized.
 
 numpy supplies the dense array arithmetic; the tape, the loss, and the
 optimiser live here.
@@ -35,6 +36,7 @@ optimiser live here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -426,16 +428,19 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def clip_gradients(grads: list[np.ndarray], max_norm: float, scratch: np.ndarray) -> list[np.ndarray]:
+def clip_gradients(grads: list[np.ndarray], max_norm: float) -> list[np.ndarray]:
     """Scale all gradients in place by a shared factor so the global L2 norm <= max_norm; returns grads.
 
-    `scratch`, a flat array at least as long as the largest gradient, holds
-    each gradient's squares for the norm.
+    The squared norm is summed as one dot product per whole gradient, which
+    allocates nothing.  It is numpy's `einsum`, not BLAS's dot: OpenBLAS
+    splits a dot of more than 10,000 values across its threads, so the
+    norm's last bits, and every clipped run's, would follow the thread count.
     """
     total = 0.0
     for g in grads:
-        total += float(np.multiply(g, g, out=scratch[: g.size].reshape(g.shape)).sum())
-    norm = np.sqrt(total)
+        flat = g.reshape(-1)
+        total += float(np.einsum("i,i->", flat, flat))
+    norm = math.sqrt(total)
     if norm <= max_norm or norm == 0.0:
         return grads
     scale = max_norm / norm
@@ -476,12 +481,17 @@ def adam_step(
     """One bias-corrected Adam update; params are updated in place.
 
     Each step is m += (1 - beta1) * g, v += (1 - beta2) * g * g after the
-    decays, then p -= lr * m_hat / (sqrt(v_hat) + eps), evaluated in that
-    order in `state.scratch`.
+    decays, then p -= lr * m_hat / (sqrt(v_hat) + eps), with the bias
+    corrections folded into the step size as Kingma & Ba (2014, section 2)
+    do: p -= alpha_t * m / (sqrt(v) + eps_t), alpha_t = lr * sqrt(1 -
+    beta2**t) / (1 - beta1**t) and eps_t = eps * sqrt(1 - beta2**t), equal
+    in exact arithmetic.  Evaluated in that order in `state.scratch`.
     """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ShapeMismatch("params, grads, and state must align")
     state.t += 1
+    root = math.sqrt(1.0 - BETA2 ** state.t)
+    alpha, eps = state.lr * root / (1.0 - BETA1 ** state.t), EPS * root
     for p, g, m, v in zip(params, grads, state.m, state.v):
         a, b = (row[: p.size].reshape(p.shape) for row in state.scratch)
         m *= BETA1
@@ -490,11 +500,9 @@ def adam_step(
         np.multiply(g, 1.0 - BETA2, out=a)
         a *= g
         v += a
-        np.divide(m, 1.0 - BETA1 ** state.t, out=a)
-        np.divide(v, 1.0 - BETA2 ** state.t, out=b)
-        a *= state.lr
-        np.sqrt(b, out=b)
-        b += EPS
+        np.multiply(m, alpha, out=a)
+        np.sqrt(v, out=b)
+        b += eps
         a /= b
         p -= a
     return params, state

@@ -789,7 +789,8 @@ def test_sample_rejects_zero_width_checkpoint(tmp_path):
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 @pytest.mark.parametrize("mode", ["greedy", "temperature"])
 def test_sample_rejects_non_finite_checkpoint(tmp_path, mode, bad):
-    # Greedy argmax would take the first NaN logit for the maximum.
+    # Refused at load, before greedy argmax could take the first NaN logit
+    # for the maximum.
     ckpt = train_checkpoint(tmp_path)
     model = load_checkpoint(ckpt)
     model.proj_b.value[0] = bad
@@ -797,8 +798,26 @@ def test_sample_rejects_non_finite_checkpoint(tmp_path, mode, bad):
     code, _, err = run_cli(
         ["sample", "--checkpoint", ckpt, "--out-dir", tmp_path / "gen", "--mode", mode]
     )
-    assert_json_error(code, err, "ValueError")
-    assert "non-finite logits" in json.loads(err)["message"]
+    assert_json_error(code, err, "MalformedFile")
+    assert "projection b holds a non-finite value" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("place", ["embedding", "layer 1 W", "projection b"])
+@pytest.mark.parametrize("command", ["sample", "eval"])
+def test_non_finite_checkpoint_weight_is_malformed_file(tmp_path, command, place, bad):
+    # A re-signed blob, as save_checkpoint writes it.  Loaded, inf in the
+    # embedding sampled saturated songs with exit 0, and -inf in the
+    # projection or NaN anywhere failed on the logits instead.
+    ckpt = train_checkpoint(tmp_path)
+    model = load_checkpoint(ckpt)
+    array = {"embedding": model.embedding, "layer 1 W": model.layers[0].w, "projection b": model.proj_b}[place].value
+    array.flat[array.size // 2] = bad
+    save_checkpoint(model, ckpt)
+    code, _, err = run_cli([command, "--checkpoint", ckpt, "--out-dir", tmp_path / "gen"])
+    assert_json_error(code, err, "MalformedFile")
+    assert f"{place} holds a non-finite value" in json.loads(err)["message"]
+    assert not (tmp_path / "gen").exists()
 
 
 @pytest.mark.parametrize("temperature", ["nan", "inf", "1e-320"])

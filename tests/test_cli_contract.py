@@ -2,14 +2,15 @@
 
 Each example copies one valid set of inputs (a control corpus and its
 vocabulary sidecar, a checkpoint trained on it, a songs JSONL file) into a
-fresh directory, damages one JSON value in one of them or picks extreme
-numeric flags, and calls `cli.main` in process.  Every case must end as
-exit 0 with the command's output written, or as exit 1 with exactly one
-JSON line on stderr.  Either way no exception may escape `main`, no
+fresh directory, damages one JSON value in one of them, the checkpoint's
+blob or the bytes of MIDI files, or picks extreme numeric flags, and calls
+`cli.main` in process.  Every case must end as exit 0 with the command's
+output written, or as exit 1 with exactly one JSON line on stderr.  Either way no exception may escape `main`, no
 warning may be issued and no `.*.tmp` file may be left.
 """
 
 import contextlib
+import hashlib
 import json
 import shutil
 import tempfile
@@ -22,8 +23,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from melodykit.core import load_songs_jsonl
+from melodykit.midi import write_midi
+
 from .conftest import run_cli
 from .test_cli import SMALL_TRAIN, make_train_songs
+from .test_midi import damaged as damaged_bytes
 
 TRAIN = SMALL_TRAIN + ["--max-iterations", "2"]
 
@@ -73,19 +78,22 @@ def inputs(tmp_path_factory) -> Path:
     return base
 
 
-def assert_contract(argv: list, work: Path, output: str) -> None:
+def assert_contract(argv: list, work: Path, output: str) -> str | None:
+    """Run argv and check the contract; returns the error's name, or None on exit 0."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, _, err = run_cli(argv)
     assert [str(w.message) for w in caught] == []
+    assert sorted(work.rglob(".*.tmp")) == []
     if code == 0:
         assert (work / output).is_file()
-    else:
-        assert code == 1
-        lines = err.splitlines()
-        assert len(lines) == 1, err
-        assert set(json.loads(lines[0])) == {"error", "message"}
-    assert sorted(work.rglob(".*.tmp")) == []
+        return None
+    assert code == 1
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    error = json.loads(lines[0])
+    assert set(error) == {"error", "message"}
+    return error["error"]
 
 
 def command(target: str, work: Path) -> tuple[list, str]:
@@ -120,6 +128,53 @@ def test_damaged_json_input_keeps_the_error_contract(inputs, target, data):
         (work / target).write_bytes(raw)
         argv, output = command(target, work)
         assert_contract(argv, work, output)
+
+
+# Values a re-signed blob may hold: not finite, past any safe range, subnormal or zero.
+BLOB_VALUES = st.sampled_from([float("nan"), float("inf"), float("-inf"), 1e300, -1e300, 5e-324, 0.0])
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), cmd=st.sampled_from(["sample", "eval"]), resign=st.booleans())
+def test_damaged_checkpoint_blob_keeps_the_error_contract(inputs, data, cmd, resign):
+    head, blob = (inputs / "model.ckpt").read_bytes().split(b"\n", 1)
+    if resign:
+        # The checksum matches, so only the values themselves can be refused.
+        flat = np.frombuffer(blob, dtype="<f8").copy()
+        for i in data.draw(st.lists(st.integers(0, flat.size - 1), min_size=1, max_size=4)):
+            flat[i] = data.draw(BLOB_VALUES)
+        damaged_blob = flat.tobytes()
+        header = json.loads(head)
+        header["blob_sha256"] = hashlib.sha256(damaged_blob).hexdigest()
+        head = json.dumps(header, sort_keys=True).encode()
+    else:
+        # Cut, extended or both, and not re-signed.
+        damaged_blob = blob[: data.draw(st.integers(0, len(blob)))] + data.draw(st.binary(max_size=16))
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        (work / "model.ckpt").write_bytes(head + b"\n" + damaged_blob)
+        argv = [cmd, "--checkpoint", work / "model.ckpt", "--out-dir", work / "gen", "--count", "2", "--notes", "12"]
+        error = assert_contract(argv, work, "gen/songs.jsonl")
+    refused = not np.isfinite(flat).all() if resign else damaged_blob != blob
+    if refused:
+        assert error == "MalformedFile"
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_damaged_midi_files_keep_the_error_contract(inputs, data):
+    songs = load_songs_jsonl(inputs / "songs.jsonl")
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        (work / "midi").mkdir()
+        hit = data.draw(st.integers(0, len(songs) - 1))
+        for i, song in enumerate(songs):
+            raw = write_midi(song)
+            if i == hit or data.draw(st.booleans()):
+                raw = data.draw(damaged_bytes(raw))
+            (work / "midi" / f"song_{i}.mid").write_bytes(raw)
+        argv = ["dataset", "--midi-dir", work / "midi", "--out", work / "corpus.json"]
+        assert_contract(argv, work, "corpus.json")
 
 
 @settings(max_examples=25, deadline=None)

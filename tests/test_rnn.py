@@ -496,8 +496,8 @@ def test_train_bitwise_deterministic():
 def reference_train(corpus, config, seed, dtype=np.float32):
     """train's loop with no state kept between windows: each window a fresh
     tape of `dtype` (train's is float32) over a fresh `dtype` copy of the
-    float64 parameters, and clipping (its norm summed over checkpoint v1's
-    blocks) and Adam on float64 copies of the gradients."""
+    float64 parameters, and clipping and Adam on float64 copies of the
+    gradients."""
     model = init_model(corpus.vocabulary, corpus.variant, cell=config.cell,
                        num_layers=config.num_layers, hidden_size=config.hidden_size,
                        embedding_dim=config.embedding_dim, rng=np.random.default_rng(seed))
@@ -520,11 +520,33 @@ def reference_train(corpus, config, seed, dtype=np.float32):
         total, states = _window_loss(tape, copy, X[:, cols], Y[:, cols], states)
         tape.backward(total)
         grads = [p.grad.astype(np.float64) for p in copy.parameters()]
-        clip_gradients(_v1_blocks(config.cell, grads), config.clip_norm,
-                       np.empty(max(p.value.size for p in params)))
+        clip_gradients(grads, config.clip_norm)
         adam_step([p.value for p in params], grads, opt)
         curve.append((iteration + 1, float(total.value) / (B * T)))
     return model, curve
+
+
+def test_train_calls_the_optimizer_once_per_iteration(monkeypatch):
+    # The benchmark's probe and tracer, and scripts/train_grid.py, patch
+    # these two names in rnn's globals and time an iteration from one
+    # adam_step call to the next.  9 iterations of 7 windows per epoch
+    # cross an epoch boundary.
+    calls = []
+
+    def clip(*args):
+        calls.append("clip")
+        return clip_gradients(*args)
+
+    def adam(*args):
+        calls.append("adam")
+        return adam_step(*args)
+
+    monkeypatch.setattr(rnn, "clip_gradients", clip)
+    monkeypatch.setattr(rnn, "adam_step", adam)
+    _, curve = train(small_corpus(), TrainConfig(cell="ugrnn", hidden_size=4, embedding_dim=3, batch_size=2,
+                                                 seq_len=5, epochs=2, max_iterations=9), seed=0)
+    assert len(curve) == 9
+    assert calls == ["clip", "adam"] * 9
 
 
 @pytest.mark.parametrize("layers", [1, 2])
