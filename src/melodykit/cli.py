@@ -11,21 +11,16 @@ flags, and seeds, each command writes byte-identical outputs on the same
 platform, that is, with the same code, the same numpy/BLAS build and the
 same CPU.  Another build may sum floats in another order, so its losses,
 and with them the training trajectory, can differ in the last bits and
-beyond.  Since melodykit 0.3.0 `train` and `sweep` run forward and
-backward in float32 over float64 master weights, which clipping, Adam and
-the checkpoint hold, so their checkpoints and curves differ in the last
-bits from 0.2.x's; a step that leaves a weight past float32's safe range
-fails as TrainingDiverged and saves nothing.  Since 0.4.0 each layer step
-sums h @ W[m:] and x @ W[:m] + b apart (see `rnn`), so checkpoints and
-curves differ in the last bits from 0.3.x's too.  Since 0.5.0 the clipping
-norm is summed over each whole gradient and Adam folds its bias
-corrections into its step size, so checkpoints differ in the last bits
-from 0.4.x's.  A checkpoint holding a NaN or infinite weight is refused
-as MalformedFile, since `train` never saves one.  `sample` and
-`eval --checkpoint` compute in float32 where the weights allow it (see
-`rnn`), and BLAS picks its kernel by the number of songs, so a song's
-logits can differ in the last bits between --count values; its tokens
-agreed in every case checked.
+beyond.  `train` and `sweep` run forward and backward in float32 over
+float64 master weights, which clipping, Adam and the checkpoint hold (see
+`rnn`).  No weight may pass 2**56, float32's safe range: a step that
+leaves one there fails as TrainingDiverged and saves nothing, and a
+checkpoint holding one (NaN and infinities included) is refused as
+MalformedFile.  `sample` and `eval --checkpoint` compute in float32, and
+BLAS picks its kernel by the number of songs, so a song's logits can
+differ in the last bits between --count values; its tokens agreed in
+every case checked.  README keeps the history of how each version
+changed these bits.
 """
 
 from __future__ import annotations
@@ -213,8 +208,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 row["initial_loss"] = curve[0][1] if curve else float("nan")
                 row["final_loss"] = curve[-1][1] if curve else float("nan")
                 row["status"] = "ok"
-            except (MelodyKitError, ValueError) as exc:
-                # One bad run must not kill the sweep.
+            except (MelodyKitError, ValueError, MemoryError) as exc:
+                # One bad run (a diverged, degenerate or too large model) must not kill the sweep.
                 row["initial_loss"] = float("nan")
                 row["final_loss"] = float("nan")
                 row["status"] = f"error:{type(exc).__name__}"

@@ -31,29 +31,23 @@ cross-entropy over the (T*B, hidden) stack of top states.
 `_forward_step`: every song is one lane of a single batch, and `sample` is
 the one-lane call.
 
-Precision (since melodykit 0.3.0): `train` runs forward and backward on a
-float32 tape over a float32 shadow of the parameters; the parameters
-themselves (the master weights), the gradients `clip_gradients` scales,
-Adam's moments and step, and the checkpoints stay float64, and the curve
-records the float64 sum of the window's per-row losses.  Since 0.5.0 the
-clipping norm is summed over each whole gradient and Adam folds its bias
-corrections into its step size, so checkpoint bits differ from 0.4.x's.  The
-masters are checked against `_fits_float32`'s range guard after every
-step, before the shadow is refreshed from them.  `stack_forward` computes
-in float64.  `sample_batch` steps a float32 copy of the weights, made once
-per call, whenever they fit that guard, and the float64 arrays otherwise;
-`_pick` reads the logits as float64 either way.  The same code, seed and
-inputs, numpy/BLAS build and CPU give the same checkpoints, curves and
-songs; their bits differ from melodykit 0.2.x's trained models, whose
-gradients were float64, and from 0.3.x's, which summed each z as
-[x, h] @ W + b in one GEMM and the input gradients in another order.
-Songs sampled from one checkpoint equal float64
-sampling's (melodykit 0.1.x) in tokens as expected, since a draw flips
-only when float32 rounding moves a cumulative probability across its
-uniform, but not promised.  Neither is a lane's bit-equality across lane
-counts: BLAS picks its kernel by row count, so a lane's logits can differ
-in the last bits between batches of different sizes, although its tokens
-agreed in every case checked.
+Precision: `train` runs forward and backward on a float32 tape over a
+float32 shadow of the parameters; the parameters themselves (the master
+weights), the gradients `clip_gradients` scales, Adam's moments and step,
+and the checkpoints stay float64, and the curve records the float64 sum
+of the window's per-row losses.  One range rule, `_fits_float32` (every
+|weight| at most 2**56, every layer input narrower than 2**15), holds for
+every model: `train` checks the masters after every step,
+`load_checkpoint` refuses a parameter holding a weight past 2**56, and
+`sample_batch` refuses a model past the rule and otherwise steps one
+float32 copy of the weights, made once per call; `_pick` reads the
+logits as float64.  `stack_forward` computes in float64.
+The same code, seed and inputs, numpy/BLAS build and CPU give the same
+checkpoints, curves and songs.  A lane's bit-equality across lane counts
+is not promised: BLAS picks its kernel by row count, so a lane's logits
+can differ in the last bits between batches of different sizes, although
+its tokens agreed in every case checked.  README keeps the history of
+how each version changed these bits.
 
 Memory: `train` keeps one float32 GradientTape for the whole run and
 resets it every window, so the kernels write into the tape's workspace,
@@ -413,15 +407,18 @@ _F32_MAX_WEIGHT = 2.0 ** 56
 _F32_MAX_WIDTH = 2 ** 15
 
 
-def _fits_float32(weights: list[np.ndarray]) -> bool:
-    """Whether a step on these parameter arrays (in `parameters()` order) stays within float32's range.
+def _in_float32_range(a: np.ndarray) -> bool:
+    """Whether every value of a is within +-_F32_MAX_WEIGHT.
 
-    Each array is read by two reductions, max and min, so the check
-    allocates nothing parameter-sized.  A NaN weight makes both reductions
-    NaN, which fails the comparisons.
+    Two reductions, max and min, so nothing array-sized is allocated.  A
+    NaN makes both reductions NaN, which fails the comparisons.
     """
-    return all(w.shape[0] < _F32_MAX_WIDTH for w in weights[1:-2:2]) and all(
-        a.max(initial=0.0) <= _F32_MAX_WEIGHT and a.min(initial=0.0) >= -_F32_MAX_WEIGHT for a in weights)
+    return a.max(initial=0.0) <= _F32_MAX_WEIGHT and a.min(initial=0.0) >= -_F32_MAX_WEIGHT
+
+
+def _fits_float32(weights: list[np.ndarray]) -> bool:
+    """Whether a step on these parameter arrays (in `parameters()` order) stays within float32's range."""
+    return all(w.shape[0] < _F32_MAX_WIDTH for w in weights[1:-2:2]) and all(map(_in_float32_range, weights))
 
 
 def stack_forward(
@@ -648,7 +645,9 @@ def sample_batch(
     does not depend on how many other lanes run beside it.  Greedy decoding
     draws nothing, so there rngs only gives the lane count and may hold
     None.  A song is the seed with the decoded continuation appended;
-    interval models rebuild notes from the seed's last pitch.
+    interval models rebuild notes from the seed's last pitch.  Every step
+    runs on one float32 copy of the weights, so a model that fails
+    `_fits_float32` is a ValueError.
     """
     if mode not in ("greedy", "temperature"):
         raise ValueError(f"mode must be 'greedy' or 'temperature', got {mode!r}")
@@ -656,6 +655,10 @@ def sample_batch(
         raise ValueError(f"temperature must be finite and > 0, got {temperature}")
     if n < 0:
         raise ValueError("n must be >= 0")
+    weights = [p.value for p in model.parameters()]
+    if not _fits_float32(weights):
+        raise ValueError(f"sampling steps float32, which needs every |weight| <= 2**56 and every layer's "
+                         f"input width (input + hidden) below {_F32_MAX_WIDTH}")
     if n == 0:
         return [list(seed_song) for _ in rngs]
 
@@ -673,9 +676,7 @@ def sample_batch(
     # Seed ids were checked above and picked ids are in range by
     # construction, so the loop steps the model directly.
     spec = cell_spec(model.cell)
-    weights = [p.value for p in model.parameters()]
-    if _fits_float32(weights):
-        weights = [a.astype(np.float32) for a in weights]
+    weights = [a.astype(np.float32) for a in weights]
     lanes = len(rngs)
     if mode == "temperature":
         # rng.random(n) yields the doubles of n successive rng.random() calls;
@@ -683,19 +684,15 @@ def sample_batch(
         uniforms = np.stack([rng.random(n) for rng in rngs], axis=1)
     else:
         uniforms = [None] * n
-    states = _zero_states(model, lanes, weights[0].dtype)
+    states = _zero_states(model, lanes, np.float32)
     generated = np.empty((lanes, n), dtype=np.int64)
-    # Weights that overflow (float64 ones, past the guard) give non-finite
-    # logits, which _pick reports, so numpy's warnings on the way there are
-    # silenced.
-    with np.errstate(over="ignore", invalid="ignore"):
-        table = _token_table(weights)
-        for t in range(ids.size):
-            logits, states = _forward_step(spec, weights, table, np.full(lanes, ids[t]), states)
-        generated[:, 0] = _pick(logits.astype(np.float64, copy=False), mode, temperature, uniforms[0])
-        for t in range(1, n):
-            logits, states = _forward_step(spec, weights, table, generated[:, t - 1], states)
-            generated[:, t] = _pick(logits.astype(np.float64, copy=False), mode, temperature, uniforms[t])
+    table = _token_table(weights)
+    for t in range(ids.size):
+        logits, states = _forward_step(spec, weights, table, np.full(lanes, ids[t]), states)
+    generated[:, 0] = _pick(logits.astype(np.float64), mode, temperature, uniforms[0])
+    for t in range(1, n):
+        logits, states = _forward_step(spec, weights, table, generated[:, t - 1], states)
+        generated[:, t] = _pick(logits.astype(np.float64), mode, temperature, uniforms[t])
 
     songs = []
     for row in generated:
@@ -755,9 +752,9 @@ def load_checkpoint(path: str | Path) -> ModelState:
     The header must carry every key and the blob its checksum, and the
     blob exactly as many values as the header's sizes describe; that count
     is checked before anything is allocated.  The model's arrays are then
-    allocated unset and its `_v1_blocks` are filled in order.  A NaN or
-    infinite value is MalformedFile naming its parameter: `train` never
-    saves one, and what sampling would make of it depends on where it sits.
+    allocated unset and its `_v1_blocks` are filled in order.  A value
+    past `_fits_float32`'s weight bound (NaN and infinities included) is
+    MalformedFile naming its parameter, since `train` never saves one.
     """
     data = Path(path).read_bytes()
     nl = data.find(b"\n")
@@ -797,10 +794,9 @@ def load_checkpoint(path: str | Path) -> ModelState:
     ends = np.cumsum([a.size for a in blocks])
     for block, values in zip(blocks, np.split(flat, ends[:-1])):
         block[...] = values.reshape(block.shape)
-    # Elementwise: a sum would overflow on large finite weights, which load.
     names = ["embedding", *(f"layer {k} {x}" for k in range(1, layers + 1) for x in "Wb"), "projection W",
              "projection b"]
     for name, p in zip(names, model.parameters()):
-        if not np.isfinite(p.value).all():
-            raise MalformedFile(f"{path}: {name} holds a non-finite value")
+        if not _in_float32_range(p.value):
+            raise MalformedFile(f"{path}: {name} holds a non-finite value or one past 2**56")
     return model

@@ -472,9 +472,9 @@ def test_train_refuses_to_save_an_overflowed_last_step(tmp_path):
 ], ids=["sample-greedy", "sample-temperature", "eval-checkpoint"])
 def test_sampling_overflowed_weights_warns_nothing(tmp_path, argv):
     # Weights scaled up to about 1e300, as one step at a huge learning rate
-    # used to leave them (train now refuses to save such a model), overflow
-    # their products; the cells saturate, so the logits stay finite and
-    # sampling succeeds without numpy's overflow warnings on stderr.
+    # used to leave them (train refuses to save such a model), would
+    # overflow a float32 step; the checkpoint is refused at load, before
+    # any step, so nothing is warned and nothing is written.
     corpus_path = build_corpus_file(tmp_path)
     ckpt = tmp_path / "m.ckpt"
     code, _, err = run_cli(
@@ -490,10 +490,32 @@ def test_sampling_overflowed_weights_warns_nothing(tmp_path, argv):
     out_dir = tmp_path / "out"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code, _, err = run_cli(argv + ["--checkpoint", ckpt, "--out-dir", out_dir, "--count", "3"])
-    assert code == 0, err
+        code, stdout, err = run_cli(argv + ["--checkpoint", ckpt, "--out-dir", out_dir, "--count", "3"])
+    assert_json_error(code, err, "MalformedFile")
+    assert "embedding holds a non-finite value or one past 2**56" in json.loads(err)["message"]
     assert [str(w.message) for w in caught] == []
-    assert len(load_songs_jsonl(out_dir / "songs.jsonl")) == 3
+    assert stdout == "" and not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["sample", "eval"])
+@pytest.mark.parametrize("place", ["embedding", "layer 1 W", "projection b"])
+@pytest.mark.parametrize("bad, refused", [
+    (2.0 ** 56, False), (-(2.0 ** 56), False),
+    (np.nextafter(2.0 ** 56, np.inf), True), (1e300, True), (-1e300, True),
+], ids=["2**56", "-2**56", "past-2**56", "1e300", "-1e300"])
+def test_checkpoint_weight_bound_is_2_to_the_56(tmp_path, command, place, bad, refused):
+    # The bound train keeps after every step: a re-signed weight of exactly
+    # +-2**56 samples (in float32, without overflow), one past it is refused.
+    ckpt = checkpoint_with_weight(tmp_path, place, bad)
+    out_dir = tmp_path / "gen"
+    code, stdout, err = run_cli([command, "--checkpoint", ckpt, "--out-dir", out_dir, "--count", "3"])
+    if refused:
+        assert_json_error(code, err, "MalformedFile")
+        assert f"{place} holds a non-finite value or one past 2**56" in json.loads(err)["message"]
+        assert stdout == "" and not out_dir.exists()
+    else:
+        assert code == 0 and err == "", err
+        assert len(load_songs_jsonl(out_dir / "songs.jsonl")) == 3
 
 
 def test_default_epochs_per_variant():
@@ -802,6 +824,16 @@ def test_sample_rejects_non_finite_checkpoint(tmp_path, mode, bad):
     assert "projection b holds a non-finite value" in json.loads(err)["message"]
 
 
+def checkpoint_with_weight(tmp_path, place, value):
+    """A trained checkpoint, re-signed with one weight of `place` set to value."""
+    ckpt = train_checkpoint(tmp_path)
+    model = load_checkpoint(ckpt)
+    array = {"embedding": model.embedding, "layer 1 W": model.layers[0].w, "projection b": model.proj_b}[place].value
+    array.flat[array.size // 2] = value
+    save_checkpoint(model, ckpt)
+    return ckpt
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("place", ["embedding", "layer 1 W", "projection b"])
 @pytest.mark.parametrize("command", ["sample", "eval"])
@@ -809,11 +841,7 @@ def test_non_finite_checkpoint_weight_is_malformed_file(tmp_path, command, place
     # A re-signed blob, as save_checkpoint writes it.  Loaded, inf in the
     # embedding sampled saturated songs with exit 0, and -inf in the
     # projection or NaN anywhere failed on the logits instead.
-    ckpt = train_checkpoint(tmp_path)
-    model = load_checkpoint(ckpt)
-    array = {"embedding": model.embedding, "layer 1 W": model.layers[0].w, "projection b": model.proj_b}[place].value
-    array.flat[array.size // 2] = bad
-    save_checkpoint(model, ckpt)
+    ckpt = checkpoint_with_weight(tmp_path, place, bad)
     code, _, err = run_cli([command, "--checkpoint", ckpt, "--out-dir", tmp_path / "gen"])
     assert_json_error(code, err, "MalformedFile")
     assert f"{place} holds a non-finite value" in json.loads(err)["message"]
@@ -1067,6 +1095,21 @@ def test_sweep_records_per_run_failures(tmp_path):
     assert by_layers[9].endswith(",error:ValueError")
     best = (out_dir / "best.csv").read_text().splitlines()
     assert best[1].startswith("ugrnn,1,")
+
+
+def test_sweep_records_memory_errors_as_error_rows(tmp_path):
+    # 10**7 units ask for a petabyte weight matrix; each grid point fails
+    # alone and the sweep still writes its tables.
+    corpus_path = build_corpus_file(tmp_path)
+    out_dir = tmp_path / "sweep"
+    code, _, err = run_cli(
+        ["sweep", "--corpus", corpus_path, "--out-dir", out_dir, "--cells", "lstm,ugrnn", "--layers", "1",
+         "--hidden-size", str(10**7), "--max-iterations", "1", "--batch-size", "4"]
+    )
+    assert code == 0, err
+    rows = (out_dir / "summary.csv").read_text().splitlines()
+    assert rows[1:] == ["lstm,1,nan,nan,error:MemoryError", "ugrnn,1,nan,nan,error:MemoryError"]
+    assert (out_dir / "best.csv").read_text() == "cell,best_layers,final_loss\n"
 
 
 def test_sweep_records_divergence_as_an_error_row(tmp_path):

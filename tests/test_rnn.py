@@ -763,7 +763,7 @@ def test_sample_batch_lane_equals_one_lane_call(toy_runs, cell, mode, variant):
 
 
 def stepped_dtypes(monkeypatch, model):
-    """The dtypes of W in every `_layer_step` call of a temperature `sample` (or of its raise)."""
+    """The dtypes of W in every `_layer_step` call of a temperature `sample`."""
     seen = set()
 
     def spy(spec, w, *args):
@@ -771,10 +771,7 @@ def stepped_dtypes(monkeypatch, model):
         return _layer_step(spec, w, *args)
 
     monkeypatch.setattr(rnn, "_layer_step", spy)
-    try:
-        sample(model, [60, 62, 64, 62], 5, mode="temperature", rng=1)
-    except ValueError:  # a NaN weight gives non-finite logits
-        pass
+    sample(model, [60, 62, 64, 62], 5, mode="temperature", rng=1)
     monkeypatch.undo()
     return seen
 
@@ -787,11 +784,15 @@ def test_sampling_steps_a_float32_copy_of_weights_that_fit(toy_runs, monkeypatch
 
 
 @pytest.mark.parametrize("big", [1e300, 2.0 ** 56 * (1 + 2.0 ** -52), float("nan")])
-def test_sampling_keeps_float64_for_weights_past_the_guard(monkeypatch, big):
+def test_sampling_refuses_weights_past_the_guard(monkeypatch, big):
+    # Sampling has one path, float32, so a model it could overflow is
+    # refused before any step, greedy or not, even for zero notes.
     model = tiny_model(layers=2)
     assert stepped_dtypes(monkeypatch, model) == {np.dtype(np.float32)}
     model.layers[1].w.value[0, 0] = big
-    assert stepped_dtypes(monkeypatch, model) == {np.dtype(np.float64)}
+    for mode, n in (("temperature", 5), ("greedy", 5), ("greedy", 0)):
+        with pytest.raises(ValueError, match=r"\|weight\| <= 2\*\*56"):
+            sample(model, [60, 62, 64, 62], n, mode=mode, rng=1)
 
 
 def test_float32_guard_bounds():
