@@ -39,4 +39,4 @@ from .rnn import (
     train,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"

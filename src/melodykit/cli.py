@@ -1,17 +1,19 @@
 """Command-line pipeline: dataset, train, sweep, sample, eval.
 
 Every command exits 0 on success and 1 with a one-line JSON error object
-on stderr otherwise, bad flags included.  Every output file is replaced
-whole or not at all (core.write_atomic), but a command is not atomic: a
-failure at its k-th file leaves files 1..k-1 new beside older ones.  A
-path flag left unset falls back to the environment variable
-MELODYKIT_<FLAG>, read on each call: --midi-dir to MELODYKIT_MIDI_DIR, for
-example (paths only, never numeric settings).  Given identical inputs,
-flags, and seeds, each command writes byte-identical outputs on the same
-platform, that is, with the same code, the same numpy/BLAS build and the
-same CPU.  Another build may sum floats in another order, so its losses,
-and with them the training trajectory, can differ in the last bits and
-beyond.  `train` and `sweep` run forward and backward in float32 over
+on stderr otherwise, bad flags included; a flag is read by its full name
+only, never by a prefix.  Every output file is replaced whole or not at
+all (core.write_atomic), but a command is not atomic: a failure at its
+k-th file leaves files 1..k-1 new beside older ones.  A path flag left
+unset falls back to the environment variable MELODYKIT_<FLAG>, read on
+each call: --midi-dir to MELODYKIT_MIDI_DIR, for example (paths only,
+never numeric settings).  Given identical inputs, flags, and seeds, each
+command writes byte-identical outputs on the same platform, that is, with
+the same code, numpy/BLAS build, BLAS thread count and CPU; outputs that
+matched across thread counts did so by observation, not by promise.
+Another build may sum floats in another order, so its losses, and with
+them the training trajectory, can differ in the last bits and beyond.
+`train` and `sweep` run forward and backward in float32 over
 float64 master weights, which clipping, Adam and the checkpoint hold (see
 `rnn`).  No weight may pass 2**56, float32's safe range: a step that
 leaves one there fails as TrainingDiverged and saves nothing, and a
@@ -134,6 +136,7 @@ def _load_input_songs(songs_path: str | None, midi_dir: str | None) -> list[Song
 
 def cmd_dataset(args: argparse.Namespace) -> int:
     out = Path(_require(args.out, "--out"))
+    _require_parent_dir(out, "--out")  # the sidecar goes beside it
     variant = DatasetVariant(args.variant)
     raw = _load_input_songs(args.songs, args.midi_dir)
     kept = core.clean_corpus(raw)
@@ -146,7 +149,9 @@ def cmd_dataset(args: argparse.Namespace) -> int:
 
 
 def _train_config(args: argparse.Namespace, variant: DatasetVariant) -> rnn.TrainConfig:
-    settings = {f.name: getattr(args, f.name) for f in dataclasses.fields(rnn.TrainConfig)}
+    # sweep has no --cell or --num-layers: they keep their defaults until its grid sets them.
+    settings = {f.name: getattr(args, f.name) for f in dataclasses.fields(rnn.TrainConfig)
+                if hasattr(args, f.name)}
     if settings["epochs"] is None:
         settings["epochs"] = DEFAULT_EPOCHS[variant]
     return rnn.TrainConfig(**settings)
@@ -189,29 +194,29 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    # Parse the grid before creating --out-dir, so a bad flag leaves no output.
+    # Check settings and grid before creating --out-dir; only a grid point's own failure becomes a row.
     corpus = _read_corpus(Path(_require(args.corpus, "--corpus")))
     out_dir = Path(_require(args.out_dir, "--out-dir"))
+    config = _train_config(args, corpus.variant)
     cells = [c.strip() for c in args.cells.split(",") if c.strip()]
     layer_counts = _parse_int_list(args.layers, "--layers")
+    for flag, text, grid in (("--cells", args.cells, cells), ("--layers", args.layers, layer_counts)):
+        if not grid:
+            raise ValueError(f"{flag} names no grid point, got {text!r}")
     out_dir.mkdir(parents=True, exist_ok=True)
     rows: list[dict] = []
     for cell in cells:
         for num_layers in layer_counts:
-            row = {"cell": cell, "layers": num_layers}
+            row = {"cell": cell, "layers": num_layers, "initial_loss": float("nan"), "final_loss": float("nan")}
             try:
-                config = _train_config(args, corpus.variant)
-                config.cell = cell
-                config.num_layers = num_layers
-                _, curve = rnn.train(corpus, config, seed=args.seed)
+                _, curve = rnn.train(corpus, dataclasses.replace(config, cell=cell, num_layers=num_layers),
+                                     seed=args.seed)
                 _write_curve(curve, out_dir / f"curve_{cell}_{num_layers}.csv")
-                row["initial_loss"] = curve[0][1] if curve else float("nan")
-                row["final_loss"] = curve[-1][1] if curve else float("nan")
+                if curve:
+                    row["initial_loss"], row["final_loss"] = curve[0][1], curve[-1][1]
                 row["status"] = "ok"
             except (MelodyKitError, ValueError, MemoryError) as exc:
                 # One bad run (a diverged, degenerate or too large model) must not kill the sweep.
-                row["initial_loss"] = float("nan")
-                row["final_loss"] = float("nan")
                 row["status"] = f"error:{type(exc).__name__}"
             rows.append(row)
             print(f"{row['cell']:6s} layers={row['layers']}  "
@@ -304,10 +309,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    """One flag per rnn.TrainConfig field with its default; --epochs defaults per variant."""
+    """One flag per rnn.TrainConfig field but cell and num_layers; --epochs defaults per variant."""
     d = rnn.TrainConfig()
-    p.add_argument("--cell", default=d.cell, choices=sorted(rnn.CELL_TYPES))
-    p.add_argument("--num-layers", type=int, default=d.num_layers)
     p.add_argument("--hidden-size", type=int, default=d.hidden_size)
     p.add_argument("--embedding-dim", type=int, default=d.embedding_dim)
     p.add_argument("--batch-size", type=int, default=d.batch_size)
@@ -328,11 +331,15 @@ def _add_sampling_flags(p: argparse.ArgumentParser) -> None:
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """Raises ValueError on a usage error instead of exiting 2 with the usage text.
+    """Reads a flag by its full name only, and raises ValueError on a usage error instead of exiting 2.
 
-    Subparsers inherit the class, so a bad flag value, an unknown flag and a
-    missing subcommand all end as main()'s one-line JSON error.
+    Subparsers inherit the class, so a bad flag value, an unknown flag (a
+    prefix such as --lr included) and a missing subcommand all end as
+    main()'s one-line JSON error.
     """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message: str):
         raise ValueError(message)
@@ -353,6 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus")
     p.add_argument("--checkpoint")
     p.add_argument("--curve", help="learning-curve CSV path")
+    p.add_argument("--cell", default=rnn.TrainConfig.cell, choices=sorted(rnn.CELL_TYPES))
+    p.add_argument("--num-layers", type=int, default=rnn.TrainConfig.num_layers)
     _add_model_flags(p)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_train)

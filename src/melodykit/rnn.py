@@ -42,8 +42,12 @@ every model: `train` checks the masters after every step,
 `sample_batch` refuses a model past the rule and otherwise steps one
 float32 copy of the weights, made once per call; `_pick` reads the
 logits as float64.  `stack_forward` computes in float64.
-The same code, seed and inputs, numpy/BLAS build and CPU give the same
-checkpoints, curves and songs.  A lane's bit-equality across lane counts
+The same code, seed and inputs, numpy/BLAS build, BLAS thread count and
+CPU give the same checkpoints, curves and songs.  The thread count is part
+of the promise: OpenBLAS splits a large product across its threads, so an
+LSTM x1 at batch 50 trains along another path at 1 and 2 threads.  UGRNN
+x3 at batch 4 and 100-lane sampling gave the same bytes at both, which is
+observed, not promised.  A lane's bit-equality across lane counts
 is not promised: BLAS picks its kernel by row count, so a lane's logits
 can differ in the last bits between batches of different sizes, although
 its tokens agreed in every case checked.  README keeps the history of

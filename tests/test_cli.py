@@ -29,11 +29,12 @@ def make_train_songs(path, count=3, length=34):
     return songs
 
 
-SMALL_TRAIN = [
-    "--cell", "ugrnn", "--num-layers", "1", "--hidden-size", "8",
-    "--embedding-dim", "4", "--batch-size", "2", "--seq-len", "5",
+# sweep's grid sets the cell and the layer count, so sweep takes SMALL_SWEEP.
+SMALL_SWEEP = [
+    "--hidden-size", "8", "--embedding-dim", "4", "--batch-size", "2", "--seq-len", "5",
     "--epochs", "1",
 ]
+SMALL_TRAIN = ["--cell", "ugrnn", "--num-layers", "1", *SMALL_SWEEP]
 
 
 def build_corpus_file(tmp_path, variant="control"):
@@ -99,6 +100,19 @@ def test_dataset_reports_counts_and_writes_sidecar(tmp_path):
     assert sidecar["tokens"] == sorted(sidecar["tokens"])
     total = sum(len(s) for s in songs)
     assert len(payload["x"]) == total - 1
+
+
+def test_dataset_out_into_a_missing_directory(tmp_path):
+    # The message names the flag and its directory, not the temporary file.
+    songs_path = tmp_path / "songs.jsonl"
+    make_train_songs(songs_path)
+    missing = tmp_path / "missing"
+    code, stdout, err = run_cli(["dataset", "--songs", songs_path, "--out", missing / "c.json"])
+    assert_json_error(code, err, "FileNotFoundError")
+    message = json.loads(err)["message"]
+    assert "--out" in message and f"directory {missing} does not exist" in message
+    assert ".tmp" not in message
+    assert stdout == "" and not missing.exists()
 
 
 def test_dataset_variants_change_token_count(tmp_path):
@@ -664,8 +678,8 @@ def test_corpus_rejects_sidecar_of_another_variant(tmp_path, command):
     sidecar = corpus_path.with_name(corpus_path.stem + ".vocab.json")
     sidecar.write_bytes(db12_path.with_name(db12_path.stem + ".vocab.json").read_bytes())
     out = tmp_path / "out"
-    target = ["--checkpoint", out] if command == "train" else ["--out-dir", out]
-    code, _, err = run_cli([command, "--corpus", corpus_path] + target + SMALL_TRAIN)
+    target = ["--checkpoint", out] + SMALL_TRAIN if command == "train" else ["--out-dir", out] + SMALL_SWEEP
+    code, _, err = run_cli([command, "--corpus", corpus_path] + target)
     assert_json_error(code, err, "MalformedFile")
     assert "variant" in json.loads(err)["message"]
     assert not out.exists()
@@ -1071,7 +1085,7 @@ def test_sweep_bad_layers_leaves_no_output_dir(tmp_path):
     corpus_path = build_corpus_file(tmp_path)
     out_dir = tmp_path / "sweep"
     code, stdout, err = run_cli(
-        ["sweep", "--corpus", corpus_path, "--out-dir", out_dir, "--layers", "x"] + SMALL_TRAIN
+        ["sweep", "--corpus", corpus_path, "--out-dir", out_dir, "--layers", "x"] + SMALL_SWEEP
     )
     assert_json_error(code, err, "ValueError")
     assert "--layers" in json.loads(err)["message"]
@@ -1131,6 +1145,81 @@ def test_sweep_records_divergence_as_an_error_row(tmp_path):
     assert not (out_dir / "curve_ugrnn_1.csv").exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--cells", ""), ("--cells", " , "), ("--layers", ""), ("--layers", ",")])
+def test_sweep_refuses_an_empty_grid(tmp_path, flag, value):
+    corpus_path = build_corpus_file(tmp_path)
+    out_dir = tmp_path / "sweep"
+    code, stdout, err = run_cli(
+        ["sweep", "--corpus", corpus_path, "--out-dir", out_dir, flag, value] + SMALL_SWEEP
+    )
+    assert_json_error(code, err, "ValueError")
+    assert flag in json.loads(err)["message"]
+    assert stdout == ""
+    assert not out_dir.exists()
+
+
+# --- bad inputs: one JSON line each, and nothing written --------------------
+
+def assert_refused_writing_nothing(tmp_path, argv, error, fragment):
+    before = sorted(tmp_path.rglob("*"))
+    code, stdout, err = run_cli(argv)
+    assert_json_error(code, err, error)
+    assert fragment in json.loads(err)["message"]
+    assert stdout == ""
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_train_without_a_corpus_names_its_variable(tmp_path, monkeypatch):
+    monkeypatch.delenv("MELODYKIT_CORPUS", raising=False)
+    argv = ["train", "--checkpoint", tmp_path / "m.ckpt"] + SMALL_TRAIN
+    assert_refused_writing_nothing(tmp_path, argv, "ValueError", "--corpus is required (or set MELODYKIT_CORPUS)")
+
+
+def test_train_without_the_vocabulary_sidecar(tmp_path):
+    corpus_path = build_corpus_file(tmp_path)
+    sidecar = corpus_path.with_name(corpus_path.stem + ".vocab.json")
+    sidecar.unlink()
+    argv = ["train", "--corpus", corpus_path, "--checkpoint", tmp_path / "m.ckpt"] + SMALL_TRAIN
+    assert_refused_writing_nothing(tmp_path, argv, "ValueError", f"vocabulary sidecar {sidecar} not found")
+
+
+def test_dataset_midi_dir_without_midi_files(tmp_path):
+    midi_dir = tmp_path / "midi"
+    midi_dir.mkdir()
+    (midi_dir / "notes.txt").write_text("60 62 64\n")
+    argv = ["dataset", "--midi-dir", midi_dir, "--out", tmp_path / "corpus.json"]
+    assert_refused_writing_nothing(tmp_path, argv, "ValueError", f"no .mid or .midi files in {midi_dir}")
+
+
+def test_dataset_refuses_a_sysex_overrunning_its_track(tmp_path):
+    midi_dir = tmp_path / "midi"
+    midi_dir.mkdir()
+    (midi_dir / "song.mid").write_bytes(assemble(0, [bytes([0x00, 0xF0, 0x05, 0x01])]))  # 5 bytes declared, 1 left
+    argv = ["dataset", "--midi-dir", midi_dir, "--out", tmp_path / "corpus.json"]
+    message = f"{midi_dir / 'song.mid'}: track 0: sysex overruns track"
+    assert_refused_writing_nothing(tmp_path, argv, "MalformedFile", message)
+
+
+def test_checkpoint_without_a_header_line(tmp_path):
+    ckpt = train_checkpoint(tmp_path)
+    ckpt.write_bytes(ckpt.read_bytes().split(b"\n", 1)[0])
+    argv = ["sample", "--checkpoint", ckpt, "--out-dir", tmp_path / "gen", "--count", "2", "--notes", "3"]
+    assert_refused_writing_nothing(tmp_path, argv, "MalformedFile", "missing header line")
+
+
+def test_checkpoint_blob_with_a_value_added(tmp_path):
+    # Re-signed, so only the value count can tell.
+    ckpt = train_checkpoint(tmp_path)
+    head, blob = ckpt.read_bytes().split(b"\n", 1)
+    blob += np.zeros(1, "<f8").tobytes()
+    header = json.loads(head)
+    header["blob_sha256"] = hashlib.sha256(blob).hexdigest()
+    ckpt.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + blob)
+    count = header["param_count"]
+    argv = ["sample", "--checkpoint", ckpt, "--out-dir", tmp_path / "gen", "--count", "2", "--notes", "3"]
+    assert_refused_writing_nothing(tmp_path, argv, "MalformedFile", f"expected {count} values, found {count + 1}")
+
+
 # --- a failed write --------------------------------------------------------
 
 WRITE_ORDER = {
@@ -1154,7 +1243,7 @@ def test_write_failure_keeps_that_output_and_later_ones_old(tmp_path, monkeypatc
     if command == "train":
         argv = ["train", "--corpus", build_corpus_file(tmp_path)] + SMALL_TRAIN
     elif command == "sweep":
-        argv = ["sweep", "--corpus", build_corpus_file(tmp_path), "--cells", "ugrnn", "--layers", "1"] + SMALL_TRAIN
+        argv = ["sweep", "--corpus", build_corpus_file(tmp_path), "--cells", "ugrnn", "--layers", "1"] + SMALL_SWEEP
     else:
         argv = [command, "--checkpoint", train_checkpoint(tmp_path), "--mode", "temperature",
                 "--count", "4", "--notes", "12"]

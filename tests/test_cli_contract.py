@@ -27,10 +27,11 @@ from melodykit.core import load_songs_jsonl
 from melodykit.midi import write_midi
 
 from .conftest import run_cli
-from .test_cli import SMALL_TRAIN, make_train_songs
+from .test_cli import SMALL_SWEEP, SMALL_TRAIN, make_train_songs
 from .test_midi import damaged as damaged_bytes
 
 TRAIN = SMALL_TRAIN + ["--max-iterations", "2"]
+SWEEP = SMALL_SWEEP + ["--max-iterations", "2"]
 
 # Stands for the damaged value until the JSON text is dumped.
 SENTINEL = "@damaged@"
@@ -193,15 +194,55 @@ def test_sampling_sizes_keep_the_error_contract(inputs, cmd, mode, count, notes)
 
 
 @settings(max_examples=25, deadline=None)
-@given(sizes=st.fixed_dictionaries({flag: SIZES for flag in (
+@given(cmd=st.sampled_from(["train", "sweep"]), sizes=st.fixed_dictionaries({flag: SIZES for flag in (
     "--num-layers", "--hidden-size", "--embedding-dim", "--batch-size", "--seq-len")}))
-def test_training_sizes_keep_the_error_contract(inputs, sizes):
+def test_training_sizes_keep_the_error_contract(inputs, cmd, sizes):
+    # sweep reads the drawn layer count as its one-point grid, --layers.
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        argv = ["train", "--corpus", inputs / "corpus.json", "--checkpoint", work / "out.ckpt"] + TRAIN
+        if cmd == "train":
+            argv = ["train", "--corpus", inputs / "corpus.json", "--checkpoint", work / "out.ckpt"] + TRAIN
+            output, layers_flag = "out.ckpt", "--num-layers"
+        else:
+            argv = ["sweep", "--corpus", inputs / "corpus.json", "--out-dir", work / "sweep", "--cells", "ugrnn",
+                    *SWEEP]
+            output, layers_flag = "sweep/summary.csv", "--layers"
         for flag, value in sizes.items():
-            argv += [flag, value]
-        assert_contract(argv, work, "out.ckpt")
+            argv += [layers_flag if flag == "--num-layers" else flag, value]
+        assert_contract(argv, work, output)
+
+
+@pytest.mark.parametrize("flag, value", [("--batch-size", "0"), ("--learning-rate", "nan"), ("--epochs", "-1")])
+def test_sweep_refuses_a_bad_setting_before_any_grid_point(inputs, tmp_path, flag, value):
+    # A setting no grid point changes fails the sweep, not each of its rows.
+    argv = ["sweep", "--corpus", inputs / "corpus.json", "--out-dir", tmp_path / "sweep", "--cells", "lstm,ugrnn",
+            "--layers", "1,2"] + SWEEP + [flag, value]
+    assert assert_contract(argv, tmp_path, "sweep/summary.csv") == "ValueError"
+    assert not (tmp_path / "sweep").exists()
+
+
+@pytest.mark.parametrize("cmd, prefix", [
+    ("dataset", "--var db12"), ("train", "--lr 0.1"), ("sweep", "--cell lstm"), ("sample", "--temp 0.5"),
+    ("eval", "--span-u 7"),
+], ids=["dataset", "train", "sweep", "sample", "eval"])
+def test_flags_are_read_by_their_full_name_only(inputs, tmp_path, cmd, prefix):
+    # Each prefix names one flag only (--lr is --lr-decay's, --cell --cells'),
+    # and each command line is valid without it.
+    argv = {
+        "dataset": ["dataset", "--songs", inputs / "songs.jsonl", "--out", tmp_path / "corpus.json"],
+        "train": ["train", "--corpus", inputs / "corpus.json", "--checkpoint", tmp_path / "out.ckpt"] + TRAIN,
+        "sweep": ["sweep", "--corpus", inputs / "corpus.json", "--out-dir", tmp_path / "sweep", "--layers", "1"]
+        + SWEEP,
+        "sample": ["sample", "--checkpoint", inputs / "model.ckpt", "--out-dir", tmp_path / "gen", "--count", "2",
+                   "--notes", "3"],
+        "eval": ["eval", "--songs", inputs / "songs.jsonl", "--out-dir", tmp_path / "ev"],
+    }[cmd]
+    code, stdout, err = run_cli(argv + prefix.split())
+    assert code == 1 and stdout == ""
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    assert json.loads(lines[0]) == {"error": "ValueError", "message": f"unrecognized arguments: {prefix}"}
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("key, form", [("format_version", lambda v: True), ("param_count", float),

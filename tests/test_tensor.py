@@ -93,6 +93,29 @@ def test_reset_takes_back_the_gradients_it_handed_out():
     np.testing.assert_allclose(b.grad, 2 * (a.value.T @ np.ones((2, 4))))
 
 
+def test_reused_tape_reallocates_for_a_new_shape():
+    # The second window asks for other shapes at the workspace's slots; its
+    # results equal a fresh tape's, bit for bit.
+    rng = np.random.default_rng(2)
+    w = rng.normal(size=(3, 4))
+    x2, x5 = rng.normal(size=(2, 3)), rng.normal(size=(5, 3))
+
+    def window(tape, x):
+        a, b = Tensor(x), Tensor(w)
+        loss = tape.cross_entropy(tape.matmul(a, b), np.arange(len(x)) % 4)
+        tape.backward(loss)
+        return loss.value, a.grad.copy(), b.grad.copy()
+
+    tape = GradientTape()
+    window(tape, x2)
+    first = [x.shape for x in tape._arrays]
+    tape.reset()
+    reused = window(tape, x5)
+    assert [x.shape for x in tape._arrays] != first
+    for got, want in zip(reused, window(GradientTape(), x5)):
+        np.testing.assert_array_equal(got, want)
+
+
 def test_matmul_shape_check():
     with pytest.raises(ShapeMismatch):
         GradientTape().matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
