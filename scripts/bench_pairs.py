@@ -108,7 +108,7 @@ def claim_test(workload: str, metric: str, entry: dict) -> dict:
 
 
 def parse_args(argv=None) -> argparse.Namespace:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0], allow_abbrev=False)
     ap.add_argument("--parent", required=True, help="parent revision, e.g. HEAD or a commit")
     ap.add_argument("--claim", help="WORKLOAD:METRIC the change claims to improve")
     ap.add_argument("--out", required=True, help="output JSON path, e.g. BENCH_7.json")

@@ -7,30 +7,21 @@ and echoes the per-cell winners from best.csv.  Quick smoke pass:
     python3 scripts/layer_sweep.py --workdir runs/sweep --epochs 1 \
         --hidden-size 32 --embedding-dim 16
 
-The script owns --songs, --variants, --workdir and --seed.  Every other
-flag goes unchanged to `melodykit sweep` (--cells, --layers, --hidden-size,
---epochs, --max-iterations, ...); the batch size defaults to 4 here
-instead of sweep's 50.
+The script owns --songs, --variants, --workdir and --seed, each read by
+its full name only.  Every other flag goes unchanged to `melodykit sweep`
+(--cells, --layers, --hidden-size, --epochs, --max-iterations, ...), so
+an unknown flag or a prefix such as --work is refused there; the batch
+size defaults to 4 here instead of sweep's 50.
 """
 
 import argparse
-import sys
 from pathlib import Path
 
-from melodykit.cli import main as cli
-
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def step(argv):
-    print("$ melodykit " + " ".join(argv))
-    code = cli(argv)
-    if code != 0:
-        sys.exit(code)
+from run_pipeline import ROOT, step
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0], allow_abbrev=False)
     ap.add_argument("--songs", default=str(ROOT / "data" / "mini_corpus.jsonl"))
     ap.add_argument("--variants", default="control,interval,db12")
     ap.add_argument("--seed", type=int, default=0)

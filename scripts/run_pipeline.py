@@ -5,11 +5,13 @@ Defaults reproduce a quick end-to-end pass on the bundled corpus:
 
     python3 scripts/run_pipeline.py --workdir runs/quick --max-iterations 50
 
-The script owns --songs, --variant, --workdir and --seed.  Every other
-flag goes unchanged to `melodykit train` (--cell, --num-layers,
---hidden-size, --epochs, --max-iterations, ...); the batch size defaults
-to 4 here instead of train's 50.  Drop --max-iterations for a real
-training run (minutes to hours depending on the variant and model size).
+The script owns --songs, --variant, --workdir and --seed, each read by
+its full name only.  Every other flag goes unchanged to `melodykit train`
+(--cell, --num-layers, --hidden-size, --epochs, --max-iterations, ...),
+so an unknown flag or a prefix such as --work is refused there; the batch
+size defaults to 4 here instead of train's 50.  Drop --max-iterations for
+a real training run (minutes to hours depending on the variant and model
+size).
 """
 
 import argparse
@@ -29,7 +31,7 @@ def step(argv):
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0], allow_abbrev=False)
     ap.add_argument("--songs", default=str(ROOT / "data" / "mini_corpus.jsonl"))
     ap.add_argument("--variant", default="control", choices=["control", "interval", "db12"])
     ap.add_argument("--seed", type=int, default=0)

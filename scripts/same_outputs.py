@@ -141,7 +141,7 @@ def run_both(trees: dict[str, Path], commands: list) -> list[str]:
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0], allow_abbrev=False)
     ap.add_argument("--parent", required=True, help="parent revision, e.g. HEAD or a commit")
     args = ap.parse_args(argv)
 

@@ -15,6 +15,7 @@ milliseconds per iteration and the mean minor faults per iteration.
 """
 
 import argparse
+import dataclasses
 import os
 import statistics
 import time
@@ -25,7 +26,7 @@ WARMUP_ITERATIONS = 3
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0], allow_abbrev=False)
     ap.add_argument("--iterations", type=int, default=20,
                     help="timed iterations per configuration (>= 2)")
     args = ap.parse_args()
@@ -57,12 +58,11 @@ def main():
         for cell in ("lstm", "ugrnn"):
             for batch in (4, 50):
                 for layers in (1, 3):
-                    config = rnn.TrainConfig(cell=cell, num_layers=layers, batch_size=batch)
-                    config.max_iterations = WARMUP_ITERATIONS
+                    config = rnn.TrainConfig(cell=cell, num_layers=layers, batch_size=batch,
+                                             max_iterations=WARMUP_ITERATIONS)
                     rnn.train(corpus, config)
                     stamps.clear()
-                    config.max_iterations = args.iterations
-                    rnn.train(corpus, config)
+                    rnn.train(corpus, dataclasses.replace(config, max_iterations=args.iterations))
                     ms = [(b[0] - a[0]) * 1e3 for a, b in zip(stamps, stamps[1:])]
                     faults = (stamps[-1][1] - stamps[0][1]) / (len(stamps) - 1)
                     print(f"{cell:6} {batch:5d} {layers:6d} {statistics.median(ms):9.1f} {faults:12.1f}",

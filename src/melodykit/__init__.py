@@ -18,11 +18,8 @@ from .metrics import (
     MetricReport,
     MetricStats,
     SpanConfig,
-    centricity,
-    cmm,
     dataset_stats,
     evaluate_song,
-    lm,
     representative_song,
 )
 from .midi import parse_midi, write_midi
@@ -39,4 +36,4 @@ from .rnn import (
     train,
 )
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"

@@ -244,10 +244,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def _sample_songs(model: rnn.ModelState, args: argparse.Namespace) -> list[Song]:
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
+    if args.notes < 0:
+        raise ValueError(f"--notes must be >= 0, got {args.notes}")
     seed_song = _parse_int_list(args.seed_song, "--seed-song")
     # Size the (count, notes) output before making one object per lane, so an unindexable size fails at once.
     try:
-        np.empty((args.count, max(args.notes, 0)), dtype=np.int64)
+        np.empty((args.count, args.notes), dtype=np.int64)
     except ValueError as exc:
         raise ValueError(f"--count {args.count} x --notes {args.notes}: {exc}") from None
     if args.mode == "temperature":

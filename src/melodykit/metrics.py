@@ -94,22 +94,8 @@ def dataset_stats(songs: list[Song], cfg: SpanConfig = SpanConfig()) -> tuple[li
     return reports, stats_of_reports(reports)
 
 
-def cmm(song: Song, cfg: SpanConfig = SpanConfig()) -> float:
-    """Mean absolute semitone step between consecutive notes."""
-    return evaluate_song(song, cfg).cmm
-
-
-def lm(song: Song, cfg: SpanConfig = SpanConfig()) -> float:
-    """Mean span score: 1 for lb..ub distinct pitches (per octave), else 1 + the distance to that band."""
-    return evaluate_song(song, cfg).lm
-
-
-def centricity(song: Song, cfg: SpanConfig = SpanConfig()) -> float:
-    """Mean over spans of the most frequent pitch's share of the span."""
-    return evaluate_song(song, cfg).centr
-
-
 def evaluate_song(song: Song, cfg: SpanConfig = SpanConfig()) -> MetricReport:
+    """One song's cmm, lm and centricity, scored on `dataset_stats`'s path."""
     return dataset_stats([song], cfg)[0][0]
 
 

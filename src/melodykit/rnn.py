@@ -458,9 +458,9 @@ def stack_forward(
     return np.vstack(rows), out_states
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    """Model and optimisation settings for one training run."""
+    """Settings for one training run; frozen, every field checked when made, variants by `dataclasses.replace`."""
 
     cell: str = "lstm"
     num_layers: int = 1
@@ -485,6 +485,8 @@ class TrainConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
+        # The model sizes; _shapes checks no vocabulary size, so 1 stands in for it.
+        _shapes(self.cell, 1, self.num_layers, self.hidden_size, self.embedding_dim)
 
 
 LearningCurve = list[tuple[int, float]]

@@ -20,7 +20,7 @@ from melodykit.core import (
     song_to_db12,
     song_to_interval,
 )
-from melodykit.metrics import centricity, cmm, lm
+from melodykit.metrics import evaluate_song
 from melodykit.midi import parse_midi, write_midi
 from melodykit.rnn import _window_loss, _zero_states, init_model, sample
 from melodykit.tensor import GradientTape
@@ -93,13 +93,14 @@ def test_criterion_3_metrics_match_brute_force():
         for _ in range(1000):
             length = int(rng.integers(12, 41))
             song = [int(rng.integers(0, 128)) for _ in range(length)]
-            assert abs(cmm(song) - oracles.brute_cmm(song)) <= 1e-12
-            assert abs(lm(song) - oracles.brute_lm(song)) <= 1e-12
-            assert abs(centricity(song) - oracles.brute_centr(song)) <= 1e-12
+            report = evaluate_song(song)
+            assert abs(report.cmm - oracles.brute_cmm(song)) <= 1e-12
+            assert abs(report.lm - oracles.brute_lm(song)) <= 1e-12
+            assert abs(report.centr - oracles.brute_centr(song)) <= 1e-12
         chromatic = list(range(60, 73))
-        assert (cmm(chromatic), lm(chromatic), centricity(chromatic)) == (1.0, 5.0, 1 / 12)
+        assert evaluate_song(chromatic) == (1.0, 5.0, 1 / 12)
         flat = [60] * 12
-        assert (cmm(flat), lm(flat), centricity(flat)) == (0.0, 5.0, 1.0)
+        assert evaluate_song(flat) == (0.0, 5.0, 1.0)
         assert time.perf_counter() - t0 < 2.0
 
 

@@ -875,15 +875,17 @@ def test_sample_rejects_bad_temperature(tmp_path, temperature):
     assert not (tmp_path / "gen").exists()
 
 
-@pytest.mark.parametrize("count", ["0", "-3"])
+@pytest.mark.parametrize("flag, value", [("--count", "0"), ("--count", "-3"), ("--notes", "-1")],
+                         ids=["0", "-3", "notes--1"])
 @pytest.mark.parametrize("command", ["sample", "eval"])
-def test_sampling_rejects_count_below_one(tmp_path, command, count):
+def test_sampling_rejects_count_below_one(tmp_path, command, flag, value):
+    # Each message names the flag, not the library parameter behind it (n, for --notes).
     ckpt = train_checkpoint(tmp_path)
     code, _, err = run_cli(
-        [command, "--checkpoint", ckpt, "--out-dir", tmp_path / "gen", "--count", count]
+        [command, "--checkpoint", ckpt, "--out-dir", tmp_path / "gen", flag, value]
     )
     assert_json_error(code, err, "ValueError")
-    assert "--count" in json.loads(err)["message"]
+    assert flag in json.loads(err)["message"]
     assert not (tmp_path / "gen" / "songs.jsonl").exists()
 
 

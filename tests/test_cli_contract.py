@@ -212,7 +212,8 @@ def test_training_sizes_keep_the_error_contract(inputs, cmd, sizes):
         assert_contract(argv, work, output)
 
 
-@pytest.mark.parametrize("flag, value", [("--batch-size", "0"), ("--learning-rate", "nan"), ("--epochs", "-1")])
+@pytest.mark.parametrize("flag, value", [("--batch-size", "0"), ("--learning-rate", "nan"), ("--epochs", "-1"),
+                                         ("--hidden-size", "0"), ("--embedding-dim", "0")])
 def test_sweep_refuses_a_bad_setting_before_any_grid_point(inputs, tmp_path, flag, value):
     # A setting no grid point changes fails the sweep, not each of its rows.
     argv = ["sweep", "--corpus", inputs / "corpus.json", "--out-dir", tmp_path / "sweep", "--cells", "lstm,ugrnn",

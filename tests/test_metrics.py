@@ -7,11 +7,8 @@ from melodykit.errors import EmptyInput, SongTooShort
 from melodykit.metrics import (
     MetricReport,
     SpanConfig,
-    centricity,
-    cmm,
     dataset_stats,
     evaluate_song,
-    lm,
     representative_song,
     stats_of_reports,
 )
@@ -32,36 +29,36 @@ def test_span_count(length, n, expected):
     song = [59] + [60 + i % 8 for i in range(1, length)]
     if length < n:
         with pytest.raises(SongTooShort):
-            lm(song, SpanConfig(n=n))
+            evaluate_song(song, SpanConfig(n=n))
     else:
-        assert lm(song, SpanConfig(n=n)) == (expected + 1) / expected
+        assert evaluate_song(song, SpanConfig(n=n)).lm == (expected + 1) / expected
 
 
 def test_cmm_anchors():
-    assert cmm(CHROMATIC_13) == 1.0
-    assert cmm(CONSTANT_12) == 0.0
+    assert evaluate_song(CHROMATIC_13).cmm == 1.0
+    assert evaluate_song(CONSTANT_12).cmm == 0.0
     # |diffs| of the 12-note melody: 2+2+1+3+2+0+0+2+2+1+3 = 18
     song = [60, 62, 64, 65, 62, 60, 60, 60, 62, 64, 65, 62]
-    assert cmm(song) == pytest.approx(18 / 11, abs=0)
+    assert evaluate_song(song).cmm == pytest.approx(18 / 11, abs=0)
 
 
 def test_cmm_rejects_short_songs():
     with pytest.raises(SongTooShort):
-        cmm([60] * 11)
+        evaluate_song([60] * 11)
 
 
 def test_llm_band():
     # One-span songs: lm is that span's macroharmony score.
     span = [60, 61, 62, 63, 64, 65, 60, 61, 62, 63, 64, 65]  # 6 distinct
-    assert lm(span) == 1.0
-    assert lm(CONSTANT_12) == 5.0  # (5-1)+1
+    assert evaluate_song(span).lm == 1.0
+    assert evaluate_song(CONSTANT_12).lm == 5.0  # (5-1)+1
     span10 = [60, 61, 62, 63, 64, 65, 66, 67, 68, 69, 60, 61]  # 10 distinct
-    assert lm(span10) == 3.0  # (10-8)+1
+    assert evaluate_song(span10).lm == 3.0  # (10-8)+1
 
 
 def test_llm_wants_exact_span():
     with pytest.raises(SongTooShort):
-        lm([60] * 11)
+        evaluate_song([60] * 11)
     with pytest.raises(SongTooShort) as exc_info:
         dataset_stats([[60] * 13, [60] * 11])
     assert str(exc_info.value) == "song 1: metrics need at least 12 notes, got 11"
@@ -77,16 +74,16 @@ def test_one_note_span_needs_a_step():
 
 
 def test_lm_anchors():
-    assert lm([60, 61, 62, 63, 64, 65, 60, 61, 62, 63, 64, 65]) == 1.0
-    assert lm([60] * 13) == 5.0  # two all-constant windows
-    assert lm(CHROMATIC_13) == 5.0  # every window has 12 distinct notes
+    assert evaluate_song([60, 61, 62, 63, 64, 65, 60, 61, 62, 63, 64, 65]).lm == 1.0
+    assert evaluate_song([60] * 13).lm == 5.0  # two all-constant windows
+    assert evaluate_song(CHROMATIC_13).lm == 5.0  # every window has 12 distinct notes
 
 
 def test_centricity_anchors():
-    assert centricity(CONSTANT_12) == 1.0
-    assert centricity(list(range(60, 72))) == pytest.approx(1 / 12)
+    assert evaluate_song(CONSTANT_12).centr == 1.0
+    assert evaluate_song(list(range(60, 72))).centr == pytest.approx(1 / 12)
     song = [60, 60, 60, 62, 64, 65, 62, 60, 60, 67, 69, 71]
-    assert centricity(song) == pytest.approx(5 / 12)
+    assert evaluate_song(song).centr == pytest.approx(5 / 12)
 
 
 def test_evaluate_song_composes():
@@ -112,12 +109,12 @@ def test_transposition_invariance(song, shift):
 
 @given(scoreable_songs)
 def test_cmm_reversal_invariance(song):
-    assert cmm(list(reversed(song))) == pytest.approx(cmm(song))
+    assert evaluate_song(list(reversed(song))).cmm == pytest.approx(evaluate_song(song).cmm)
 
 
 @given(scoreable_songs)
 def test_llm_at_least_one(song):
-    score = lm(song[:12])
+    score = evaluate_song(song[:12]).lm
     assert score >= 1.0
     assert (score == 1.0) == (5 <= len(set(song[:12])) <= 8)
 
@@ -128,7 +125,7 @@ def test_span_config_validation():
     with pytest.raises(ValueError):
         SpanConfig(n=4, lb=5, ub=8)
     cfg = SpanConfig(n=6, lb=2, ub=3)
-    assert lm([60, 61, 60, 61, 60, 61], cfg) == 1.0
+    assert evaluate_song([60, 61, 60, 61, 60, 61], cfg).lm == 1.0
 
 
 def test_dataset_stats_single_song():

@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import math
 import tracemalloc
@@ -636,7 +637,13 @@ def test_config_validation():
         for bad in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match=name):
                 TrainConfig(**{name: bad})
+    # The model sizes are checked when the config is made, not when train allocates.
+    for bad in ({"cell": "gru"}, {"num_layers": 0}, {"num_layers": 6}, {"hidden_size": 0}, {"embedding_dim": 0}):
+        with pytest.raises(ValueError):
+            TrainConfig(**bad)
     TrainConfig(max_iterations=0, learning_rate=1e-9, lr_decay=1.5, clip_norm=1e-9)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        TrainConfig().max_iterations = 3
 
 
 def test_toy_curves_decrease(toy_runs):
