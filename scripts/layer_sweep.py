@@ -11,13 +11,14 @@ The script owns --songs, --variants, --workdir and --seed, each read by
 its full name only.  Every other flag goes unchanged to `melodykit sweep`
 (--cells, --layers, --hidden-size, --epochs, --max-iterations, ...), so
 an unknown flag or a prefix such as --work is refused there; the batch
-size defaults to 4 here instead of sweep's 50.
+size defaults to 4 here instead of sweep's 50.  Every step's flags are
+checked with the CLI's parser before the work directory is made.
 """
 
 import argparse
 from pathlib import Path
 
-from run_pipeline import ROOT, step
+from run_pipeline import ROOT, check, step
 
 
 def main():
@@ -29,14 +30,19 @@ def main():
     args, sweep_flags = ap.parse_known_args()
 
     work = Path(args.workdir)
-    work.mkdir(parents=True, exist_ok=True)
+    runs = []
     for variant in args.variants.split(","):
-        corpus = work / f"corpus_{variant}.json"
-        out_dir = work / variant
-        step(["dataset", "--songs", args.songs, "--variant", variant,
-              "--out", str(corpus)])
-        step(["sweep", "--corpus", str(corpus), "--out-dir", str(out_dir),
-              "--seed", str(args.seed), "--batch-size", "4", *sweep_flags])
+        corpus, out_dir = work / f"corpus_{variant}.json", work / variant
+        runs.append((variant, out_dir, [
+            ["dataset", "--songs", args.songs, "--variant", variant, "--out", str(corpus)],
+            ["sweep", "--corpus", str(corpus), "--out-dir", str(out_dir),
+             "--seed", str(args.seed), "--batch-size", "4", *sweep_flags],
+        ]))
+    check([argv for _, _, steps in runs for argv in steps])
+    work.mkdir(parents=True, exist_ok=True)
+    for variant, out_dir, steps in runs:
+        for argv in steps:
+            step(argv)
         print(f"[{variant}] " + "; ".join(
             (out_dir / "best.csv").read_text().splitlines()[1:]
         ))

@@ -28,6 +28,13 @@ songs file, so a change must also read what the parent wrote.
 Every command's exit code and stdout, and every file either tree wrote,
 are compared.  Prints one line per difference and a summary; exits 1 if
 anything differs, 0 otherwise.
+
+A second round, for information only, runs the working tree's commands
+again in a fresh export at two BLAS threads, reading the same copies of
+the parent's outputs, and prints each file that differs from its own
+one-thread run.  Training bits may follow the BLAS thread count (README,
+"Reproducibility"), so this round lists which outputs do; it does not
+change the exit status.
 """
 
 from __future__ import annotations
@@ -106,19 +113,29 @@ def reading(in_dir: str, corpora: list[str], songs: list[str], out_dir: str) -> 
     ]
 
 
-def run(tree: Path, argv: list[str], paths: dict[str, str] | None = None) -> tuple[int, str]:
-    """Exit code and output of one command; `paths` sets MELODYKIT_* variables, which are otherwise unset."""
+def run(tree: Path, argv: list[str], paths: dict[str, str] | None = None, threads: int = 1) -> tuple[int, str]:
+    """Exit code and output of one command at `threads` BLAS threads.
+
+    `paths` sets MELODYKIT_* variables, which are otherwise unset.
+    """
     env = {k: v for k, v in os.environ.items() if not k.startswith("MELODYKIT_")}
     env.update(paths or {})
-    env.update(PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1")
+    env.update(PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
+               MKL_NUM_THREADS=str(threads))
     proc = subprocess.run([sys.executable, "-m", "melodykit.cli", *argv], cwd=tree, env=env,
                           capture_output=True, text=True)
     return proc.returncode, proc.stdout + proc.stderr
 
 
-def written(tree: Path, top: str) -> set[str]:
-    return {str(p.relative_to(tree)) for p in (tree / top).rglob("*") if p.is_file()}
+def written(tree: Path) -> set[str]:
+    return {str(p.relative_to(tree)) for top in ("out", "reread") for p in (tree / top).rglob("*") if p.is_file()}
+
+
+def differing(a: Path, b: Path) -> list[str]:
+    """The files written in tree a or tree b that are not byte-identical in the other."""
+    names = sorted(written(a) | written(b))
+    return [name for name in names
+            if not ((a / name).is_file() and (b / name).is_file() and filecmp.cmp(a / name, b / name, shallow=False))]
 
 
 def run_both(trees: dict[str, Path], commands: list) -> list[str]:
@@ -147,34 +164,43 @@ def main(argv=None) -> int:
 
     work = Path(tempfile.mkdtemp(prefix="same_outputs_"))
     trees = {"parent": work / "parent", "change": work / "change"}
+    twin = work / "change_2_threads"
     try:
         export_revision(args.parent, trees["parent"])
         export_working_tree(trees["change"])
-        for tree in trees.values():
+        export_working_tree(twin)
+        for tree in (*trees.values(), twin):
             (tree / "out").mkdir()
         commands = COMMANDS + sampling("out", "out")
         differences = run_both(trees, commands)
-        # Both trees read the parent's checkpoints, corpora (with their
+        # Every tree reads the parent's checkpoints, corpora (with their
         # sidecars) and sampled songs, each songs file renamed after its directory.
         parent_out = trees["parent"] / "out"
         copies = {p.name: p for p in sorted([*parent_out.glob("*.ckpt"), *parent_out.glob("*.json")])}
         songs = {f"{p.parent.name}.jsonl": p for p in sorted(parent_out.glob("*/songs.jsonl"))}
-        for tree in trees.values():
+        for tree in (*trees.values(), twin):
             (tree / "from_parent").mkdir()
             for name, path in {**copies, **songs}.items():
                 shutil.copyfile(path, tree / "from_parent" / name)
         corpora = [name for name in copies if name.endswith(".json") and not name.endswith(".vocab.json")]
         reread = sampling("from_parent", "reread") + reading("from_parent", corpora, list(songs), "reread")
         differences += run_both(trees, reread)
-        files = sorted(set().union(*(written(tree, top) for tree in trees.values() for top in ("out", "reread"))))
-        for name in files:
-            a, b = trees["parent"] / name, trees["change"] / name
-            if not (a.is_file() and b.is_file() and filecmp.cmp(a, b, shallow=False)):
-                print(f"DIFFERENT file: {name}")
-                differences.append(name)
+        files = sorted(written(trees["parent"]) | written(trees["change"]))
+        for name in differing(trees["parent"], trees["change"]):
+            print(f"DIFFERENT file: {name}")
+            differences.append(name)
         print(f"parent {describe(args.parent)} against the working tree: "
               f"{len(commands) + len(reread)} commands, {len(files)} files written, "
               + ("all byte-identical" if not differences else f"{len(differences)} differ"))
+
+        for command in commands + reread:
+            paths, argv = command if isinstance(command, tuple) else ({}, command)
+            run(twin, argv, paths, threads=2)
+        follow = differing(trees["change"], twin)
+        for name in follow:
+            print(f"at 2 BLAS threads, DIFFERENT file: {name}")
+        print(f"the working tree at 2 BLAS threads against 1 (information only): "
+              f"{len(follow)} of {len(written(twin) | written(trees['change']))} files differ")
     finally:
         shutil.rmtree(work, ignore_errors=True)
     return 1 if differences else 0

@@ -203,6 +203,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for flag, text, grid in (("--cells", args.cells, cells), ("--layers", args.layers, layer_counts)):
         if not grid:
             raise ValueError(f"{flag} names no grid point, got {text!r}")
+    rnn.corpus_lanes(corpus, config)  # every grid point trains on windows of this one size
     out_dir.mkdir(parents=True, exist_ok=True)
     rows: list[dict] = []
     for cell in cells:
@@ -241,7 +242,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sample_songs(model: rnn.ModelState, args: argparse.Namespace) -> list[Song]:
+def _sample_songs(checkpoint: str, args: argparse.Namespace) -> list[Song]:
+    # The sampling flags are checked before the checkpoint is read.
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
     if args.notes < 0:
@@ -256,6 +258,7 @@ def _sample_songs(model: rnn.ModelState, args: argparse.Namespace) -> list[Song]
         rngs = [np.random.default_rng([args.seed, i]) for i in range(args.count)]
     else:  # greedy decoding draws nothing; sample_batch only counts the lanes
         rngs = [None] * args.count
+    model = rnn.load_checkpoint(checkpoint)
     return rnn.sample_batch(model, seed_song, args.notes, args.mode, args.temperature, rngs)
 
 
@@ -267,9 +270,9 @@ def _write_song_files(songs: list[Song], out_dir: Path) -> None:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    model = rnn.load_checkpoint(_require(args.checkpoint, "--checkpoint"))
+    checkpoint = _require(args.checkpoint, "--checkpoint")
     out_dir = Path(_require(args.out_dir, "--out-dir"))
-    songs = _sample_songs(model, args)
+    songs = _sample_songs(checkpoint, args)
     _write_song_files(songs, out_dir)
     print(f"wrote {len(songs)} songs ({len(songs[0]) if songs else 0} notes each) to {out_dir}")
     return 0
@@ -284,8 +287,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.songs is not None:
         songs = core.load_songs_jsonl(args.songs)
     else:
-        model = rnn.load_checkpoint(args.checkpoint)
-        songs = _sample_songs(model, args)
+        songs = _sample_songs(args.checkpoint, args)
     reports, stats = metrics.dataset_stats(songs, cfg)
     rep_index = metrics.representative_song(reports, stats.mean)
 
@@ -403,6 +405,12 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
+def report(exc: Exception) -> int:
+    """Print exc on stderr as the one-line JSON error object; returns 1, the exit code that goes with it."""
+    print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
+    return 1
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _PARSER.parse_args(argv)
@@ -411,9 +419,7 @@ def main(argv: list[str] | None = None) -> int:
                 setattr(args, dest, os.environ.get(f"MELODYKIT_{dest.upper()}"))
         return args.func(args)
     except (MelodyKitError, ValueError, OSError, MemoryError) as exc:
-        payload = {"error": type(exc).__name__, "message": str(exc)}
-        print(json.dumps(payload), file=sys.stderr)
-        return 1
+        return report(exc)
 
 
 if __name__ == "__main__":

@@ -15,18 +15,22 @@ checkpoint v1 is written and read.
 
 Each cell kind is defined once, by its entry in the literal `CELL_TYPES`
 dict: a pointwise numpy step kernel (pre-activations and state in; new
-state and activation blocks out) and its hand-written adjoint, both
-writing into arrays their caller passes in.  Every path steps a layer
-through `_layer_step`, z = h @ W[m:] + zx and then that kernel.  The
-first layer's zx depends only on the token, so every path reads it from
-a token table, E @ W[:m] + b, of V rows (at most 255, and 21 to 31 on
-the bundled corpora), made once per window in training and once per call
-in sampling and `stack_forward`.  Training records one
+state and activation blocks out) and its hand-written adjoint, all
+writing into arrays their caller passes in.  The adjoint is a factor
+pass, which computes the gate derivatives of a chunk of steps at once
+from the stored activations, and a per-step part, which multiplies the
+incoming gradient by them in a handful of ufunc calls.  Every path steps
+a layer through `_layer_step`, z = h @ W[m:] + zx and then that kernel.
+The first layer's zx depends only on the token, so every path reads it
+from a token table, E @ W[:m] + b, of V rows (at most 255, and 21 to 31
+on the bundled corpora), made once per window in training and once per
+call in sampling and `stack_forward`.  Training records one
 `GradientTape.recurrence` per layer per window, which computes the
 layer's zx in one GEMM (the table, or over an upper layer's T*B input
-rows), loops `_layer_step` forward over the window and the adjoint back,
-so a window is one record per layer, then one projection and one
-cross-entropy over the (T*B, hidden) stack of top states.
+rows), loops `_layer_step` forward over the window and the adjoint back
+(the factor pass once per `tensor.FACTOR_CHUNK` steps), so a window is
+one record per layer, then one projection and one cross-entropy over the
+(T*B, hidden) stack of top states.
 `sample_batch` and `stack_forward` step plain arrays through
 `_forward_step`: every song is one lane of a single batch, and `sample` is
 the one-lane call.
@@ -100,11 +104,11 @@ _HEADER_KEYS = (
 _State = tuple[np.ndarray, "np.ndarray | None"]
 
 
-# The kernels and adjoints write only into the arrays they are given, and
-# keep the product and sum order of the formulas in their comments, so
-# every caller gets the same bits wherever its arrays live.  A ufunc's
-# last positional argument is its output (passed positionally, as keyword
-# parsing costs about a sixth of a small ufunc call).
+# The kernels, factor passes and adjoints write only into the arrays they
+# are given, and keep the product and sum order of the formulas in their
+# comments, so every caller gets the same bits wherever its arrays live.
+# A ufunc's last positional argument is its output (passed positionally,
+# as keyword parsing costs about a sixth of a small ufunc call).
 
 def _lstm_step(z, h, c, h_new, c_new, acts):
     # f, i, o = sigmoid(z blocks), g = tanh(z block); c_new = f*c + i*g; h_new = o*tanh(c_new)
@@ -119,34 +123,28 @@ def _lstm_step(z, h, c, h_new, c_new, acts):
     np.multiply(o, tc, h_new)
 
 
-def _sigmoid_gate_grad(a, b, s, tmp, out):
-    # out = a*b*s*(1 - s): what reaches the pre-activation of a sigmoid gate s
-    u, w = tmp
-    np.multiply(a, b, u)
-    u *= s
-    np.subtract(1.0, s, w)
-    np.multiply(u, w, out)
+def _lstm_factors(h, c, acts, out):
+    # Per step: out = [(1-f)*f*c, (1-i)*i*g, (1 - g*g)*i, (1-o)*o*tc, (1 - tc*tc)*o].
+    # The (i, o) blocks are the stride-2 slice 1::2 and (g, tc) the slice 2::2.
+    np.subtract(1.0, acts[:, :2], out[:, :2])
+    out[:, :2] *= acts[:, :2]
+    np.subtract(1.0, acts[:, 3], out[:, 3])
+    out[:, 3] *= acts[:, 3]
+    out[:, 0] *= c
+    out[:, 1::2] *= acts[:, 2::2]
+    np.multiply(acts[:, 2::2], acts[:, 2::2], out[:, 2::2])
+    np.subtract(1.0, out[:, 2::2], out[:, 2::2])
+    out[:, 2::2] *= acts[:, 1::2]
 
 
-def _lstm_adjoint(dh, dc, h, c, acts, dz, tmp):
-    # dc += dh*o*(1 - tc*tc); dz = [dc*c*f*(1-f), dc*g*i*(1-i), dc*i*(1 - g*g), dh*tc*o*(1-o)];
-    # the old c's gradient is dc*f.
-    n = dh.shape[1]
-    f, i, g, o, tc = acts
-    u, w = tmp
-    np.multiply(dh, o, u)
-    np.multiply(tc, tc, w)
-    np.subtract(1.0, w, w)
-    u *= w
-    dc += u
-    _sigmoid_gate_grad(dc, c, f, tmp, dz[:, :n])
-    _sigmoid_gate_grad(dc, g, i, tmp, dz[:, n : 2 * n])
-    np.multiply(dc, i, u)
-    np.multiply(g, g, w)
-    np.subtract(1.0, w, w)
-    np.multiply(u, w, dz[:, 2 * n : 3 * n])
-    _sigmoid_gate_grad(dh, tc, o, tmp, dz[:, 3 * n :])
-    dc *= f
+def _lstm_adjoint(dh, dc, acts, fac, dz):
+    # dz[3] = dh*F3; dc += dh*F4; dz[:3] = F[:3]*dc; the old c's gradient is dc*f.
+    # dh is scratch once dz[3] holds its share.
+    np.multiply(dh, fac[3], dz[3])
+    dh *= fac[4]
+    dc += dh
+    np.multiply(fac[:3], dc, dz[:3])
+    dc *= acts[0]
     return None, dc
 
 
@@ -161,48 +159,58 @@ def _ugrnn_step(z, h, c, h_new, c_new, acts):
     h_new += keep * cand
 
 
-def _ugrnn_adjoint(dh, dc, h, c, acts, dz, tmp):
-    # d = dh*keep; dz = [d*(h - cand)*g, d*(1 - cand*cand)]; the old h's direct gradient is dh*g.
-    n = dh.shape[1]
-    g, keep, cand = acts
-    d, u = tmp
-    np.multiply(dh, keep, d)
-    np.subtract(h, cand, u)
-    u *= d
-    np.multiply(u, g, dz[:, :n])
-    np.multiply(cand, cand, u)
-    np.subtract(1.0, u, u)
-    np.multiply(d, u, dz[:, n:])
-    dh *= g
+def _ugrnn_factors(h, c, acts, out):
+    # Per step: out[:2] = [(h - cand)*g*keep, (1 - cand*cand)*keep]; out[2] is not used.
+    np.subtract(h, acts[:, 2], out[:, 0])
+    out[:, 0] *= acts[:, 0]
+    np.multiply(acts[:, 2], acts[:, 2], out[:, 1])
+    np.subtract(1.0, out[:, 1], out[:, 1])
+    out[:, :2] *= acts[:, 1:2]
+
+
+def _ugrnn_adjoint(dh, dc, acts, fac, dz):
+    # dz = F[:2]*dh, both blocks in one broadcast call; the old h's direct gradient is dh*g.
+    np.multiply(fac[:2], dh, dz)
+    dh *= acts[0]
     return dh, None
 
 
 @dataclass(frozen=True)
 class CellSpec:
-    """A cell kind: gate blocks in declaration order, its kernel and the kernel's adjoint.
+    """A cell kind: gate blocks in declaration order, its kernel and the kernel's adjoint in two parts.
 
     `step(z, h, c, h_new, c_new, acts)` maps the (B, gates*hidden)
     pre-activations, gate blocks side by side, and the old state to the new
     state, written into h_new and c_new; it writes the activations the
     adjoint reads into acts, `acts` (B, hidden) blocks.
-    `adjoint(dh, dc, h, c, acts, dz, tmp) -> (dh_direct, dc)` maps the
-    gradients of the new state to that of z, written into dz, and returns,
-    written over dh and dc, the gradient of the old h other than through z
-    (None where the kernel reads h only through z) and that of the old c;
-    tmp is a (2, B, hidden) scratch.  c, c_new and dc are None for cells
-    without a memory lane.
+
+    The gate derivatives depend on those activations and the old state,
+    never on the incoming gradient, so the adjoint is split in two.
+    `factors(h, c, acts, out)` runs once per chunk of K steps: h and c are
+    the chunk's (K, B, hidden) old states, acts its (K, acts, B, hidden)
+    activation blocks, and it writes each step's derivative factors into
+    out, (K, acts, B, hidden), of which a cell may use fewer blocks.
+    `adjoint(dh, dc, acts, fac, dz) -> (dh_direct, dc)` is one step, given
+    that step's activations and factors: it maps the gradients of the new
+    state to that of z, written into dz, the step's (gates, B, hidden) view
+    of gate blocks, and returns, written over dh and dc, the gradient of
+    the old h other than through z (None where the kernel reads h only
+    through z; dh is then scratch) and that of the old c.  c, c_new and dc
+    are None for cells without a memory lane.
     """
 
     gates: tuple[str, ...]
     has_memory: bool
     acts: int
     step: Callable
+    factors: Callable
     adjoint: Callable
 
 
 CELL_TYPES: dict[str, CellSpec] = {
-    "lstm": CellSpec(("forget", "input", "candidate", "output"), True, 5, _lstm_step, _lstm_adjoint),
-    "ugrnn": CellSpec(("update", "candidate"), False, 3, _ugrnn_step, _ugrnn_adjoint),
+    "lstm": CellSpec(("forget", "input", "candidate", "output"), True, 5, _lstm_step, _lstm_factors,
+                     _lstm_adjoint),
+    "ugrnn": CellSpec(("update", "candidate"), False, 3, _ugrnn_step, _ugrnn_factors, _ugrnn_adjoint),
 }
 
 
@@ -508,20 +516,36 @@ def _window_loss(tape: GradientTape, model: ModelState, X: np.ndarray, Y: np.nda
     v, ids = model.embedding, X.T.reshape(-1)
     final: list[_State] = []
     for layer, (h, c) in zip(model.layers, states):
-        v, h, c = tape.recurrence(v, h, c, layer.w, layer.b, step, spec.adjoint, spec.acts, ids)
+        v, h, c = tape.recurrence(v, h, c, layer.w, layer.b, step, spec.factors, spec.adjoint, spec.acts, ids)
         ids = None  # every upper layer reads the rows of the layer below
         final.append((h, c))
     logits = tape.add_bias(tape.matmul(v, model.proj_w), model.proj_b)
     return tape.cross_entropy(logits, Y.T.reshape(-1)), final
 
 
+def corpus_lanes(corpus: TrainingCorpus, config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The corpus's x and y ids as batch_size contiguous lanes, (batch_size, lane length) views.
+
+    Raises CorpusTooSmall when the stream cannot fill one batch_size x
+    seq_len window.
+    """
+    B, T = config.batch_size, config.seq_len
+    L = int(corpus.x.size)
+    if L < B * T:
+        raise CorpusTooSmall(
+            f"stream of {L + 1} tokens cannot fill one {B}x{T} window; need {B * T + 1}"
+        )
+    lane_len = L // B
+    return corpus.x[: B * lane_len].reshape(B, lane_len), corpus.y[: B * lane_len].reshape(B, lane_len)
+
+
 def train(corpus: TrainingCorpus, config: TrainConfig, seed: int = 0) -> tuple[ModelState, LearningCurve]:
     """Train a fresh model on the corpus; returns (model, per-iteration curve).
 
-    The token stream splits into batch_size contiguous lanes; each
-    iteration consumes one seq_len window across all lanes, sums the
-    per-step cross-entropies, clips the global gradient norm, and takes
-    one Adam step.  States carry across windows within an epoch (values,
+    The token stream splits into batch_size contiguous lanes
+    (`corpus_lanes`); each iteration consumes one seq_len window across all
+    lanes, sums the per-step cross-entropies, clips the global gradient
+    norm, and takes one Adam step.  States carry across windows within an epoch (values,
     not gradients); at epoch start they reset and the learning rate decays.  The curve records the
     per-token loss, i.e. the window sum divided by batch_size * seq_len.
 
@@ -556,15 +580,8 @@ def train(corpus: TrainingCorpus, config: TrainConfig, seed: int = 0) -> tuple[M
         hidden_size=config.hidden_size, embedding_dim=config.embedding_dim, rng=rng,
     )
     B, T = config.batch_size, config.seq_len
-    L = int(corpus.x.size)
-    if L < B * T:
-        raise CorpusTooSmall(
-            f"stream of {L + 1} tokens cannot fill one {B}x{T} window; need {B * T + 1}"
-        )
-    lane_len = L // B
-    X = corpus.x[: B * lane_len].reshape(B, lane_len)
-    Y = corpus.y[: B * lane_len].reshape(B, lane_len)
-    windows = lane_len // T
+    X, Y = corpus_lanes(corpus, config)
+    windows = X.shape[1] // T
     iterations = config.epochs * windows
     if config.max_iterations is not None:
         iterations = min(iterations, config.max_iterations)

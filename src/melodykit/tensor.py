@@ -21,10 +21,13 @@ work on whatever arrays they are given; training gives them float64.
 
 Memory: those four ops write their outputs, the caches their backward
 reads and the first gradient they give each tensor into the tape's
-workspace, arrays handed out in request order.  `GradientTape.reset`
-rewinds that order and takes back every gradient it handed out, so a
-tape kept across the windows of a training run (which all record the same
-ops at the same shapes) allocates its window-sized arrays once.
+workspace, arrays handed out in request order; so does `recurrence`'s
+backward its gate gradients and one chunk of derivative factors
+(`FACTOR_CHUNK` steps, which it fills and uses a chunk at a time).
+`GradientTape.reset` rewinds that order and takes back every gradient it
+handed out, so a tape kept across the windows of a training run (which
+all record the same ops at the same shapes) allocates its window-sized
+arrays once.
 `clip_gradients` sums the squared norm one gradient at a time and scales
 the gradients in place, and `adam_step` works in the scratch pair
 its `AdamState` holds, so a training iteration allocates nothing window-
@@ -60,6 +63,14 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.value.shape})"
+
+
+# Steps per factor pass in `GradientTape.recurrence`'s backward.  Longer
+# chunks spread a pass's calls over more steps, which pays at batch 4;
+# shorter ones keep a chunk's factors small, which pays at batch 50.  Of 4,
+# 8 and 12, 8 gained most at batch 4 without losing at batch 50 (float32
+# microbenchmark, hidden 128); one pass over the whole window lost at 50.
+FACTOR_CHUNK = 8
 
 
 def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -306,6 +317,7 @@ class GradientTape:
         weight: Tensor,
         bias: Tensor,
         step: Callable,
+        factors: Callable,
         adjoint: Callable,
         blocks: int,
         ids: np.ndarray | None = None,
@@ -325,11 +337,18 @@ class GradientTape:
         V-row token table that each step gathers from.  `step(W_h, zx_t, h,
         c, out)` is one step: z = h @ W_h + zx_t, then the cell's kernel,
         writing out = (z, new h, new c, the step's `blocks` (B, n)
-        activation blocks).  Backward calls `adjoint(dh, dc, h, c, acts, dz,
-        tmp) -> (dh_direct, dc)` in reverse: it writes the gradient of z
-        into dz and returns, written over dh and dc, the gradient reaching
-        the old h other than through z (or None) and that of the old c; tmp
-        is a (2, B, n) scratch.  Then dW[m:] = hs^T dz over all T*B rows;
+        activation blocks).  Backward walks the steps in reverse, in chunks
+        of FACTOR_CHUNK steps, the last chunk first.  Per chunk it calls
+        `factors(hs, cs, acts, fac)` once: from the chunk's old states (cs is
+        None without a memory lane) and (K, blocks, B, n) activations it
+        writes each step's derivative factors into fac, a (K, blocks, B, n)
+        workspace array, so that no step computes a derivative from the
+        activations itself.  Then per step, last first, `adjoint(dh, dc,
+        acts, fac, dz) -> (dh_direct, dc)` gets that step's activations and
+        factors and writes the gradient of z into dz, the step's (gates, B,
+        n) view of gate blocks; it returns, written over dh and dc, the
+        gradient reaching the old h other than through z (or None) and that
+        of the old c.  Then dW[m:] = hs^T dz over all T*B rows;
         S is dz, or with `ids` dz summed per token by one one-hot (V, T*B)
         GEMM, and dW[:m] = x^T S, db = sum S, and x's gradient is S W[:m]^T.
 
@@ -382,20 +401,24 @@ class GradientTape:
             g = g.reshape(steps, batch, n)
             w_ht = w_h.T
             dz = self._array((steps, batch, width))
+            dz_blocks = dz.reshape(steps, batch, width // n, n).swapaxes(1, 2)
+            fac = self._array((min(FACTOR_CHUNK, steps), blocks, batch, n))
             dh = self._array((batch, n))
-            tmp = self._array((2, batch, n))
             carry = self._array((batch, n))
             carry[...] = 0.0
             dc = self._array((batch, n)) if memory else None
             if memory:
                 dc[...] = 0.0
-            for t in reversed(range(steps)):
-                np.add(g[t], carry, dh)
-                dh_direct, dc = adjoint(dh, dc, hs[t], cs[t], acts[t], dz[t], tmp)
-                if t:
-                    np.matmul(dz[t], w_ht, carry)
-                    if dh_direct is not None:
-                        carry += dh_direct
+            for end in range(steps, 0, -FACTOR_CHUNK):
+                start = max(end - FACTOR_CHUNK, 0)
+                factors(hs[start:end], cs[start:end] if memory else None, acts[start:end], fac[: end - start])
+                for t in reversed(range(start, end)):
+                    np.add(g[t], carry, dh)
+                    dh_direct, dc = adjoint(dh, dc, acts[t], fac[t - start], dz_blocks[t])
+                    if t:
+                        np.matmul(dz[t], w_ht, carry)
+                        if dh_direct is not None:
+                            carry += dh_direct
             dz_rows = dz.reshape(rows, width)
             dw = self._array(w.shape)
             np.matmul(hs[:steps].reshape(rows, n).T, dz_rows, out=dw[m:])

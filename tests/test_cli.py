@@ -908,6 +908,19 @@ def test_sampling_size_past_any_array_is_one_json_line(tmp_path, monkeypatch, co
     assert not (tmp_path / "gen").exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--notes", "-1"), ("--count", "0"), ("--seed-song", "60,x"),
+                                         ("--count", str(10**20))])
+@pytest.mark.parametrize("command", ["sample", "eval"])
+def test_sampling_flags_are_checked_before_the_checkpoint_is_read(tmp_path, command, flag, value):
+    # The checkpoint does not exist, so reading it first would report FileNotFoundError.
+    code, _, err = run_cli(
+        [command, "--checkpoint", tmp_path / "missing.ckpt", "--out-dir", tmp_path / "d", flag, value]
+    )
+    assert_json_error(code, err, "ValueError")
+    assert flag in json.loads(err)["message"]
+    assert not (tmp_path / "d").exists()
+
+
 @pytest.mark.parametrize("mode", ["greedy", "temperature"])
 def test_sample_song_does_not_depend_on_count(tmp_path, mode):
     ckpt = train_checkpoint(tmp_path)
@@ -1095,6 +1108,20 @@ def test_sweep_bad_layers_leaves_no_output_dir(tmp_path):
     assert not out_dir.exists()
 
 
+def test_sweep_refuses_a_window_the_corpus_cannot_fill(tmp_path):
+    # Every grid point shares the batch size and sequence length, so the
+    # sweep is refused once rather than recorded as one error row per point.
+    corpus_path = build_corpus_file(tmp_path)
+    out_dir = tmp_path / "sweep"
+    code, stdout, err = run_cli(
+        ["sweep", "--corpus", corpus_path, "--out-dir", out_dir, "--cells", "lstm,ugrnn", "--layers", "1",
+         "--batch-size", "1000", "--max-iterations", "1"]
+    )
+    assert_json_error(code, err, "CorpusTooSmall")
+    assert stdout == ""
+    assert not out_dir.exists()
+
+
 def test_sweep_records_per_run_failures(tmp_path):
     corpus_path = build_corpus_file(tmp_path)
     out_dir = tmp_path / "sweep"
@@ -1115,12 +1142,13 @@ def test_sweep_records_per_run_failures(tmp_path):
 
 def test_sweep_records_memory_errors_as_error_rows(tmp_path):
     # 10**7 units ask for a petabyte weight matrix; each grid point fails
-    # alone and the sweep still writes its tables.
+    # alone and the sweep still writes its tables.  The 4x5 window fits the
+    # corpus, which the sweep checks before any grid point.
     corpus_path = build_corpus_file(tmp_path)
     out_dir = tmp_path / "sweep"
     code, _, err = run_cli(
         ["sweep", "--corpus", corpus_path, "--out-dir", out_dir, "--cells", "lstm,ugrnn", "--layers", "1",
-         "--hidden-size", str(10**7), "--max-iterations", "1", "--batch-size", "4"]
+         "--hidden-size", str(10**7), "--max-iterations", "1", "--batch-size", "4", "--seq-len", "5"]
     )
     assert code == 0, err
     rows = (out_dir / "summary.csv").read_text().splitlines()

@@ -34,7 +34,7 @@ from melodykit.rnn import (
     stack_forward,
     train,
 )
-from melodykit.tensor import AdamState, GradientTape, Tensor, adam_step, clip_gradients, softmax
+from melodykit.tensor import FACTOR_CHUNK, AdamState, GradientTape, Tensor, adam_step, clip_gradients, softmax
 
 from melodykit.errors import PitchOutOfRange
 
@@ -247,7 +247,9 @@ def test_float32_window_stays_float32_and_matches_float64(cell, layers):
 
 # --- the window op against the per-op tape ------------------------------
 
-@pytest.mark.parametrize("steps", [1, 7])
+# FACTOR_CHUNK steps fill one chunk of the adjoint's factor pass; the two counts past it reach a
+# second and a third chunk.
+@pytest.mark.parametrize("steps", [1, 7, FACTOR_CHUNK, FACTOR_CHUNK + 1, 2 * FACTOR_CHUNK + 3])
 @pytest.mark.parametrize("batch", [1, 4])
 @pytest.mark.parametrize("layers", [1, 3])
 @pytest.mark.parametrize("cell", ["lstm", "ugrnn"])
