@@ -17,9 +17,9 @@ control corpus (`gru` is no cell, so its rows are error rows), scores the
 bundled songs (`eval --songs`, many lengths in one call) with the default
 spans and with 20-note spans, samples greedily and at a temperature at 20
 lanes and once at a temperature at 100 lanes (`--count 100`, the lane
-count of the benchmark's `sample-score-ingest`), runs `eval --checkpoint`,
-and reads two of the sampled MIDI directories back with
-`dataset --midi-dir` (db12 and interval).  Then both trees get copies of
+count of the benchmark's `sample-score-ingest`), and reads two of the
+sampled MIDI directories back with `dataset --midi-dir` (db12 and
+interval).  Then both trees get copies of
 the parent's checkpoints, corpora with their vocabulary sidecars, and
 sampled `songs.jsonl` files.  From those each tree samples and reads back
 again, runs a short `train` on every corpus and an `eval --songs` on every
@@ -75,7 +75,7 @@ COMMANDS = [
 
 
 def sampling(ckpt_dir: str, out_dir: str) -> list:
-    """Greedy and temperature sampling (20 and 100 lanes) and `eval --checkpoint` from the checkpoints in ckpt_dir.
+    """Greedy and temperature sampling (20 and 100 lanes) from the checkpoints in ckpt_dir.
 
     Two of the sampled MIDI directories are then read back with
     `dataset --midi-dir`, as db12 and as interval corpora.  The last two
@@ -91,7 +91,6 @@ def sampling(ckpt_dir: str, out_dir: str) -> list:
          "--mode", "temperature", "--count", "20", "--seed", "3"],
         ["sample", "--checkpoint", f"{ckpt_dir}/lstm1.ckpt", "--out-dir", f"{out_dir}/temperature100",
          "--mode", "temperature", "--count", "100", "--seed", "4"],
-        ["eval", "--checkpoint", f"{ckpt_dir}/lstm1.ckpt", "--out-dir", f"{out_dir}/eval", "--count", "20"],
         ["dataset", "--midi-dir", f"{out_dir}/temperature", "--variant", "db12",
          "--out", f"{out_dir}/midi_db12.json"],
         ["dataset", "--midi-dir", f"{out_dir}/interval", "--variant", "interval",

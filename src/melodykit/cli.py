@@ -1,16 +1,19 @@
 """Command-line pipeline: dataset, train, sweep, sample, eval.
 
-Every command exits 0 on success and 1 with a one-line JSON error object
-on stderr otherwise, bad flags included; a flag is read by its full name
-only, never by a prefix.  Every output file is replaced whole or not at
-all (core.write_atomic), but a command is not atomic: a failure at its
-k-th file leaves files 1..k-1 new beside older ones.  A path flag left
-unset falls back to the environment variable MELODYKIT_<FLAG>, read on
-each call: --midi-dir to MELODYKIT_MIDI_DIR, for example (paths only,
-never numeric settings).  Given identical inputs, flags, and seeds, each
-command writes byte-identical outputs on the same platform, that is, with
-the same code, numpy/BLAS build, BLAS thread count and CPU; outputs that
-matched across thread counts did so by observation, not by promise.
+`sample` is the one command that generates melodies from a checkpoint;
+`eval` scores the songs of a JSON Lines file, such as the songs.jsonl
+that `sample` writes, and nothing else.  Every command exits 0 on
+success and 1 with a one-line JSON error object on stderr otherwise, bad
+flags included; a flag is read by its full name only, never by a prefix.
+Every output file is replaced whole or not at all (core.write_atomic),
+but a command is not atomic: a failure at its k-th file leaves files
+1..k-1 new beside older ones.  A path flag left unset falls back to the
+environment variable MELODYKIT_<FLAG>, read on each call: --midi-dir to
+MELODYKIT_MIDI_DIR, for example (paths only, never numeric settings).
+Given identical inputs, flags, and seeds, each command writes
+byte-identical outputs on the same platform, that is, with the same code,
+numpy/BLAS build, BLAS thread count and CPU; outputs that matched across
+thread counts did so by observation, not by promise.
 Another build may sum floats in another order, so its losses, and with
 them the training trajectory, can differ in the last bits and beyond.
 `train` and `sweep` run forward and backward in float32 over
@@ -18,11 +21,10 @@ float64 master weights, which clipping, Adam and the checkpoint hold (see
 `rnn`).  No weight may pass 2**56, float32's safe range: a step that
 leaves one there fails as TrainingDiverged and saves nothing, and a
 checkpoint holding one (NaN and infinities included) is refused as
-MalformedFile.  `sample` and `eval --checkpoint` compute in float32, and
-BLAS picks its kernel by the number of songs, so a song's logits can
-differ in the last bits between --count values; its tokens agreed in
-every case checked.  README keeps the history of how each version
-changed these bits.
+MalformedFile.  `sample` computes in float32, and BLAS picks its kernel
+by the number of songs, so a song's logits can differ in the last bits
+between --count values; its tokens agreed in every case checked.
+README keeps the history of how each version changed these bits.
 """
 
 from __future__ import annotations
@@ -242,13 +244,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sample_songs(checkpoint: str, args: argparse.Namespace) -> list[Song]:
-    # The sampling flags are checked before the checkpoint is read.
+def cmd_sample(args: argparse.Namespace) -> int:
+    # Check every flag before reading the checkpoint, and sample before creating --out-dir.
+    checkpoint = _require(args.checkpoint, "--checkpoint")
+    out_dir = Path(_require(args.out_dir, "--out-dir"))
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
     if args.notes < 0:
         raise ValueError(f"--notes must be >= 0, got {args.notes}")
     seed_song = _parse_int_list(args.seed_song, "--seed-song")
+    rnn.check_sampling(seed_song, args.mode, args.temperature)
     # Size the (count, notes) output before making one object per lane, so an unindexable size fails at once.
     try:
         np.empty((args.count, args.notes), dtype=np.int64)
@@ -259,41 +264,26 @@ def _sample_songs(checkpoint: str, args: argparse.Namespace) -> list[Song]:
     else:  # greedy decoding draws nothing; sample_batch only counts the lanes
         rngs = [None] * args.count
     model = rnn.load_checkpoint(checkpoint)
-    return rnn.sample_batch(model, seed_song, args.notes, args.mode, args.temperature, rngs)
+    songs = rnn.sample_batch(model, seed_song, args.notes, args.mode, args.temperature, rngs)
 
-
-def _write_song_files(songs: list[Song], out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     core.save_songs_jsonl(songs, out_dir / "songs.jsonl")
     for i, song in enumerate(songs):
         core.write_atomic(out_dir / f"song_{i:03d}.mid", midi.write_midi(song))
-
-
-def cmd_sample(args: argparse.Namespace) -> int:
-    checkpoint = _require(args.checkpoint, "--checkpoint")
-    out_dir = Path(_require(args.out_dir, "--out-dir"))
-    songs = _sample_songs(checkpoint, args)
-    _write_song_files(songs, out_dir)
     print(f"wrote {len(songs)} songs ({len(songs[0]) if songs else 0} notes each) to {out_dir}")
     return 0
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     # Check, load and score before creating --out-dir, so a failure leaves no output.
+    songs_path = _require(args.songs, "--songs")
     out_dir = Path(_require(args.out_dir, "--out-dir"))
-    if (args.songs is None) == (args.checkpoint is None):
-        raise ValueError("pass exactly one of --songs or --checkpoint")
     cfg = metrics.SpanConfig(n=args.span_n, lb=args.span_lb, ub=args.span_ub)
-    if args.songs is not None:
-        songs = core.load_songs_jsonl(args.songs)
-    else:
-        songs = _sample_songs(args.checkpoint, args)
+    songs = core.load_songs_jsonl(songs_path)
     reports, stats = metrics.dataset_stats(songs, cfg)
     rep_index = metrics.representative_song(reports, stats.mean)
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    if args.checkpoint is not None:
-        core.save_songs_jsonl(songs, out_dir / "songs.jsonl")
     core.write_atomic(out_dir / "reports.jsonl",
                       "".join(json.dumps(r._asdict(), sort_keys=True) + "\n" for r in reports).encode("utf-8"))
     stats_payload = {"count": stats.count, "representative_index": rep_index}
@@ -325,13 +315,6 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lr-decay", type=float, default=d.lr_decay)
     p.add_argument("--clip-norm", type=float, default=d.clip_norm)
     p.add_argument("--max-iterations", type=int, default=d.max_iterations)
-
-
-def _add_sampling_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed-song", default=",".join(str(n) for n in DEFAULT_SEED_SONG))
-    p.add_argument("--notes", type=int, default=30)
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--temperature", type=float, default=1.0)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -383,20 +366,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint")
     p.add_argument("--out-dir")
     p.add_argument("--mode", default="greedy", choices=["greedy", "temperature"])
-    _add_sampling_flags(p)
+    p.add_argument("--seed-song", default=",".join(str(n) for n in DEFAULT_SEED_SONG))
+    p.add_argument("--notes", type=int, default=30)
+    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--temperature", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("eval", help="score songs (or a checkpoint's samples)")
+    p = sub.add_parser("eval", help="score the songs of a JSON Lines file")
     p.add_argument("--songs", help="JSON Lines song file to score")
-    p.add_argument("--checkpoint", help="sample from this checkpoint, then score")
     p.add_argument("--out-dir")
-    p.add_argument("--mode", default="temperature", choices=["greedy", "temperature"])
-    _add_sampling_flags(p)
     p.add_argument("--span-n", type=int, default=12)
     p.add_argument("--span-lb", type=int, default=5)
     p.add_argument("--span-ub", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_eval)
 
     return parser

@@ -78,8 +78,8 @@ from typing import Callable
 import numpy as np
 
 from .core import (
-    DatasetVariant, Song, TrainingCorpus, Vocabulary, interval_to_song, json_ints, read_json, song_to_interval,
-    write_atomic,
+    DatasetVariant, Song, TrainingCorpus, Vocabulary, check_song, interval_to_song, json_ints, read_json,
+    song_to_interval, write_atomic,
 )
 from .errors import (
     BadToken,
@@ -653,6 +653,23 @@ def _pick(logits: np.ndarray, mode: str, temperature: float, uniforms: np.ndarra
     return (cdf <= uniforms[:, None]).sum(axis=1)
 
 
+def check_sampling(seed_song: Song, mode: str, temperature: float) -> None:
+    """The part of `sample_batch`'s argument rule that needs no model.
+
+    The mode must be greedy or temperature and the temperature finite and
+    positive (in either mode); the seed song must be non-empty
+    (ValueError) and every note in the MIDI range (`core.check_song`).
+    The CLI's `sample` command calls it before it reads the checkpoint.
+    """
+    if mode not in ("greedy", "temperature"):
+        raise ValueError(f"mode must be 'greedy' or 'temperature', got {mode!r}")
+    if not (math.isfinite(temperature) and temperature > 0.0):
+        raise ValueError(f"temperature must be finite and > 0, got {temperature}")
+    if not seed_song:
+        raise ValueError("the seed song is empty")
+    check_song(seed_song, "seed song")
+
+
 def sample_batch(
     model: ModelState,
     seed_song: Song,
@@ -670,21 +687,16 @@ def sample_batch(
     None.  A song is the seed with the decoded continuation appended;
     interval models rebuild notes from the seed's last pitch.  Every step
     runs on one float32 copy of the weights, so a model that fails
-    `_fits_float32` is a ValueError.
+    `_fits_float32` is a ValueError.  The arguments, the seed's tokens
+    included, are checked before anything is sampled, also when n is 0.
     """
-    if mode not in ("greedy", "temperature"):
-        raise ValueError(f"mode must be 'greedy' or 'temperature', got {mode!r}")
-    if not (math.isfinite(temperature) and temperature > 0.0):
-        raise ValueError(f"temperature must be finite and > 0, got {temperature}")
+    check_sampling(seed_song, mode, temperature)
     if n < 0:
         raise ValueError("n must be >= 0")
     weights = [p.value for p in model.parameters()]
     if not _fits_float32(weights):
         raise ValueError(f"sampling steps float32, which needs every |weight| <= 2**56 and every layer's "
                          f"input width (input + hidden) below {_F32_MAX_WIDTH}")
-    if n == 0:
-        return [list(seed_song) for _ in rngs]
-
     if model.variant is DatasetVariant.INTERVAL:
         seed_tokens = song_to_interval(seed_song)
     else:
@@ -695,6 +707,8 @@ def sample_batch(
     ids = model.vocabulary.encode(seed_tokens)
     if ids.size == 0:
         raise ValueError("the seed song yields no tokens")
+    if n == 0:
+        return [list(seed_song) for _ in rngs]
 
     # Seed ids were checked above and picked ids are in range by
     # construction, so the loop steps the model directly.

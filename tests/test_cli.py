@@ -3,13 +3,15 @@ import errno
 import hashlib
 import json
 import os
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from melodykit import core
-from melodykit.cli import DEFAULT_EPOCHS, _train_config
+from melodykit.cli import DEFAULT_EPOCHS, _train_config, main
 from melodykit.core import DatasetVariant, load_songs_jsonl, save_songs_jsonl
 from melodykit.midi import parse_midi, write_midi
 from melodykit.rnn import load_checkpoint, save_checkpoint
@@ -288,7 +290,6 @@ PATH_FLAG_COMMANDS = [
      "--epochs", "1"),
     ("sample", "--checkpoint", "{in}/model.ckpt", "--out-dir", "{out}/gen", "--count", "2", "--notes", "3"),
     ("eval", "--songs", "{in}/songs.jsonl", "--out-dir", "{out}/eval"),
-    ("eval", "--checkpoint", "{in}/model.ckpt", "--out-dir", "{out}/eval", "--count", "2", "--notes", "10"),
 ]
 
 
@@ -482,8 +483,7 @@ def test_train_refuses_to_save_an_overflowed_last_step(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["sample", "--mode", "greedy"],
     ["sample", "--mode", "temperature"],
-    ["eval", "--mode", "temperature"],
-], ids=["sample-greedy", "sample-temperature", "eval-checkpoint"])
+], ids=["sample-greedy", "sample-temperature"])
 def test_sampling_overflowed_weights_warns_nothing(tmp_path, argv):
     # Weights scaled up to about 1e300, as one step at a huge learning rate
     # used to leave them (train refuses to save such a model), would
@@ -511,7 +511,7 @@ def test_sampling_overflowed_weights_warns_nothing(tmp_path, argv):
     assert stdout == "" and not out_dir.exists()
 
 
-@pytest.mark.parametrize("command", ["sample", "eval"])
+@pytest.mark.parametrize("command", ["sample"])
 @pytest.mark.parametrize("place", ["embedding", "layer 1 W", "projection b"])
 @pytest.mark.parametrize("bad, refused", [
     (2.0 ** 56, False), (-(2.0 ** 56), False),
@@ -770,7 +770,7 @@ def test_sample_custom_seed_song(tmp_path):
     assert songs[0][:2] == [60, 62] and len(songs[0]) == 6
 
 
-@pytest.mark.parametrize("command", ["sample", "eval"])
+@pytest.mark.parametrize("command", ["sample"])
 def test_seed_song_parses_like_layers(tmp_path, command):
     # A trailing comma is skipped, as --layers skips it.
     ckpt = train_checkpoint(tmp_path)
@@ -784,7 +784,7 @@ def test_seed_song_parses_like_layers(tmp_path, command):
     assert songs[0][:2] == [60, 62] and len(songs[0]) == 16
 
 
-@pytest.mark.parametrize("command", ["sample", "eval"])
+@pytest.mark.parametrize("command", ["sample"])
 def test_seed_song_error_names_the_flag(tmp_path, command):
     ckpt = train_checkpoint(tmp_path)
     code, _, err = run_cli(
@@ -850,7 +850,7 @@ def checkpoint_with_weight(tmp_path, place, value):
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("place", ["embedding", "layer 1 W", "projection b"])
-@pytest.mark.parametrize("command", ["sample", "eval"])
+@pytest.mark.parametrize("command", ["sample"])
 def test_non_finite_checkpoint_weight_is_malformed_file(tmp_path, command, place, bad):
     # A re-signed blob, as save_checkpoint writes it.  Loaded, inf in the
     # embedding sampled saturated songs with exit 0, and -inf in the
@@ -877,7 +877,7 @@ def test_sample_rejects_bad_temperature(tmp_path, temperature):
 
 @pytest.mark.parametrize("flag, value", [("--count", "0"), ("--count", "-3"), ("--notes", "-1")],
                          ids=["0", "-3", "notes--1"])
-@pytest.mark.parametrize("command", ["sample", "eval"])
+@pytest.mark.parametrize("command", ["sample"])
 def test_sampling_rejects_count_below_one(tmp_path, command, flag, value):
     # Each message names the flag, not the library parameter behind it (n, for --notes).
     ckpt = train_checkpoint(tmp_path)
@@ -890,7 +890,7 @@ def test_sampling_rejects_count_below_one(tmp_path, command, flag, value):
 
 
 @pytest.mark.parametrize("flag", ["--count", "--notes"])
-@pytest.mark.parametrize("command, mode", [("sample", "greedy"), ("sample", "temperature"), ("eval", "greedy")])
+@pytest.mark.parametrize("command, mode", [("sample", "greedy"), ("sample", "temperature")])
 def test_sampling_size_past_any_array_is_one_json_line(tmp_path, monkeypatch, command, mode, flag):
     # These used to end in an OverflowError traceback.  The (count, notes)
     # output is sized before any lane's generator is made, so none may be.
@@ -910,7 +910,7 @@ def test_sampling_size_past_any_array_is_one_json_line(tmp_path, monkeypatch, co
 
 @pytest.mark.parametrize("flag, value", [("--notes", "-1"), ("--count", "0"), ("--seed-song", "60,x"),
                                          ("--count", str(10**20))])
-@pytest.mark.parametrize("command", ["sample", "eval"])
+@pytest.mark.parametrize("command", ["sample"])
 def test_sampling_flags_are_checked_before_the_checkpoint_is_read(tmp_path, command, flag, value):
     # The checkpoint does not exist, so reading it first would report FileNotFoundError.
     code, _, err = run_cli(
@@ -919,6 +919,36 @@ def test_sampling_flags_are_checked_before_the_checkpoint_is_read(tmp_path, comm
     assert_json_error(code, err, "ValueError")
     assert flag in json.loads(err)["message"]
     assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("flag, value, error", [
+    ("--temperature", "nan", "ValueError"),
+    ("--seed-song", "300", "PitchOutOfRange"),
+    ("--seed-song", "", "ValueError"),
+], ids=["temperature-nan", "seed-song-300", "seed-song-empty"])
+def test_seed_song_and_temperature_are_checked_before_the_checkpoint_is_read(tmp_path, flag, value, error):
+    # rnn.check_sampling, the rule sample_batch applies, runs before the missing checkpoint is read.
+    code, stdout, err = run_cli(
+        ["sample", "--checkpoint", tmp_path / "missing.ckpt", "--out-dir", tmp_path / "d", flag, value]
+    )
+    assert_json_error(code, err, error)
+    assert stdout == "" and not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("seed_song, error", [
+    ("1", "UnknownSeedToken"), ("200", "PitchOutOfRange"), ("", "ValueError"),
+], ids=["not-in-vocabulary", "past-127", "empty"])
+@pytest.mark.parametrize("notes", ["0", "1"])
+def test_sample_checks_the_seed_song_whatever_the_note_count(tmp_path, notes, seed_song, error):
+    # With --notes 0 these seeds used to be written out as songs, or failed after songs.jsonl was written.
+    ckpt = train_checkpoint(tmp_path)
+    out_dir = tmp_path / "gen"
+    code, stdout, err = run_cli(
+        ["sample", "--checkpoint", ckpt, "--out-dir", out_dir, "--seed-song", seed_song, "--notes", notes,
+         "--count", "2"]
+    )
+    assert_json_error(code, err, error)
+    assert stdout == "" and not out_dir.exists()
 
 
 @pytest.mark.parametrize("mode", ["greedy", "temperature"])
@@ -982,20 +1012,6 @@ def test_eval_from_songs_matches_oracles(tmp_path):
     assert "representative" in stdout
 
 
-def test_eval_from_checkpoint_samples_first(tmp_path):
-    ckpt = train_checkpoint(tmp_path)
-    out_dir = tmp_path / "report"
-    code, _, err = run_cli(
-        ["eval", "--checkpoint", ckpt, "--out-dir", out_dir,
-         "--count", "4", "--notes", "10"]
-    )
-    assert code == 0, err
-    sampled = load_songs_jsonl(out_dir / "songs.jsonl")
-    assert len(sampled) == 4 and all(len(s) == 14 for s in sampled)
-    stats = json.loads((out_dir / "stats.json").read_text())
-    assert stats["count"] == 4
-
-
 def test_eval_composes_with_sample_output(tmp_path):
     ckpt = train_checkpoint(tmp_path)
     gen_dir = tmp_path / "gen"
@@ -1010,32 +1026,58 @@ def test_eval_composes_with_sample_output(tmp_path):
     assert code == 0, err
 
 
-def test_eval_requires_one_source(tmp_path):
-    path, _ = eval_songs(tmp_path)
-    code, _, err = run_cli(
-        ["eval", "--songs", path, "--checkpoint", path, "--out-dir", tmp_path / "r"]
-    )
-    assert code == 1
-    assert "exactly one" in json.loads(err)["message"]
+def test_eval_requires_one_source(tmp_path, monkeypatch):
+    monkeypatch.delenv("MELODYKIT_SONGS", raising=False)
+    code, stdout, err = run_cli(["eval", "--out-dir", tmp_path / "r"])
+    assert_json_error(code, err, "ValueError")
+    assert "--songs" in json.loads(err)["message"]
+    assert stdout == "" and not (tmp_path / "r").exists()
+
+
+MINI_CORPUS = Path(__file__).resolve().parents[1] / "data" / "mini_corpus.jsonl"
+
+
+@pytest.mark.parametrize("argv, unknown", [
+    (["--songs", MINI_CORPUS, "--notes", "-1", "--count", "0"], "--notes -1 --count 0"),
+    (["--checkpoint", "m.ckpt"], "--checkpoint m.ckpt"),
+    *[(["--songs", MINI_CORPUS, flag, value], f"{flag} {value}") for flag, value in [
+        ("--mode", "greedy"), ("--seed-song", "60"), ("--notes", "5"), ("--count", "5"),
+        ("--temperature", "0.5"), ("--seed", "1")]],
+], ids=["songs-notes-count", "checkpoint", "mode", "seed-song", "notes", "count", "temperature", "seed"])
+def test_eval_refuses_every_sampling_flag(tmp_path, argv, unknown):
+    # eval only scores a songs file; melodies from a checkpoint come from `sample`.
+    out_dir = tmp_path / "d"
+    code, stdout, err = run_cli(["eval", "--out-dir", out_dir] + argv)
+    assert_json_error(code, err, "ValueError")
+    assert json.loads(err)["message"] == f"unrecognized arguments: {unknown}"
+    assert stdout == "" and not out_dir.exists()
+
+
+def test_eval_help_lists_only_its_scoring_flags(capsys):
+    with pytest.raises(SystemExit):
+        main(["eval", "--help"])
+    flags = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+    assert flags == {"--help", "--songs", "--out-dir", "--span-n", "--span-lb", "--span-ub"}
 
 
 @pytest.mark.parametrize(
     "source, extra",
     [
-        ("checkpoint", ["--count", "0"]),
+        ("songs", ["--count", "0"]),
         ("both", []),
-        ("checkpoint", ["--span-lb", "9", "--span-ub", "5"]),
+        ("songs", ["--span-lb", "9", "--span-ub", "5"]),
         ("short-songs", []),
     ],
     ids=["count-0", "songs-and-checkpoint", "bad-span", "short-song"],
 )
 def test_eval_failure_leaves_no_output(tmp_path, source, extra):
     ckpt = train_checkpoint(tmp_path)
+    path, _ = eval_songs(tmp_path)
     short = tmp_path / "short.jsonl"
     save_songs_jsonl([[60] * 12, [60, 62, 64]], short)
     argv = {
-        "checkpoint": ["--checkpoint", ckpt],
-        "both": ["--songs", short, "--checkpoint", ckpt],
+        "songs": ["--songs", path],
+        "both": ["--songs", path, "--checkpoint", ckpt],
         "short-songs": ["--songs", short],
     }[source]
     out_dir = tmp_path / "report"
@@ -1255,7 +1297,7 @@ def test_checkpoint_blob_with_a_value_added(tmp_path):
 WRITE_ORDER = {
     "train": ["model.ckpt", "curve.csv"],
     "sample": ["songs.jsonl"] + [f"song_{i:03d}.mid" for i in range(4)],
-    "eval": ["songs.jsonl", "reports.jsonl", "stats.json", "stats.csv", "representative.mid"],
+    "eval": ["reports.jsonl", "stats.json", "stats.csv", "representative.mid"],
     "sweep": ["curve_ugrnn_1.csv", "summary.csv", "best.csv"],
 }
 
@@ -1263,20 +1305,29 @@ WRITE_ORDER = {
 @pytest.mark.parametrize("command, k", [
     ("train", 1), ("train", 2),
     ("sample", 1), ("sample", 3), ("sample", 5),
-    ("eval", 1), ("eval", 3), ("eval", 5),
+    ("eval", 1), ("eval", 3), ("eval", 4),
     ("sweep", 1), ("sweep", 2), ("sweep", 3),
 ])
 def test_write_failure_keeps_that_output_and_later_ones_old(tmp_path, monkeypatch, command, k):
-    # The command reruns with another seed over its own outputs and its k-th
-    # file write fails halfway: files 1..k-1 are new, the rest keep their old
-    # bytes, and no temporary file is left.
+    # The command reruns over its own outputs on another input (another seed,
+    # or for eval another songs file) and its k-th file write fails halfway:
+    # files 1..k-1 are new, the rest keep their old bytes, and no temporary
+    # file is left.
     if command == "train":
         argv = ["train", "--corpus", build_corpus_file(tmp_path)] + SMALL_TRAIN
     elif command == "sweep":
         argv = ["sweep", "--corpus", build_corpus_file(tmp_path), "--cells", "ugrnn", "--layers", "1"] + SMALL_SWEEP
-    else:
-        argv = [command, "--checkpoint", train_checkpoint(tmp_path), "--mode", "temperature",
+    elif command == "sample":
+        argv = ["sample", "--checkpoint", train_checkpoint(tmp_path), "--mode", "temperature",
                 "--count", "4", "--notes", "12"]
+    else:
+        argv, inputs = ["eval"], {}
+        for run, count in (("1", 5), ("2", 6)):
+            (tmp_path / run).mkdir()
+            inputs[run] = ["--songs", eval_songs(tmp_path / run, count)[0]]
+
+    def input_of(run):
+        return inputs[run] if command == "eval" else ["--seed", run]
 
     def into(where):
         if command != "train":
@@ -1286,14 +1337,14 @@ def test_write_failure_keeps_that_output_and_later_ones_old(tmp_path, monkeypatc
 
     order = WRITE_ORDER[command]
     out_dir, fresh = tmp_path / "out", tmp_path / "fresh"
-    for where, seed in ((out_dir, "1"), (fresh, "2")):
-        code, _, err = run_cli(argv + into(where) + ["--seed", seed])
+    for where, run in ((out_dir, "1"), (fresh, "2")):
+        code, _, err = run_cli(argv + into(where) + input_of(run))
         assert code == 0, err
     old = {name: (out_dir / name).read_bytes() for name in order}
     new = {name: (fresh / name).read_bytes() for name in order}
     assert all(old[name] != new[name] for name in order)
     fail_kth_output(monkeypatch, k)
-    code, _, err = run_cli(argv + into(out_dir) + ["--seed", "2"])
+    code, _, err = run_cli(argv + into(out_dir) + input_of("2"))
     monkeypatch.undo()
     assert_json_error(code, err, "OSError")
     assert sorted(p.name for p in out_dir.iterdir()) == sorted(order)

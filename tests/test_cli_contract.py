@@ -136,8 +136,8 @@ BLOB_VALUES = st.sampled_from([float("nan"), float("inf"), float("-inf"), 1e300,
 
 
 @settings(max_examples=25, deadline=None)
-@given(data=st.data(), cmd=st.sampled_from(["sample", "eval"]), resign=st.booleans())
-def test_damaged_checkpoint_blob_keeps_the_error_contract(inputs, data, cmd, resign):
+@given(data=st.data(), resign=st.booleans())
+def test_damaged_checkpoint_blob_keeps_the_error_contract(inputs, data, resign):
     head, blob = (inputs / "model.ckpt").read_bytes().split(b"\n", 1)
     if resign:
         # The checksum matches, so only the values themselves can be refused.
@@ -154,7 +154,8 @@ def test_damaged_checkpoint_blob_keeps_the_error_contract(inputs, data, cmd, res
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         (work / "model.ckpt").write_bytes(head + b"\n" + damaged_blob)
-        argv = [cmd, "--checkpoint", work / "model.ckpt", "--out-dir", work / "gen", "--count", "2", "--notes", "12"]
+        argv = ["sample", "--checkpoint", work / "model.ckpt", "--out-dir", work / "gen",
+                "--count", "2", "--notes", "12"]
         error = assert_contract(argv, work, "gen/songs.jsonl")
     # Re-signed, a value is refused if it is not finite or past 2**56.
     refused = not (np.abs(flat) <= 2.0 ** 56).all() if resign else damaged_blob != blob
@@ -180,15 +181,14 @@ def test_damaged_midi_files_keep_the_error_contract(inputs, data):
 
 
 @settings(max_examples=25, deadline=None)
-@given(cmd=st.sampled_from(["sample", "eval"]), mode=st.sampled_from(["greedy", "temperature"]),
-       count=SIZES, notes=SIZES)
-def test_sampling_sizes_keep_the_error_contract(inputs, cmd, mode, count, notes):
+@given(mode=st.sampled_from(["greedy", "temperature"]), count=SIZES, notes=SIZES)
+def test_sampling_sizes_keep_the_error_contract(inputs, mode, count, notes):
     # A count past 2 must fail before any lane's generator is made; refusing
     # them keeps a size check that comes too late from running for ever.
     refuse = mock.patch.object(np.random, "default_rng", side_effect=AssertionError("a generator was made"))
     with tempfile.TemporaryDirectory() as tmp, refuse if count > 2 else contextlib.nullcontext():
         work = Path(tmp)
-        argv = [cmd, "--checkpoint", inputs / "model.ckpt", "--out-dir", work / "gen", "--mode", mode,
+        argv = ["sample", "--checkpoint", inputs / "model.ckpt", "--out-dir", work / "gen", "--mode", mode,
                 "--count", count, "--notes", notes]
         assert_contract(argv, work, "gen/songs.jsonl")
 

@@ -712,6 +712,18 @@ def test_sample_rejects_unknown_seed(toy_runs):
         sample(toy_runs["ugrnn"].model, [60, 127], 5)
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_sample_checks_the_seed_whatever_n(toy_runs, n):
+    model = toy_runs["ugrnn"].model
+    assert 1 not in model.vocabulary
+    with pytest.raises(UnknownSeedToken):
+        sample(model, [1], n)
+    with pytest.raises(PitchOutOfRange, match=r"^seed song\[1\] = 200 outside"):
+        sample(model, [60, 200], n)
+    with pytest.raises(ValueError, match="seed song is empty"):
+        sample(model, [], n)
+
+
 def test_sample_argument_validation(toy_runs):
     model = toy_runs["ugrnn"].model
     with pytest.raises(ValueError):
