@@ -20,7 +20,10 @@ writing into arrays their caller passes in.  The adjoint is a factor
 pass, which computes the gate derivatives of a chunk of steps at once
 from the stored activations, and a per-step part, which multiplies the
 incoming gradient by them in a handful of ufunc calls.  Every path steps
-a layer through `_layer_step`, z = h @ W[m:] + zx and then that kernel.
+a layer through `_layer_step`, z = h @ W[m:] + zx and then that kernel,
+on step weights whose sigmoid gate columns are halved (`CellSpec.scales`),
+once per window in training and once per call in sampling and
+`stack_forward` (`_halved`), so each kernel makes one tanh over all of z.
 The first layer's zx depends only on the token, so every path reads it
 from a token table, E @ W[:m] + b, of V rows (at most 255, and 21 to 31
 on the bundled corpora), made once per window in training and once per
@@ -62,7 +65,8 @@ resets it every window, so the kernels write into the tape's workspace,
 which is allocated in the first iteration and released when `train`
 returns.  Beside it the run keeps the float32 shadow and one float64
 gradient list, each the size of the parameters.  Sampling and
-`stack_forward` allocate each step's arrays.
+`stack_forward` allocate their halved step weights once per call and
+each step's arrays.
 """
 
 from __future__ import annotations
@@ -89,7 +93,7 @@ from .errors import (
     TrainingDiverged,
     UnknownSeedToken,
 )
-from .tensor import AdamState, GradientTape, Tensor, adam_step, clip_gradients, sigmoid, softmax
+from .tensor import AdamState, GradientTape, Tensor, adam_step, clip_gradients, softmax
 
 MAX_LAYERS = 5
 CHECKPOINT_FORMAT = "melodykit-checkpoint"
@@ -109,14 +113,21 @@ _State = tuple[np.ndarray, "np.ndarray | None"]
 # comments, so every caller gets the same bits wherever its arrays live.
 # A ufunc's last positional argument is its output (passed positionally,
 # as keyword parsing costs about a sixth of a small ufunc call).
+#
+# A kernel's z arrives with each sigmoid gate's block already halved
+# (`CellSpec.scales`), so one tanh over all of z gives every gate:
+# sigmoid(z) = 0.5*tanh(z/2) + 0.5, finished as t*0.5 + 0.5, which rounds
+# as (t + 1)*0.5 does, and halving is exact unless a value is subnormal.
 
 def _lstm_step(z, h, c, h_new, c_new, acts):
     # f, i, o = sigmoid(z blocks), g = tanh(z block); c_new = f*c + i*g; h_new = o*tanh(c_new)
     batch, n = h.shape
     f, i, g, o, tc = acts
-    sigmoid(z[:, : 2 * n].reshape(batch, 2, n).swapaxes(0, 1), acts[:2])  # f and i in one pass
-    np.tanh(z[:, 2 * n : 3 * n], g)
-    sigmoid(z[:, 3 * n :], o)
+    np.tanh(z.reshape(batch, 4, n).swapaxes(0, 1), acts[:4])  # every gate block, in gate order
+    acts[:2] *= 0.5  # f and i in one pass
+    acts[:2] += 0.5
+    o *= 0.5
+    o += 0.5
     np.multiply(f, c, c_new)
     c_new += np.multiply(i, g, h_new)  # h_new holds i*g until the last line
     np.tanh(c_new, tc)
@@ -149,23 +160,24 @@ def _lstm_adjoint(dh, dc, acts, fac, dz):
 
 
 def _ugrnn_step(z, h, c, h_new, c_new, acts):
-    # g = sigmoid(z block), keep = 1 - g, cand = tanh(z block); h_new = g*h + keep*cand
-    n = h.shape[1]
-    g, keep, cand = acts
-    sigmoid(z[:, :n], g)
+    # g = sigmoid(z block), cand = tanh(z block), keep = 1 - g; h_new = g*h + keep*cand
+    batch, n = h.shape
+    g, cand, keep = acts
+    np.tanh(z.reshape(batch, 2, n).swapaxes(0, 1), acts[:2])  # both gate blocks, in gate order
+    g *= 0.5
+    g += 0.5
     np.subtract(1.0, g, keep)
-    np.tanh(z[:, n:], cand)
     np.multiply(g, h, h_new)
     h_new += keep * cand
 
 
 def _ugrnn_factors(h, c, acts, out):
     # Per step: out[:2] = [(h - cand)*g*keep, (1 - cand*cand)*keep]; out[2] is not used.
-    np.subtract(h, acts[:, 2], out[:, 0])
+    np.subtract(h, acts[:, 1], out[:, 0])
     out[:, 0] *= acts[:, 0]
-    np.multiply(acts[:, 2], acts[:, 2], out[:, 1])
+    np.multiply(acts[:, 1], acts[:, 1], out[:, 1])
     np.subtract(1.0, out[:, 1], out[:, 1])
-    out[:, :2] *= acts[:, 1:2]
+    out[:, :2] *= acts[:, 2:3]
 
 
 def _ugrnn_adjoint(dh, dc, acts, fac, dz):
@@ -177,12 +189,18 @@ def _ugrnn_adjoint(dh, dc, acts, fac, dz):
 
 @dataclass(frozen=True)
 class CellSpec:
-    """A cell kind: gate blocks in declaration order, its kernel and the kernel's adjoint in two parts.
+    """A cell kind: gate blocks in declaration order, their scales, its kernel and the kernel's adjoint in two parts.
 
-    `step(z, h, c, h_new, c_new, acts)` maps the (B, gates*hidden)
-    pre-activations, gate blocks side by side, and the old state to the new
-    state, written into h_new and c_new; it writes the activations the
-    adjoint reads into acts, `acts` (B, hidden) blocks.
+    `scales` holds each gate block's pre-activation scale: 0.5 for a
+    sigmoid gate, 1 for a tanh gate.  The kernel reads z with every block
+    already multiplied by its scale, which the caller folds into the step
+    weights once (`_halved`, or `GradientTape.recurrence` once per window),
+    so the kernel itself makes one tanh over all of z.
+    `step(z, h, c, h_new, c_new, acts)` maps those (B, gates*hidden)
+    scaled pre-activations, gate blocks side by side, and the old state to
+    the new state, written into h_new and c_new; it writes the activations
+    the adjoint reads into acts, `acts` (B, hidden) blocks, the first
+    `len(gates)` of them the gates' activations in gate order.
 
     The gate derivatives depend on those activations and the old state,
     never on the incoming gradient, so the adjoint is split in two.
@@ -192,14 +210,15 @@ class CellSpec:
     out, (K, acts, B, hidden), of which a cell may use fewer blocks.
     `adjoint(dh, dc, acts, fac, dz) -> (dh_direct, dc)` is one step, given
     that step's activations and factors: it maps the gradients of the new
-    state to that of z, written into dz, the step's (gates, B, hidden) view
-    of gate blocks, and returns, written over dh and dc, the gradient of
-    the old h other than through z (None where the kernel reads h only
-    through z; dh is then scratch) and that of the old c.  c, c_new and dc
-    are None for cells without a memory lane.
+    state to that of the unscaled z, written into dz, the step's (gates, B,
+    hidden) view of gate blocks, and returns, written over dh and dc, the
+    gradient of the old h other than through z (None where the kernel reads
+    h only through z; dh is then scratch) and that of the old c.  c, c_new
+    and dc are None for cells without a memory lane.
     """
 
     gates: tuple[str, ...]
+    scales: tuple[float, ...]
     has_memory: bool
     acts: int
     step: Callable
@@ -208,9 +227,9 @@ class CellSpec:
 
 
 CELL_TYPES: dict[str, CellSpec] = {
-    "lstm": CellSpec(("forget", "input", "candidate", "output"), True, 5, _lstm_step, _lstm_factors,
-                     _lstm_adjoint),
-    "ugrnn": CellSpec(("update", "candidate"), False, 3, _ugrnn_step, _ugrnn_factors, _ugrnn_adjoint),
+    "lstm": CellSpec(("forget", "input", "candidate", "output"), (0.5, 0.5, 1.0, 0.5), True, 5, _lstm_step,
+                     _lstm_factors, _lstm_adjoint),
+    "ugrnn": CellSpec(("update", "candidate"), (0.5, 1.0), False, 3, _ugrnn_step, _ugrnn_factors, _ugrnn_adjoint),
 }
 
 
@@ -355,7 +374,11 @@ def _layer_step(spec: CellSpec, w_h: np.ndarray, zx: np.ndarray, h: np.ndarray, 
     first layer's share is a row of its token table E @ W[:m] + b, gathered
     by token id (`_token_table`, or the table `GradientTape.recurrence`
     makes); an upper layer's is its input rows through W[:m], plus b.
-    `out` is (z, h, c, acts), the arrays the step writes: the
+    Both inputs are halved step weights: W_h and zx come with each gate
+    block's columns multiplied by its `CellSpec.scales` entry (W and b
+    through `_halved`, or in `recurrence`), so z is the scaled
+    pre-activation the kernel reads, and the step scales nothing itself.
+    `out` is (z, h, c, acts), the arrays the step writes: the scaled
     pre-activations, the new state and the kernel's activation blocks.
     Training passes its workspace's; when it is None they are allocated in
     zx's dtype, so a float32 step stays on BLAS's float32 GEMM.
@@ -374,10 +397,23 @@ def _layer_step(spec: CellSpec, w_h: np.ndarray, zx: np.ndarray, h: np.ndarray, 
     return h_new, c_new, acts
 
 
+def _halved(spec: CellSpec, weights: list[np.ndarray]) -> list[np.ndarray]:
+    """The step weights: parameter arrays in `parameters()` order, each layer's W and b scaled by gate.
+
+    Every gate block's columns are multiplied by its `CellSpec.scales`
+    entry (a sigmoid gate's halved, exactly unless a value is subnormal),
+    into new arrays; the embedding and projection are passed through.
+    """
+    embedding, *layers, proj_w, proj_b = weights
+    scale = np.repeat(np.asarray(spec.scales, proj_w.dtype), proj_w.shape[0])
+    return [embedding, *(a * scale for a in layers), proj_w, proj_b]
+
+
 def _token_table(weights: list[np.ndarray]) -> np.ndarray:
     """The first layer's input share of every token, E @ W[:m] + b: a (V, width) table.
 
-    `weights` are the parameter arrays in `parameters()` order.
+    `weights` are the step weights (`_halved`), so the table's columns
+    come scaled by gate, as `_layer_step` reads its zx.
     """
     embedding, w, b = weights[:3]
     table = embedding @ w[: embedding.shape[1]]
@@ -389,8 +425,8 @@ def _forward_step(spec: CellSpec, weights: list[np.ndarray], table: np.ndarray, 
                   states: list[_State]):
     """One time step of a batch of token ids through the stack and the projection; returns (logits, states).
 
-    `weights` are the parameter arrays in `parameters()` order, all of one
-    dtype, in which the step computes, and `table` is their
+    `weights` are the step weights (`_halved`), all of one dtype, in
+    which the step computes, and `table` is their
     `_token_table`, whose rows for the ids are the first layer's input
     share; an upper layer's is its lower layer's new h @ W[:m] + b.
     """
@@ -456,7 +492,7 @@ def stack_forward(
         if len(states) != model.num_layers:
             raise ShapeMismatch(f"expected {model.num_layers} layer states, got {len(states)}")
         batch_states = [(s.h[None, :], s.c[None, :] if spec.has_memory else None) for s in states]
-    weights = [p.value for p in model.parameters()]
+    weights = _halved(spec, [p.value for p in model.parameters()])
     table = _token_table(weights)
     rows = []
     for t in range(ids.size):
@@ -516,7 +552,8 @@ def _window_loss(tape: GradientTape, model: ModelState, X: np.ndarray, Y: np.nda
     v, ids = model.embedding, X.T.reshape(-1)
     final: list[_State] = []
     for layer, (h, c) in zip(model.layers, states):
-        v, h, c = tape.recurrence(v, h, c, layer.w, layer.b, step, spec.factors, spec.adjoint, spec.acts, ids)
+        v, h, c = tape.recurrence(v, h, c, layer.w, layer.b, step, spec.factors, spec.adjoint, spec.acts,
+                                  spec.scales, ids)
         ids = None  # every upper layer reads the rows of the layer below
         final.append((h, c))
     logits = tape.add_bias(tape.matmul(v, model.proj_w), model.proj_b)
@@ -713,7 +750,7 @@ def sample_batch(
     # Seed ids were checked above and picked ids are in range by
     # construction, so the loop steps the model directly.
     spec = cell_spec(model.cell)
-    weights = [a.astype(np.float32) for a in weights]
+    weights = _halved(spec, [a.astype(np.float32) for a in weights])
     lanes = len(rngs)
     if mode == "temperature":
         # rng.random(n) yields the doubles of n successive rng.random() calls;

@@ -34,7 +34,9 @@ from melodykit.rnn import (
     stack_forward,
     train,
 )
-from melodykit.tensor import FACTOR_CHUNK, AdamState, GradientTape, Tensor, adam_step, clip_gradients, softmax
+from melodykit.tensor import (
+    FACTOR_CHUNK, AdamState, GradientTape, Tensor, adam_step, clip_gradients, sigmoid, softmax,
+)
 
 from melodykit.errors import PitchOutOfRange
 
@@ -93,14 +95,20 @@ def zero_cell(kind, input_size=3, hidden=2):
 
 
 def cell_step(kind, x, p, h, c=None):
-    """One step through the cell's kernel on a batch of one; returns (h, c) as 1-D arrays."""
+    """One step through the cell's kernel on a batch of one; returns (h, c) as 1-D arrays.
+
+    The step takes halved step weights: W_h and zx with each gate block's
+    columns scaled by the cell's `scales`.
+    """
     def row(v):
         return np.asarray(v, dtype=np.float64)[None]
 
+    spec = cell_spec(kind)
     x, h, c = row(x), row(h), None if c is None else row(c)
     m = x.shape[1]  # W's first m rows take x, the rest h
-    zx = x @ p.w.value[:m] + p.b.value
-    h_new, c_new, _ = _layer_step(cell_spec(kind), p.w.value[m:], zx, h, c)
+    scale = np.repeat(spec.scales, p.b.value.size // len(spec.gates))
+    zx = (x @ p.w.value[:m] + p.b.value) * scale
+    h_new, c_new, _ = _layer_step(spec, p.w.value[m:] * scale, zx, h, c)
     return h_new[0], None if c_new is None else c_new[0]
 
 
@@ -200,6 +208,51 @@ def test_layer_step_allocates_in_its_inputs_dtype(kind):
             np.testing.assert_allclose(g, v, atol=1e-6)
 
 
+@pytest.mark.parametrize("batch", [1, 4, 50])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind", ["lstm", "ugrnn"])
+def test_halved_step_keeps_the_sigmoid_bits(kind, dtype, batch):
+    # The step reads W_h and zx with each sigmoid gate's columns halved and
+    # makes one tanh; its outputs must equal, bit for bit, the 0.10.0
+    # formulas with `tensor.sigmoid` over the unhalved z.  Halving skipped
+    # or applied twice moves every sigmoid gate, saturated or not.
+    spec, n = cell_spec(kind), 16
+    width = len(spec.gates) * n
+    rng = np.random.default_rng([batch, width, np.dtype(dtype).itemsize])
+    w_h = rng.uniform(-1, 1, (n, width)).astype(dtype)
+    h = rng.uniform(-1, 1, (batch, n)).astype(dtype)
+    c = rng.uniform(-2, 2, (batch, n)).astype(dtype) if spec.has_memory else None
+    # Targets for z: a third saturated (|z| >= 20), a third near zero, a third moderate.
+    kind_of = rng.integers(0, 3, (batch, width))
+    target = np.choose(kind_of, [rng.choice([-1, 1], (batch, width)) * rng.uniform(20, 40, (batch, width)),
+                                 rng.uniform(-1e-3, 1e-3, (batch, width)),
+                                 rng.normal(0, 3, (batch, width))])
+    zx = (target - h.astype(np.float64) @ w_h).astype(dtype)
+    z = np.matmul(h, w_h)
+    z += zx  # the unhalved pre-activations, summed as 0.10.0's step summed them
+    assert np.abs(z[kind_of == 0]).min() >= 19 and np.abs(z[kind_of == 1]).max() < 2e-3
+
+    scale = np.repeat(np.asarray(spec.scales, dtype), n)
+    assert sorted(set(spec.scales)) == [0.5, 1.0]
+    h_new, c_new, acts = _layer_step(spec, w_h * scale, zx * scale, h, c)
+
+    blocks = [z[:, k * n : (k + 1) * n] for k in range(len(spec.gates))]
+    if kind == "lstm":
+        f, i, o = sigmoid(blocks[0]), sigmoid(blocks[1]), sigmoid(blocks[3])
+        g = np.tanh(blocks[2])
+        want_c = f * c + i * g
+        tc = np.tanh(want_c)
+        want_h, want_acts = o * tc, [f, i, g, o, tc]
+        assert np.array_equal(c_new, want_c)
+    else:
+        g, cand = sigmoid(blocks[0]), np.tanh(blocks[1])
+        keep = 1.0 - g
+        want_h, want_acts = g * h + keep * cand, [g, cand, keep]
+        assert c_new is None
+    assert h_new.dtype == dtype and np.array_equal(h_new, want_h)
+    assert np.array_equal(acts, np.stack(want_acts))
+
+
 def model_copy(model, dtype):
     copy = rnn._empty_model(model.vocabulary, model.variant, model.cell, model.num_layers,
                             model.hidden_size, model.embedding_dim, dtype)
@@ -248,9 +301,10 @@ def test_float32_window_stays_float32_and_matches_float64(cell, layers):
 # --- the window op against the per-op tape ------------------------------
 
 # FACTOR_CHUNK steps fill one chunk of the adjoint's factor pass; the two counts past it reach a
-# second and a third chunk.
+# second and a third chunk.  At batch 50 the first layer's merged weight-gradient GEMM sums
+# repeated token ids.
 @pytest.mark.parametrize("steps", [1, 7, FACTOR_CHUNK, FACTOR_CHUNK + 1, 2 * FACTOR_CHUNK + 3])
-@pytest.mark.parametrize("batch", [1, 4])
+@pytest.mark.parametrize("batch", [1, 4, 50])
 @pytest.mark.parametrize("layers", [1, 3])
 @pytest.mark.parametrize("cell", ["lstm", "ugrnn"])
 def test_window_loss_matches_per_op_tape(cell, layers, batch, steps):
@@ -259,7 +313,8 @@ def test_window_loss_matches_per_op_tape(cell, layers, batch, steps):
     rng = np.random.default_rng([layers, batch, steps])
     model = init_model(VOCAB, DatasetVariant.CONTROL, cell=cell, num_layers=layers,
                        hidden_size=5, embedding_dim=3, rng=rng, init_scale=0.6)
-    X = rng.integers(0, VOCAB.size, size=(batch, steps))
+    # Token id 0 never enters the window, so its embedding row gets no gradient.
+    X = rng.integers(1, VOCAB.size, size=(batch, steps))
     Y = rng.integers(0, VOCAB.size, size=(batch, steps))
     # Nonzero carried states, as every window after an epoch's first has.
     states = [
@@ -276,6 +331,7 @@ def test_window_loss_matches_per_op_tape(cell, layers, batch, steps):
     loss, final = _window_loss(tape, model, X, Y, states)
     tape.backward(loss)
     loss, grads = float(loss.value), _v1_blocks(cell, [p.grad for p in params])
+    assert not grads[0][0].any()  # exactly zero: the absent token's row of S is a sum of zeros
 
     tape = GradientTape()
     want_loss, want_final, gate_params = tape_cells.window_loss(
