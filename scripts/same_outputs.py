@@ -10,11 +10,11 @@ the path and one BLAS thread; all paths are relative, so the trees' stdout
 can be compared as text.  The MELODYKIT_* variables are unset, except that
 one `sample` and one `dataset --midi-dir` of each sampling round take
 their paths from them in place of flags.  The list builds the bundled
-corpus in all three variants, trains an LSTM x1 at batch 50 (db12), a
-UGRNN x3 at batch 4 (control) and an LSTM x2 whose gradients are clipped
-at norm 0.5 (interval), sweeps {lstm, ugrnn, gru} x {1, 2} layers on the
-control corpus (`gru` is no cell, so its rows are error rows), scores the
-bundled songs (`eval --songs`, many lengths in one call) with the default
+corpus in all three variants, trains an LSTM x1 and an LSTM x3 at batch
+50 (db12), a UGRNN x3 at batch 4 (control) and an LSTM x2 whose gradients
+are clipped at norm 0.5 (interval), sweeps {lstm, ugrnn, gru} x {1, 2}
+layers on the control corpus (`gru` is no cell, so its rows are error
+rows), scores the bundled songs (`eval --songs`, many lengths in one call) with the default
 spans and with 20-note spans, samples greedily and at a temperature at 20
 lanes and once at a temperature at 100 lanes (`--count 100`, the lane
 count of the benchmark's `sample-score-ingest`), and reads two of the
@@ -61,6 +61,8 @@ COMMANDS = [
     ["dataset", "--songs", SONGS, "--variant", "db12", "--out", "out/db12.json"],
     ["train", "--corpus", "out/db12.json", "--checkpoint", "out/lstm1.ckpt", "--curve", "out/lstm1.csv",
      "--cell", "lstm", "--num-layers", "1", "--batch-size", "50", *TRAIN],
+    ["train", "--corpus", "out/db12.json", "--checkpoint", "out/lstm3.ckpt", "--curve", "out/lstm3.csv",
+     "--cell", "lstm", "--num-layers", "3", "--batch-size", "50", *TRAIN],
     ["train", "--corpus", "out/control.json", "--checkpoint", "out/ugrnn3.ckpt", "--curve", "out/ugrnn3.csv",
      "--cell", "ugrnn", "--num-layers", "3", "--batch-size", "4", *TRAIN],
     ["train", "--corpus", "out/interval.json", "--checkpoint", "out/lstm2.ckpt", "--curve", "out/lstm2.csv",

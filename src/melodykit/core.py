@@ -247,13 +247,19 @@ def save_songs_jsonl(songs: list[Song], path: str | Path) -> None:
 def write_atomic(path: str | Path, *chunks: bytes) -> None:
     """Write the chunks to a temporary sibling of path, then rename it over path.
 
-    A failure midway leaves path as it was (absent, or with its old bytes)
-    and removes the temporary file.
+    Each call creates its own temporary file, `.NAME.<random hex>.tmp` in
+    path's directory, exclusively and with the mode `open` gives (0o666
+    less the umask).  So calls that write one path at once never share a
+    temporary file: the last rename wins, and path holds one call's bytes
+    whole.  A failure midway leaves path as it was (absent, or with its old
+    bytes) and removes this call's temporary file.
     """
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.tmp")
+    # O_EXCL: a name another call drew (48 random bits) fails, never shares.
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
-        with open(tmp, "wb") as fh:
+        with open(fd, "wb") as fh:
             for chunk in chunks:
                 fh.write(chunk)
         os.replace(tmp, path)

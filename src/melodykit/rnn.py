@@ -28,15 +28,19 @@ The first layer's zx depends only on the token, so every path reads it
 from a token table, E @ W[:m] + b, of V rows (at most 255, and 21 to 31
 on the bundled corpora), made once per window in training and once per
 call in sampling and `stack_forward`.  Training records one
-`GradientTape.recurrence` per layer per window, which computes the
-layer's zx in one GEMM (the table, or over an upper layer's T*B input
-rows), loops `_layer_step` forward over the window and the adjoint back
-(the factor pass once per `tensor.FACTOR_CHUNK` steps), so a window is
-one record per layer, then one projection and one cross-entropy over the
-(T*B, hidden) stack of top states.
+`GradientTape.recurrence` per window for the whole stack.  It steps the
+layers in waves (Appleyard, Kocisky & Blunsom 2016, arXiv:1604.01946):
+in wave s every layer l takes its step s - l, all of them in one
+`_layer_step` call with a leading layer axis, whose stacked GEMMs
+compute each upper layer's zx from the layer below's h of the wave
+before.  Its backward runs the adjoint back layer by layer, the top one
+first (the factor pass once per `tensor.FACTOR_CHUNK` steps).  So a
+window is four records: the stack, then one projection (matmul and bias)
+and one cross-entropy over the (T*B, hidden) stack of top states.
 `sample_batch` and `stack_forward` step plain arrays through
-`_forward_step`: every song is one lane of a single batch, and `sample` is
-the one-lane call.
+`_forward_step`, one time step through every layer in turn, since each
+sampled token feeds the next step: every song is one lane of a single
+batch, and `sample` is the one-lane call.
 
 Precision: `train` runs forward and backward on a float32 tape over a
 float32 shadow of the parameters; the parameters themselves (the master
@@ -63,7 +67,9 @@ how each version changed these bits.
 Memory: `train` keeps one float32 GradientTape for the whole run and
 resets it every window, so the kernels write into the tape's workspace,
 which is allocated in the first iteration and released when `train`
-returns.  Beside it the run keeps the float32 shadow and one float64
+returns.  A wave writes its layers' states and activations as adjacent
+rows of that workspace, so each kernel call reads and writes contiguous
+arrays.  Beside it the run keeps the float32 shadow and one float64
 gradient list, each the size of the parameters.  Sampling and
 `stack_forward` allocate their halved step weights once per call and
 each step's arrays.
@@ -378,22 +384,37 @@ def _layer_step(spec: CellSpec, w_h: np.ndarray, zx: np.ndarray, h: np.ndarray, 
     block's columns multiplied by its `CellSpec.scales` entry (W and b
     through `_halved`, or in `recurrence`), so z is the scaled
     pre-activation the kernel reads, and the step scales nothing itself.
+
+    The arguments may carry a leading layer axis: h (L, B, n), c and the
+    new state alike, W_h (L, n, width), zx (L, B, width), and acts (acts,
+    L, B, n).  Training's waves step their layers so, one GEMM per layer
+    in one stacked `np.matmul`, then one kernel call over all L*B rows; the
+    kernel reads and writes those rows as reshaped views, so each array
+    with the axis must be contiguous over its (L, B) rows.  Sampling and
+    `stack_forward` step one layer at a time, without the axis.
+
     `out` is (z, h, c, acts), the arrays the step writes: the scaled
     pre-activations, the new state and the kernel's activation blocks.
     Training passes its workspace's; when it is None they are allocated in
     zx's dtype, so a float32 step stays on BLAS's float32 GEMM.
     """
-    batch, n = h.shape
-    if w_h.shape != (n, len(spec.gates) * n) or zx.shape != (batch, w_h.shape[1]):
+    n = h.shape[-1]
+    width = len(spec.gates) * n
+    if w_h.shape != h.shape[:-2] + (n, width) or zx.shape != h.shape[:-1] + (width,):
         raise ShapeMismatch(f"cell step of h {h.shape} over W_h {w_h.shape} plus input share {zx.shape}")
     if out is None:
         dtype = zx.dtype
-        out = (np.empty(zx.shape, dtype), np.empty((batch, n), dtype),
-               None if c is None else np.empty((batch, n), dtype), np.empty((spec.acts, batch, n), dtype))
+        out = (np.empty(zx.shape, dtype), np.empty(h.shape, dtype), None if c is None else np.empty(h.shape, dtype),
+               np.empty((spec.acts, *h.shape), dtype))
     z, h_new, c_new, acts = out
     np.matmul(h, w_h, z)
     z += zx
-    spec.step(z, h, c, h_new, c_new, acts)
+    if h.ndim == 2:
+        spec.step(z, h, c, h_new, c_new, acts)
+    else:  # the kernel is row-wise: every layer's rows step as one batch
+        rows = h.size // n
+        spec.step(z.reshape(rows, width), h.reshape(rows, n), None if c is None else c.reshape(rows, n),
+                  h_new.reshape(rows, n), None if c is None else c_new.reshape(rows, n), acts.reshape(-1, rows, n))
     return h_new, c_new, acts
 
 
@@ -540,23 +561,18 @@ def _window_loss(tape: GradientTape, model: ModelState, X: np.ndarray, Y: np.nda
     """Summed cross-entropy of stepping through the columns of X against Y; returns (loss, final states).
 
     The window's (B, T) ids are taken time-major, so row t*B + b of every
-    (T*B, *) matrix is lane b at step t.  The tape gets L + 3 records: one
-    recurrence per layer, the projection's matmul and bias, and the loss.
-    The first layer's recurrence reads the embedding table by token id, so
+    (T*B, *) matrix is lane b at step t.  The tape gets 4 records: one
+    recurrence for the whole stack, the projection's matmul and bias, and
+    the loss.  The first layer reads the embedding table by token id, so
     no (T*B, embedding_dim) array is made; an id outside the vocabulary is
     BadToken.  The final states carry values only, and are copies: the
     tape's workspace does not hold them.
     """
     spec = cell_spec(model.cell)
-    step = functools.partial(_layer_step, spec)
-    v, ids = model.embedding, X.T.reshape(-1)
-    final: list[_State] = []
-    for layer, (h, c) in zip(model.layers, states):
-        v, h, c = tape.recurrence(v, h, c, layer.w, layer.b, step, spec.factors, spec.adjoint, spec.acts,
-                                  spec.scales, ids)
-        ids = None  # every upper layer reads the rows of the layer below
-        final.append((h, c))
-    logits = tape.add_bias(tape.matmul(v, model.proj_w), model.proj_b)
+    top, final = tape.recurrence(model.embedding, X.T.reshape(-1), states, [layer.w for layer in model.layers],
+                                 [layer.b for layer in model.layers], functools.partial(_layer_step, spec),
+                                 spec.factors, spec.adjoint, spec.acts, spec.scales)
+    logits = tape.add_bias(tape.matmul(top, model.proj_w), model.proj_b)
     return tape.cross_entropy(logits, Y.T.reshape(-1)), final
 
 

@@ -4,12 +4,14 @@ A GradientTape records each forward op together with a closure that
 routes the output gradient to the inputs; backward walks the record list
 once in reverse (execution order is already topological).  Activations
 live in (rows, features) matrices.  Training records four kinds of op:
-`recurrence` (a whole gated layer over a whole window, the first layer
-reading the embedding table by token id), `matmul`, `add_bias` and
-`cross_entropy`.  The per-op kinds training no longer records, `lookup`
-among them, stay callable: the benchmark's tracer wraps every op its
-`TAPE_OPS` names, and `tests/tape_cells.py`, the per-op oracle that
-training's window is checked against, records them.
+`recurrence` (a whole stack of gated layers over a whole window, stepped
+in waves across the layers, the first layer reading the embedding table
+by token id), `matmul`, `add_bias` and `cross_entropy`, so a window is
+four records whatever the layer count.  The per-op kinds training no
+longer records, `lookup` among them, stay callable: the benchmark's
+tracer wraps every op its `TAPE_OPS` names, and `tests/tape_cells.py`,
+the per-op oracle that training's window is checked against, records
+them.
 
 Precision: a Tensor holds float32 or float64 (anything else is taken as
 float64), and a tape computes in the dtype it is made with, float64 by
@@ -22,10 +24,13 @@ work on whatever arrays they are given; training gives them float64.
 Memory: those four ops write their outputs, the caches their backward
 reads and the first gradient they give each tensor into the tape's
 workspace, arrays handed out in request order; so does `recurrence` its
-per-window operands (the gate-scaled W and b, a contiguous copy of
-W[m:]^T and the first layer's merged weight-gradient operand), and its
-backward its gate gradients and one chunk of derivative factors
-(`FACTOR_CHUNK` steps, which it fills and uses a chunk at a time).
+per-window operands (every layer's gate-scaled W and b, the token table,
+the wave-major states and activations, with more than one layer a
+contiguous copy of each layer's states, a contiguous copy of W[m:]^T
+and the first layer's merged weight-gradient operand), and its backward
+its gate gradients and one chunk of derivative factors (`FACTOR_CHUNK`
+steps, which it fills and uses a chunk at a time), each shared by the
+layers it walks one after another.
 `GradientTape.reset` rewinds that order and takes back every gradient it
 handed out, so a tape kept across the windows of a training run (which
 all record the same ops at the same shapes) allocates its window-sized
@@ -90,6 +95,11 @@ def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
+def _layers(lo: int, hi: int) -> int | slice:
+    """Index of layers lo .. hi - 1 on a layer axis: the layer itself when there is one, so its arrays are 2-D."""
+    return lo if hi - lo == 1 else slice(lo, hi)
+
+
 class GradientTape:
     """Wengert list of (output, backward closure) records, plus their workspace.
 
@@ -139,11 +149,16 @@ class GradientTape:
         t.grad = g
         self._granted.append(t)
 
+    def _copy(self, a: np.ndarray) -> np.ndarray:
+        """A copy of a in the workspace's next array."""
+        out = self._array(a.shape)
+        np.copyto(out, a)
+        return out
+
     def _accumulate(self, t: Tensor, g: np.ndarray) -> None:
         # Copy on first write: closures may hand back views of upstream grads.
         if t.grad is None:
-            self._grant(t, self._array(g.shape))
-            np.copyto(t.grad, g)
+            self._grant(t, self._copy(g))
         else:
             t.grad += g
 
@@ -316,155 +331,204 @@ class GradientTape:
 
     def recurrence(
         self,
-        x: Tensor,
-        h: np.ndarray,
-        c: np.ndarray | None,
-        weight: Tensor,
-        bias: Tensor,
+        table: Tensor,
+        ids: np.ndarray,
+        states: Sequence[tuple[np.ndarray, np.ndarray | None]],
+        weights: Sequence[Tensor],
+        biases: Sequence[Tensor],
         step: Callable,
         factors: Callable,
         adjoint: Callable,
         blocks: int,
         scales: Sequence[float],
-        ids: np.ndarray | None = None,
-    ) -> tuple[Tensor, np.ndarray, np.ndarray | None]:
-        """A gated recurrent layer over a whole window, as one record.
+    ) -> tuple[Tensor, list[tuple[np.ndarray, np.ndarray | None]]]:
+        """A stack of L gated recurrent layers over a whole window, as one record.
 
-        The layer's input is T*B rows of width m, time-major: rows t*B ..
-        t*B+B-1 are its input at step t.  They are x, (T*B, m), or, given
-        the T*B token ids `ids`, the rows x[ids] of the (V, m) table x.  h
-        and c are the (B, n) state the window starts from (c is None for
-        cells without a memory lane).  W (m + n, width) and b are the values
-        of `weight` and `bias`, the gate blocks side by side.
+        The first layer's input at step t is the rows table[ids[t*B : t*B+B]]
+        of the (V, m) table; layer l > 0's is layer l - 1's new h at that
+        step.  states holds each layer's (B, n) (h, c) the window starts
+        from (c is None for cells without a memory lane).  weights[l]
+        (m_l + n, width) and biases[l] are the values of that layer's W and
+        b, the gate blocks side by side, m_l being m for the first layer and
+        n above it.
 
         The step operands are prepared once per window, as in cuDNN's RNN
         kernels (Appleyard, Kocisky & Blunsom 2016, arXiv:1604.01946).
         `scales` holds each gate block's pre-activation scale (0.5 for a
-        sigmoid gate), and W and b are multiplied by it column by column
-        into the workspace, exactly unless a value is subnormal.  z = [x_t,
-        h] @ W + b, so scaled, is split as h @ W_h + zx_t, W_h the scaled
-        W[m:].  The input share zx = x @ W[:m] + b, scaled, is one GEMM
-        ahead of the loop; with `ids` it is a V-row token table that each
-        step gathers from.  `step(W_h, zx_t, h, c, out)` is one step: z =
-        h @ W_h + zx_t, then the cell's kernel, writing out = (z, new h,
-        new c, the step's `blocks` (B, n) activation blocks).  The
-        activations are those of the unscaled z, and every gradient below
-        is that of the unscaled z and W.
+        sigmoid gate), and every W and b is multiplied by it column by
+        column into the workspace, exactly unless a value is subnormal.
+        z = [x_t, h] @ W + b, so scaled, is split as h @ W_h + zx_t, W_h the
+        scaled W[m_l:], and zx_t = x_t @ W[:m_l] + b the input's share.  The
+        first layer's shares are a V-row token table, table @ W[:m] + b,
+        made in one GEMM and gathered from by id; an upper layer's is a
+        GEMM of the layer below's new h.
 
-        Backward walks the steps in reverse, in chunks of FACTOR_CHUNK
-        steps, the last chunk first.  Per chunk it calls
-        `factors(hs, cs, acts, fac)` once: from the chunk's old states (cs is
-        None without a memory lane) and (K, blocks, B, n) activations it
-        writes each step's derivative factors into fac, a (K, blocks, B, n)
-        workspace array, so that no step computes a derivative from the
-        activations itself.  Then per step, last first, `adjoint(dh, dc,
-        acts, fac, dz) -> (dh_direct, dc)` gets that step's activations and
-        factors and writes the gradient of z into dz, the step's (gates, B,
-        n) view of gate blocks; it returns, written over dh and dc, the
-        gradient reaching the old h other than through z (or None) and that
-        of the old c.  The carry to the step before, dz_t W[m:]^T, reads a
-        contiguous copy of W[m:]^T made once per window, on which BLAS runs
-        faster than on the transposed view (at batch 50, width 512, one
-        OpenBLAS 0.3.31 thread: 74 against 103 us a step).  Then
-        dW[m:] = hs^T dz over all T*B rows, and S is dz; with `ids`, S is
-        dz summed per token, and one GEMM over the T*B rows of [hs |
-        onehot], (n + V) rows of output, writes both dW[m:] and S.
-        dW[:m] = x^T S, db = sum S, and x's gradient is S W[:m]^T.
+        The forward runs in waves, after the same paper: at wave s every
+        layer l with 0 <= s - l < T takes its step t = s - l, reading only
+        what wave s - 1 wrote.  `step(W_h, zx, h, c, out)` steps those
+        layers at once, each argument with a leading layer axis (none when
+        one layer steps): z = h @ W_h + zx, then the cell's kernel, writing
+        out = (z, new h, new c, the step's `blocks` activation blocks).  So
+        a wave is one stacked GEMM for h @ W_h, the first layer's gather,
+        one stacked GEMM of the layers below's h through W[:n] plus b, and
+        one kernel call over the wave's rows.  States and activations are
+        stored wave-major, so a wave's layers are adjacent (B, n) blocks and
+        its kernel reads and writes contiguous rows.  The activations are
+        those of the unscaled z, and every gradient below is that of the
+        unscaled z and W.
+
+        Backward goes layer by layer, the top one first, and walks each
+        layer's steps in reverse, in chunks of FACTOR_CHUNK steps, the last
+        chunk first.  Per chunk it calls `factors(hs, cs, acts, fac)` once:
+        from the chunk's old states (cs is None without a memory lane) and
+        (K, blocks, B, n) activations it writes each step's derivative
+        factors into fac, a (K, blocks, B, n) workspace array, so that no
+        step computes a derivative from the activations itself.  Then per
+        step, last first, `adjoint(dh, dc, acts, fac, dz) -> (dh_direct,
+        dc)` gets that step's activations and factors and writes the
+        gradient of z into dz, the step's (gates, B, n) view of gate blocks;
+        it returns, written over dh and dc, the gradient reaching the old h
+        other than through z (or None) and that of the old c.  The carry to
+        the step before, dz_t W[m_l:]^T, reads a contiguous copy of
+        W[m_l:]^T made once per layer, on which BLAS runs faster than on the
+        transposed view (at batch 50, width 512, one OpenBLAS 0.3.31 thread:
+        74 against 103 us a step).  Then dW[m_l:] = hs^T dz over all T*B
+        rows, and S is dz; for the first layer, S is dz summed per token,
+        and one GEMM over the T*B rows of [hs | onehot], (n + V) rows of
+        output, writes both dW[m:] and S.  dW[:m_l] = x^T S, db = sum S, and
+        x's gradient S W[:m_l]^T is the layer below's incoming gradient, or,
+        for the first layer, the table's.
 
         Memory: every array lives in the workspace, among them the window's
-        scaled W and b, the copy of W[m:]^T and, with `ids`, the (T*B,
-        n + V) operand of the merged GEMM.  Returns (the T*B new h rows,
-        final h, final c); the final states are copies.  Gradients reach x,
-        `weight` and `bias`; the states carry values only.  An id outside
-        the table is BadToken.
+        scaled weights, the token table, the copy of W[m_l:]^T and the
+        (T*B, n + V) operand of the merged GEMM.  With more than one layer a
+        layer's steps are strided across the waves, so each layer's states
+        are also copied into (T + 1, B, n) contiguous rows for the GEMMs
+        over its T*B rows; one layer's waves are its steps, and it makes no
+        copy.  Returns (the top layer's
+        T*B new h rows, each layer's final (h, c)); the final states are
+        copies.  Gradients reach the table, `weights` and `biases`; the
+        states carry values only.  An id outside the table is BadToken, and
+        states or weights that do not fit one stack are ShapeMismatch.
         """
-        batch, n = h.shape
-        w, b = weight.value, bias.value
-        width = b.shape[0]
-        m = x.value.shape[1]
-        if ids is None:
-            rows = x.value.shape[0]
-        else:
-            ids = np.asarray(ids, dtype=np.int64)
-            rows, tokens = ids.size, x.value.shape[0]
-            # The gather below runs in "clip" mode, which would clamp a bad id.
-            if rows and (ids.min() < 0 or ids.max() >= tokens):
-                raise BadToken(f"ids in [{ids.min()}, {ids.max()}] from a table of {tokens} rows")
-        if (rows % batch or w.shape != (m + n, width) or b.ndim != 1 or len(scales) * n != width
-                or (c is not None and c.shape != h.shape)):
-            raise ShapeMismatch(f"recurrence of x {x.value.shape} from h {h.shape} over W {w.shape}, b {b.shape}")
+        layers, (tokens, m) = len(weights), table.value.shape
+        ids = np.asarray(ids, dtype=np.int64)
+        rows = ids.size
+        # The gathers below run in "clip" mode, which would clamp a bad id.
+        if rows and (ids.min() < 0 or ids.max() >= tokens):
+            raise BadToken(f"ids in [{ids.min()}, {ids.max()}] from a table of {tokens} rows")
+        if not layers or len(states) != layers or len(biases) != layers or np.ndim(states[0][0]) != 2:
+            raise ShapeMismatch(f"recurrence of {len(states)} states over {layers} weights and {len(biases)} biases")
+        batch, n = states[0][0].shape
+        memory, width = states[0][1] is not None, len(scales) * n
+        if (rows % batch
+                or [w.value.shape for w in weights] != [(m + n, width)] + [(2 * n, width)] * (layers - 1)
+                or any(b.value.shape != (width,) for b in biases)
+                or any(h.shape != (batch, n) or (c is not None) != memory or memory and c.shape != (batch, n)
+                       for h, c in states)):
+            raise ShapeMismatch(f"recurrence of ids {ids.shape} from states {[np.shape(h) for h, _ in states]} "
+                                f"over W {[w.value.shape for w in weights]}")
         steps = rows // batch
-        memory = c is not None
         scale = np.repeat(np.asarray(scales, self.dtype), n)
-        ws = np.multiply(w, scale, self._array(w.shape))
-        w_h = ws[m:]
-        zx = np.matmul(x.value, ws[:m], out=self._array((x.value.shape[0], width)))
-        zx += np.multiply(b, scale, self._array(b.shape))
-        if ids is not None:
-            step_ids = ids.reshape(steps, batch)
-            gathered = self._array((batch, width))
-        # Step t reads hs[t] (and cs[t]), the state it starts from, and
-        # writes hs[t + 1], so the output is hs[1:].  Without a memory lane
-        # every cs[t] is None.
-        hs = self._array((steps + 1, batch, n))
-        cs = self._array((steps + 1, batch, n)) if memory else [None] * (steps + 1)
-        acts = self._array((steps, blocks, batch, n))
-        z = self._array((batch, width))
-        hs[0] = h
-        if memory:
-            cs[0] = c
-        for t in range(steps):
-            if ids is None:
-                zx_t = zx[t * batch : (t + 1) * batch]
-            else:
-                zx_t = np.take(zx, step_ids[t], axis=0, mode="clip", out=gathered)
-            step(w_h, zx_t, hs[t], cs[t], (z, hs[t + 1], cs[t + 1], acts[t]))
-        out = Tensor(hs[1:].reshape(rows, n))
+        w_h = self._array((layers, n, width))
+        w_x = self._array((layers - 1, n, width))
+        b_x = self._array((layers - 1, 1, width))
+        for l, (w, b) in enumerate(zip(weights, biases)):
+            np.multiply(w.value[-n:], scale, w_h[l])
+            if l:
+                np.multiply(w.value[:n], scale, w_x[l - 1])
+                np.multiply(b.value, scale, b_x[l - 1, 0])
+        zx_table = np.matmul(table.value, np.multiply(weights[0].value[:m], scale, self._array((m, width))),
+                             out=self._array((tokens, width)))
+        zx_table += np.multiply(biases[0].value, scale, self._array((width,)))
+        step_ids = ids.reshape(steps, batch)
+        # Wave-major: hs[j, l] is layer l's state after j - l steps, so
+        # layer l's states are hs[l : l + T + 1, l], and wave s, in which
+        # layer l takes step s - l, reads row s (its old state, and at l - 1
+        # its input) and writes row s + 1.  acts[s, :, l] holds the
+        # activations of layer l's step s - l.  A wave's layers are adjacent
+        # (B, n) blocks of one row.
+        hs = self._array((steps + layers, layers, batch, n))
+        cs = self._array((steps + layers, layers, batch, n)) if memory else None
+        acts = self._array((steps + layers - 1, blocks, layers, batch, n))
+        z = self._array((layers, batch, width))
+        zx = self._array((layers, batch, width))
+        for l, (h, c) in enumerate(states):
+            hs[l, l] = h
+            if memory:
+                cs[l, l] = c
+        for s in range(steps + layers - 1 if steps else 0):
+            # Wave s steps layers lo .. hi - 1, layer l taking its step s - l.
+            lo = s - steps + 1 if s >= steps else 0
+            hi = s + 1 if s < layers else layers
+            if lo == 0:
+                np.take(zx_table, step_ids[s], axis=0, mode="clip", out=zx[0])
+            if hi > 1:
+                up = lo or 1
+                below, upper = _layers(up - 1, hi - 1), _layers(up, hi)
+                np.matmul(hs[s, below], w_x[below], zx[upper])
+                zx[upper] += b_x[below]
+            k = _layers(lo, hi)
+            step(w_h[k], zx[k], hs[s, k], cs[s, k] if memory else None,
+                 (z[k], hs[s + 1, k], cs[s + 1, k] if memory else None, acts[s, :, k]))
+        # Each layer's T + 1 states, as (T + 1, B, n) blocks.  With more
+        # than one layer they are strided across the waves, and the GEMMs
+        # over a layer's T*B rows read a contiguous copy.
+        seqs = [hs[l : l + steps + 1, l] for l in range(layers)]
+        if layers > 1:
+            seqs = [self._copy(seq) for seq in seqs]
+        out = Tensor(seqs[-1][1:].reshape(rows, n))
 
         def back(g: np.ndarray) -> None:
-            g = g.reshape(steps, batch, n)
             w_ht = self._array((width, n))
-            np.copyto(w_ht, w[m:].T)
             dz = self._array((steps, batch, width))
             dz_blocks = dz.reshape(steps, batch, width // n, n).swapaxes(1, 2)
+            dz_rows = dz.reshape(rows, width)
             fac = self._array((min(FACTOR_CHUNK, steps), blocks, batch, n))
             dh = self._array((batch, n))
             carry = self._array((batch, n))
-            carry[...] = 0.0
             dc = self._array((batch, n)) if memory else None
-            if memory:
-                dc[...] = 0.0
-            for end in range(steps, 0, -FACTOR_CHUNK):
-                start = max(end - FACTOR_CHUNK, 0)
-                factors(hs[start:end], cs[start:end] if memory else None, acts[start:end], fac[: end - start])
-                for t in reversed(range(start, end)):
-                    np.add(g[t], carry, dh)
-                    dh_direct, dc = adjoint(dh, dc, acts[t], fac[t - start], dz_blocks[t])
-                    if t:
-                        np.matmul(dz[t], w_ht, carry)
-                        if dh_direct is not None:
-                            carry += dh_direct
-            dz_rows = dz.reshape(rows, width)
-            hs_rows = hs[:steps].reshape(rows, n)
-            if ids is None:
-                dw = self._array(w.shape)
-                np.matmul(hs_rows.T, dz_rows, out=dw[m:])
-                s = dz_rows
-            else:
-                tokens = x.value.shape[0]
-                lhs = self._array((rows, n + tokens))  # [hs | onehot]: row r's state, then its token's 1
-                lhs[:, :n] = hs_rows
-                lhs[:, n:] = 0.0
-                lhs[np.arange(rows), n + ids] = 1.0
-                merged = self._array((m + n + tokens, width))  # dW, then S
-                np.matmul(lhs.T, dz_rows, out=merged[m:])
-                dw, s = merged[: m + n], merged[m + n :]
-            np.matmul(x.value.T, s, out=dw[:m])
-            self._accumulate_own(weight, dw)
-            self._accumulate_own(bias, np.sum(s, axis=0, out=self._array(b.shape)))
-            self._accumulate_own(x, np.matmul(s, w[:m].T, out=self._array(x.value.shape)))
+            for l in reversed(range(layers)):
+                w, m_l = weights[l].value, m if l == 0 else n
+                h_l, c_l, a_l = hs[l:, l], cs[l:, l] if memory else None, acts[l:, :, l]
+                g = g.reshape(steps, batch, n)
+                np.copyto(w_ht, w[m_l:].T)
+                carry[...] = 0.0
+                if memory:
+                    dc[...] = 0.0
+                for end in range(steps, 0, -FACTOR_CHUNK):
+                    start = max(end - FACTOR_CHUNK, 0)
+                    factors(h_l[start:end], c_l[start:end] if memory else None, a_l[start:end], fac[: end - start])
+                    for t in reversed(range(start, end)):
+                        np.add(g[t], carry, dh)
+                        dh_direct, dc = adjoint(dh, dc, a_l[t], fac[t - start], dz_blocks[t])
+                        if t:
+                            np.matmul(dz[t], w_ht, carry)
+                            if dh_direct is not None:
+                                carry += dh_direct
+                if l:
+                    x = seqs[l - 1][1:].reshape(rows, n)
+                    dw = self._array(w.shape)
+                    np.matmul(seqs[l][:steps].reshape(rows, n).T, dz_rows, out=dw[n:])
+                    s = dz_rows
+                else:
+                    x = table.value
+                    lhs = self._array((steps, batch, n + tokens))  # [hs | onehot]: row r's state, then its token's 1
+                    lhs[:, :, :n] = seqs[0][:steps]
+                    lhs[:, :, n:] = 0.0
+                    lhs = lhs.reshape(rows, n + tokens)
+                    lhs[np.arange(rows), n + ids] = 1.0
+                    merged = self._array((m + n + tokens, width))  # dW, then S
+                    np.matmul(lhs.T, dz_rows, out=merged[m:])
+                    dw, s = merged[: m + n], merged[m + n :]
+                np.matmul(x.T, s, out=dw[:m_l])
+                self._accumulate_own(weights[l], dw)
+                self._accumulate_own(biases[l], np.sum(s, axis=0, out=self._array((width,))))
+                g = np.matmul(s, w[:m_l].T, out=self._array(x.shape))
+            self._accumulate_own(table, g)
 
-        return self._push(out, back), hs[steps].copy(), cs[steps].copy() if memory else None
+        final = [(hs[l + steps, l].copy(), cs[l + steps, l].copy() if memory else None) for l in range(layers)]
+        return self._push(out, back), final
 
     def backward(self, loss: Tensor) -> None:
         # Seeded in the tape's dtype, not the loss's, so every gradient is.

@@ -1,3 +1,5 @@
+import os
+import stat
 import tempfile
 from pathlib import Path
 
@@ -18,6 +20,7 @@ from melodykit.core import (
     save_songs_jsonl,
     song_to_db12,
     song_to_interval,
+    write_atomic,
 )
 from melodykit.errors import EmptyCorpus, MalformedFile, PitchOutOfRange, SongTooShort
 
@@ -255,6 +258,31 @@ def test_build_corpus_and_corpus_text_match_the_oracle(songs, variant):
 def test_build_corpus_y_is_x_shifted():
     c = build_corpus([[60, 62, 64, 65, 67]], DatasetVariant.CONTROL)
     np.testing.assert_array_equal(c.x[1:], c.y[:-1])
+
+
+def test_write_atomic_calls_on_one_path_do_not_share_a_temporary_file(tmp_path, monkeypatch):
+    # A second call on the same path runs to completion while the first
+    # waits to rename: both must return, and the target must hold one
+    # call's bytes whole, the last rename's.
+    target = tmp_path / "out.bin"
+    renamed = []
+    real_replace = os.replace
+
+    def replace(src, dst):
+        renamed.append(Path(src).name)
+        if len(renamed) == 1:
+            write_atomic(target, b"B" * 3000)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    write_atomic(target, b"A" * 5000, b"a")
+    monkeypatch.undo()
+    assert target.read_bytes() == b"A" * 5000 + b"a"
+    assert len(set(renamed)) == 2 and all(n.startswith(".out.bin.") and n.endswith(".tmp") for n in renamed)
+    assert sorted(tmp_path.iterdir()) == [target]
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask  # what open() gives, not mkstemp's 0o600
 
 
 def test_songs_jsonl_roundtrip(tmp_path):

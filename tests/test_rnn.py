@@ -1,5 +1,6 @@
 import dataclasses
 import errno
+import functools
 import math
 import tracemalloc
 
@@ -187,6 +188,18 @@ def test_step_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         _window_loss(GradientTape(), m, np.zeros((1, 3), dtype=int), np.zeros((1, 3), dtype=int),
                      [(np.zeros((1, 5)), None)])
+    # ... and that the states fit the stack: one state per layer, each (B, hidden), c as the cell keeps one.
+    X = np.zeros((2, 3), dtype=int)
+    for cell in ("lstm", "ugrnn"):
+        m = tiny_model(cell=cell, layers=2, hidden=6, emb=4)
+        fit = _zero_states(m, 2)
+        c = np.zeros((2, 6)) if cell == "lstm" else None
+        for states in (fit[:1], fit + fit[:1], [fit[0], (np.zeros((2, 5)), c)], [fit[0], (np.zeros((3, 6)), c)],
+                       [fit[0], (np.zeros((2, 6)), None if cell == "lstm" else np.zeros((2, 6)))],
+                       [fit[0], (np.zeros(6), c)]):
+            with pytest.raises(ShapeMismatch):
+                _window_loss(GradientTape(), m, X, X, states)
+        _window_loss(GradientTape(), m, X, X, fit)  # the states that fit pass
 
 
 @pytest.mark.parametrize("kind", ["lstm", "ugrnn"])
@@ -305,7 +318,7 @@ def test_float32_window_stays_float32_and_matches_float64(cell, layers):
 # repeated token ids.
 @pytest.mark.parametrize("steps", [1, 7, FACTOR_CHUNK, FACTOR_CHUNK + 1, 2 * FACTOR_CHUNK + 3])
 @pytest.mark.parametrize("batch", [1, 4, 50])
-@pytest.mark.parametrize("layers", [1, 3])
+@pytest.mark.parametrize("layers", [1, 2, 3])
 @pytest.mark.parametrize("cell", ["lstm", "ugrnn"])
 def test_window_loss_matches_per_op_tape(cell, layers, batch, steps):
     # The window op reorders float sums (one GEMM over all T*B rows), so
@@ -349,6 +362,54 @@ def test_window_loss_matches_per_op_tape(cell, layers, batch, steps):
             np.testing.assert_allclose(c, want_c.value, rtol=1e-12, atol=1e-12)
         else:
             assert c is None and want_c is None
+
+
+# --- the wave schedule ---------------------------------------------------
+
+@pytest.mark.parametrize("steps", [1, 2, FACTOR_CHUNK + 1])
+@pytest.mark.parametrize("batch", [1, 4, 50])
+@pytest.mark.parametrize("layers", [2, 3])
+@pytest.mark.parametrize("cell", ["lstm", "ugrnn"])
+def test_waves_equal_stepping_one_layer_after_another(cell, layers, batch, steps):
+    # The stack op steps layer l's step t in wave t + l, all of a wave's
+    # layers in one `_layer_step` call.  Stepping each layer through the
+    # whole window before the next one starts, one `_layer_step` call per
+    # step with the same per-step products, must give the same bits.
+    spec = cell_spec(cell)
+    rng = np.random.default_rng([layers, batch, steps, 11])
+    model = model_copy(init_model(VOCAB, DatasetVariant.CONTROL, cell=cell, num_layers=layers, hidden_size=5,
+                                  embedding_dim=3, rng=rng, init_scale=0.6), np.float32)
+    ids = rng.integers(0, VOCAB.size, size=(steps, batch))
+    states = [(rng.normal(scale=0.5, size=(batch, 5)).astype(np.float32),
+               rng.normal(scale=0.5, size=(batch, 5)).astype(np.float32) if spec.has_memory else None)
+              for _ in range(layers)]
+    top, final = GradientTape(np.float32).recurrence(
+        model.embedding, ids.reshape(-1), states, [layer.w for layer in model.layers],
+        [layer.b for layer in model.layers], functools.partial(_layer_step, spec), spec.factors, spec.adjoint,
+        spec.acts, spec.scales)
+
+    scale = np.repeat(np.asarray(spec.scales, np.float32), 5)
+    emb = model.embedding.value
+    inputs = None  # the layer below's new h at every step
+    for k, (layer, (h, c)) in enumerate(zip(model.layers, states)):
+        w, b = layer.w.value * scale, layer.b.value * scale
+        m = w.shape[0] - 5
+        if k == 0:
+            table = emb @ w[:m]
+            table += b
+        outputs = []
+        for t in range(steps):
+            if k == 0:
+                zx = table[ids[t]]
+            else:
+                zx = inputs[t] @ w[:m]
+                zx += b
+            h, c, _ = _layer_step(spec, w[m:], zx, h, c)
+            outputs.append(h)
+        inputs = outputs
+        assert np.array_equal(final[k][0], h) and final[k][0].dtype == np.float32, f"layer {k}'s final h"
+        assert (final[k][1] is None and c is None) or np.array_equal(final[k][1], c), f"layer {k}'s final c"
+    assert np.array_equal(top.value, np.concatenate(inputs)) and top.value.dtype == np.float32
 
 
 # --- embedding -----------------------------------------------------------
