@@ -36,4 +36,4 @@ from .rnn import (
     train,
 )
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"

@@ -205,6 +205,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for flag, text, grid in (("--cells", args.cells, cells), ("--layers", args.layers, layer_counts)):
         if not grid:
             raise ValueError(f"{flag} names no grid point, got {text!r}")
+        if len(set(grid)) != len(grid):
+            raise ValueError(f"{flag} names a grid point more than once, got {text!r}")
     rnn.corpus_lanes(corpus, config)  # every grid point trains on windows of this one size
     out_dir.mkdir(parents=True, exist_ok=True)
     rows: list[dict] = []

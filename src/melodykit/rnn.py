@@ -1,4 +1,4 @@
-"""Embedding, gated recurrent cells, the training loop, and sampling.
+"""Embedding, gated recurrent cells, the layer stack, the training loop, and sampling.
 
 A model is an embedding table, a stack of identical gated cells, and a
 linear projection to vocabulary logits; everything trains jointly by
@@ -19,24 +19,21 @@ state and activation blocks out) and its hand-written adjoint, all
 writing into arrays their caller passes in.  The adjoint is a factor
 pass, which computes the gate derivatives of a chunk of steps at once
 from the stored activations, and a per-step part, which multiplies the
-incoming gradient by them in a handful of ufunc calls.  Every path steps
-a layer through `_layer_step`, z = h @ W[m:] + zx and then that kernel,
-on step weights whose sigmoid gate columns are halved (`CellSpec.scales`),
-once per window in training and once per call in sampling and
-`stack_forward` (`_halved`), so each kernel makes one tanh over all of z.
-The first layer's zx depends only on the token, so every path reads it
-from a token table, E @ W[:m] + b, of V rows (at most 255, and 21 to 31
-on the bundled corpora), made once per window in training and once per
-call in sampling and `stack_forward`.  Training records one
-`GradientTape.recurrence` per window for the whole stack.  It steps the
-layers in waves (Appleyard, Kocisky & Blunsom 2016, arXiv:1604.01946):
-in wave s every layer l takes its step s - l, all of them in one
-`_layer_step` call with a leading layer axis, whose stacked GEMMs
-compute each upper layer's zx from the layer below's h of the wave
-before.  Its backward runs the adjoint back layer by layer, the top one
-first (the factor pass once per `tensor.FACTOR_CHUNK` steps).  So a
-window is four records: the stack, then one projection (matmul and bias)
-and one cross-entropy over the (T*B, hidden) stack of top states.
+incoming gradient by them in a handful of ufunc calls.
+
+This module owns the layer stack.  `_step_operands` is its one operand
+preparation: the step weights, each gate block's columns scaled by
+`CellSpec.scales` so each kernel makes one tanh over all of z, and the
+first layer's token table E @ W[:m] + b (V rows: at most 255, and 21 to
+31 on the bundled corpora), made once per window in training and once
+per call in sampling and `stack_forward`.  `_check_states` is the one
+rule for the states a stack starts from, and every path steps a layer
+through `_layer_step`.  Training records a window's whole stack as one
+tape op, `_stack`, stepped in waves (Appleyard, Kocisky & Blunsom 2016,
+arXiv:1604.01946): in wave s every layer l takes its step s - l, all in
+one `_layer_step` call with a leading layer axis.  So a window is four
+records: the stack, then one projection (matmul and bias) and one
+cross-entropy over the (T*B, hidden) stack of top states.
 `sample_batch` and `stack_forward` step plain arrays through
 `_forward_step`, one time step through every layer in turn, since each
 sampled token feeds the next step: every song is one lane of a single
@@ -55,13 +52,14 @@ float32 copy of the weights, made once per call; `_pick` reads the
 logits as float64.  `stack_forward` computes in float64.
 The same code, seed and inputs, numpy/BLAS build, BLAS thread count and
 CPU give the same checkpoints, curves and songs.  The thread count is part
-of the promise: OpenBLAS splits a large product across its threads, so an
-LSTM x1 at batch 50 trains along another path at 1 and 2 threads.  UGRNN
-x3 at batch 4 and 100-lane sampling gave the same bytes at both, which is
-observed, not promised.  A lane's bit-equality across lane counts
-is not promised: BLAS picks its kernel by row count, so a lane's logits
-can differ in the last bits between batches of different sizes, although
-its tokens agreed in every case checked.  README keeps the history of
+of the promise: OpenBLAS splits a large product across its threads, so
+LSTM x1 and x3 at batch 50 train along another path at 1 and 2 threads
+(`scripts/same_outputs.py`'s two-thread round lists their checkpoints
+and curves).  UGRNN x3 at batch 4 and 100-lane sampling gave the same
+bytes at both, which is observed, not promised.  A lane's bit-equality
+across lane counts is not promised: BLAS picks its kernel by row count,
+so a lane's logits can differ in the last bits between batches of
+different sizes, although its tokens agreed in every case checked.  README keeps the history of
 how each version changed these bits.
 
 Memory: `train` keeps one float32 GradientTape for the whole run and
@@ -71,8 +69,8 @@ returns.  A wave writes its layers' states and activations as adjacent
 rows of that workspace, so each kernel call reads and writes contiguous
 arrays.  Beside it the run keeps the float32 shadow and one float64
 gradient list, each the size of the parameters.  Sampling and
-`stack_forward` allocate their halved step weights once per call and
-each step's arrays.
+`stack_forward` allocate their step operands once per call and each
+step's arrays.
 """
 
 from __future__ import annotations
@@ -199,8 +197,8 @@ class CellSpec:
 
     `scales` holds each gate block's pre-activation scale: 0.5 for a
     sigmoid gate, 1 for a tanh gate.  The kernel reads z with every block
-    already multiplied by its scale, which the caller folds into the step
-    weights once (`_halved`, or `GradientTape.recurrence` once per window),
+    already multiplied by its scale, which `_step_operands` folds into the
+    step weights (once per window in training, once per call elsewhere),
     so the kernel itself makes one tanh over all of z.
     `step(z, h, c, h_new, c_new, acts)` maps those (B, gates*hidden)
     scaled pre-activations, gate blocks side by side, and the old state to
@@ -376,14 +374,10 @@ def _layer_step(spec: CellSpec, w_h: np.ndarray, zx: np.ndarray, h: np.ndarray, 
 
     The layer's z = [x, h] @ W + b is split in two: W_h is W[m:], the rows
     that the state h multiplies, and zx is the step's (B, width) input
-    share x @ W[:m] + b, which every caller computes ahead of the step.  A
-    first layer's share is a row of its token table E @ W[:m] + b, gathered
-    by token id (`_token_table`, or the table `GradientTape.recurrence`
-    makes); an upper layer's is its input rows through W[:m], plus b.
-    Both inputs are halved step weights: W_h and zx come with each gate
-    block's columns multiplied by its `CellSpec.scales` entry (W and b
-    through `_halved`, or in `recurrence`), so z is the scaled
-    pre-activation the kernel reads, and the step scales nothing itself.
+    share x @ W[:m] + b, which every caller computes ahead of the step
+    from the stack's `_step_operands` (a first layer's is a row of the
+    token table).  Both come gate-scaled (`CellSpec.scales`), so z is the
+    scaled pre-activation the kernel reads, and the step scales nothing.
 
     The arguments may carry a leading layer axis: h (L, B, n), c and the
     new state alike, W_h (L, n, width), zx (L, B, width), and acts (acts,
@@ -418,48 +412,74 @@ def _layer_step(spec: CellSpec, w_h: np.ndarray, zx: np.ndarray, h: np.ndarray, 
     return h_new, c_new, acts
 
 
-def _halved(spec: CellSpec, weights: list[np.ndarray]) -> list[np.ndarray]:
-    """The step weights: parameter arrays in `parameters()` order, each layer's W and b scaled by gate.
+def _step_operands(spec: CellSpec, embedding: np.ndarray, Ws: list[np.ndarray], bs: list[np.ndarray],
+                   array: Callable) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A layer stack's step operands, (w_h, w_x, b_x, table), in arrays that `array(shape)` allocates.
 
-    Every gate block's columns are multiplied by its `CellSpec.scales`
-    entry (a sigmoid gate's halved, exactly unless a value is subnormal),
-    into new arrays; the embedding and projection are passed through.
+    Ws and bs are the layers' W (m_l + n, width) and b, m_l being the
+    embedding width m for the first layer and n above it.  Every operand
+    comes with each gate block's columns multiplied by its
+    `CellSpec.scales` entry (exact unless a value is subnormal): w_h
+    (L, n, width) holds each layer's W[m_l:]; w_x (L - 1, n, width) and
+    b_x (L - 1, 1, width) each upper layer's W[:n] and b; table (V, width)
+    the first layer's input share of every token, E @ W[:m] + b, made in
+    one GEMM.  They take the dtype of `array`'s arrays: training passes
+    its tape's workspace, the other paths np.empty in the dtype they step
+    in.  W and b that do not fit one stack are ShapeMismatch.
     """
-    embedding, *layers, proj_w, proj_b = weights
-    scale = np.repeat(np.asarray(spec.scales, proj_w.dtype), proj_w.shape[0])
-    return [embedding, *(a * scale for a in layers), proj_w, proj_b]
+    layers, (tokens, m) = len(Ws), embedding.shape
+    n = Ws[0].shape[0] - m if layers else 0
+    width = len(spec.gates) * n
+    if (n < 1 or len(bs) != layers
+            or [w.shape for w in Ws] != [(m + n, width)] + [(2 * n, width)] * (layers - 1)
+            or any(b.shape != (width,) for b in bs)):
+        raise ShapeMismatch(f"no {spec.gates} stack has W {[w.shape for w in Ws]} and b {[b.shape for b in bs]} "
+                            f"over {m}-wide embeddings")
+    w_h = array((layers, n, width))
+    w_x = array((layers - 1, n, width))
+    b_x = array((layers - 1, 1, width))
+    scale = np.repeat(np.asarray(spec.scales, w_h.dtype), n)
+    for l, (w, b) in enumerate(zip(Ws, bs)):
+        np.multiply(w[-n:], scale, w_h[l])
+        if l:
+            np.multiply(w[:n], scale, w_x[l - 1])
+            np.multiply(b, scale, b_x[l - 1, 0])
+    table = np.matmul(embedding, np.multiply(Ws[0][:m], scale, array((m, width))), array((tokens, width)))
+    table += np.multiply(bs[0], scale, array((width,)))
+    return w_h, w_x, b_x, table
 
 
-def _token_table(weights: list[np.ndarray]) -> np.ndarray:
-    """The first layer's input share of every token, E @ W[:m] + b: a (V, width) table.
+def _check_states(spec: CellSpec, states: list[_State], layers: int, shape: tuple[int, int]) -> None:
+    """ShapeMismatch unless the states fit the stack.
 
-    `weights` are the step weights (`_halved`), so the table's columns
-    come scaled by gate, as `_layer_step` reads its zx.
+    That is one (h, c) per layer, h of `shape` (batch, hidden), and c of
+    that shape too if the cell keeps a memory lane, else None.  Training
+    and `stack_forward` both apply it.
     """
-    embedding, w, b = weights[:3]
-    table = embedding @ w[: embedding.shape[1]]
-    table += b
-    return table
+    memory = spec.has_memory
+    if len(states) != layers or any(np.shape(h) != shape or (c is not None) != memory
+                                    or memory and np.shape(c) != shape for h, c in states):
+        shapes = [(np.shape(h), c if c is None else np.shape(c)) for h, c in states]
+        raise ShapeMismatch(f"states {shapes} do not fit {layers} layers of {shape} {'(h, c)' if memory else 'h'}")
 
 
-def _forward_step(spec: CellSpec, weights: list[np.ndarray], table: np.ndarray, ids: np.ndarray,
+def _forward_step(spec: CellSpec, operands: tuple, proj_w: np.ndarray, proj_b: np.ndarray, ids: np.ndarray,
                   states: list[_State]):
     """One time step of a batch of token ids through the stack and the projection; returns (logits, states).
 
-    `weights` are the step weights (`_halved`), all of one dtype, in
-    which the step computes, and `table` is their
-    `_token_table`, whose rows for the ids are the first layer's input
-    share; an upper layer's is its lower layer's new h @ W[:m] + b.
+    `operands` are the stack's `_step_operands`, in whose dtype the step
+    computes, as do proj_w and proj_b: the table's rows for the ids are
+    the first layer's input share, and an upper layer's is its lower
+    layer's new h @ w_x + b_x.
     """
-    embedding, *layers, proj_w, proj_b = weights
-    m, zx = embedding.shape[1], table[ids]
+    w_h, w_x, b_x, table = operands
+    zx = table[ids]
     new_states: list[_State] = []
-    for w, b, (h, c) in zip(layers[::2], layers[1::2], states):
-        if new_states:
-            m = v.shape[1]
-            zx = v @ w[:m]
-            zx += b
-        v, c, _ = _layer_step(spec, w[m:], zx, h, c)
+    for l, (h, c) in enumerate(states):
+        if l:
+            zx = v @ w_x[l - 1]
+            zx += b_x[l - 1]
+        v, c, _ = _layer_step(spec, w_h[l], zx, h, c)
         new_states.append((v, c))
     return v @ proj_w + proj_b, new_states
 
@@ -496,28 +516,34 @@ def stack_forward(
     """Run a token sequence through the stack; returns (logits (T, V), final states).
 
     Feeding one long sequence equals feeding it piecewise with the carried
-    states.  Ids are checked against the vocabulary, and the states come
-    back as plain per-layer arrays, so callers can score a sequence or
+    states.  The ids must be a non-empty 1-D sequence of integers
+    (ValueError; booleans are not integers) within the vocabulary
+    (BadToken).  Each state's h is a (hidden,) array, as is its c exactly
+    when the cell keeps a memory lane, else None; states that do not fit
+    the stack are ShapeMismatch, by the rule training applies.  The states
+    come back as plain per-layer arrays, so callers can score a sequence or
     compare two models without touching the internal batch state.
     """
-    ids = np.asarray(token_ids, dtype=np.int64)
+    ids = np.asarray(token_ids)
     if ids.ndim != 1 or ids.size == 0:
         raise ValueError("token_ids must be a non-empty 1-D sequence")
+    if ids.dtype.kind not in "iu":
+        raise ValueError(f"token_ids must be integers, got {ids.dtype}")
+    ids = ids.astype(np.int64)
     if (ids < 0).any() or (ids >= model.vocab_size).any():
         bad = ids[(ids < 0) | (ids >= model.vocab_size)][0]
         raise BadToken(f"token id {int(bad)} outside [0, {model.vocab_size})")
     spec = cell_spec(model.cell)
+    embedding, *layers, proj_w, proj_b = [p.value for p in model.parameters()]
+    operands = _step_operands(spec, embedding, layers[::2], layers[1::2], np.empty)
     if states is None:
         batch_states = _zero_states(model, 1)
     else:
-        if len(states) != model.num_layers:
-            raise ShapeMismatch(f"expected {model.num_layers} layer states, got {len(states)}")
-        batch_states = [(s.h[None, :], s.c[None, :] if spec.has_memory else None) for s in states]
-    weights = _halved(spec, [p.value for p in model.parameters()])
-    table = _token_table(weights)
+        batch_states = [(np.asarray(s.h)[None], None if s.c is None else np.asarray(s.c)[None]) for s in states]
+        _check_states(spec, batch_states, model.num_layers, (1, operands[0].shape[1]))
     rows = []
     for t in range(ids.size):
-        logits, batch_states = _forward_step(spec, weights, table, ids[t : t + 1], batch_states)
+        logits, batch_states = _forward_step(spec, operands, proj_w, proj_b, ids[t : t + 1], batch_states)
         rows.append(logits[0])
     out_states = [CellState(h=h[0].copy(), c=None if c is None else c[0].copy()) for h, c in batch_states]
     return np.vstack(rows), out_states
@@ -557,21 +583,167 @@ class TrainConfig:
 LearningCurve = list[tuple[int, float]]
 
 
+# Steps per factor pass in `_stack`'s backward.  Longer chunks spread a
+# pass's calls over more steps, which pays at batch 4; shorter ones keep a
+# chunk's factors small, which pays at batch 50.  Of 4, 8 and 12, 8 gained
+# most at batch 4 without losing at batch 50 (float32 microbenchmark,
+# hidden 128); one pass over the whole window lost at 50.
+FACTOR_CHUNK = 8
+
+
+def _layers(lo: int, hi: int) -> int | slice:
+    """Index of layers lo .. hi - 1 on a layer axis: the layer itself when there is one, so its arrays are 2-D."""
+    return lo if hi - lo == 1 else slice(lo, hi)
+
+
+def _stack(tape: GradientTape, spec: CellSpec, model: ModelState, ids: np.ndarray,
+           states: list[_State]) -> tuple[Tensor, list[_State]]:
+    """The model's layer stack over a window of (T, B) token ids, recorded on the tape as one op.
+
+    Returns (the top layer's T*B new h rows, time-major, each layer's final
+    (h, c)); the final states are copies.  Gradients reach the embedding and
+    every layer's W and b; the states carry values only.  An id outside the
+    vocabulary is BadToken, and W, b (`_step_operands`) or states
+    (`_check_states`) that do not fit one stack are ShapeMismatch.  Every
+    array lives in the tape's workspace.
+
+    The step operands are prepared once per window, as in cuDNN's RNN
+    kernels (Appleyard, Kocisky & Blunsom 2016, arXiv:1604.01946).  The
+    forward runs in waves, after the same paper: at wave s every layer l
+    with 0 <= s - l < T takes its step t = s - l, reading only what wave
+    s - 1 wrote, all in one `_layer_step` call with a leading layer axis
+    (none when one layer steps).  So a wave is one stacked GEMM for
+    h @ W_h, the first layer's gather from the token table, one stacked
+    GEMM of the layers below's h through the upper layers' W[:n] plus b,
+    and one kernel call over the wave's rows.
+
+    Backward goes layer by layer, the top one first, and walks each
+    layer's steps in reverse, in chunks of FACTOR_CHUNK steps, the last
+    chunk first: `spec.factors` once per chunk, then `spec.adjoint` once
+    per step, which gives the gradient of the unscaled z.  The carry to the
+    step before, dz_t W[m_l:]^T, reads a contiguous copy of W[m_l:]^T made
+    once per layer, on which BLAS runs faster than on the transposed view
+    (at batch 50, width 512, one OpenBLAS 0.3.31 thread: 74 against 103 us
+    a step).  Then dW[m_l:] = hs^T dz over all T*B rows, and S is dz; for
+    the first layer, S is dz summed per token, and one GEMM over the T*B
+    rows of [hs | onehot], (n + V) rows of output, writes both dW[m:] and
+    S.  dW[:m_l] = x^T S, db = sum S, and x's gradient S W[:m_l]^T is the
+    layer below's incoming gradient, or, for the first layer, the
+    embedding's.
+    """
+    layers, tokens = model.num_layers, model.vocab_size
+    ids = np.ascontiguousarray(ids, dtype=np.int64)
+    (steps, batch), rows = ids.shape, ids.size
+    # The gathers below run in "clip" mode, which would clamp a bad id.
+    if rows and (ids.min() < 0 or ids.max() >= tokens):
+        raise BadToken(f"ids in [{ids.min()}, {ids.max()}] from a table of {tokens} rows")
+    table, weights, biases = model.embedding, [layer.w for layer in model.layers], [layer.b for layer in model.layers]
+    w_h, w_x, b_x, zx_table = _step_operands(spec, table.value, [w.value for w in weights],
+                                             [b.value for b in biases], tape.array)
+    _, n, width = w_h.shape
+    _check_states(spec, states, layers, (batch, n))
+    m, memory, blocks = table.value.shape[1], spec.has_memory, spec.acts
+    # Wave-major: hs[j, l] is layer l's state after j - l steps, so
+    # layer l's states are hs[l : l + T + 1, l], and wave s, in which
+    # layer l takes step s - l, reads row s (its old state, and at l - 1
+    # its input) and writes row s + 1.  acts[s, :, l] holds the
+    # activations of layer l's step s - l.  A wave's layers are adjacent
+    # (B, n) blocks of one row.
+    hs = tape.array((steps + layers, layers, batch, n))
+    cs = tape.array((steps + layers, layers, batch, n)) if memory else None
+    acts = tape.array((steps + layers - 1, blocks, layers, batch, n))
+    z = tape.array((layers, batch, width))
+    zx = tape.array((layers, batch, width))
+    for l, (h, c) in enumerate(states):
+        hs[l, l] = h
+        if memory:
+            cs[l, l] = c
+    for s in range(steps + layers - 1 if steps else 0):
+        # Wave s steps layers lo .. hi - 1, layer l taking its step s - l.
+        lo = s - steps + 1 if s >= steps else 0
+        hi = s + 1 if s < layers else layers
+        if lo == 0:
+            np.take(zx_table, ids[s], axis=0, mode="clip", out=zx[0])
+        if hi > 1:
+            up = lo or 1
+            below, upper = _layers(up - 1, hi - 1), _layers(up, hi)
+            np.matmul(hs[s, below], w_x[below], zx[upper])
+            zx[upper] += b_x[below]
+        k = _layers(lo, hi)
+        _layer_step(spec, w_h[k], zx[k], hs[s, k], cs[s, k] if memory else None,
+                    (z[k], hs[s + 1, k], cs[s + 1, k] if memory else None, acts[s, :, k]))
+    # Each layer's T + 1 states, as (T + 1, B, n) blocks.  With more
+    # than one layer they are strided across the waves, and the GEMMs
+    # over a layer's T*B rows read a contiguous copy.
+    seqs = [hs[l : l + steps + 1, l] for l in range(layers)]
+    if layers > 1:
+        seqs = [tape.copy(seq) for seq in seqs]
+    out = Tensor(seqs[-1][1:].reshape(rows, n))
+
+    def back(g: np.ndarray) -> None:
+        w_ht = tape.array((width, n))
+        dz = tape.array((steps, batch, width))
+        dz_blocks = dz.reshape(steps, batch, width // n, n).swapaxes(1, 2)
+        dz_rows = dz.reshape(rows, width)
+        fac = tape.array((min(FACTOR_CHUNK, steps), blocks, batch, n))
+        dh = tape.array((batch, n))
+        carry = tape.array((batch, n))
+        dc = tape.array((batch, n)) if memory else None
+        for l in reversed(range(layers)):
+            w, m_l = weights[l].value, m if l == 0 else n
+            h_l, c_l, a_l = hs[l:, l], cs[l:, l] if memory else None, acts[l:, :, l]
+            g = g.reshape(steps, batch, n)
+            np.copyto(w_ht, w[m_l:].T)
+            carry[...] = 0.0
+            if memory:
+                dc[...] = 0.0
+            for end in range(steps, 0, -FACTOR_CHUNK):
+                start = max(end - FACTOR_CHUNK, 0)
+                spec.factors(h_l[start:end], c_l[start:end] if memory else None, a_l[start:end], fac[: end - start])
+                for t in reversed(range(start, end)):
+                    np.add(g[t], carry, dh)
+                    dh_direct, dc = spec.adjoint(dh, dc, a_l[t], fac[t - start], dz_blocks[t])
+                    if t:
+                        np.matmul(dz[t], w_ht, carry)
+                        if dh_direct is not None:
+                            carry += dh_direct
+            if l:
+                x = seqs[l - 1][1:].reshape(rows, n)
+                dw = tape.array(w.shape)
+                np.matmul(seqs[l][:steps].reshape(rows, n).T, dz_rows, out=dw[n:])
+                s = dz_rows
+            else:
+                x = table.value
+                lhs = tape.array((steps, batch, n + tokens))  # [hs | onehot]: row r's state, then its token's 1
+                lhs[:, :, :n] = seqs[0][:steps]
+                lhs[:, :, n:] = 0.0
+                lhs = lhs.reshape(rows, n + tokens)
+                lhs[np.arange(rows), n + ids.reshape(-1)] = 1.0
+                merged = tape.array((m + n + tokens, width))  # dW, then S
+                np.matmul(lhs.T, dz_rows, out=merged[m:])
+                dw, s = merged[: m + n], merged[m + n :]
+            np.matmul(x.T, s, out=dw[:m_l])
+            tape.accumulate_own(weights[l], dw)
+            tape.accumulate_own(biases[l], np.sum(s, axis=0, out=tape.array((width,))))
+            g = np.matmul(s, w[:m_l].T, out=tape.array(x.shape))
+        tape.accumulate_own(table, g)
+
+    final = [(hs[l + steps, l].copy(), cs[l + steps, l].copy() if memory else None) for l in range(layers)]
+    return tape.push(out, back), final
+
+
 def _window_loss(tape: GradientTape, model: ModelState, X: np.ndarray, Y: np.ndarray, states: list[_State]):
     """Summed cross-entropy of stepping through the columns of X against Y; returns (loss, final states).
 
     The window's (B, T) ids are taken time-major, so row t*B + b of every
     (T*B, *) matrix is lane b at step t.  The tape gets 4 records: one
-    recurrence for the whole stack, the projection's matmul and bias, and
+    `_stack` for the whole stack, the projection's matmul and bias, and
     the loss.  The first layer reads the embedding table by token id, so
     no (T*B, embedding_dim) array is made; an id outside the vocabulary is
     BadToken.  The final states carry values only, and are copies: the
     tape's workspace does not hold them.
     """
-    spec = cell_spec(model.cell)
-    top, final = tape.recurrence(model.embedding, X.T.reshape(-1), states, [layer.w for layer in model.layers],
-                                 [layer.b for layer in model.layers], functools.partial(_layer_step, spec),
-                                 spec.factors, spec.adjoint, spec.acts, spec.scales)
+    top, final = _stack(tape, cell_spec(model.cell), model, X.T, states)
     logits = tape.add_bias(tape.matmul(top, model.proj_w), model.proj_b)
     return tape.cross_entropy(logits, Y.T.reshape(-1)), final
 
@@ -766,7 +938,14 @@ def sample_batch(
     # Seed ids were checked above and picked ids are in range by
     # construction, so the loop steps the model directly.
     spec = cell_spec(model.cell)
-    weights = _halved(spec, [a.astype(np.float32) for a in weights])
+    embedding, *layers, proj_w, proj_b = [a.astype(np.float32) for a in weights]
+    operands = _step_operands(spec, embedding, layers[::2], layers[1::2],
+                              functools.partial(np.empty, dtype=np.float32))
+    # Dropped before the steps: kept beside the step arrays, the float32
+    # copies of W could leave glibc trimming and refaulting its heap every
+    # step (about 8,000 page faults in a 100-lane LSTM x1 call, in a
+    # process that had built two models; none once they were dropped).
+    del embedding, layers
     lanes = len(rngs)
     if mode == "temperature":
         # rng.random(n) yields the doubles of n successive rng.random() calls;
@@ -776,12 +955,11 @@ def sample_batch(
         uniforms = [None] * n
     states = _zero_states(model, lanes, np.float32)
     generated = np.empty((lanes, n), dtype=np.int64)
-    table = _token_table(weights)
     for t in range(ids.size):
-        logits, states = _forward_step(spec, weights, table, np.full(lanes, ids[t]), states)
+        logits, states = _forward_step(spec, operands, proj_w, proj_b, np.full(lanes, ids[t]), states)
     generated[:, 0] = _pick(logits.astype(np.float64), mode, temperature, uniforms[0])
     for t in range(1, n):
-        logits, states = _forward_step(spec, weights, table, generated[:, t - 1], states)
+        logits, states = _forward_step(spec, operands, proj_w, proj_b, generated[:, t - 1], states)
         generated[:, t] = _pick(logits.astype(np.float64), mode, temperature, uniforms[t])
 
     songs = []

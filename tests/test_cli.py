@@ -1230,6 +1230,23 @@ def test_sweep_refuses_an_empty_grid(tmp_path, flag, value):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--cells", "lstm,lstm"), ("--cells", "ugrnn, lstm ,ugrnn"),
+                                         ("--layers", "1,1"), ("--layers", "2,1,02")])
+def test_sweep_refuses_a_repeated_grid_point(tmp_path, flag, value):
+    # A repeated point would train again and rewrite its curve, and a
+    # repeated cell would be listed twice in best.csv.
+    corpus_path = build_corpus_file(tmp_path)
+    out_dir = tmp_path / "sweep"
+    code, stdout, err = run_cli(
+        ["sweep", "--corpus", corpus_path, "--out-dir", out_dir, "--cells", "lstm", "--layers", "1", flag, value]
+        + SMALL_SWEEP
+    )
+    assert_json_error(code, err, "ValueError")
+    assert flag in json.loads(err)["message"] and "more than once" in json.loads(err)["message"]
+    assert stdout == ""
+    assert not out_dir.exists()
+
+
 # --- bad inputs: one JSON line each, and nothing written --------------------
 
 def assert_refused_writing_nothing(tmp_path, argv, error, fragment):

@@ -1,6 +1,5 @@
 import dataclasses
 import errno
-import functools
 import math
 import tracemalloc
 
@@ -17,6 +16,7 @@ from melodykit.errors import (
     UnknownSeedToken,
 )
 from melodykit.rnn import (
+    FACTOR_CHUNK,
     CellParams,
     CellState,
     ModelState,
@@ -35,9 +35,7 @@ from melodykit.rnn import (
     stack_forward,
     train,
 )
-from melodykit.tensor import (
-    FACTOR_CHUNK, AdamState, GradientTape, Tensor, adam_step, clip_gradients, sigmoid, softmax,
-)
+from melodykit.tensor import AdamState, GradientTape, Tensor, adam_step, clip_gradients, sigmoid, softmax
 
 from melodykit.errors import PitchOutOfRange
 
@@ -383,10 +381,7 @@ def test_waves_equal_stepping_one_layer_after_another(cell, layers, batch, steps
     states = [(rng.normal(scale=0.5, size=(batch, 5)).astype(np.float32),
                rng.normal(scale=0.5, size=(batch, 5)).astype(np.float32) if spec.has_memory else None)
               for _ in range(layers)]
-    top, final = GradientTape(np.float32).recurrence(
-        model.embedding, ids.reshape(-1), states, [layer.w for layer in model.layers],
-        [layer.b for layer in model.layers], functools.partial(_layer_step, spec), spec.factors, spec.adjoint,
-        spec.acts, spec.scales)
+    top, final = rnn._stack(GradientTape(np.float32), spec, model, ids, states)
 
     scale = np.repeat(np.asarray(spec.scales, np.float32), 5)
     emb = model.embedding.value
@@ -496,6 +491,33 @@ def test_stack_forward_shapes_and_validation():
         stack_forward([0], m, states=[CellState(h=np.zeros(6), c=np.zeros(6))] * 2)
     with pytest.raises(ValueError):
         stack_forward([], m)
+    # Ids must be integers: read as int64, 0.7 would be id 0 and True id 1.
+    for ids in ([0.7, 1.2], [True, False], np.array([0.0, 1.0]), ["0", "1"]):
+        with pytest.raises(ValueError, match="integers"):
+            stack_forward(ids, m)
+    for ids in (np.array([0, 5], dtype=np.uint8), np.array([0, 5], dtype=np.int32), (np.int64(0), 5)):
+        np.testing.assert_array_equal(stack_forward(ids, m)[0], logits[:2])
+
+
+@pytest.mark.parametrize("cell", ["lstm", "ugrnn"])
+def test_stack_forward_refuses_states_that_do_not_fit(cell):
+    # The rule training applies (`test_step_shape_mismatch`'s six state
+    # lists), for the one lane stack_forward steps, whose h is (hidden,):
+    # too few or too many states, a state of another width, one with a
+    # batch axis, c where the cell keeps none or none where it keeps one,
+    # and a 0-d h.  An LSTM's c of another width fails alike.
+    m = tiny_model(cell=cell, layers=2, hidden=6, emb=4)
+    c = np.zeros(6) if cell == "lstm" else None
+    fit = [CellState(np.zeros(6), c), CellState(np.zeros(6), c)]
+    bad = [fit[:1], fit + fit[:1], [fit[0], CellState(np.zeros(5), c)], [fit[0], CellState(np.zeros((3, 6)), c)],
+           [fit[0], CellState(np.zeros(6), None if cell == "lstm" else np.zeros(6))],
+           [fit[0], CellState(np.zeros(()), c)]]
+    if cell == "lstm":
+        bad.append([fit[0], CellState(np.zeros(6), np.zeros(5))])
+    for states in bad:
+        with pytest.raises(ShapeMismatch):
+            stack_forward([0, 3], m, states)
+    np.testing.assert_array_equal(stack_forward([0, 3], m, fit)[0], stack_forward([0, 3], m)[0])
 
 
 def test_stack_forward_matches_manual_composition():
