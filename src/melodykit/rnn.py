@@ -19,7 +19,11 @@ state and activation blocks out) and its hand-written adjoint, all
 writing into arrays their caller passes in.  The adjoint is a factor
 pass, which computes the gate derivatives of a chunk of steps at once
 from the stored activations, and a per-step part, which multiplies the
-incoming gradient by them in a handful of ufunc calls.
+incoming gradient by them in a handful of ufunc calls.  The step
+kernel and the per-step adjoint, which run once per step, are each a
+`Kernel` in two parts: a bind part that slices its arrays into the
+views its formulas read and write, and a run part that makes the ufunc
+calls on them; a call runs the two composed.
 
 This module owns the layer stack.  `_step_operands` is its one operand
 preparation: the step weights, each gate block's columns scaled by
@@ -28,12 +32,16 @@ first layer's token table E @ W[:m] + b (V rows: at most 255, and 21 to
 31 on the bundled corpora), made once per window in training and once
 per call in sampling and `stack_forward`.  `_check_states` is the one
 rule for the states a stack starts from, and every path steps a layer
-through `_layer_step`.  Training records a window's whole stack as one
-tape op, `_stack`, stepped in waves (Appleyard, Kocisky & Blunsom 2016,
-arXiv:1604.01946): in wave s every layer l takes its step s - l, all in
-one `_layer_step` call with a leading layer axis.  So a window is four
-records: the stack, then one projection (matmul and bias) and one
-cross-entropy over the (T*B, hidden) stack of top states.
+by `_layer_step`'s three calls.  Training records a window's whole
+stack as one tape op, `_stack`, stepped in waves (Appleyard, Kocisky &
+Blunsom 2016, arXiv:1604.01946): in wave s every layer l takes its step
+s - l, all of them in one stacked GEMM and one kernel call over the
+wave's rows.  So a window is four records: the stack, then one
+projection (matmul and bias) and one cross-entropy over the (T*B,
+hidden) stack of top states.  As in that paper's kernels, which prepare
+once and replay per step, a `_StackPlan` binds the views of every wave
+and every backward step once per workspace, and each window replays
+them.
 `sample_batch` and `stack_forward` step plain arrays through
 `_forward_step`, one time step through every layer in turn, since each
 sampled token feeds the next step: every song is one lane of a single
@@ -67,8 +75,9 @@ resets it every window, so the kernels write into the tape's workspace,
 which is allocated in the first iteration and released when `train`
 returns.  A wave writes its layers' states and activations as adjacent
 rows of that workspace, so each kernel call reads and writes contiguous
-arrays.  Beside it the run keeps the float32 shadow and one float64
-gradient list, each the size of the parameters.  Sampling and
+arrays.  Beside the tape the run keeps its `_StackPlan`, which holds
+views of that workspace and is cleared with it, the float32 shadow, and
+one float64 gradient list the size of the parameters.  Sampling and
 `stack_forward` allocate their step operands once per call and each
 step's arrays.
 """
@@ -115,6 +124,10 @@ _State = tuple[np.ndarray, "np.ndarray | None"]
 # The kernels, factor passes and adjoints write only into the arrays they
 # are given, and keep the product and sum order of the formulas in their
 # comments, so every caller gets the same bits wherever its arrays live.
+# The step kernels and adjoints, which run once per step, are each a
+# `Kernel`: a bind part that slices its arguments into the views the
+# formulas name, and a run part that makes the ufunc calls on them.  A
+# factor pass runs once per chunk of steps and slices for itself.
 # A ufunc's last positional argument is its output (passed positionally,
 # as keyword parsing costs about a sixth of a small ufunc call).
 #
@@ -123,13 +136,35 @@ _State = tuple[np.ndarray, "np.ndarray | None"]
 # sigmoid(z) = 0.5*tanh(z/2) + 0.5, finished as t*0.5 + 0.5, which rounds
 # as (t + 1)*0.5 does, and halving is exact unless a value is subnormal.
 
-def _lstm_step(z, h, c, h_new, c_new, acts):
-    # f, i, o = sigmoid(z blocks), g = tanh(z block); c_new = f*c + i*g; h_new = o*tanh(c_new)
+
+@dataclass(frozen=True)
+class Kernel:
+    """A step kernel or adjoint in two parts, which a call runs composed: `run(*bind(*arrays))`.
+
+    `bind` slices the arrays into the views the ufunc calls read and
+    write; `run` makes the calls on those views, and its return value is
+    the call's.  Training binds a window's views once per workspace
+    (`_StackPlan`) and runs them in every window.
+    """
+
+    bind: Callable
+    run: Callable
+
+    def __call__(self, *arrays):
+        return self.run(*self.bind(*arrays))
+
+
+def _lstm_step_bind(z, h, c, h_new, c_new, acts):
     batch, n = h.shape
     f, i, g, o, tc = acts
-    np.tanh(z.reshape(batch, 4, n).swapaxes(0, 1), acts[:4])  # every gate block, in gate order
-    acts[:2] *= 0.5  # f and i in one pass
-    acts[:2] += 0.5
+    return z.reshape(batch, 4, n).swapaxes(0, 1), acts[:4], acts[:2], f, i, g, o, tc, c, h_new, c_new
+
+
+def _lstm_step_run(gates, a4, a2, f, i, g, o, tc, c, h_new, c_new):
+    # f, i, o = sigmoid(z blocks), g = tanh(z block); c_new = f*c + i*g; h_new = o*tanh(c_new)
+    np.tanh(gates, a4)  # every gate block, in gate order
+    a2 *= 0.5  # f and i in one pass
+    a2 += 0.5
     o *= 0.5
     o += 0.5
     np.multiply(f, c, c_new)
@@ -152,27 +187,34 @@ def _lstm_factors(h, c, acts, out):
     out[:, 2::2] *= acts[:, 1::2]
 
 
-def _lstm_adjoint(dh, dc, acts, fac, dz):
+def _lstm_adjoint_bind(dh, dc, acts, fac, dz):
+    return dh, dc, fac[3], fac[4], fac[:3], acts[0], dz[3], dz[:3]
+
+
+def _lstm_adjoint_run(dh, dc, f3, f4, f012, f, dz3, dz012):
     # dz[3] = dh*F3; dc += dh*F4; dz[:3] = F[:3]*dc; the old c's gradient is dc*f.
     # dh is scratch once dz[3] holds its share.
-    np.multiply(dh, fac[3], dz[3])
-    dh *= fac[4]
+    np.multiply(dh, f3, dz3)
+    dh *= f4
     dc += dh
-    np.multiply(fac[:3], dc, dz[:3])
-    dc *= acts[0]
-    return None, dc
+    np.multiply(f012, dc, dz012)
+    dc *= f
 
 
-def _ugrnn_step(z, h, c, h_new, c_new, acts):
-    # g = sigmoid(z block), cand = tanh(z block), keep = 1 - g; h_new = g*h + keep*cand
+def _ugrnn_step_bind(z, h, c, h_new, c_new, acts):
     batch, n = h.shape
     g, cand, keep = acts
-    np.tanh(z.reshape(batch, 2, n).swapaxes(0, 1), acts[:2])  # both gate blocks, in gate order
+    return z.reshape(batch, 2, n).swapaxes(0, 1), acts[:2], g, cand, keep, h, h_new, z[:, :n]
+
+
+def _ugrnn_step_run(gates, a2, g, cand, keep, h, h_new, scratch):
+    # g = sigmoid(z block), cand = tanh(z block), keep = 1 - g; h_new = g*h + keep*cand
+    np.tanh(gates, a2)  # both gate blocks, in gate order
     g *= 0.5
     g += 0.5
     np.subtract(1.0, g, keep)
     np.multiply(g, h, h_new)
-    h_new += keep * cand
+    h_new += np.multiply(keep, cand, scratch)  # scratch: z's first gate block, read by the tanh above
 
 
 def _ugrnn_factors(h, c, acts, out):
@@ -184,11 +226,15 @@ def _ugrnn_factors(h, c, acts, out):
     out[:, :2] *= acts[:, 2:3]
 
 
-def _ugrnn_adjoint(dh, dc, acts, fac, dz):
+def _ugrnn_adjoint_bind(dh, dc, acts, fac, dz):
+    return dh, fac[:2], dz, acts[0]
+
+
+def _ugrnn_adjoint_run(dh, f01, dz, g):
     # dz = F[:2]*dh, both blocks in one broadcast call; the old h's direct gradient is dh*g.
-    np.multiply(fac[:2], dh, dz)
-    dh *= acts[0]
-    return dh, None
+    np.multiply(f01, dh, dz)
+    dh *= g
+    return dh
 
 
 @dataclass(frozen=True)
@@ -204,7 +250,8 @@ class CellSpec:
     scaled pre-activations, gate blocks side by side, and the old state to
     the new state, written into h_new and c_new; it writes the activations
     the adjoint reads into acts, `acts` (B, hidden) blocks, the first
-    `len(gates)` of them the gates' activations in gate order.
+    `len(gates)` of them the gates' activations in gate order.  z is
+    scratch once the kernel has read it: a kernel may write into it.
 
     The gate derivatives depend on those activations and the old state,
     never on the incoming gradient, so the adjoint is split in two.
@@ -212,28 +259,32 @@ class CellSpec:
     the chunk's (K, B, hidden) old states, acts its (K, acts, B, hidden)
     activation blocks, and it writes each step's derivative factors into
     out, (K, acts, B, hidden), of which a cell may use fewer blocks.
-    `adjoint(dh, dc, acts, fac, dz) -> (dh_direct, dc)` is one step, given
-    that step's activations and factors: it maps the gradients of the new
-    state to that of the unscaled z, written into dz, the step's (gates, B,
-    hidden) view of gate blocks, and returns, written over dh and dc, the
-    gradient of the old h other than through z (None where the kernel reads
-    h only through z; dh is then scratch) and that of the old c.  c, c_new
-    and dc are None for cells without a memory lane.
+    `adjoint(dh, dc, acts, fac, dz) -> dh_direct` is one step, given that
+    step's activations and factors: it maps the gradients of the new state
+    to that of the unscaled z, written into dz, the step's (gates, B,
+    hidden) view of gate blocks, and writes over dc the gradient of the
+    old c; it returns dh, written over, holding the gradient of the old h
+    other than through z, or None where the kernel reads h only through z
+    (dh is then scratch).  c, c_new and dc are None for cells without a
+    memory lane.  `step` and `adjoint` are `Kernel`s: a call runs the
+    bind and run parts composed.
     """
 
     gates: tuple[str, ...]
     scales: tuple[float, ...]
     has_memory: bool
     acts: int
-    step: Callable
+    step: Kernel
     factors: Callable
-    adjoint: Callable
+    adjoint: Kernel
 
 
 CELL_TYPES: dict[str, CellSpec] = {
-    "lstm": CellSpec(("forget", "input", "candidate", "output"), (0.5, 0.5, 1.0, 0.5), True, 5, _lstm_step,
-                     _lstm_factors, _lstm_adjoint),
-    "ugrnn": CellSpec(("update", "candidate"), (0.5, 1.0), False, 3, _ugrnn_step, _ugrnn_factors, _ugrnn_adjoint),
+    "lstm": CellSpec(("forget", "input", "candidate", "output"), (0.5, 0.5, 1.0, 0.5), True, 5,
+                     Kernel(_lstm_step_bind, _lstm_step_run), _lstm_factors,
+                     Kernel(_lstm_adjoint_bind, _lstm_adjoint_run)),
+    "ugrnn": CellSpec(("update", "candidate"), (0.5, 1.0), False, 3, Kernel(_ugrnn_step_bind, _ugrnn_step_run),
+                      _ugrnn_factors, Kernel(_ugrnn_adjoint_bind, _ugrnn_adjoint_run)),
 }
 
 
@@ -369,8 +420,8 @@ def _zero_states(model: ModelState, batch: int, dtype=np.float64) -> list[_State
     return [(np.zeros(shape, dtype), np.zeros(shape, dtype) if has_memory else None) for _ in model.layers]
 
 
-def _layer_step(spec: CellSpec, w_h: np.ndarray, zx: np.ndarray, h: np.ndarray, c, out=None):
-    """One cell step on plain arrays: z = h @ W_h + zx, then the kernel; returns (h, c, acts).
+def _layer_step(spec: CellSpec, w_h: np.ndarray, zx: np.ndarray, h: np.ndarray, c):
+    """One cell step on plain (B, n) arrays: z = h @ W_h + zx, then the kernel; returns (h, c, acts).
 
     The layer's z = [x, h] @ W + b is split in two: W_h is W[m:], the rows
     that the state h multiplies, and zx is the step's (B, width) input
@@ -379,36 +430,21 @@ def _layer_step(spec: CellSpec, w_h: np.ndarray, zx: np.ndarray, h: np.ndarray, 
     token table).  Both come gate-scaled (`CellSpec.scales`), so z is the
     scaled pre-activation the kernel reads, and the step scales nothing.
 
-    The arguments may carry a leading layer axis: h (L, B, n), c and the
-    new state alike, W_h (L, n, width), zx (L, B, width), and acts (acts,
-    L, B, n).  Training's waves step their layers so, one GEMM per layer
-    in one stacked `np.matmul`, then one kernel call over all L*B rows; the
-    kernel reads and writes those rows as reshaped views, so each array
-    with the axis must be contiguous over its (L, B) rows.  Sampling and
-    `stack_forward` step one layer at a time, without the axis.
-
-    `out` is (z, h, c, acts), the arrays the step writes: the scaled
-    pre-activations, the new state and the kernel's activation blocks.
-    Training passes its workspace's; when it is None they are allocated in
-    zx's dtype, so a float32 step stays on BLAS's float32 GEMM.
+    The step's arrays (z, the new state and the kernel's activation
+    blocks) are allocated in zx's dtype, so a float32 step stays on BLAS's
+    float32 GEMM.  Training's waves make the same three calls on their
+    workspace, recorded in `_stack`'s plan.
     """
     n = h.shape[-1]
     width = len(spec.gates) * n
-    if w_h.shape != h.shape[:-2] + (n, width) or zx.shape != h.shape[:-1] + (width,):
+    if h.ndim != 2 or w_h.shape != (n, width) or zx.shape != h.shape[:-1] + (width,):
         raise ShapeMismatch(f"cell step of h {h.shape} over W_h {w_h.shape} plus input share {zx.shape}")
-    if out is None:
-        dtype = zx.dtype
-        out = (np.empty(zx.shape, dtype), np.empty(h.shape, dtype), None if c is None else np.empty(h.shape, dtype),
-               np.empty((spec.acts, *h.shape), dtype))
-    z, h_new, c_new, acts = out
+    dtype = zx.dtype
+    z, h_new, acts = np.empty(zx.shape, dtype), np.empty(h.shape, dtype), np.empty((spec.acts, *h.shape), dtype)
+    c_new = None if c is None else np.empty(h.shape, dtype)
     np.matmul(h, w_h, z)
     z += zx
-    if h.ndim == 2:
-        spec.step(z, h, c, h_new, c_new, acts)
-    else:  # the kernel is row-wise: every layer's rows step as one batch
-        rows = h.size // n
-        spec.step(z.reshape(rows, width), h.reshape(rows, n), None if c is None else c.reshape(rows, n),
-                  h_new.reshape(rows, n), None if c is None else c_new.reshape(rows, n), acts.reshape(-1, rows, n))
+    spec.step(z, h, c, h_new, c_new, acts)
     return h_new, c_new, acts
 
 
@@ -596,8 +632,40 @@ def _layers(lo: int, hi: int) -> int | slice:
     return lo if hi - lo == 1 else slice(lo, hi)
 
 
-def _stack(tape: GradientTape, spec: CellSpec, model: ModelState, ids: np.ndarray,
-           states: list[_State]) -> tuple[Tensor, list[_State]]:
+class _StackPlan:
+    """The views a layer stack's windows step through, built on one workspace and replayed in every window.
+
+    `_stack` asks for each part of a window, the forward's waves and each
+    layer's backward steps, naming the arrays the part views.  The part is
+    built the first time and again whenever one of those arrays is not
+    the very one it was built on (a tape reused at another batch size or
+    layer count, or used meanwhile without this plan, hands out other
+    arrays, even of the same shapes).  A replay makes the same calls, in
+    the same order, on the same memory as a fresh build, so it changes no
+    bits; what it saves is slicing the views again.  A plan holds the
+    arrays it views, so it must live no longer than their workspace:
+    `train` keeps one beside its tape and clears it when the tape goes, and
+    a `_stack` call without one builds a plan for that window alone.
+    """
+
+    __slots__ = ("_parts",)
+
+    def __init__(self) -> None:
+        self._parts: dict = {}
+
+    def part(self, name, arrays: tuple, build: Callable, *args):
+        """What `build(*args)` made for these arrays, made again unless every one is the array it was made on."""
+        held = self._parts.get(name)
+        if held is None or any(a is not b for a, b in zip(held[0], arrays)):
+            held = self._parts[name] = (arrays, build(*args))
+        return held[1]
+
+    def clear(self) -> None:
+        self._parts.clear()
+
+
+def _stack(tape: GradientTape, spec: CellSpec, model: ModelState, ids: np.ndarray, states: list[_State],
+           plan: _StackPlan | None = None) -> tuple[Tensor, list[_State]]:
     """The model's layer stack over a window of (T, B) token ids, recorded on the tape as one op.
 
     Returns (the top layer's T*B new h rows, time-major, each layer's final
@@ -605,17 +673,20 @@ def _stack(tape: GradientTape, spec: CellSpec, model: ModelState, ids: np.ndarra
     every layer's W and b; the states carry values only.  An id outside the
     vocabulary is BadToken, and W, b (`_step_operands`) or states
     (`_check_states`) that do not fit one stack are ShapeMismatch.  Every
-    array lives in the tape's workspace.
+    array lives in the tape's workspace, and `plan` holds the views the
+    window steps through (`_StackPlan`; a throwaway one when it is None).
 
     The step operands are prepared once per window, as in cuDNN's RNN
-    kernels (Appleyard, Kocisky & Blunsom 2016, arXiv:1604.01946).  The
-    forward runs in waves, after the same paper: at wave s every layer l
-    with 0 <= s - l < T takes its step t = s - l, reading only what wave
-    s - 1 wrote, all in one `_layer_step` call with a leading layer axis
-    (none when one layer steps).  So a wave is one stacked GEMM for
-    h @ W_h, the first layer's gather from the token table, one stacked
+    kernels (Appleyard, Kocisky & Blunsom 2016, arXiv:1604.01946), and the
+    views of every step are bound once per workspace and replayed, as
+    those kernels prepare once and replay per step.  The forward runs in
+    waves, after the same paper: at wave s every layer l with 0 <= s - l < T
+    takes its step t = s - l, reading only what wave s - 1 wrote.  So a
+    wave is the first layer's gather from the token table, one stacked
     GEMM of the layers below's h through the upper layers' W[:n] plus b,
-    and one kernel call over the wave's rows.
+    then `_layer_step`'s three calls over all of the wave's layers: one
+    stacked GEMM for h @ W_h, the add of the input share, and one kernel
+    call over the wave's rows.
 
     Backward goes layer by layer, the top one first, and walks each
     layer's steps in reverse, in chunks of FACTOR_CHUNK steps, the last
@@ -643,6 +714,7 @@ def _stack(tape: GradientTape, spec: CellSpec, model: ModelState, ids: np.ndarra
     _, n, width = w_h.shape
     _check_states(spec, states, layers, (batch, n))
     m, memory, blocks = table.value.shape[1], spec.has_memory, spec.acts
+    plan = _StackPlan() if plan is None else plan
     # Wave-major: hs[j, l] is layer l's state after j - l steps, so
     # layer l's states are hs[l : l + T + 1, l], and wave s, in which
     # layer l takes step s - l, reads row s (its old state, and at l - 1
@@ -654,24 +726,41 @@ def _stack(tape: GradientTape, spec: CellSpec, model: ModelState, ids: np.ndarra
     acts = tape.array((steps + layers - 1, blocks, layers, batch, n))
     z = tape.array((layers, batch, width))
     zx = tape.array((layers, batch, width))
+    viewed = (spec, hs, cs, acts, z, zx, w_h, w_x, b_x, zx_table)
+
+    def waves():
+        # The plan's own copy of the window's ids, which each wave's gather reads a row of.
+        wave_ids = np.empty((steps, batch), np.int64)
+        step, calls = spec.step, []
+        for s in range(steps + layers - 1 if steps else 0):
+            # Wave s steps layers lo .. hi - 1, layer l taking its step s - l.
+            lo = s - steps + 1 if s >= steps else 0
+            hi = s + 1 if s < layers else layers
+            if lo == 0:
+                calls.append((zx_table.take, (wave_ids[s], 0, zx[0], "clip")))
+            if hi > 1:
+                up = lo or 1
+                below, share = _layers(up - 1, hi - 1), zx[_layers(up, hi)]
+                calls += (np.matmul, (hs[s, below], w_x[below], share)), (np.add, (share, b_x[below], share))
+            # `_layer_step`'s three calls, in its order, which must hold for the bits to match
+            # (test_waves_equal_stepping_one_layer_after_another): one stacked GEMM per layer, then
+            # the kernel, bound to views that fold the wave's layers into one batch of rows.
+            k, rows = _layers(lo, hi), (hi - lo) * batch
+            h, z_k = hs[s, k], z[k]
+            c, c_new = (cs[s, k].reshape(rows, n), cs[s + 1, k].reshape(rows, n)) if memory else (None, None)
+            views = step.bind(z_k.reshape(rows, width), h.reshape(rows, n), c, hs[s + 1, k].reshape(rows, n), c_new,
+                              acts[s, :, k].reshape(blocks, rows, n))
+            calls += (np.matmul, (h, w_h[k], z_k)), (np.add, (z_k, zx[k], z_k)), (step.run, views)
+        return wave_ids, calls
+
+    wave_ids, calls = plan.part("waves", viewed, waves)
+    np.copyto(wave_ids, ids)
     for l, (h, c) in enumerate(states):
         hs[l, l] = h
         if memory:
             cs[l, l] = c
-    for s in range(steps + layers - 1 if steps else 0):
-        # Wave s steps layers lo .. hi - 1, layer l taking its step s - l.
-        lo = s - steps + 1 if s >= steps else 0
-        hi = s + 1 if s < layers else layers
-        if lo == 0:
-            np.take(zx_table, ids[s], axis=0, mode="clip", out=zx[0])
-        if hi > 1:
-            up = lo or 1
-            below, upper = _layers(up - 1, hi - 1), _layers(up, hi)
-            np.matmul(hs[s, below], w_x[below], zx[upper])
-            zx[upper] += b_x[below]
-        k = _layers(lo, hi)
-        _layer_step(spec, w_h[k], zx[k], hs[s, k], cs[s, k] if memory else None,
-                    (z[k], hs[s + 1, k], cs[s + 1, k] if memory else None, acts[s, :, k]))
+    for call, args in calls:
+        call(*args)
     # Each layer's T + 1 states, as (T + 1, B, n) blocks.  With more
     # than one layer they are strided across the waves, and the GEMMs
     # over a layer's T*B rows read a contiguous copy.
@@ -683,28 +772,39 @@ def _stack(tape: GradientTape, spec: CellSpec, model: ModelState, ids: np.ndarra
     def back(g: np.ndarray) -> None:
         w_ht = tape.array((width, n))
         dz = tape.array((steps, batch, width))
-        dz_blocks = dz.reshape(steps, batch, width // n, n).swapaxes(1, 2)
         dz_rows = dz.reshape(rows, width)
         fac = tape.array((min(FACTOR_CHUNK, steps), blocks, batch, n))
         dh = tape.array((batch, n))
         carry = tape.array((batch, n))
         dc = tape.array((batch, n)) if memory else None
+        factors, adjoint = spec.factors, spec.adjoint
+
+        def chunks(l: int, g: np.ndarray) -> list:
+            # Layer l's chunks, the last first: each chunk's factor-pass arguments, then, per step in
+            # reverse, the incoming gradient's row, the adjoint's views and the carry GEMM's dz row.
+            g, dz_blocks = g.reshape(steps, batch, n), dz.reshape(steps, batch, width // n, n).swapaxes(1, 2)
+            h_l, c_l, a_l = hs[l:, l], cs[l:, l] if memory else None, acts[l:, :, l]
+            out = []
+            for end in range(steps, 0, -FACTOR_CHUNK):
+                start = max(end - FACTOR_CHUNK, 0)
+                args = h_l[start:end], c_l[start:end] if memory else None, a_l[start:end], fac[: end - start]
+                out.append((args, [(g[t], adjoint.bind(dh, dc, a_l[t], fac[t - start], dz_blocks[t]),
+                                     dz[t] if t else None) for t in reversed(range(start, end))]))
+            return out
+
         for l in reversed(range(layers)):
             w, m_l = weights[l].value, m if l == 0 else n
-            h_l, c_l, a_l = hs[l:, l], cs[l:, l] if memory else None, acts[l:, :, l]
-            g = g.reshape(steps, batch, n)
             np.copyto(w_ht, w[m_l:].T)
             carry[...] = 0.0
             if memory:
                 dc[...] = 0.0
-            for end in range(steps, 0, -FACTOR_CHUNK):
-                start = max(end - FACTOR_CHUNK, 0)
-                spec.factors(h_l[start:end], c_l[start:end] if memory else None, a_l[start:end], fac[: end - start])
-                for t in reversed(range(start, end)):
-                    np.add(g[t], carry, dh)
-                    dh_direct, dc = spec.adjoint(dh, dc, a_l[t], fac[t - start], dz_blocks[t])
-                    if t:
-                        np.matmul(dz[t], w_ht, carry)
+            for factor_args, chunk in plan.part(l, (g, w_ht, dz, fac, dh, carry, dc, *viewed), chunks, l, g):
+                factors(*factor_args)
+                for g_t, adjoint_views, dz_t in chunk:
+                    np.add(g_t, carry, dh)
+                    dh_direct = adjoint.run(*adjoint_views)
+                    if dz_t is not None:
+                        np.matmul(dz_t, w_ht, carry)
                         if dh_direct is not None:
                             carry += dh_direct
             if l:
@@ -732,7 +832,8 @@ def _stack(tape: GradientTape, spec: CellSpec, model: ModelState, ids: np.ndarra
     return tape.push(out, back), final
 
 
-def _window_loss(tape: GradientTape, model: ModelState, X: np.ndarray, Y: np.ndarray, states: list[_State]):
+def _window_loss(tape: GradientTape, model: ModelState, X: np.ndarray, Y: np.ndarray, states: list[_State],
+                 plan: _StackPlan | None = None):
     """Summed cross-entropy of stepping through the columns of X against Y; returns (loss, final states).
 
     The window's (B, T) ids are taken time-major, so row t*B + b of every
@@ -741,9 +842,11 @@ def _window_loss(tape: GradientTape, model: ModelState, X: np.ndarray, Y: np.nda
     the loss.  The first layer reads the embedding table by token id, so
     no (T*B, embedding_dim) array is made; an id outside the vocabulary is
     BadToken.  The final states carry values only, and are copies: the
-    tape's workspace does not hold them.
+    tape's workspace does not hold them.  `plan` is the stack's
+    `_StackPlan`, kept beside the tape across windows; without one the
+    window builds its own.
     """
-    top, final = _stack(tape, cell_spec(model.cell), model, X.T, states)
+    top, final = _stack(tape, cell_spec(model.cell), model, X.T, states, plan)
     logits = tape.add_bias(tape.matmul(top, model.proj_w), model.proj_b)
     return tape.cross_entropy(logits, Y.T.reshape(-1)), final
 
@@ -785,7 +888,10 @@ def train(corpus: TrainingCorpus, config: TrainConfig, seed: int = 0) -> tuple[M
     Memory: one GradientTape is kept for the run and reset every window,
     so its workspace (the window's activations, caches and the shadow's
     gradients) is allocated in the first iteration and reused by every
-    later one; so are the shadow and the float64 gradient list.
+    later one; so are the shadow and the float64 gradient list.  Beside
+    the tape the run keeps one `_StackPlan`, the views of that workspace
+    the layer stack steps through, built in the first window and replayed
+    in every later one.
     `clip_gradients` sums the norm over the whole gradient list and scales
     it in place, and Adam updates through one scratch pair.  Each is called
     once per iteration, through this module's globals.  All of it is
@@ -822,10 +928,12 @@ def train(corpus: TrainingCorpus, config: TrainConfig, seed: int = 0) -> tuple[M
     grads = [np.empty_like(v) for v in values]
     opt = AdamState.for_params(values, lr=config.learning_rate)
     tape = GradientTape(np.float32)
+    plan = _StackPlan()
     curve: LearningCurve = []
     # The tape's records hold closures that refer back to the tape, so the
-    # finally block drops them, and the shadow's gradients with them: the
-    # workspace is then freed on return, not by a later garbage collection.
+    # finally block drops them, and the shadow's gradients with them, and
+    # the plan's views of the workspace: the workspace is then freed on
+    # return, not by a later garbage collection.
     try:
         with np.errstate(all="ignore"):
             for iteration in range(iterations):
@@ -835,7 +943,7 @@ def train(corpus: TrainingCorpus, config: TrainConfig, seed: int = 0) -> tuple[M
                     states = _zero_states(model, B, np.float32)
                 tape.reset()
                 cols = slice(w * T, (w + 1) * T)
-                total, states = _window_loss(tape, shadow, X[:, cols], Y[:, cols], states)
+                total, states = _window_loss(tape, shadow, X[:, cols], Y[:, cols], states, plan)
                 loss = float(total.value)
                 if not math.isfinite(loss):
                     raise TrainingDiverged(f"window loss is {loss} at iteration {iteration + 1}")
@@ -852,6 +960,7 @@ def train(corpus: TrainingCorpus, config: TrainConfig, seed: int = 0) -> tuple[M
                 curve.append((iteration + 1, loss / (B * T)))
     finally:
         tape.reset()
+        plan.clear()
     return model, curve
 
 

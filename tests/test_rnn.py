@@ -2,6 +2,7 @@ import dataclasses
 import errno
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -370,9 +371,10 @@ def test_window_loss_matches_per_op_tape(cell, layers, batch, steps):
 @pytest.mark.parametrize("cell", ["lstm", "ugrnn"])
 def test_waves_equal_stepping_one_layer_after_another(cell, layers, batch, steps):
     # The stack op steps layer l's step t in wave t + l, all of a wave's
-    # layers in one `_layer_step` call.  Stepping each layer through the
-    # whole window before the next one starts, one `_layer_step` call per
-    # step with the same per-step products, must give the same bits.
+    # layers in one replay of `_layer_step`'s three calls.  Stepping each
+    # layer through the whole window before the next one starts, one
+    # `_layer_step` call per step with the same per-step products, must
+    # give the same bits.
     spec = cell_spec(cell)
     rng = np.random.default_rng([layers, batch, steps, 11])
     model = model_copy(init_model(VOCAB, DatasetVariant.CONTROL, cell=cell, num_layers=layers, hidden_size=5,
@@ -734,6 +736,103 @@ def test_train_workspace_reuse_keeps_every_bit(cell, layers):
     fresh.backward(total)
     for p, g in zip(params, reused):
         assert p.grad.tobytes() == g.tobytes()
+
+
+# --- the stack's step plan ------------------------------------------------
+
+def window_results(tape, model, X, Y, states, plan=None):
+    """One window on the tape, then its backward: (loss, gradients, final states), as bytes and copies."""
+    tape.reset()
+    loss, final = _window_loss(tape, model, X, Y, states, plan)
+    tape.backward(loss)
+    grads = [p.grad.tobytes() for p in model.parameters()]
+    tape.reset()  # hands the gradients back, so another tape's backward starts from None
+    return float(loss.value), grads, [(h, c) for h, c in final]
+
+
+def same_results(got, want):
+    (loss, grads, final), (want_loss, want_grads, want_final) = got, want
+    assert loss == want_loss and grads == want_grads
+    for (h, c), (want_h, want_c) in zip(final, want_final, strict=True):
+        assert h.tobytes() == want_h.tobytes() and (c is None) == (want_c is None)
+        assert c is None or c.tobytes() == want_c.tobytes()
+
+
+@pytest.mark.parametrize("batch", [1, 4, 50])
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("cell", ["lstm", "ugrnn"])
+def test_a_kept_plan_gives_the_bits_of_a_fresh_tape_per_window(cell, layers, batch):
+    # train's loop in miniature: one tape and one plan over 3 windows an
+    # epoch for 2 epochs, the states zero at each epoch's start and carried
+    # otherwise, the parameters updated in place between windows.  The
+    # plan is built in the first window and replayed after it; every
+    # window must give the bits of a fresh tape and a throwaway plan.
+    rng = np.random.default_rng([layers, batch, 5])
+    model = model_copy(init_model(VOCAB, DatasetVariant.CONTROL, cell=cell, num_layers=layers, hidden_size=5,
+                                  embedding_dim=3, rng=rng, init_scale=0.6), np.float32)
+    steps = FACTOR_CHUNK + 1
+    X = rng.integers(0, VOCAB.size, size=(batch, 3 * steps))
+    Y = rng.integers(0, VOCAB.size, size=(batch, 3 * steps))
+    tape, plan = GradientTape(np.float32), rnn._StackPlan()
+    built = None
+    for epoch in range(2):
+        states = kept = _zero_states(model, batch, np.float32)
+        for w in range(3):
+            cols = slice(w * steps, (w + 1) * steps)
+            want = window_results(GradientTape(np.float32), model, X[:, cols], Y[:, cols], states)
+            got = window_results(tape, model, X[:, cols], Y[:, cols], kept, plan)
+            same_results(got, want)
+            if built is None:
+                built = dict(plan._parts)
+            assert plan._parts.keys() == built.keys() and all(plan._parts[k] is v for k, v in built.items())
+            states, kept = want[2], got[2]
+            for p, g in zip(model.parameters(), want[1]):
+                p.value -= np.float32(0.05) * np.frombuffer(g, np.float32).reshape(p.value.shape)
+
+
+@pytest.mark.parametrize("plan_between", [True, False], ids=["plan-between", "no-plan-between"])
+@pytest.mark.parametrize("other", ["batch", "layers"])
+def test_a_tape_reused_at_other_sizes_rebuilds_its_plan(other, plan_between):
+    # The tape hands out new arrays when a window of another batch size or
+    # layer count comes between, even where the shapes come back.  Without
+    # the plan in between, the plan's arrays are those same shapes again,
+    # so a plan that compared shapes alone would replay into arrays the
+    # tape no longer hands out.
+    rng = np.random.default_rng(9)
+    first = model_copy(init_model(VOCAB, DatasetVariant.CONTROL, cell="lstm", num_layers=2, hidden_size=5,
+                                  embedding_dim=3, rng=rng, init_scale=0.6), np.float32)
+    second = first if other == "batch" else model_copy(
+        init_model(VOCAB, DatasetVariant.CONTROL, cell="lstm", num_layers=3, hidden_size=5, embedding_dim=3,
+                   rng=rng, init_scale=0.6), np.float32)
+    batches = (4, 2 if other == "batch" else 4, 4)
+    tape, plan = GradientTape(np.float32), rnn._StackPlan()
+    for k, (model, batch) in enumerate(zip((first, second, first), batches)):
+        X = rng.integers(0, VOCAB.size, size=(batch, 7))
+        Y = rng.integers(0, VOCAB.size, size=(batch, 7))
+        states = [(h + 0.5, None if c is None else c - 0.5) for h, c in _zero_states(model, batch, np.float32)]
+        want = window_results(GradientTape(np.float32), model, X, Y, states)
+        got = window_results(tape, model, X, Y, states, plan if k != 1 or plan_between else None)
+        same_results(got, want)
+
+
+def test_train_holds_nothing_of_its_workspace_once_it_returns(monkeypatch):
+    # The plan views the tape's workspace, so a plan kept past the run (in
+    # a module-level cache, say) would keep the whole workspace alive, and
+    # the next run's would come on top of it.  Freed by reference counts
+    # alone, without a garbage collection.
+    handed = []
+
+    class RecordingTape(GradientTape):
+        def array(self, shape):
+            a = super().array(shape)
+            handed.append(weakref.ref(a))
+            return a
+
+    monkeypatch.setattr(rnn, "GradientTape", RecordingTape)
+    _, curve = train(small_corpus(), TrainConfig(cell="lstm", num_layers=2, hidden_size=4, embedding_dim=3,
+                                                 batch_size=2, seq_len=5, epochs=2, max_iterations=9), seed=0)
+    assert len(curve) == 9 and handed
+    assert [ref for ref in handed if ref() is not None] == []
 
 
 # The stated drift of mixed-precision training from float64 over the
