@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time one training window's forward and backward in a parent revision and in the working tree, in alternating rounds.
+"""Time one training window's forward and backward, and sampling, in a parent revision and in the working tree.
 
     python3 scripts/window_ab.py --parent HEAD --cell ugrnn --layers 3 --batch 4
 
@@ -21,8 +21,13 @@ and phase, the ratio is the change's seconds over the parent's, each
 summed over the round's windows.  For forward, backward and the whole
 window the script prints the median ratio, its quartiles and the number
 of rounds the change was faster.  Every window's loss, gradients and
-final states are compared between the sides, outside the timed part; the
-script exits 1 if any differs in a bit.
+final states are compared between the sides, outside the timed part.
+
+After the windows, in the same order, each side samples SAMPLE_LANES
+songs of SAMPLE_NOTES notes at temperature 1 from the float64 initial
+model (`rnn.sample_batch`, lane i drawing from `default_rng([round, i])`),
+and the `sample` row gives the ratio of those calls' seconds.  The script
+exits 1 if any window differs in a bit or any song between the sides.
 """
 
 from __future__ import annotations
@@ -50,7 +55,9 @@ ROOT = Path(__file__).resolve().parent.parent
 VOCAB_SIZE = 31  # the db12 corpus's vocabulary size, the largest of the bundled corpora
 EMBEDDING, SEQ_LEN = 64, 50  # `TrainConfig`'s defaults
 WINDOWS = 10  # timed windows per round and side
-PHASES = ("forward", "backward", "window")
+SAMPLE_LANES, SAMPLE_NOTES = 100, 64  # lanes (`sample`'s default --count) and notes generated per lane
+SEED_SONG = [0, 2, 4, 2]  # notes of the vocabulary's tokens 0 .. VOCAB_SIZE - 1
+PHASES = ("forward", "backward", "window", "sample")
 
 
 def load_package(src: Path, name: str):
@@ -70,7 +77,7 @@ class Side:
         self.rnn, core, tensor = package.rnn, package.core, package.tensor
         vocabulary = core.Vocabulary(tokens=tuple(range(VOCAB_SIZE)))
         sizes = dict(cell=args.cell, num_layers=args.layers, hidden_size=args.hidden, embedding_dim=EMBEDDING)
-        model = self.rnn.init_model(vocabulary, core.DatasetVariant.CONTROL, rng=0, **sizes)
+        model = self.master = self.rnn.init_model(vocabulary, core.DatasetVariant.CONTROL, rng=0, **sizes)
         self.model = self.rnn._empty_model(vocabulary, core.DatasetVariant.CONTROL, dtype=np.float32, **sizes)
         for shadow, master in zip(self.model.parameters(), model.parameters()):
             np.copyto(shadow.value, master.value)
@@ -99,6 +106,13 @@ class Side:
                     digest.update(a.tobytes())
             digests.append(digest.hexdigest())
         return forward, backward, digests
+
+    def sample(self, r: int) -> tuple[float, list]:
+        """Seconds of one temperature `sample_batch` call of round r, and its songs."""
+        rngs = [np.random.default_rng([r, i]) for i in range(SAMPLE_LANES)]
+        start = time.perf_counter()
+        songs = self.rnn.sample_batch(self.master, SEED_SONG, SAMPLE_NOTES, "temperature", 1.0, rngs)
+        return time.perf_counter() - start, songs
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -131,31 +145,41 @@ def main(argv=None) -> int:
         side.round(windows[:1])  # allocates the workspace and builds the plan
     ratios: dict[str, list[float]] = {phase: [] for phase in PHASES}
     per_window: dict[str, list[float]] = {name: [] for name in sides}
-    differ = 0
+    per_sample: dict[str, list[float]] = {name: [] for name in sides}
+    differ = songs_differ = 0
     for r in range(args.rounds):
         order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
         runs = {name: sides[name].round(windows) for name in order}
+        samples = {name: sides[name].sample(r) for name in order}
         differ += sum(a != b for a, b in zip(runs["parent"][2], runs["change"][2]))
+        songs_differ += sum(a != b for a, b in zip(samples["parent"][1], samples["change"][1]))
         (pf, pb, _), (cf, cb, _) = runs["parent"], runs["change"]
-        for phase, p, c in zip(PHASES, (pf, pb, pf + pb), (cf, cb, cf + cb)):
+        ps, cs = samples["parent"][0], samples["change"][0]
+        for phase, p, c in zip(PHASES, (pf, pb, pf + pb, ps), (cf, cb, cf + cb, cs)):
             ratios[phase].append(c / p)
         for name, (f, b, _) in runs.items():
             per_window[name].append((f + b) / WINDOWS)
+            per_sample[name].append(samples[name][0])
 
     print(f"window_ab: {args.cell} x{args.layers}, batch {args.batch}, hidden {args.hidden}, embedding "
-          f"{EMBEDDING}, T {SEQ_LEN}; {args.rounds} rounds of {WINDOWS} windows per side; 1 BLAS thread")
+          f"{EMBEDDING}, T {SEQ_LEN}; {args.rounds} rounds of {WINDOWS} windows and one {SAMPLE_LANES}-lane, "
+          f"{SAMPLE_NOTES}-note sample per side; 1 BLAS thread")
     print(f"parent {describe(args.parent)}; change: the working tree")
     print("median window: " + ", ".join(f"{name} {np.median(v) * 1e3:.3f} ms" for name, v in per_window.items()))
+    print("median sample: " + ", ".join(f"{name} {np.median(v) * 1e3:.3f} ms" for name, v in per_sample.items()))
     print(f"{'phase':<9} {'change/parent':>13} {'q1':>7} {'q3':>7}  change faster")
     for phase in PHASES:
         q1, median, q3 = np.percentile(ratios[phase], [25, 50, 75])
         faster = sum(ratio < 1.0 for ratio in ratios[phase])
         print(f"{phase:<9} {median:>13.3f} {q1:>7.3f} {q3:>7.3f}  {faster} of {args.rounds} rounds")
-    total = args.rounds * WINDOWS
+    total, songs = args.rounds * WINDOWS, args.rounds * SAMPLE_LANES
     if differ:
         print(f"DIFFERENT: {differ} of {total} windows differ in their loss, gradients or final states")
+    if songs_differ:
+        print(f"DIFFERENT: {songs_differ} of {songs} sampled songs differ")
+    if differ or songs_differ:
         return 1
-    print(f"bit-equal: loss, gradients and final states in all {total} windows")
+    print(f"bit-equal: loss, gradients and final states in all {total} windows; all {songs} sampled songs equal")
     return 0
 
 

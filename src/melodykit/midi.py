@@ -21,6 +21,8 @@ and pitch in three flat lists and reads one-byte delta times inline.
 
 from __future__ import annotations
 
+from collections import deque
+
 from .core import Song, check_song
 from .errors import MalformedFile, PolyphonyDetected
 
@@ -55,8 +57,9 @@ def _parse_track(
     data: bytes, track_index: int, starts: list[int], ends: list[int], pitches: list[int]
 ) -> None:
     """Walk one MTrk payload and append each note's start tick, end tick and pitch."""
-    # (channel << 7 | pitch) -> indices of that key's sounding notes, oldest first
-    sounding: dict[int, list[int]] = {}
+    # (channel << 7 | pitch) -> indices of that key's sounding notes, oldest first; a note-off ends
+    # the oldest in constant time, so the walk is linear in the track's length
+    sounding: dict[int, deque[int]] = {}
     size = len(data)
     pos = 0
     tick = 0
@@ -115,7 +118,7 @@ def _parse_track(
             key = (status & 0x0F) << 7 | d1
             notes = sounding.get(key)
             if notes is None:
-                sounding[key] = [len(pitches)]
+                sounding[key] = deque((len(pitches),))
             else:
                 notes.append(len(pitches))
             starts.append(tick)
@@ -124,7 +127,7 @@ def _parse_track(
         elif kind == 0x80 or kind == 0x90:  # note off
             notes = sounding.get((status & 0x0F) << 7 | d1)
             if notes:
-                ends[notes.pop(0)] = tick
+                ends[notes.popleft()] = tick
         # other channel events carry no note information
     for notes in sounding.values():
         for i in notes:

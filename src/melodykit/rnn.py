@@ -20,10 +20,10 @@ writing into arrays their caller passes in.  The adjoint is a factor
 pass, which computes the gate derivatives of a chunk of steps at once
 from the stored activations, and a per-step part, which multiplies the
 incoming gradient by them in a handful of ufunc calls.  The step
-kernel and the per-step adjoint, which run once per step, are each a
-`Kernel` in two parts: a bind part that slices its arrays into the
-views its formulas read and write, and a run part that makes the ufunc
-calls on them; a call runs the two composed.
+kernel and the per-step adjoint, which run once per step, are each in
+two parts: a bind part that slices its arrays into the views its
+formulas read and write, and a run part that makes the ufunc calls on
+them.
 
 This module owns the layer stack.  `_step_operands` is its one operand
 preparation: the step weights, each gate block's columns scaled by
@@ -32,11 +32,11 @@ first layer's token table E @ W[:m] + b (V rows: at most 255, and 21 to
 31 on the bundled corpora), made once per window in training and once
 per call in sampling and `stack_forward`.  `_check_states` is the one
 rule for the states a stack starts from, and every path steps a layer
-by `_layer_step`'s three calls.  Training records a window's whole
-stack as one tape op, `_stack`, stepped in waves (Appleyard, Kocisky &
-Blunsom 2016, arXiv:1604.01946): in wave s every layer l takes its step
-s - l, all of them in one stacked GEMM and one kernel call over the
-wave's rows.  So a window is four records: the stack, then one
+by the (call, args) pairs of `_share_calls` and `_step_calls`, the one
+step sequence.  Training records a window's whole stack as one tape op,
+`_stack`, stepped in waves (Appleyard, Kocisky & Blunsom 2016,
+arXiv:1604.01946): in wave s every layer l takes its step s - l, all of
+them in one stacked GEMM and one kernel call over the wave's rows.  So a window is four records: the stack, then one
 projection (matmul and bias) and one cross-entropy over the (T*B,
 hidden) stack of top states.  As in that paper's kernels, which prepare
 once and replay per step, a `_StackPlan` binds the views of every wave
@@ -124,10 +124,10 @@ _State = tuple[np.ndarray, "np.ndarray | None"]
 # The kernels, factor passes and adjoints write only into the arrays they
 # are given, and keep the product and sum order of the formulas in their
 # comments, so every caller gets the same bits wherever its arrays live.
-# The step kernels and adjoints, which run once per step, are each a
-# `Kernel`: a bind part that slices its arguments into the views the
-# formulas name, and a run part that makes the ufunc calls on them.  A
-# factor pass runs once per chunk of steps and slices for itself.
+# The step kernels and adjoints, which run once per step, are each a bind
+# part that slices its arguments into the views the formulas name, and a
+# run part that makes the ufunc calls on them.  A factor pass runs once
+# per chunk of steps and slices for itself.
 # A ufunc's last positional argument is its output (passed positionally,
 # as keyword parsing costs about a sixth of a small ufunc call).
 #
@@ -135,23 +135,6 @@ _State = tuple[np.ndarray, "np.ndarray | None"]
 # (`CellSpec.scales`), so one tanh over all of z gives every gate:
 # sigmoid(z) = 0.5*tanh(z/2) + 0.5, finished as t*0.5 + 0.5, which rounds
 # as (t + 1)*0.5 does, and halving is exact unless a value is subnormal.
-
-
-@dataclass(frozen=True)
-class Kernel:
-    """A step kernel or adjoint in two parts, which a call runs composed: `run(*bind(*arrays))`.
-
-    `bind` slices the arrays into the views the ufunc calls read and
-    write; `run` makes the calls on those views, and its return value is
-    the call's.  Training binds a window's views once per workspace
-    (`_StackPlan`) and runs them in every window.
-    """
-
-    bind: Callable
-    run: Callable
-
-    def __call__(self, *arrays):
-        return self.run(*self.bind(*arrays))
 
 
 def _lstm_step_bind(z, h, c, h_new, c_new, acts):
@@ -239,19 +222,20 @@ def _ugrnn_adjoint_run(dh, f01, dz, g):
 
 @dataclass(frozen=True)
 class CellSpec:
-    """A cell kind: gate blocks in declaration order, their scales, its kernel and the kernel's adjoint in two parts.
+    """A cell kind: gate blocks in declaration order, their scales, and its kernel, factor pass and adjoint.
 
     `scales` holds each gate block's pre-activation scale: 0.5 for a
     sigmoid gate, 1 for a tanh gate.  The kernel reads z with every block
     already multiplied by its scale, which `_step_operands` folds into the
     step weights (once per window in training, once per call elsewhere),
     so the kernel itself makes one tanh over all of z.
-    `step(z, h, c, h_new, c_new, acts)` maps those (B, gates*hidden)
-    scaled pre-activations, gate blocks side by side, and the old state to
-    the new state, written into h_new and c_new; it writes the activations
-    the adjoint reads into acts, `acts` (B, hidden) blocks, the first
-    `len(gates)` of them the gates' activations in gate order.  z is
-    scratch once the kernel has read it: a kernel may write into it.
+    `step_run(*step_bind(z, h, c, h_new, c_new, acts))` maps those (B,
+    gates*hidden) scaled pre-activations, gate blocks side by side, and
+    the old state to the new state, written into h_new and c_new; it
+    writes the activations the adjoint reads into acts, `acts` (B, hidden)
+    blocks, the first `len(gates)` of them the gates' activations in gate
+    order.  z is scratch once the kernel has read it: a kernel may write
+    into it.
 
     The gate derivatives depend on those activations and the old state,
     never on the incoming gradient, so the adjoint is split in two.
@@ -259,32 +243,32 @@ class CellSpec:
     the chunk's (K, B, hidden) old states, acts its (K, acts, B, hidden)
     activation blocks, and it writes each step's derivative factors into
     out, (K, acts, B, hidden), of which a cell may use fewer blocks.
-    `adjoint(dh, dc, acts, fac, dz) -> dh_direct` is one step, given that
-    step's activations and factors: it maps the gradients of the new state
-    to that of the unscaled z, written into dz, the step's (gates, B,
-    hidden) view of gate blocks, and writes over dc the gradient of the
-    old c; it returns dh, written over, holding the gradient of the old h
-    other than through z, or None where the kernel reads h only through z
-    (dh is then scratch).  c, c_new and dc are None for cells without a
-    memory lane.  `step` and `adjoint` are `Kernel`s: a call runs the
-    bind and run parts composed.
+    `adjoint_run(*adjoint_bind(dh, dc, acts, fac, dz)) -> dh_direct` is
+    one step, given that step's activations and factors: it maps the
+    gradients of the new state to that of the unscaled z, written into dz,
+    the step's (gates, B, hidden) view of gate blocks, and writes over dc
+    the gradient of the old c; it returns dh, written over, holding the
+    gradient of the old h other than through z, or None where the kernel
+    reads h only through z (dh is then scratch).  c, c_new and dc are None
+    for cells without a memory lane.
     """
 
     gates: tuple[str, ...]
     scales: tuple[float, ...]
     has_memory: bool
     acts: int
-    step: Kernel
+    step_bind: Callable
+    step_run: Callable
     factors: Callable
-    adjoint: Kernel
+    adjoint_bind: Callable
+    adjoint_run: Callable
 
 
 CELL_TYPES: dict[str, CellSpec] = {
     "lstm": CellSpec(("forget", "input", "candidate", "output"), (0.5, 0.5, 1.0, 0.5), True, 5,
-                     Kernel(_lstm_step_bind, _lstm_step_run), _lstm_factors,
-                     Kernel(_lstm_adjoint_bind, _lstm_adjoint_run)),
-    "ugrnn": CellSpec(("update", "candidate"), (0.5, 1.0), False, 3, Kernel(_ugrnn_step_bind, _ugrnn_step_run),
-                      _ugrnn_factors, Kernel(_ugrnn_adjoint_bind, _ugrnn_adjoint_run)),
+                     _lstm_step_bind, _lstm_step_run, _lstm_factors, _lstm_adjoint_bind, _lstm_adjoint_run),
+    "ugrnn": CellSpec(("update", "candidate"), (0.5, 1.0), False, 3,
+                      _ugrnn_step_bind, _ugrnn_step_run, _ugrnn_factors, _ugrnn_adjoint_bind, _ugrnn_adjoint_run),
 }
 
 
@@ -420,8 +404,29 @@ def _zero_states(model: ModelState, batch: int, dtype=np.float64) -> list[_State
     return [(np.zeros(shape, dtype), np.zeros(shape, dtype) if has_memory else None) for _ in model.layers]
 
 
+def _share_calls(x: np.ndarray, w_x: np.ndarray, b_x: np.ndarray, zx: np.ndarray) -> tuple:
+    """An upper layer's input share zx = x @ W[:n] + b, as the (call, args) pairs that write it into zx."""
+    return (np.matmul, (x, w_x, zx)), (np.add, (zx, b_x, zx))
+
+
+def _step_calls(spec: CellSpec, h: np.ndarray, w_h: np.ndarray, zx: np.ndarray, z: np.ndarray, c,
+                h_new: np.ndarray, c_new, acts: np.ndarray) -> tuple:
+    """A layer step, z = h @ W_h + zx then the kernel, as the (call, args) pairs every path runs.
+
+    With a leading layer axis (h (L, B, n), acts (blocks, L, B, n)) the
+    GEMM is one stacked call, and the kernel's views fold the layers into
+    L*B rows; each fold must be a view, since the kernel writes through it.
+    """
+    kernel = z, h, c, h_new, c_new, acts
+    if h.ndim > 2:
+        n = h.shape[-1]
+        kernel = (z.reshape(-1, z.shape[-1]), *(None if a is None else a.reshape(-1, n) for a in kernel[1:5]),
+                  acts.reshape(len(acts), -1, n))
+    return (np.matmul, (h, w_h, z)), (np.add, (z, zx, z)), (spec.step_run, spec.step_bind(*kernel))
+
+
 def _layer_step(spec: CellSpec, w_h: np.ndarray, zx: np.ndarray, h: np.ndarray, c):
-    """One cell step on plain (B, n) arrays: z = h @ W_h + zx, then the kernel; returns (h, c, acts).
+    """One cell step on plain (B, n) arrays: `_step_calls` run at once; returns (h, c, acts).
 
     The layer's z = [x, h] @ W + b is split in two: W_h is W[m:], the rows
     that the state h multiplies, and zx is the step's (B, width) input
@@ -429,11 +434,9 @@ def _layer_step(spec: CellSpec, w_h: np.ndarray, zx: np.ndarray, h: np.ndarray, 
     from the stack's `_step_operands` (a first layer's is a row of the
     token table).  Both come gate-scaled (`CellSpec.scales`), so z is the
     scaled pre-activation the kernel reads, and the step scales nothing.
-
     The step's arrays (z, the new state and the kernel's activation
     blocks) are allocated in zx's dtype, so a float32 step stays on BLAS's
-    float32 GEMM.  Training's waves make the same three calls on their
-    workspace, recorded in `_stack`'s plan.
+    float32 GEMM.
     """
     n = h.shape[-1]
     width = len(spec.gates) * n
@@ -442,9 +445,8 @@ def _layer_step(spec: CellSpec, w_h: np.ndarray, zx: np.ndarray, h: np.ndarray, 
     dtype = zx.dtype
     z, h_new, acts = np.empty(zx.shape, dtype), np.empty(h.shape, dtype), np.empty((spec.acts, *h.shape), dtype)
     c_new = None if c is None else np.empty(h.shape, dtype)
-    np.matmul(h, w_h, z)
-    z += zx
-    spec.step(z, h, c, h_new, c_new, acts)
+    for call, args in _step_calls(spec, h, w_h, zx, z, c, h_new, c_new, acts):
+        call(*args)
     return h_new, c_new, acts
 
 
@@ -506,15 +508,15 @@ def _forward_step(spec: CellSpec, operands: tuple, proj_w: np.ndarray, proj_b: n
     `operands` are the stack's `_step_operands`, in whose dtype the step
     computes, as do proj_w and proj_b: the table's rows for the ids are
     the first layer's input share, and an upper layer's is its lower
-    layer's new h @ w_x + b_x.
+    layer's new h @ w_x + b_x, written over the rows the layer below read.
     """
     w_h, w_x, b_x, table = operands
     zx = table[ids]
     new_states: list[_State] = []
     for l, (h, c) in enumerate(states):
         if l:
-            zx = v @ w_x[l - 1]
-            zx += b_x[l - 1]
+            for call, args in _share_calls(v, w_x[l - 1], b_x[l - 1], zx):
+                call(*args)
         v, c, _ = _layer_step(spec, w_h[l], zx, h, c)
         new_states.append((v, c))
     return v @ proj_w + proj_b, new_states
@@ -682,15 +684,15 @@ def _stack(tape: GradientTape, spec: CellSpec, model: ModelState, ids: np.ndarra
     those kernels prepare once and replay per step.  The forward runs in
     waves, after the same paper: at wave s every layer l with 0 <= s - l < T
     takes its step t = s - l, reading only what wave s - 1 wrote.  So a
-    wave is the first layer's gather from the token table, one stacked
-    GEMM of the layers below's h through the upper layers' W[:n] plus b,
-    then `_layer_step`'s three calls over all of the wave's layers: one
-    stacked GEMM for h @ W_h, the add of the input share, and one kernel
-    call over the wave's rows.
+    wave is the first layer's gather from the token table, `_share_calls`
+    for the upper layers' input shares in one stacked GEMM, then
+    `_step_calls` over all of the wave's layers: one stacked GEMM for
+    h @ W_h, the add of the input share, and one kernel call over the
+    wave's rows.
 
     Backward goes layer by layer, the top one first, and walks each
     layer's steps in reverse, in chunks of FACTOR_CHUNK steps, the last
-    chunk first: `spec.factors` once per chunk, then `spec.adjoint` once
+    chunk first: `spec.factors` once per chunk, then the adjoint once
     per step, which gives the gradient of the unscaled z.  The carry to the
     step before, dz_t W[m_l:]^T, reads a contiguous copy of W[m_l:]^T made
     once per layer, on which BLAS runs faster than on the transposed view
@@ -731,7 +733,7 @@ def _stack(tape: GradientTape, spec: CellSpec, model: ModelState, ids: np.ndarra
     def waves():
         # The plan's own copy of the window's ids, which each wave's gather reads a row of.
         wave_ids = np.empty((steps, batch), np.int64)
-        step, calls = spec.step, []
+        calls = []
         for s in range(steps + layers - 1 if steps else 0):
             # Wave s steps layers lo .. hi - 1, layer l taking its step s - l.
             lo = s - steps + 1 if s >= steps else 0
@@ -739,18 +741,11 @@ def _stack(tape: GradientTape, spec: CellSpec, model: ModelState, ids: np.ndarra
             if lo == 0:
                 calls.append((zx_table.take, (wave_ids[s], 0, zx[0], "clip")))
             if hi > 1:
-                up = lo or 1
-                below, share = _layers(up - 1, hi - 1), zx[_layers(up, hi)]
-                calls += (np.matmul, (hs[s, below], w_x[below], share)), (np.add, (share, b_x[below], share))
-            # `_layer_step`'s three calls, in its order, which must hold for the bits to match
-            # (test_waves_equal_stepping_one_layer_after_another): one stacked GEMM per layer, then
-            # the kernel, bound to views that fold the wave's layers into one batch of rows.
-            k, rows = _layers(lo, hi), (hi - lo) * batch
-            h, z_k = hs[s, k], z[k]
-            c, c_new = (cs[s, k].reshape(rows, n), cs[s + 1, k].reshape(rows, n)) if memory else (None, None)
-            views = step.bind(z_k.reshape(rows, width), h.reshape(rows, n), c, hs[s + 1, k].reshape(rows, n), c_new,
-                              acts[s, :, k].reshape(blocks, rows, n))
-            calls += (np.matmul, (h, w_h[k], z_k)), (np.add, (z_k, zx[k], z_k)), (step.run, views)
+                below = _layers((lo or 1) - 1, hi - 1)
+                calls += _share_calls(hs[s, below], w_x[below], b_x[below], zx[_layers(lo or 1, hi)])
+            k = _layers(lo, hi)
+            calls += _step_calls(spec, hs[s, k], w_h[k], zx[k], z[k], cs[s, k] if memory else None, hs[s + 1, k],
+                                 cs[s + 1, k] if memory else None, acts[s, :, k])
         return wave_ids, calls
 
     wave_ids, calls = plan.part("waves", viewed, waves)
@@ -777,7 +772,7 @@ def _stack(tape: GradientTape, spec: CellSpec, model: ModelState, ids: np.ndarra
         dh = tape.array((batch, n))
         carry = tape.array((batch, n))
         dc = tape.array((batch, n)) if memory else None
-        factors, adjoint = spec.factors, spec.adjoint
+        factors, adjoint_bind, adjoint_run = spec.factors, spec.adjoint_bind, spec.adjoint_run
 
         def chunks(l: int, g: np.ndarray) -> list:
             # Layer l's chunks, the last first: each chunk's factor-pass arguments, then, per step in
@@ -788,7 +783,7 @@ def _stack(tape: GradientTape, spec: CellSpec, model: ModelState, ids: np.ndarra
             for end in range(steps, 0, -FACTOR_CHUNK):
                 start = max(end - FACTOR_CHUNK, 0)
                 args = h_l[start:end], c_l[start:end] if memory else None, a_l[start:end], fac[: end - start]
-                out.append((args, [(g[t], adjoint.bind(dh, dc, a_l[t], fac[t - start], dz_blocks[t]),
+                out.append((args, [(g[t], adjoint_bind(dh, dc, a_l[t], fac[t - start], dz_blocks[t]),
                                      dz[t] if t else None) for t in reversed(range(start, end))]))
             return out
 
@@ -802,7 +797,7 @@ def _stack(tape: GradientTape, spec: CellSpec, model: ModelState, ids: np.ndarra
                 factors(*factor_args)
                 for g_t, adjoint_views, dz_t in chunk:
                     np.add(g_t, carry, dh)
-                    dh_direct = adjoint.run(*adjoint_views)
+                    dh_direct = adjoint_run(*adjoint_views)
                     if dz_t is not None:
                         np.matmul(dz_t, w_ht, carry)
                         if dh_direct is not None:
@@ -1022,7 +1017,8 @@ def sample_batch(
     interval models rebuild notes from the seed's last pitch.  Every step
     runs on one float32 copy of the weights, so a model that fails
     `_fits_float32` is a ValueError.  The arguments, the seed's tokens
-    included, are checked before anything is sampled, also when n is 0.
+    included, are checked before anything is sampled, also when n is 0
+    or rngs is empty (which gives no songs).
     """
     check_sampling(seed_song, mode, temperature)
     if n < 0:
@@ -1041,7 +1037,7 @@ def sample_batch(
     ids = model.vocabulary.encode(seed_tokens)
     if ids.size == 0:
         raise ValueError("the seed song yields no tokens")
-    if n == 0:
+    if n == 0 or not rngs:
         return [list(seed_song) for _ in rngs]
 
     # Seed ids were checked above and picked ids are in range by

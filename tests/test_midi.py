@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -225,6 +227,44 @@ def test_note_off_ends_the_oldest_sounding_note():
     body = on(60) + on(60, delta=0x10) + off(60, delta=0x10) + off(60) + END
     with pytest.raises(PolyphonyDetected, match="^note 60 at tick 16 overlaps a note ending at tick 32$"):
         parse_midi(header(0, 1) + track(body))
+
+
+def test_zero_length_notes_at_one_tick_parse_as_a_sequence():
+    # A note-on and its note-off at the same tick make a note that ends where it starts, so it overlaps
+    # no note that starts there after it: any number of them at one tick parse as a sequence, in the
+    # order of their note-ons, whether each ends before the next starts or all end after all start.
+    one_by_one = on(60) + off(60, delta=0) + on(62) + off(62, delta=0) + on(60) + off(60, delta=0) + END
+    assert parse_midi(header(0, 1) + track(one_by_one)) == [60, 62, 60]
+    stacked = on(60) + on(62) + on(60) + off(60, delta=0) + off(62, delta=0) + off(60, delta=0) + END
+    assert parse_midi(header(0, 1) + track(stacked)) == [60, 62, 60]
+    assert parse_midi(header(0, 1) + track(stacked[:-len(END)] + on(64, delta=0x10) + off(64) + END)) == [
+        60, 62, 60, 64]
+
+
+def stacked_note_ons(count):
+    """A track of `count` note-ons of pitch 60 at tick 0, then as many note-offs, all by running status."""
+    body = bytes([0x00, 0x90, 60, 90]) + bytes([0x00, 60, 90]) * (count - 1) + bytes([0x00, 60, 0]) * count
+    return header(0, 1) + track(body + END)
+
+
+def test_track_walker_is_linear_in_stacked_note_ons():
+    # Each note-off ends the oldest sounding note of its key.  Taking it from the front of a list took
+    # time linear in how many sound, so N stacked note-ons parsed in time quadratic in N (0.25 s at
+    # 40k, 2.7 s at 160k).  Wall time is noisy on a shared machine, so the test bounds the ratio of
+    # two sizes' times, each the best of three parses: 8 for a linear walker, about 30 for the list.
+    small, large = 10_000, 80_000
+
+    def best(data):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            song = parse_midi(data)
+            times.append(time.perf_counter() - start)
+        return song, min(times)
+
+    (small_song, small_s), (large_song, large_s) = best(stacked_note_ons(small)), best(stacked_note_ons(large))
+    assert small_song == [60] * small and large_song == [60] * large
+    assert large_s / small_s < 2 * large / small, f"{small} notes in {small_s:.3f} s, {large} in {large_s:.3f} s"
 
 
 def test_polyphony_across_tracks():

@@ -371,10 +371,11 @@ def test_window_loss_matches_per_op_tape(cell, layers, batch, steps):
 @pytest.mark.parametrize("cell", ["lstm", "ugrnn"])
 def test_waves_equal_stepping_one_layer_after_another(cell, layers, batch, steps):
     # The stack op steps layer l's step t in wave t + l, all of a wave's
-    # layers in one replay of `_layer_step`'s three calls.  Stepping each
+    # layers in one replay of `_step_calls`' three calls, after
+    # `_share_calls` for the upper layers' input shares.  Stepping each
     # layer through the whole window before the next one starts, one
-    # `_layer_step` call per step with the same per-step products, must
-    # give the same bits.
+    # `_layer_step` call (the same `_step_calls`) per step with the same
+    # per-step products, must give the same bits.
     spec = cell_spec(cell)
     rng = np.random.default_rng([layers, batch, steps, 11])
     model = model_copy(init_model(VOCAB, DatasetVariant.CONTROL, cell=cell, num_layers=layers, hidden_size=5,
@@ -1019,6 +1020,17 @@ def test_sample_batch_lane_equals_one_lane_call(toy_runs, cell, mode, variant):
                                   rng=np.random.default_rng([5, i]))
         if mode == "greedy":  # greedy lanes draw nothing, so they need no generator
             assert sample_batch(model, seed_song, 25, mode, 0.8, [None] * 6) == songs
+
+
+@pytest.mark.parametrize("mode", ["greedy", "temperature"])
+def test_sample_batch_with_no_lanes_returns_no_songs(mode):
+    # One song per generator, as at n == 0: no generators give no songs, after the arguments are checked.
+    model = tiny_model(layers=2)
+    assert sample_batch(model, [60, 62, 64, 62], 3, mode, 1.0, []) == []
+    with pytest.raises(UnknownSeedToken):
+        sample_batch(model, [0, 1], 3, mode, 1.0, [])
+    with pytest.raises(ValueError, match="temperature"):
+        sample_batch(model, [60, 62], 3, mode, 0.0, [])
 
 
 def stepped_dtypes(monkeypatch, model):
