@@ -11,9 +11,11 @@ numpy loads.  Both sides step the same float32 copy of one initial model
 (embedding width EMBEDDING) over the same random windows of (--batch,
 SEQ_LEN) token ids.
 
-Each side keeps one tape for the whole run, as `train` does, and one
-`_StackPlan` beside it where its `_window_loss` takes one, and runs one
-untimed window first.  Every round then runs WINDOWS windows on each
+Each side keeps one tape for the whole run, as `train` does, and runs
+one untimed window first, which builds the parts the layer stack
+replays (kept on the tape since 0.16.0; an older parent's `_window_loss`
+takes a `plan` argument, its `_StackPlan`, which the side keeps beside
+the tape).  Every round then runs WINDOWS windows on each
 side, the parent first in odd rounds and the change first in even ones,
 carrying the states from window to window from zero.  Forward is the
 tape's reset plus `_window_loss`, backward is `tape.backward`.  Per round
@@ -71,7 +73,7 @@ def load_package(src: Path, name: str):
 
 
 class Side:
-    """One package's float32 model, tape and (where `_window_loss` takes one) plan, kept for the whole run."""
+    """One package's float32 model and tape, and a plan where its `_window_loss` takes one, kept for the whole run."""
 
     def __init__(self, package, args: argparse.Namespace) -> None:
         self.rnn, core, tensor = package.rnn, package.core, package.tensor
@@ -142,7 +144,7 @@ def main(argv=None) -> int:
         shutil.rmtree(work, ignore_errors=True)  # both packages are loaded by now
 
     for side in sides.values():
-        side.round(windows[:1])  # allocates the workspace and builds the plan
+        side.round(windows[:1])  # allocates the workspace and builds the stack's parts
     ratios: dict[str, list[float]] = {phase: [] for phase in PHASES}
     per_window: dict[str, list[float]] = {name: [] for name in sides}
     per_sample: dict[str, list[float]] = {name: [] for name in sides}

@@ -36,4 +36,4 @@ from .rnn import (
     train,
 )
 
-__version__ = "0.15.0"
+__version__ = "0.16.0"

@@ -174,8 +174,10 @@ def parse_midi(data: bytes) -> Song:
         pos = payload_start + chunk_len
 
     # Tracks are walked in order and ticks only grow within one, so a stable
-    # sort by start tick orders the notes by (tick, track, order in track).
-    order = sorted(range(len(pitches)), key=starts.__getitem__)
+    # sort by (start, end) orders the notes by (tick, end tick, track, order
+    # in track): the zero-length notes at a tick come before a note that
+    # sounds on from it, whatever the order of their note-ons.
+    order = sorted(range(len(pitches)), key=lambda i: (starts[i], ends[i]))
     latest_end = None
     for i in order:
         if latest_end is not None and starts[i] < latest_end:

@@ -39,9 +39,10 @@ arXiv:1604.01946): in wave s every layer l takes its step s - l, all of
 them in one stacked GEMM and one kernel call over the wave's rows.  So a window is four records: the stack, then one
 projection (matmul and bias) and one cross-entropy over the (T*B,
 hidden) stack of top states.  As in that paper's kernels, which prepare
-once and replay per step, a `_StackPlan` binds the views of every wave
-and every backward step once per workspace, and each window replays
-them.
+once and replay per step, the stack builds the forward's waves, and
+each layer's backward recurrence, as one flat list of (call, args)
+pairs on views of the tape's workspace, which the tape keeps
+(`GradientTape.built`) and every window replays by the same loop.
 `sample_batch` and `stack_forward` step plain arrays through
 `_forward_step`, one time step through every layer in turn, since each
 sampled token feeds the next step: every song is one lane of a single
@@ -75,9 +76,9 @@ resets it every window, so the kernels write into the tape's workspace,
 which is allocated in the first iteration and released when `train`
 returns.  A wave writes its layers' states and activations as adjacent
 rows of that workspace, so each kernel call reads and writes contiguous
-arrays.  Beside the tape the run keeps its `_StackPlan`, which holds
-views of that workspace and is cleared with it, the float32 shadow, and
-one float64 gradient list the size of the parameters.  Sampling and
+arrays, and the call lists the stack replays live on the tape with the
+workspace they view.  Beside the tape the run keeps the float32 shadow
+and one float64 gradient list the size of the parameters.  Sampling and
 `stack_forward` allocate their step operands once per call and each
 step's arrays.
 """
@@ -171,7 +172,7 @@ def _lstm_factors(h, c, acts, out):
 
 
 def _lstm_adjoint_bind(dh, dc, acts, fac, dz):
-    return dh, dc, fac[3], fac[4], fac[:3], acts[0], dz[3], dz[:3]
+    return (dh, dc, fac[3], fac[4], fac[:3], acts[0], dz[3], dz[:3]), None
 
 
 def _lstm_adjoint_run(dh, dc, f3, f4, f012, f, dz3, dz012):
@@ -210,14 +211,13 @@ def _ugrnn_factors(h, c, acts, out):
 
 
 def _ugrnn_adjoint_bind(dh, dc, acts, fac, dz):
-    return dh, fac[:2], dz, acts[0]
+    return (dh, fac[:2], dz, acts[0]), dh
 
 
 def _ugrnn_adjoint_run(dh, f01, dz, g):
     # dz = F[:2]*dh, both blocks in one broadcast call; the old h's direct gradient is dh*g.
     np.multiply(f01, dh, dz)
     dh *= g
-    return dh
 
 
 @dataclass(frozen=True)
@@ -243,14 +243,16 @@ class CellSpec:
     the chunk's (K, B, hidden) old states, acts its (K, acts, B, hidden)
     activation blocks, and it writes each step's derivative factors into
     out, (K, acts, B, hidden), of which a cell may use fewer blocks.
-    `adjoint_run(*adjoint_bind(dh, dc, acts, fac, dz)) -> dh_direct` is
-    one step, given that step's activations and factors: it maps the
-    gradients of the new state to that of the unscaled z, written into dz,
-    the step's (gates, B, hidden) view of gate blocks, and writes over dc
-    the gradient of the old c; it returns dh, written over, holding the
-    gradient of the old h other than through z, or None where the kernel
-    reads h only through z (dh is then scratch).  c, c_new and dc are None
-    for cells without a memory lane.
+    `adjoint_bind(dh, dc, acts, fac, dz)` returns (views, direct), and
+    `adjoint_run(*views)` is one step, given that step's activations and
+    factors: it maps the gradients of the new state to that of the
+    unscaled z, written into dz, the step's (gates, B, hidden) view of gate
+    blocks, and writes over dc the gradient of the old c.  `direct` is the
+    array that holds the gradient of the old h other than through z once
+    the run part has made its calls (dh, written over), or None where the
+    kernel reads h only through z (dh is then scratch).  The run part
+    returns nothing.  c, c_new and dc are None for cells without a memory
+    lane.
     """
 
     gates: tuple[str, ...]
@@ -629,45 +631,8 @@ LearningCurve = list[tuple[int, float]]
 FACTOR_CHUNK = 8
 
 
-def _layers(lo: int, hi: int) -> int | slice:
-    """Index of layers lo .. hi - 1 on a layer axis: the layer itself when there is one, so its arrays are 2-D."""
-    return lo if hi - lo == 1 else slice(lo, hi)
-
-
-class _StackPlan:
-    """The views a layer stack's windows step through, built on one workspace and replayed in every window.
-
-    `_stack` asks for each part of a window, the forward's waves and each
-    layer's backward steps, naming the arrays the part views.  The part is
-    built the first time and again whenever one of those arrays is not
-    the very one it was built on (a tape reused at another batch size or
-    layer count, or used meanwhile without this plan, hands out other
-    arrays, even of the same shapes).  A replay makes the same calls, in
-    the same order, on the same memory as a fresh build, so it changes no
-    bits; what it saves is slicing the views again.  A plan holds the
-    arrays it views, so it must live no longer than their workspace:
-    `train` keeps one beside its tape and clears it when the tape goes, and
-    a `_stack` call without one builds a plan for that window alone.
-    """
-
-    __slots__ = ("_parts",)
-
-    def __init__(self) -> None:
-        self._parts: dict = {}
-
-    def part(self, name, arrays: tuple, build: Callable, *args):
-        """What `build(*args)` made for these arrays, made again unless every one is the array it was made on."""
-        held = self._parts.get(name)
-        if held is None or any(a is not b for a, b in zip(held[0], arrays)):
-            held = self._parts[name] = (arrays, build(*args))
-        return held[1]
-
-    def clear(self) -> None:
-        self._parts.clear()
-
-
-def _stack(tape: GradientTape, spec: CellSpec, model: ModelState, ids: np.ndarray, states: list[_State],
-           plan: _StackPlan | None = None) -> tuple[Tensor, list[_State]]:
+def _stack(tape: GradientTape, spec: CellSpec, model: ModelState, ids: np.ndarray,
+           states: list[_State]) -> tuple[Tensor, list[_State]]:
     """The model's layer stack over a window of (T, B) token ids, recorded on the tape as one op.
 
     Returns (the top layer's T*B new h rows, time-major, each layer's final
@@ -675,13 +640,17 @@ def _stack(tape: GradientTape, spec: CellSpec, model: ModelState, ids: np.ndarra
     every layer's W and b; the states carry values only.  An id outside the
     vocabulary is BadToken, and W, b (`_step_operands`) or states
     (`_check_states`) that do not fit one stack are ShapeMismatch.  Every
-    array lives in the tape's workspace, and `plan` holds the views the
-    window steps through (`_StackPlan`; a throwaway one when it is None).
+    array lives in the tape's workspace.
 
     The step operands are prepared once per window, as in cuDNN's RNN
-    kernels (Appleyard, Kocisky & Blunsom 2016, arXiv:1604.01946), and the
-    views of every step are bound once per workspace and replayed, as
-    those kernels prepare once and replay per step.  The forward runs in
+    kernels (Appleyard, Kocisky & Blunsom 2016, arXiv:1604.01946), and, as
+    those kernels prepare once and replay per step, the forward's waves
+    are one flat list of (call, args) pairs on views of the workspace, and
+    so is each layer's backward recurrence.  The tape keeps the lists
+    (`GradientTape.built`, keys ("stack", "waves") and ("stack", "back",
+    l)) and builds one again only when an array it views is not the one
+    it was built on, so a training run builds them in its first window
+    and replays them in every later one.  The forward runs in
     waves, after the same paper: at wave s every layer l with 0 <= s - l < T
     takes its step t = s - l, reading only what wave s - 1 wrote.  So a
     wave is the first layer's gather from the token table, `_share_calls`
@@ -692,9 +661,11 @@ def _stack(tape: GradientTape, spec: CellSpec, model: ModelState, ids: np.ndarra
 
     Backward goes layer by layer, the top one first, and walks each
     layer's steps in reverse, in chunks of FACTOR_CHUNK steps, the last
-    chunk first: `spec.factors` once per chunk, then the adjoint once
-    per step, which gives the gradient of the unscaled z.  The carry to the
-    step before, dz_t W[m_l:]^T, reads a contiguous copy of W[m_l:]^T made
+    chunk first: `spec.factors` once per chunk, then per step
+    dh = g_t + carry and the adjoint, which gives the gradient of the
+    unscaled z, and, but at step 0, the carry to the step before,
+    dz_t W[m_l:]^T, plus the adjoint's direct share (`CellSpec`) where the
+    cell has one.  The carry GEMM reads a contiguous copy of W[m_l:]^T made
     once per layer, on which BLAS runs faster than on the transposed view
     (at batch 50, width 512, one OpenBLAS 0.3.31 thread: 74 against 103 us
     a step).  Then dW[m_l:] = hs^T dz over all T*B rows, and S is dz; for
@@ -716,7 +687,6 @@ def _stack(tape: GradientTape, spec: CellSpec, model: ModelState, ids: np.ndarra
     _, n, width = w_h.shape
     _check_states(spec, states, layers, (batch, n))
     m, memory, blocks = table.value.shape[1], spec.has_memory, spec.acts
-    plan = _StackPlan() if plan is None else plan
     # Wave-major: hs[j, l] is layer l's state after j - l steps, so
     # layer l's states are hs[l : l + T + 1, l], and wave s, in which
     # layer l takes step s - l, reads row s (its old state, and at l - 1
@@ -731,7 +701,7 @@ def _stack(tape: GradientTape, spec: CellSpec, model: ModelState, ids: np.ndarra
     viewed = (spec, hs, cs, acts, z, zx, w_h, w_x, b_x, zx_table)
 
     def waves():
-        # The plan's own copy of the window's ids, which each wave's gather reads a row of.
+        # The part's own copy of the window's ids, which each wave's gather reads a row of.
         wave_ids = np.empty((steps, batch), np.int64)
         calls = []
         for s in range(steps + layers - 1 if steps else 0):
@@ -741,14 +711,14 @@ def _stack(tape: GradientTape, spec: CellSpec, model: ModelState, ids: np.ndarra
             if lo == 0:
                 calls.append((zx_table.take, (wave_ids[s], 0, zx[0], "clip")))
             if hi > 1:
-                below = _layers((lo or 1) - 1, hi - 1)
-                calls += _share_calls(hs[s, below], w_x[below], b_x[below], zx[_layers(lo or 1, hi)])
-            k = _layers(lo, hi)
+                below = slice((lo or 1) - 1, hi - 1)
+                calls += _share_calls(hs[s, below], w_x[below], b_x[below], zx[lo or 1 : hi])
+            k = slice(lo, hi)
             calls += _step_calls(spec, hs[s, k], w_h[k], zx[k], z[k], cs[s, k] if memory else None, hs[s + 1, k],
                                  cs[s + 1, k] if memory else None, acts[s, :, k])
         return wave_ids, calls
 
-    wave_ids, calls = plan.part("waves", viewed, waves)
+    wave_ids, calls = tape.built(("stack", "waves"), viewed, waves)
     np.copyto(wave_ids, ids)
     for l, (h, c) in enumerate(states):
         hs[l, l] = h
@@ -772,20 +742,25 @@ def _stack(tape: GradientTape, spec: CellSpec, model: ModelState, ids: np.ndarra
         dh = tape.array((batch, n))
         carry = tape.array((batch, n))
         dc = tape.array((batch, n)) if memory else None
-        factors, adjoint_bind, adjoint_run = spec.factors, spec.adjoint_bind, spec.adjoint_run
 
-        def chunks(l: int, g: np.ndarray) -> list:
-            # Layer l's chunks, the last first: each chunk's factor-pass arguments, then, per step in
-            # reverse, the incoming gradient's row, the adjoint's views and the carry GEMM's dz row.
+        def recurrence(l: int, g: np.ndarray) -> list:
+            # Layer l's steps in reverse, in chunks, the last chunk first: the chunk's factor pass, then per
+            # step dh = g_t + carry, the adjoint and, except at step 0, the carry to the step before.
             g, dz_blocks = g.reshape(steps, batch, n), dz.reshape(steps, batch, width // n, n).swapaxes(1, 2)
             h_l, c_l, a_l = hs[l:, l], cs[l:, l] if memory else None, acts[l:, :, l]
-            out = []
+            calls = []
             for end in range(steps, 0, -FACTOR_CHUNK):
                 start = max(end - FACTOR_CHUNK, 0)
-                args = h_l[start:end], c_l[start:end] if memory else None, a_l[start:end], fac[: end - start]
-                out.append((args, [(g[t], adjoint_bind(dh, dc, a_l[t], fac[t - start], dz_blocks[t]),
-                                     dz[t] if t else None) for t in reversed(range(start, end))]))
-            return out
+                calls.append((spec.factors, (h_l[start:end], c_l[start:end] if memory else None, a_l[start:end],
+                                             fac[: end - start])))
+                for t in reversed(range(start, end)):
+                    views, direct = spec.adjoint_bind(dh, dc, a_l[t], fac[t - start], dz_blocks[t])
+                    calls += (np.add, (g[t], carry, dh)), (spec.adjoint_run, views)
+                    if t:
+                        calls.append((np.matmul, (dz[t], w_ht, carry)))
+                        if direct is not None:
+                            calls.append((np.add, (carry, direct, carry)))
+            return calls
 
         for l in reversed(range(layers)):
             w, m_l = weights[l].value, m if l == 0 else n
@@ -793,15 +768,9 @@ def _stack(tape: GradientTape, spec: CellSpec, model: ModelState, ids: np.ndarra
             carry[...] = 0.0
             if memory:
                 dc[...] = 0.0
-            for factor_args, chunk in plan.part(l, (g, w_ht, dz, fac, dh, carry, dc, *viewed), chunks, l, g):
-                factors(*factor_args)
-                for g_t, adjoint_views, dz_t in chunk:
-                    np.add(g_t, carry, dh)
-                    dh_direct = adjoint_run(*adjoint_views)
-                    if dz_t is not None:
-                        np.matmul(dz_t, w_ht, carry)
-                        if dh_direct is not None:
-                            carry += dh_direct
+            for call, args in tape.built(("stack", "back", l), (g, w_ht, dz, fac, dh, carry, dc, *viewed),
+                                         recurrence, l, g):
+                call(*args)
             if l:
                 x = seqs[l - 1][1:].reshape(rows, n)
                 dw = tape.array(w.shape)
@@ -827,8 +796,7 @@ def _stack(tape: GradientTape, spec: CellSpec, model: ModelState, ids: np.ndarra
     return tape.push(out, back), final
 
 
-def _window_loss(tape: GradientTape, model: ModelState, X: np.ndarray, Y: np.ndarray, states: list[_State],
-                 plan: _StackPlan | None = None):
+def _window_loss(tape: GradientTape, model: ModelState, X: np.ndarray, Y: np.ndarray, states: list[_State]):
     """Summed cross-entropy of stepping through the columns of X against Y; returns (loss, final states).
 
     The window's (B, T) ids are taken time-major, so row t*B + b of every
@@ -837,11 +805,10 @@ def _window_loss(tape: GradientTape, model: ModelState, X: np.ndarray, Y: np.nda
     the loss.  The first layer reads the embedding table by token id, so
     no (T*B, embedding_dim) array is made; an id outside the vocabulary is
     BadToken.  The final states carry values only, and are copies: the
-    tape's workspace does not hold them.  `plan` is the stack's
-    `_StackPlan`, kept beside the tape across windows; without one the
-    window builds its own.
+    tape's workspace does not hold them.  A tape kept across windows of
+    the same sizes replays the stack's call lists, which it keeps.
     """
-    top, final = _stack(tape, cell_spec(model.cell), model, X.T, states, plan)
+    top, final = _stack(tape, cell_spec(model.cell), model, X.T, states)
     logits = tape.add_bias(tape.matmul(top, model.proj_w), model.proj_b)
     return tape.cross_entropy(logits, Y.T.reshape(-1)), final
 
@@ -883,10 +850,9 @@ def train(corpus: TrainingCorpus, config: TrainConfig, seed: int = 0) -> tuple[M
     Memory: one GradientTape is kept for the run and reset every window,
     so its workspace (the window's activations, caches and the shadow's
     gradients) is allocated in the first iteration and reused by every
-    later one; so are the shadow and the float64 gradient list.  Beside
-    the tape the run keeps one `_StackPlan`, the views of that workspace
-    the layer stack steps through, built in the first window and replayed
-    in every later one.
+    later one; so are the shadow and the float64 gradient list.  The tape
+    also keeps the call lists the layer stack replays on that workspace,
+    built in the first window and replayed in every later one.
     `clip_gradients` sums the norm over the whole gradient list and scales
     it in place, and Adam updates through one scratch pair.  Each is called
     once per iteration, through this module's globals.  All of it is
@@ -923,11 +889,10 @@ def train(corpus: TrainingCorpus, config: TrainConfig, seed: int = 0) -> tuple[M
     grads = [np.empty_like(v) for v in values]
     opt = AdamState.for_params(values, lr=config.learning_rate)
     tape = GradientTape(np.float32)
-    plan = _StackPlan()
     curve: LearningCurve = []
     # The tape's records hold closures that refer back to the tape, so the
-    # finally block drops them, and the shadow's gradients with them, and
-    # the plan's views of the workspace: the workspace is then freed on
+    # finally block drops them, and the shadow's gradients with them: the
+    # tape, its workspace and the call lists built on it are then freed on
     # return, not by a later garbage collection.
     try:
         with np.errstate(all="ignore"):
@@ -938,7 +903,7 @@ def train(corpus: TrainingCorpus, config: TrainConfig, seed: int = 0) -> tuple[M
                     states = _zero_states(model, B, np.float32)
                 tape.reset()
                 cols = slice(w * T, (w + 1) * T)
-                total, states = _window_loss(tape, shadow, X[:, cols], Y[:, cols], states, plan)
+                total, states = _window_loss(tape, shadow, X[:, cols], Y[:, cols], states)
                 loss = float(total.value)
                 if not math.isfinite(loss):
                     raise TrainingDiverged(f"window loss is {loss} at iteration {iteration + 1}")
@@ -955,7 +920,6 @@ def train(corpus: TrainingCorpus, config: TrainConfig, seed: int = 0) -> tuple[M
                 curve.append((iteration + 1, loss / (B * T)))
     finally:
         tape.reset()
-        plan.clear()
     return model, curve
 
 

@@ -6,8 +6,9 @@ once in reverse (execution order is already topological).  Activations
 live in (rows, features) matrices.  The tape knows nothing of cells or
 layers.  An op defined elsewhere records itself through the pieces the
 tape's own ops use: `array` (the workspace's next array), `copy`,
-`accumulate_own` and `push`.  `rnn` records a window's whole layer stack
-that way, so training records four ops a window: that one, then
+`accumulate_own` and `push`, and keeps what it builds on the workspace
+with `built`.  `rnn` records a window's whole layer stack that way, so
+training records four ops a window: that one, then
 `matmul`, `add_bias` and `cross_entropy`.  The per-op kinds training does
 not record, `lookup` among them, stay callable: the benchmark's tracer
 wraps every op its `TAPE_OPS` names, and `tests/tape_cells.py`, the
@@ -26,7 +27,10 @@ the first gradient they give each tensor into the tape's workspace,
 arrays handed out in request order.  `GradientTape.reset` rewinds that
 order and takes back every gradient it handed out, so a tape kept across
 the windows of a training run (which all record the same ops at the same
-shapes) allocates its window-sized arrays once.
+shapes) allocates its window-sized arrays once.  The tape also keeps
+what an op builds on those arrays (`GradientTape.built`: `rnn`'s layer
+stack keeps the calls it replays every window) for as long as the tape
+lives, so nothing else has to hold views of the workspace.
 `clip_gradients` sums the squared norm one gradient at a time and scales
 the gradients in place, and `adam_step` works in the scratch pair
 its `AdamState` holds, so a training iteration allocates nothing window-
@@ -104,6 +108,7 @@ class GradientTape:
         self._arrays: list[np.ndarray] = []
         self._next = 0
         self._granted: list[Tensor] = []
+        self._built: dict = {}
 
     def reset(self) -> None:
         """Drop the records and the gradients the tape wrote first; hand the arrays out again from the first."""
@@ -122,6 +127,21 @@ class GradientTape:
         elif self._arrays[k].shape != shape:
             self._arrays[k] = np.empty(shape, self.dtype)
         return self._arrays[k]
+
+    def built(self, key, arrays: tuple, build: Callable, *args):
+        """What `build(*args)` made on these arrays, made again unless every one is the array it was made on.
+
+        An op names its part by `key` and passes the arrays (and whatever
+        else) the part depends on.  The part is kept across `reset`, so an
+        op that asks again in every window builds it once, and is built
+        again whenever one of those arrays is not the very one it was built
+        on: a window of other sizes, or of other ops, in between hands out
+        other arrays, even of the same shapes.
+        """
+        held = self._built.get(key)
+        if held is None or any(a is not b for a, b in zip(held[0], arrays)):
+            held = self._built[key] = (arrays, build(*args))
+        return held[1]
 
     def _grant(self, t: Tensor, g: np.ndarray) -> None:
         """Make the workspace array g t's gradient until the next `reset`."""

@@ -315,7 +315,7 @@ def brute_parse_midi(data):
             notes.extend(_brute_track(data[start:start + chunk_len], track_index))
             track_index += 1
         pos = start + chunk_len
-    notes.sort(key=lambda n: (n.start, n.track, n.order))
+    notes.sort(key=lambda n: (n.start, n.end, n.track, n.order))
     latest_end = None
     for note in notes:
         if latest_end is not None and note.start < latest_end:

@@ -241,6 +241,15 @@ def test_zero_length_notes_at_one_tick_parse_as_a_sequence():
         60, 62, 60, 64]
 
 
+@pytest.mark.parametrize("sounding_first", [True, False], ids=["sounding-note-on-first", "zero-length-note-on-first"])
+def test_zero_length_notes_come_before_a_note_sounding_from_their_tick(sounding_first):
+    # Note 60 sounds over [0, 96) and note 62 is zero-length at tick 0.  62 ends where 60 starts, so both
+    # orders of their note-ons parse as [62, 60]; with 60's note-on first, 62 once overlapped it.
+    sounding, zero_length = on(60), on(62) + off(62, delta=0)
+    body = sounding + zero_length if sounding_first else zero_length + sounding
+    assert parse_midi(header(0, 1) + track(body + off(60) + END)) == [62, 60]
+
+
 def stacked_note_ons(count):
     """A track of `count` note-ons of pitch 60 at tick 0, then as many note-offs, all by running status."""
     body = bytes([0x00, 0x90, 60, 90]) + bytes([0x00, 60, 90]) * (count - 1) + bytes([0x00, 60, 0]) * count

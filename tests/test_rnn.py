@@ -739,12 +739,12 @@ def test_train_workspace_reuse_keeps_every_bit(cell, layers):
         assert p.grad.tobytes() == g.tobytes()
 
 
-# --- the stack's step plan ------------------------------------------------
+# --- the stack's parts, kept on the tape -----------------------------------
 
-def window_results(tape, model, X, Y, states, plan=None):
+def window_results(tape, model, X, Y, states):
     """One window on the tape, then its backward: (loss, gradients, final states), as bytes and copies."""
     tape.reset()
-    loss, final = _window_loss(tape, model, X, Y, states, plan)
+    loss, final = _window_loss(tape, model, X, Y, states)
     tape.backward(loss)
     grads = [p.grad.tobytes() for p in model.parameters()]
     tape.reset()  # hands the gradients back, so another tape's backward starts from None
@@ -763,42 +763,38 @@ def same_results(got, want):
 @pytest.mark.parametrize("layers", [1, 2, 3])
 @pytest.mark.parametrize("cell", ["lstm", "ugrnn"])
 def test_a_kept_plan_gives_the_bits_of_a_fresh_tape_per_window(cell, layers, batch):
-    # train's loop in miniature: one tape and one plan over 3 windows an
-    # epoch for 2 epochs, the states zero at each epoch's start and carried
-    # otherwise, the parameters updated in place between windows.  The
-    # plan is built in the first window and replayed after it; every
-    # window must give the bits of a fresh tape and a throwaway plan.
+    # train's loop in miniature: one tape over 3 windows an epoch for 2
+    # epochs, the states zero at each epoch's start and carried otherwise,
+    # the parameters updated in place between windows.  The stack's parts
+    # are built on the tape in the first window and replayed after it;
+    # every window must give the bits of a fresh tape.
     rng = np.random.default_rng([layers, batch, 5])
     model = model_copy(init_model(VOCAB, DatasetVariant.CONTROL, cell=cell, num_layers=layers, hidden_size=5,
                                   embedding_dim=3, rng=rng, init_scale=0.6), np.float32)
     steps = FACTOR_CHUNK + 1
     X = rng.integers(0, VOCAB.size, size=(batch, 3 * steps))
     Y = rng.integers(0, VOCAB.size, size=(batch, 3 * steps))
-    tape, plan = GradientTape(np.float32), rnn._StackPlan()
+    tape = GradientTape(np.float32)
     built = None
     for epoch in range(2):
         states = kept = _zero_states(model, batch, np.float32)
         for w in range(3):
             cols = slice(w * steps, (w + 1) * steps)
             want = window_results(GradientTape(np.float32), model, X[:, cols], Y[:, cols], states)
-            got = window_results(tape, model, X[:, cols], Y[:, cols], kept, plan)
+            got = window_results(tape, model, X[:, cols], Y[:, cols], kept)
             same_results(got, want)
             if built is None:
-                built = dict(plan._parts)
-            assert plan._parts.keys() == built.keys() and all(plan._parts[k] is v for k, v in built.items())
+                built = dict(tape._built)
+            assert tape._built.keys() == built.keys() and all(tape._built[k] is v for k, v in built.items())
             states, kept = want[2], got[2]
             for p, g in zip(model.parameters(), want[1]):
                 p.value -= np.float32(0.05) * np.frombuffer(g, np.float32).reshape(p.value.shape)
 
 
-@pytest.mark.parametrize("plan_between", [True, False], ids=["plan-between", "no-plan-between"])
 @pytest.mark.parametrize("other", ["batch", "layers"])
-def test_a_tape_reused_at_other_sizes_rebuilds_its_plan(other, plan_between):
+def test_a_tape_reused_at_other_sizes_rebuilds_its_parts(other):
     # The tape hands out new arrays when a window of another batch size or
-    # layer count comes between, even where the shapes come back.  Without
-    # the plan in between, the plan's arrays are those same shapes again,
-    # so a plan that compared shapes alone would replay into arrays the
-    # tape no longer hands out.
+    # layer count comes between, even where the shapes come back.
     rng = np.random.default_rng(9)
     first = model_copy(init_model(VOCAB, DatasetVariant.CONTROL, cell="lstm", num_layers=2, hidden_size=5,
                                   embedding_dim=3, rng=rng, init_scale=0.6), np.float32)
@@ -806,21 +802,44 @@ def test_a_tape_reused_at_other_sizes_rebuilds_its_plan(other, plan_between):
         init_model(VOCAB, DatasetVariant.CONTROL, cell="lstm", num_layers=3, hidden_size=5, embedding_dim=3,
                    rng=rng, init_scale=0.6), np.float32)
     batches = (4, 2 if other == "batch" else 4, 4)
-    tape, plan = GradientTape(np.float32), rnn._StackPlan()
-    for k, (model, batch) in enumerate(zip((first, second, first), batches)):
+    tape = GradientTape(np.float32)
+    for model, batch in zip((first, second, first), batches):
         X = rng.integers(0, VOCAB.size, size=(batch, 7))
         Y = rng.integers(0, VOCAB.size, size=(batch, 7))
         states = [(h + 0.5, None if c is None else c - 0.5) for h, c in _zero_states(model, batch, np.float32)]
         want = window_results(GradientTape(np.float32), model, X, Y, states)
-        got = window_results(tape, model, X, Y, states, plan if k != 1 or plan_between else None)
+        got = window_results(tape, model, X, Y, states)
         same_results(got, want)
 
 
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("cell", ["lstm", "ugrnn"])
+def test_a_tape_shared_with_per_op_windows_rebuilds_its_parts(cell, layers):
+    # A per-op window on the same tape, at the same sizes, takes the
+    # workspace's arrays in other roles, so the next stack window gets
+    # arrays of the first one's shapes that are not the first one's
+    # arrays.  Parts kept by their shapes alone would replay into arrays
+    # the tape no longer hands out.
+    rng = np.random.default_rng([layers, 11])
+    model = model_copy(init_model(VOCAB, DatasetVariant.CONTROL, cell=cell, num_layers=layers, hidden_size=5,
+                                  embedding_dim=3, rng=rng, init_scale=0.6), np.float32)
+    X = rng.integers(0, VOCAB.size, size=(4, FACTOR_CHUNK + 1))
+    Y = rng.integers(0, VOCAB.size, size=(4, FACTOR_CHUNK + 1))
+    states = [(h + 0.5, None if c is None else c - 0.5) for h, c in _zero_states(model, 4, np.float32)]
+    want = window_results(GradientTape(np.float32), model, X, Y, states)
+    tape = GradientTape(np.float32)
+    same_results(window_results(tape, model, X, Y, states), want)
+    loss, _, _ = tape_cells.window_loss(tape, model, X, Y,
+                                        [(Tensor(h), None if c is None else Tensor(c)) for h, c in states])
+    tape.backward(loss)
+    same_results(window_results(tape, model, X, Y, states), want)
+
+
 def test_train_holds_nothing_of_its_workspace_once_it_returns(monkeypatch):
-    # The plan views the tape's workspace, so a plan kept past the run (in
-    # a module-level cache, say) would keep the whole workspace alive, and
-    # the next run's would come on top of it.  Freed by reference counts
-    # alone, without a garbage collection.
+    # The stack's parts on the tape view its workspace, so parts kept past
+    # the run (in a module-level cache, say) would keep the whole workspace
+    # alive, and the next run's would come on top of it.  Freed by
+    # reference counts alone, without a garbage collection.
     handed = []
 
     class RecordingTape(GradientTape):
