@@ -13,9 +13,7 @@ SEQ_LEN) token ids.
 
 Each side keeps one tape for the whole run, as `train` does, and runs
 one untimed window first, which builds the parts the layer stack
-replays (kept on the tape since 0.16.0; an older parent's `_window_loss`
-takes a `plan` argument, its `_StackPlan`, which the side keeps beside
-the tape).  Every round then runs WINDOWS windows on each
+replays, kept on the tape.  Every round then runs WINDOWS windows on each
 side, the parent first in odd rounds and the change first in even ones,
 carrying the states from window to window from zero.  Forward is the
 tape's reset plus `_window_loss`, backward is `tape.backward`.  Per round
@@ -42,7 +40,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402  (numpy must load after the thread variables are set)
 import hashlib  # noqa: E402
 import importlib.util  # noqa: E402
-import inspect  # noqa: E402
 import shutil  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
@@ -73,7 +70,7 @@ def load_package(src: Path, name: str):
 
 
 class Side:
-    """One package's float32 model and tape, and a plan where its `_window_loss` takes one, kept for the whole run."""
+    """One package's float32 model and tape, kept for the whole run."""
 
     def __init__(self, package, args: argparse.Namespace) -> None:
         self.rnn, core, tensor = package.rnn, package.core, package.tensor
@@ -84,8 +81,6 @@ class Side:
         for shadow, master in zip(self.model.parameters(), model.parameters()):
             np.copyto(shadow.value, master.value)
         self.tape = tensor.GradientTape(np.float32)
-        takes_plan = "plan" in inspect.signature(self.rnn._window_loss).parameters
-        self.kwargs = {"plan": self.rnn._StackPlan()} if takes_plan else {}
         self.batch = args.batch
 
     def round(self, windows: list[tuple[np.ndarray, np.ndarray]]) -> tuple[float, float, list[str]]:
@@ -96,7 +91,7 @@ class Side:
         for X, Y in windows:
             start = time.perf_counter()
             self.tape.reset()
-            total, states = self.rnn._window_loss(self.tape, self.model, X, Y, states, **self.kwargs)
+            total, states = self.rnn._window_loss(self.tape, self.model, X, Y, states)
             mid = time.perf_counter()
             self.tape.backward(total)
             end = time.perf_counter()

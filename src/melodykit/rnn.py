@@ -36,9 +36,10 @@ by the (call, args) pairs of `_share_calls` and `_step_calls`, the one
 step sequence.  Training records a window's whole stack as one tape op,
 `_stack`, stepped in waves (Appleyard, Kocisky & Blunsom 2016,
 arXiv:1604.01946): in wave s every layer l takes its step s - l, all of
-them in one stacked GEMM and one kernel call over the wave's rows.  So a window is four records: the stack, then one
-projection (matmul and bias) and one cross-entropy over the (T*B,
-hidden) stack of top states.  As in that paper's kernels, which prepare
+them in one stacked GEMM and one kernel call over the wave's rows.  So a
+window is two records: the stack, then `_head`, the projection and
+cross-entropy over the (T*B, hidden) stack of top states, with the
+logits held vocabulary-major.  As in that paper's kernels, which prepare
 once and replay per step, the stack builds the forward's waves, and
 each layer's backward recurrence, as one flat list of (call, args)
 pairs on views of the tape's workspace, which the tape keeps
@@ -77,10 +78,14 @@ which is allocated in the first iteration and released when `train`
 returns.  A wave writes its layers' states and activations as adjacent
 rows of that workspace, so each kernel call reads and writes contiguous
 arrays, and the call lists the stack replays live on the tape with the
-workspace they view.  Beside the tape the run keeps the float32 shadow
-and one float64 gradient list the size of the parameters.  Sampling and
-`stack_forward` allocate their step operands once per call and each
-step's arrays.
+workspace they view.  The backward sums the weight gradients chunk by
+chunk (`GRAD_CHUNK_ROWS`), so only the states, activations and the
+gradients passed between layers are window-sized: the gate gradients dz
+and the first layer's [hs | onehot] rows are one chunk long, and the
+head keeps one (V, T*B) array.  Beside the tape the run keeps the
+float32 shadow and one float64 gradient list the size of the parameters.
+Sampling and `stack_forward` allocate their step operands once per call
+and each step's arrays.
 """
 
 from __future__ import annotations
@@ -89,6 +94,7 @@ import functools
 import hashlib
 import json
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -630,6 +636,17 @@ LearningCurve = list[tuple[int, float]]
 # hidden 128); one pass over the whole window lost at 50.
 FACTOR_CHUNK = 8
 
+# Rows (steps times batch) of a gradient chunk in `_stack`'s backward, whose
+# dz, weight-gradient products and first-layer [hs | onehot] rows are one
+# chunk long: a chunk is as many whole factor chunks as fit in these rows,
+# and at least one.  So a batch-4 window of 50 steps is one chunk, whose
+# products are those of the whole window, and batch 50 runs one factor
+# chunk (400 rows) at a time.  Summed chunk by chunk, the first layer's
+# [hs | onehot]^T dz over a db12 window (2,500 rows, hidden 128, V 31)
+# took 3.31 ms in 400-row chunks, 3.21 ms in 800 and 3.15 ms in one GEMM,
+# against 3.45 ms in 200-row chunks (float32, 1 OpenBLAS 0.3.31 thread).
+GRAD_CHUNK_ROWS = 512
+
 
 def _stack(tape: GradientTape, spec: CellSpec, model: ModelState, ids: np.ndarray,
            states: list[_State]) -> tuple[Tensor, list[_State]]:
@@ -660,20 +677,28 @@ def _stack(tape: GradientTape, spec: CellSpec, model: ModelState, ids: np.ndarra
     wave's rows.
 
     Backward goes layer by layer, the top one first, and walks each
-    layer's steps in reverse, in chunks of FACTOR_CHUNK steps, the last
-    chunk first: `spec.factors` once per chunk, then per step
-    dh = g_t + carry and the adjoint, which gives the gradient of the
-    unscaled z, and, but at step 0, the carry to the step before,
-    dz_t W[m_l:]^T, plus the adjoint's direct share (`CellSpec`) where the
-    cell has one.  The carry GEMM reads a contiguous copy of W[m_l:]^T made
-    once per layer, on which BLAS runs faster than on the transposed view
-    (at batch 50, width 512, one OpenBLAS 0.3.31 thread: 74 against 103 us
-    a step).  Then dW[m_l:] = hs^T dz over all T*B rows, and S is dz; for
-    the first layer, S is dz summed per token, and one GEMM over the T*B
-    rows of [hs | onehot], (n + V) rows of output, writes both dW[m:] and
-    S.  dW[:m_l] = x^T S, db = sum S, and x's gradient S W[:m_l]^T is the
-    layer below's incoming gradient, or, for the first layer, the
-    embedding's.
+    layer's steps in reverse, in gradient chunks, the last chunk first.
+    A gradient chunk is as many whole factor chunks of FACTOR_CHUNK steps
+    as fit in GRAD_CHUNK_ROWS rows, and at least one, so the two share
+    their boundaries.  Per factor chunk `spec.factors` runs once, then per
+    step dh = g_t + carry and the adjoint, which gives the gradient of the
+    unscaled z into the chunk's dz, and, but at step 0, the carry to the
+    step before, dz_t W[m_l:]^T, plus the adjoint's direct share
+    (`CellSpec`) where the cell has one.  The carry GEMM reads a
+    contiguous copy of W[m_l:]^T made once per layer, on which BLAS runs
+    faster than on the transposed view (at batch 50, width 512, one
+    OpenBLAS 0.3.31 thread: 74 against 103 us a step).  Then the chunk's
+    products, over its rows, are summed into the layer's gradients, the
+    window's last chunk writing them and every earlier one adding to them
+    (Gruslys et al. 2016, arXiv:1606.03401, keep BPTT's buffers
+    step-sized the same way).  For an upper layer, S is dz: dW[n:] =
+    hs^T dz, dW[:n] = x^T dz and db = sum dz, and x's gradient dz W[:n]^T
+    fills the chunk's rows of the layer below's incoming gradient.  For
+    the first layer, S is dz summed per token: one GEMM over the chunk's
+    rows of [hs | onehot], (n + V) rows of output, sums both dW[m:] and S;
+    once every chunk has run, dW[:m] = E^T S, db = sum S, and the embedding's
+    gradient is S W[:m]^T.  A window of one chunk (batch 4 at 50 steps)
+    makes each of these products once, over all of its rows.
     """
     layers, tokens = model.num_layers, model.vocab_size
     ids = np.ascontiguousarray(ids, dtype=np.int64)
@@ -735,32 +760,66 @@ def _stack(tape: GradientTape, spec: CellSpec, model: ModelState, ids: np.ndarra
     out = Tensor(seqs[-1][1:].reshape(rows, n))
 
     def back(g: np.ndarray) -> None:
+        chunk = FACTOR_CHUNK * max(1, GRAD_CHUNK_ROWS // (FACTOR_CHUNK * batch))
+        span = min(chunk, steps)  # steps in the longest chunk
         w_ht = tape.array((width, n))
-        dz = tape.array((steps, batch, width))
-        dz_rows = dz.reshape(rows, width)
+        dz = tape.array((span, batch, width))
         fac = tape.array((min(FACTOR_CHUNK, steps), blocks, batch, n))
         dh = tape.array((batch, n))
         carry = tape.array((batch, n))
         dc = tape.array((batch, n)) if memory else None
+        # A later chunk's product, before it is added into its sum; one chunk needs none.
+        part = tape.array((n + tokens, width)) if steps > chunk else None
+        held = (w_ht, dz, fac, dh, carry, dc, part, *viewed, *(seqs if layers > 1 else ()))
 
-        def recurrence(l: int, g: np.ndarray) -> list:
-            # Layer l's steps in reverse, in chunks, the last chunk first: the chunk's factor pass, then per
-            # step dh = g_t + carry, the adjoint and, except at step 0, the carry to the step before.
-            g, dz_blocks = g.reshape(steps, batch, n), dz.reshape(steps, batch, width // n, n).swapaxes(1, 2)
+        def summed(first: bool, call: Callable, args: tuple, acc: np.ndarray) -> list:
+            # call(*args, out) writes into acc in the chunk that runs first (the window's last), and into
+            # `part`, then added into acc, in every later one.
+            if first:
+                return [(call, (*args, acc))]
+            out = part[: len(acc)] if acc.ndim > 1 else part[0]
+            return [(call, (*args, out)), (np.add, (acc, out, acc))]
+
+        def layer_back(l: int, g: np.ndarray, w: np.ndarray, sums: np.ndarray, db, below, lhs) -> tuple:
+            # Layer l's steps in reverse, in chunks, the last chunk first.  A chunk runs, per factor chunk
+            # in it, the factor pass, then per step dh = g_t + carry, the adjoint and, except at step 0,
+            # the carry to the step before; then the chunk's weight-gradient products, summed into `sums`
+            # (dW, or the first layer's dW[m:] and S), and an upper layer's bias sum into db and input
+            # gradient rows into `below`.  Returns (the part's own copy of the window's ids, which the
+            # first layer's one-hot rows read, or None; the calls).
+            g, dz_blocks = g.reshape(steps, batch, n), dz.reshape(span, batch, width // n, n).swapaxes(1, 2)
             h_l, c_l, a_l = hs[l:, l], cs[l:, l] if memory else None, acts[l:, :, l]
+            own_ids = None if l else np.empty(rows, np.int64)
             calls = []
-            for end in range(steps, 0, -FACTOR_CHUNK):
-                start = max(end - FACTOR_CHUNK, 0)
-                calls.append((spec.factors, (h_l[start:end], c_l[start:end] if memory else None, a_l[start:end],
-                                             fac[: end - start])))
-                for t in reversed(range(start, end)):
-                    views, direct = spec.adjoint_bind(dh, dc, a_l[t], fac[t - start], dz_blocks[t])
-                    calls += (np.add, (g[t], carry, dh)), (spec.adjoint_run, views)
-                    if t:
-                        calls.append((np.matmul, (dz[t], w_ht, carry)))
-                        if direct is not None:
-                            calls.append((np.add, (carry, direct, carry)))
-            return calls
+            for end in range(steps, 0, -chunk) or (0,):  # an empty window runs one empty chunk: zero sums
+                start = max(end - chunk, 0)
+                for stop in range(end, start, -FACTOR_CHUNK):
+                    first = max(stop - FACTOR_CHUNK, start)
+                    calls.append((spec.factors, (h_l[first:stop], c_l[first:stop] if memory else None,
+                                                 a_l[first:stop], fac[: stop - first])))
+                    for t in reversed(range(first, stop)):
+                        views, direct = spec.adjoint_bind(dh, dc, a_l[t], fac[t - first], dz_blocks[t - start])
+                        calls += (np.add, (g[t], carry, dh)), (spec.adjoint_run, views)
+                        if t:
+                            calls.append((np.matmul, (dz[t - start], w_ht, carry)))
+                            if direct is not None:
+                                calls.append((np.add, (carry, direct, carry)))
+                lanes, r0 = (end - start) * batch, start * batch
+                dz_rows, last = dz[: end - start].reshape(lanes, width), end == steps
+                if l:
+                    calls += summed(last, np.matmul, (seqs[l][start:end].reshape(lanes, n).T, dz_rows), sums[n:])
+                    calls += summed(last, np.matmul, (seqs[l - 1][start + 1 : end + 1].reshape(lanes, n).T, dz_rows),
+                                    sums[:n])
+                    calls += summed(last, np.sum, (dz_rows, 0, None), db)
+                    calls.append((np.matmul, (dz_rows, w[:n].T, below[r0 : r0 + lanes])))
+                else:
+                    # [hs | onehot]: row r's state, then a 1 in its token's column.
+                    rows_k = lhs[: end - start].reshape(lanes, n + tokens)
+                    calls += ((np.copyto, (lhs[: end - start, :, :n], seqs[0][start:end])),
+                              (np.copyto, (rows_k[:, n:], 0.0)),
+                              (operator.setitem, (rows_k[:, n:], (np.arange(lanes), own_ids[r0 : r0 + lanes]), 1.0)))
+                    calls += summed(last, np.matmul, (rows_k.T, dz_rows), sums[m:])
+            return own_ids, calls
 
         for l in reversed(range(layers)):
             w, m_l = weights[l].value, m if l == 0 else n
@@ -768,40 +827,74 @@ def _stack(tape: GradientTape, spec: CellSpec, model: ModelState, ids: np.ndarra
             carry[...] = 0.0
             if memory:
                 dc[...] = 0.0
-            for call, args in tape.built(("stack", "back", l), (g, w_ht, dz, fac, dh, carry, dc, *viewed),
-                                         recurrence, l, g):
+            if l:
+                sums, db, below, lhs = tape.array(w.shape), tape.array((width,)), tape.array((rows, n)), None
+            else:
+                sums, db, below = tape.array((m + n + tokens, width)), None, None  # dW, then S
+                lhs = tape.array((span, batch, n + tokens))
+            own_ids, calls = tape.built(("stack", "back", l), (g, w, sums, db, below, lhs, *held),
+                                        layer_back, l, g, w, sums, db, below, lhs)
+            if not l:
+                np.copyto(own_ids, ids.reshape(-1))
+            for call, args in calls:
                 call(*args)
             if l:
-                x = seqs[l - 1][1:].reshape(rows, n)
-                dw = tape.array(w.shape)
-                np.matmul(seqs[l][:steps].reshape(rows, n).T, dz_rows, out=dw[n:])
-                s = dz_rows
+                dw, g = sums, below
             else:
-                x = table.value
-                lhs = tape.array((steps, batch, n + tokens))  # [hs | onehot]: row r's state, then its token's 1
-                lhs[:, :, :n] = seqs[0][:steps]
-                lhs[:, :, n:] = 0.0
-                lhs = lhs.reshape(rows, n + tokens)
-                lhs[np.arange(rows), n + ids.reshape(-1)] = 1.0
-                merged = tape.array((m + n + tokens, width))  # dW, then S
-                np.matmul(lhs.T, dz_rows, out=merged[m:])
-                dw, s = merged[: m + n], merged[m + n :]
-            np.matmul(x.T, s, out=dw[:m_l])
+                dw, s = sums[: m + n], sums[m + n :]
+                np.matmul(table.value.T, s, out=dw[:m])
+                db = np.sum(s, axis=0, out=tape.array((width,)))
+                g = np.matmul(s, w[:m].T, out=tape.array(table.value.shape))
             tape.accumulate_own(weights[l], dw)
-            tape.accumulate_own(biases[l], np.sum(s, axis=0, out=tape.array((width,))))
-            g = np.matmul(s, w[:m_l].T, out=tape.array(x.shape))
+            tape.accumulate_own(biases[l], db)
         tape.accumulate_own(table, g)
 
     final = [(hs[l + steps, l].copy(), cs[l + steps, l].copy() if memory else None) for l in range(layers)]
     return tape.push(out, back), final
 
 
+def _head(tape: GradientTape, top: Tensor, proj_w: Tensor, proj_b: Tensor, targets: np.ndarray) -> Tensor:
+    """The output head over the top states' (rows, n) matrix, recorded on the tape as one op.
+
+    Returns the summed cross-entropy of the logits top @ proj_w + proj_b
+    against the targets, a float64 scalar Tensor, as
+    `GradientTape.cross_entropy` computes it: row r's loss is
+    log sum_j exp(z_rj - max_r) - (z_r,target - max_r), the log taken and
+    the rows summed in float64.  The logits are held vocabulary-major,
+    z = proj_w^T top^T as (V, rows), so every reduction runs along the
+    long axis, and the backward works on the softmax in place: subtract 1
+    at the targets, scale by the loss's gradient, then dW = top^T z^T,
+    db = z's row sums and top's gradient z^T proj_w^T.  Every array lives
+    in the tape's workspace, and none is (rows, V).
+    """
+    w, h = proj_w.value, top.value
+    (rows, _), tokens = h.shape, w.shape[1]
+    cols = np.arange(rows)
+    z = np.matmul(w.T, h.T, out=tape.array((tokens, rows)))
+    z += proj_b.value[:, None]
+    z -= np.max(z, axis=0, out=tape.array((rows,)))
+    shifted = z[targets, cols]
+    np.exp(z, out=z)
+    sums = np.sum(z, axis=0, out=tape.array((rows,)))
+    out = Tensor((np.log(sums, dtype=np.float64) - shifted).sum())
+    z /= sums
+
+    def back(g: np.ndarray) -> None:
+        z[targets, cols] -= 1.0
+        np.multiply(z, g, z)
+        tape.accumulate_own(proj_w, np.matmul(h.T, z.T, out=tape.array(w.shape)))
+        tape.accumulate_own(proj_b, np.sum(z, axis=1, out=tape.array((tokens,))))
+        tape.accumulate_own(top, np.matmul(z.T, w.T, out=tape.array(h.shape)))
+
+    return tape.push(out, back)
+
+
 def _window_loss(tape: GradientTape, model: ModelState, X: np.ndarray, Y: np.ndarray, states: list[_State]):
     """Summed cross-entropy of stepping through the columns of X against Y; returns (loss, final states).
 
     The window's (B, T) ids are taken time-major, so row t*B + b of every
-    (T*B, *) matrix is lane b at step t.  The tape gets 4 records: one
-    `_stack` for the whole stack, the projection's matmul and bias, and
+    (T*B, *) matrix is lane b at step t.  The tape gets 2 records: one
+    `_stack` for the whole stack, then one `_head` for the projection and
     the loss.  The first layer reads the embedding table by token id, so
     no (T*B, embedding_dim) array is made; an id outside the vocabulary is
     BadToken.  The final states carry values only, and are copies: the
@@ -809,8 +902,7 @@ def _window_loss(tape: GradientTape, model: ModelState, X: np.ndarray, Y: np.nda
     the same sizes replays the stack's call lists, which it keeps.
     """
     top, final = _stack(tape, cell_spec(model.cell), model, X.T, states)
-    logits = tape.add_bias(tape.matmul(top, model.proj_w), model.proj_b)
-    return tape.cross_entropy(logits, Y.T.reshape(-1)), final
+    return _head(tape, top, model.proj_w, model.proj_b, Y.T.reshape(-1)), final
 
 
 def corpus_lanes(corpus: TrainingCorpus, config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:

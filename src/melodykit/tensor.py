@@ -7,12 +7,12 @@ live in (rows, features) matrices.  The tape knows nothing of cells or
 layers.  An op defined elsewhere records itself through the pieces the
 tape's own ops use: `array` (the workspace's next array), `copy`,
 `accumulate_own` and `push`, and keeps what it builds on the workspace
-with `built`.  `rnn` records a window's whole layer stack that way, so
-training records four ops a window: that one, then
-`matmul`, `add_bias` and `cross_entropy`.  The per-op kinds training does
-not record, `lookup` among them, stay callable: the benchmark's tracer
-wraps every op its `TAPE_OPS` names, and `tests/tape_cells.py`, the
-per-op oracle that training's window is checked against, records them.
+with `built`.  `rnn` records a window's whole layer stack that way, and
+then its output head (projection, bias and cross-entropy), so training
+records two ops a window and none of the tape's own.  Those stay
+callable: the benchmark's tracer wraps every op its `TAPE_OPS` names,
+and `tests/tape_cells.py`, the per-op oracle that training's window is
+checked against, records them.
 
 Precision: a Tensor holds float32 or float64 (anything else is taken as
 float64), and a tape computes in the dtype it is made with, float64 by
@@ -29,8 +29,9 @@ order and takes back every gradient it handed out, so a tape kept across
 the windows of a training run (which all record the same ops at the same
 shapes) allocates its window-sized arrays once.  The tape also keeps
 what an op builds on those arrays (`GradientTape.built`: `rnn`'s layer
-stack keeps the calls it replays every window) for as long as the tape
-lives, so nothing else has to hold views of the workspace.
+stack keeps the calls it replays every window) for as long as every
+window asks for it, so nothing else has to hold views of the workspace,
+and a part no window asks for any more goes at the next reset.
 `clip_gradients` sums the squared norm one gradient at a time and scales
 the gradients in place, and `adam_step` works in the scratch pair
 its `AdamState` holds, so a training iteration allocates nothing window-
@@ -109,13 +110,24 @@ class GradientTape:
         self._next = 0
         self._granted: list[Tensor] = []
         self._built: dict = {}
+        self._asked: set = set()
 
     def reset(self) -> None:
-        """Drop the records and the gradients the tape wrote first; hand the arrays out again from the first."""
+        """Drop the records and the gradients the tape wrote first; hand the arrays out again from the first.
+
+        A reset after a window (arrays handed out or parts asked for since
+        the previous reset) also drops every kept part (`built`) that the
+        window did not ask for, with the arrays it views; a reset with
+        nothing in between keeps them.
+        """
         self._records.clear()
         for t in self._granted:
             t.grad = None
         self._granted.clear()
+        if self._next or self._asked:
+            for key in self._built.keys() - self._asked:
+                del self._built[key]
+            self._asked.clear()
         self._next = 0
 
     def array(self, shape: tuple[int, ...]) -> np.ndarray:
@@ -136,8 +148,10 @@ class GradientTape:
         op that asks again in every window builds it once, and is built
         again whenever one of those arrays is not the very one it was built
         on: a window of other sizes, or of other ops, in between hands out
-        other arrays, even of the same shapes.
+        other arrays, even of the same shapes.  A window that does not ask
+        for it ends its life at the next `reset`.
         """
+        self._asked.add(key)
         held = self._built.get(key)
         if held is None or any(a is not b for a, b in zip(held[0], arrays)):
             held = self._built[key] = (arrays, build(*args))
@@ -308,7 +322,8 @@ class GradientTape:
         Row r's loss is log sum_j exp(z_rj - max_r) - (z_r,target - max_r),
         the log taken and the rows summed in float64.  Unlike -log of the
         target's probability, that stays finite when the probability
-        underflows the compute dtype.
+        underflows the compute dtype.  `rnn._head` computes the same loss
+        for training, with the logits held vocabulary-major.
         """
         targets = np.asarray(targets, dtype=np.int64)
         z = logits.value

@@ -363,6 +363,30 @@ def test_window_loss_matches_per_op_tape(cell, layers, batch, steps):
             assert c is None and want_c is None
 
 
+@pytest.mark.parametrize("layers", [1, 3])
+def test_a_batch_50_window_keeps_no_window_sized_gradient_buffer(layers):
+    # Two records, the stack and the head.  The head holds its logits as
+    # one vocabulary-major (V, T*B) array, and the stack's backward sums
+    # its weight gradients chunk by chunk, so dz and the first layer's
+    # [hs | onehot] rows are one factor chunk long at batch 50.
+    steps, batch, hidden, tokens = 2 * FACTOR_CHUNK + 3, 50, 5, VOCAB.size
+    rows, width = steps * batch, 4 * hidden
+    rng = np.random.default_rng([layers, 17])
+    model = init_model(VOCAB, DatasetVariant.CONTROL, cell="lstm", num_layers=layers, hidden_size=hidden,
+                       embedding_dim=3, rng=rng)
+    X = rng.integers(0, tokens, size=(batch, steps))
+    tape = GradientTape()
+    loss, _ = _window_loss(tape, model, X, X, _zero_states(model, batch))
+    tape.backward(loss)
+    assert len(tape._records) == 2 and tape._records[-1][0] is loss
+    shapes = [a.shape for a in tape._arrays]
+    window_sized = {(rows, tokens), (rows, width), (steps, batch, width), (rows, hidden + tokens),
+                    (steps, batch, hidden + tokens)}
+    assert [shape for shape in shapes if shape in window_sized] == []
+    assert shapes.count((tokens, rows)) == 1
+    assert (FACTOR_CHUNK, batch, width) in shapes and (FACTOR_CHUNK, batch, hidden + tokens) in shapes
+
+
 # --- the wave schedule ---------------------------------------------------
 
 @pytest.mark.parametrize("steps", [1, 2, FACTOR_CHUNK + 1])
@@ -833,6 +857,28 @@ def test_a_tape_shared_with_per_op_windows_rebuilds_its_parts(cell, layers):
                                         [(Tensor(h), None if c is None else Tensor(c)) for h, c in states])
     tape.backward(loss)
     same_results(window_results(tape, model, X, Y, states), want)
+
+
+def test_a_reset_drops_the_parts_the_window_before_did_not_ask_for():
+    # An LSTM x3 window and then an LSTM x1 window on one float64 tape
+    # (batch 50, hidden 64, embedding 16): the second window replaces
+    # workspace arrays that the first one's upper layers' backward parts
+    # view, and asks for no such part.  The reset after it drops those
+    # parts, so nothing holds the replaced arrays any more.
+    rng = np.random.default_rng(13)
+    tape = GradientTape()
+    for layers in (3, 1):
+        model = init_model(VOCAB, DatasetVariant.CONTROL, cell="lstm", num_layers=layers, hidden_size=64,
+                           embedding_dim=16, rng=rng)
+        X = rng.integers(0, VOCAB.size, size=(50, FACTOR_CHUNK + 1))
+        tape.reset()
+        loss, _ = _window_loss(tape, model, X, X, _zero_states(model, 50))
+        tape.backward(loss)
+        if layers == 3:
+            first = [weakref.ref(a) for a in tape._arrays]
+    tape.reset()
+    replaced = [ref for ref in first if not any(ref() is a for a in tape._arrays)]
+    assert replaced and [ref for ref in replaced if ref() is not None] == []
 
 
 def test_train_holds_nothing_of_its_workspace_once_it_returns(monkeypatch):
