@@ -20,10 +20,11 @@ Printed, each the median over the timed windows:
 - the window's forward (`_window_loss`) and backward (`tape.backward`),
   in the untimed windows and in the timed ones;
 - in each, the stack's record and, per kept part (the forward's waves,
-  each layer's backward), ms per window, calls per window and us per call
-  of each call kind (the call's name and its array arguments' shapes), then the
-  stack's time outside the replayed calls (operand preparation, state and
-  sequence copies, the first layer's per-token products);
+  and the backward, one part for every layer, so the rows of upper layers'
+  calls of one shape merge), ms per window, calls per window and us per
+  call of each call kind (the call's name and its array arguments'
+  shapes), then the stack's time outside the replayed calls (operand
+  preparation, state and sequence copies, the gradient grants);
 - the head: the forward's time outside the stack, and the backward of
   every record after the stack's.
 

@@ -36,4 +36,4 @@ from .rnn import (
     train,
 )
 
-__version__ = "0.17.0"
+__version__ = "0.18.0"

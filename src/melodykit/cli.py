@@ -107,6 +107,7 @@ def _read_corpus(path: Path) -> TrainingCorpus:
         vocabulary=Vocabulary(tokens=tuple(core.json_ints(vocab_payload["tokens"], f"{sidecar}: tokens").tolist())),
         variant=DatasetVariant(payload["variant"]),
     )
+    core.check_vocabulary(corpus.vocabulary, corpus.variant, f"{sidecar}: tokens")
     if corpus.x.shape != corpus.y.shape:
         raise MalformedFile(f"{path}: x and y must be id lists of one length")
     size = corpus.vocabulary.size

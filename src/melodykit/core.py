@@ -176,6 +176,18 @@ class Vocabulary:
         return [self.tokens[int(i)] for i in ids]
 
 
+def check_vocabulary(vocabulary: Vocabulary, variant: DatasetVariant, what: str) -> None:
+    """MalformedFile naming `what` and the first token outside the variant's range.
+
+    The range holds every token `build_corpus` makes: MIDI notes [0, 127]
+    for control and db12, steps between two notes [-127, 127] for interval.
+    """
+    low = -MIDI_MAX if variant is DatasetVariant.INTERVAL else MIDI_MIN
+    for token in vocabulary.tokens:
+        if not low <= token <= MIDI_MAX:
+            raise MalformedFile(f"{what}: token {token} outside the {variant.value} range [{low}, {MIDI_MAX}]")
+
+
 @dataclass(frozen=True)
 class TrainingCorpus:
     """Next-token training pairs: y is x shifted left by one position."""

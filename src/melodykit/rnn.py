@@ -41,8 +41,8 @@ window is two records: the stack, then `_head`, the projection and
 cross-entropy over the (T*B, hidden) stack of top states, with the
 logits held vocabulary-major.  As in that paper's kernels, which prepare
 once and replay per step, the stack builds the forward's waves, and
-each layer's backward recurrence, as one flat list of (call, args)
-pairs on views of the tape's workspace, which the tape keeps
+its whole backward, each as one flat list of (call, args) pairs on
+views of the tape's workspace, which the tape keeps
 (`GradientTape.built`) and every window replays by the same loop.
 `sample_batch` and `stack_forward` step plain arrays through
 `_forward_step`, one time step through every layer in turn, since each
@@ -80,10 +80,10 @@ rows of that workspace, so each kernel call reads and writes contiguous
 arrays, and the call lists the stack replays live on the tape with the
 workspace they view.  The backward sums the weight gradients chunk by
 chunk (`GRAD_CHUNK_ROWS`), so only the states, activations and the
-gradients passed between layers are window-sized: the gate gradients dz
-and the first layer's [hs | onehot] rows are one chunk long, and the
-head keeps one (V, T*B) array.  Beside the tape the run keeps the
-float32 shadow and one float64 gradient list the size of the parameters.
+gradients passed between layers are window-sized: the gate gradients dz,
+their factors and the first layer's [hs | onehot] rows are one chunk
+long, and the head keeps one (V, T*B) array.  Beside the tape the run
+keeps the float32 shadow and one float64 gradient list the size of the parameters.
 Sampling and `stack_forward` allocate their step operands once per call
 and each step's arrays.
 """
@@ -102,8 +102,8 @@ from typing import Callable
 import numpy as np
 
 from .core import (
-    DatasetVariant, Song, TrainingCorpus, Vocabulary, check_song, interval_to_song, json_ints, read_json,
-    song_to_interval, write_atomic,
+    DatasetVariant, Song, TrainingCorpus, Vocabulary, check_song, check_vocabulary, interval_to_song, json_ints,
+    read_json, song_to_interval, write_atomic,
 )
 from .errors import (
     BadToken,
@@ -134,7 +134,7 @@ _State = tuple[np.ndarray, "np.ndarray | None"]
 # The step kernels and adjoints, which run once per step, are each a bind
 # part that slices its arguments into the views the formulas name, and a
 # run part that makes the ufunc calls on them.  A factor pass runs once
-# per chunk of steps and slices for itself.
+# per gradient chunk of steps and slices for itself.
 # A ufunc's last positional argument is its output (passed positionally,
 # as keyword parsing costs about a sixth of a small ufunc call).
 #
@@ -629,19 +629,21 @@ class TrainConfig:
 LearningCurve = list[tuple[int, float]]
 
 
-# Steps per factor pass in `_stack`'s backward.  Longer chunks spread a
-# pass's calls over more steps, which pays at batch 4; shorter ones keep a
-# chunk's factors small, which pays at batch 50.  Of 4, 8 and 12, 8 gained
-# most at batch 4 without losing at batch 50 (float32 microbenchmark,
-# hidden 128); one pass over the whole window lost at 50.
+# The step quantum of `_stack`'s backward: a gradient chunk is whole
+# FACTOR_CHUNK steps, and its factor pass runs once.  A float32 benchmark
+# (hidden 128) found a window-long pass the faster at batch 4 and 8 steps
+# the better at batch 50, the chunks they get.  Rows alone (GRAD_CHUNK_ROWS)
+# would move the chunk bounds at T 50, and so the weight gradients' sum
+# order and training bits, at most batch sizes from 9 to 49 and above 50.
 FACTOR_CHUNK = 8
 
 # Rows (steps times batch) of a gradient chunk in `_stack`'s backward, whose
-# dz, weight-gradient products and first-layer [hs | onehot] rows are one
-# chunk long: a chunk is as many whole factor chunks as fit in these rows,
-# and at least one.  So a batch-4 window of 50 steps is one chunk, whose
-# products are those of the whole window, and batch 50 runs one factor
-# chunk (400 rows) at a time.  Summed chunk by chunk, the first layer's
+# dz, factors, weight-gradient products and first-layer [hs | onehot] rows
+# are one chunk long, and whose factor pass runs once per chunk: a chunk
+# is as many whole FACTOR_CHUNK quanta as fit in these rows, and at least
+# one.  So a batch-4 window of 50 steps is one chunk, whose factor pass
+# and products are those of the whole window, and batch 50 runs 8 steps
+# (400 rows) at a time.  Summed chunk by chunk, the first layer's
 # [hs | onehot]^T dz over a db12 window (2,500 rows, hidden 128, V 31)
 # took 3.31 ms in 400-row chunks, 3.21 ms in 800 and 3.15 ms in one GEMM,
 # against 3.45 ms in 200-row chunks (float32, 1 OpenBLAS 0.3.31 thread).
@@ -663,11 +665,11 @@ def _stack(tape: GradientTape, spec: CellSpec, model: ModelState, ids: np.ndarra
     kernels (Appleyard, Kocisky & Blunsom 2016, arXiv:1604.01946), and, as
     those kernels prepare once and replay per step, the forward's waves
     are one flat list of (call, args) pairs on views of the workspace, and
-    so is each layer's backward recurrence.  The tape keeps the lists
-    (`GradientTape.built`, keys ("stack", "waves") and ("stack", "back",
-    l)) and builds one again only when an array it views is not the one
-    it was built on, so a training run builds them in its first window
-    and replays them in every later one.  The forward runs in
+    so is the whole backward, every layer from the top one down.  The tape
+    keeps the two lists (`GradientTape.built`, keys ("stack", "waves") and
+    ("stack", "back")) and builds one again only when an array it views is
+    not the one it was built on, so a training run builds them in its
+    first window and replays them in every later one.  The forward runs in
     waves, after the same paper: at wave s every layer l with 0 <= s - l < T
     takes its step t = s - l, reading only what wave s - 1 wrote.  So a
     wave is the first layer's gather from the token table, `_share_calls`
@@ -678,16 +680,15 @@ def _stack(tape: GradientTape, spec: CellSpec, model: ModelState, ids: np.ndarra
 
     Backward goes layer by layer, the top one first, and walks each
     layer's steps in reverse, in gradient chunks, the last chunk first.
-    A gradient chunk is as many whole factor chunks of FACTOR_CHUNK steps
-    as fit in GRAD_CHUNK_ROWS rows, and at least one, so the two share
-    their boundaries.  Per factor chunk `spec.factors` runs once, then per
-    step dh = g_t + carry and the adjoint, which gives the gradient of the
-    unscaled z into the chunk's dz, and, but at step 0, the carry to the
-    step before, dz_t W[m_l:]^T, plus the adjoint's direct share
-    (`CellSpec`) where the cell has one.  The carry GEMM reads a
-    contiguous copy of W[m_l:]^T made once per layer, on which BLAS runs
-    faster than on the transposed view (at batch 50, width 512, one
-    OpenBLAS 0.3.31 thread: 74 against 103 us a step).  Then the chunk's
+    A gradient chunk is as many whole FACTOR_CHUNK steps as fit in
+    GRAD_CHUNK_ROWS rows, and at least one.  Per chunk `spec.factors` runs
+    once, then per step dh = g_t + carry and the adjoint, which gives the
+    gradient of the unscaled z into the chunk's dz, and, but at step 0,
+    the carry to the step before, dz_t W[m_l:]^T, plus the adjoint's
+    direct share (`CellSpec`) where the cell has one.  The carry GEMM
+    reads a contiguous copy of W[m_l:]^T, made as the layer starts, on
+    which BLAS runs faster than on the transposed view (at batch 50, width
+    512, one OpenBLAS 0.3.31 thread: 74 against 103 us a step).  Then the chunk's
     products, over its rows, are summed into the layer's gradients, the
     window's last chunk writing them and every earlier one adding to them
     (Gruslys et al. 2016, arXiv:1606.03401, keep BPTT's buffers
@@ -696,8 +697,8 @@ def _stack(tape: GradientTape, spec: CellSpec, model: ModelState, ids: np.ndarra
     fills the chunk's rows of the layer below's incoming gradient.  For
     the first layer, S is dz summed per token: one GEMM over the chunk's
     rows of [hs | onehot], (n + V) rows of output, sums both dW[m:] and S;
-    once every chunk has run, dW[:m] = E^T S, db = sum S, and the embedding's
-    gradient is S W[:m]^T.  A window of one chunk (batch 4 at 50 steps)
+    the list ends with dW[:m] = E^T S, db = sum S and the embedding's
+    gradient S W[:m]^T.  A window of one chunk (batch 4 at 50 steps)
     makes each of these products once, over all of its rows.
     """
     layers, tokens = model.num_layers, model.vocab_size
@@ -707,8 +708,8 @@ def _stack(tape: GradientTape, spec: CellSpec, model: ModelState, ids: np.ndarra
     if rows and (ids.min() < 0 or ids.max() >= tokens):
         raise BadToken(f"ids in [{ids.min()}, {ids.max()}] from a table of {tokens} rows")
     table, weights, biases = model.embedding, [layer.w for layer in model.layers], [layer.b for layer in model.layers]
-    w_h, w_x, b_x, zx_table = _step_operands(spec, table.value, [w.value for w in weights],
-                                             [b.value for b in biases], tape.array)
+    ws = [w.value for w in weights]
+    w_h, w_x, b_x, zx_table = _step_operands(spec, table.value, ws, [b.value for b in biases], tape.array)
     _, n, width = w_h.shape
     _check_states(spec, states, layers, (batch, n))
     m, memory, blocks = table.value.shape[1], spec.has_memory, spec.acts
@@ -726,7 +727,7 @@ def _stack(tape: GradientTape, spec: CellSpec, model: ModelState, ids: np.ndarra
     viewed = (spec, hs, cs, acts, z, zx, w_h, w_x, b_x, zx_table)
 
     def waves():
-        # The part's own copy of the window's ids, which each wave's gather reads a row of.
+        # The part's own copy of the window's ids, read by each wave's gather and the backward's one-hot rows.
         wave_ids = np.empty((steps, batch), np.int64)
         calls = []
         for s in range(steps + layers - 1 if steps else 0):
@@ -764,13 +765,19 @@ def _stack(tape: GradientTape, spec: CellSpec, model: ModelState, ids: np.ndarra
         span = min(chunk, steps)  # steps in the longest chunk
         w_ht = tape.array((width, n))
         dz = tape.array((span, batch, width))
-        fac = tape.array((min(FACTOR_CHUNK, steps), blocks, batch, n))
+        fac = tape.array((span, blocks, batch, n))
         dh = tape.array((batch, n))
         carry = tape.array((batch, n))
         dc = tape.array((batch, n)) if memory else None
         # A later chunk's product, before it is added into its sum; one chunk needs none.
         part = tape.array((n + tokens, width)) if steps > chunk else None
-        held = (w_ht, dz, fac, dh, carry, dc, part, *viewed, *(seqs if layers > 1 else ()))
+        lhs = tape.array((span, batch, n + tokens))
+        # Per layer: dW (the first layer's followed by S), db, and the gradient passed down.
+        sums = [tape.array(w.shape if l else (m + n + tokens, width)) for l, w in enumerate(ws)]
+        dbs = [tape.array((width,)) for _ in ws]
+        downs = [tape.array((rows, n) if l else table.value.shape) for l in range(layers)]
+        arrays = (g, w_ht, dz, fac, dh, carry, dc, part, lhs, *viewed, wave_ids, table.value, *ws,
+                  *(seqs if layers > 1 else ()), *sums, *dbs, *downs)
 
         def summed(first: bool, call: Callable, args: tuple, acc: np.ndarray) -> list:
             # call(*args, out) writes into acc in the chunk that runs first (the window's last), and into
@@ -780,74 +787,52 @@ def _stack(tape: GradientTape, spec: CellSpec, model: ModelState, ids: np.ndarra
             out = part[: len(acc)] if acc.ndim > 1 else part[0]
             return [(call, (*args, out)), (np.add, (acc, out, acc))]
 
-        def layer_back(l: int, g: np.ndarray, w: np.ndarray, sums: np.ndarray, db, below, lhs) -> tuple:
-            # Layer l's steps in reverse, in chunks, the last chunk first.  A chunk runs, per factor chunk
-            # in it, the factor pass, then per step dh = g_t + carry, the adjoint and, except at step 0,
-            # the carry to the step before; then the chunk's weight-gradient products, summed into `sums`
-            # (dW, or the first layer's dW[m:] and S), and an upper layer's bias sum into db and input
-            # gradient rows into `below`.  Returns (the part's own copy of the window's ids, which the
-            # first layer's one-hot rows read, or None; the calls).
-            g, dz_blocks = g.reshape(steps, batch, n), dz.reshape(span, batch, width // n, n).swapaxes(1, 2)
-            h_l, c_l, a_l = hs[l:, l], cs[l:, l] if memory else None, acts[l:, :, l]
-            own_ids = None if l else np.empty(rows, np.int64)
+        def layers_back() -> list:
+            # From the top layer's last chunk to the first layer's closing products, in the docstring's order.
+            dz_blocks, ids_k = dz.reshape(span, batch, width // n, n).swapaxes(1, 2), wave_ids.reshape(rows)
             calls = []
-            for end in range(steps, 0, -chunk) or (0,):  # an empty window runs one empty chunk: zero sums
-                start = max(end - chunk, 0)
-                for stop in range(end, start, -FACTOR_CHUNK):
-                    first = max(stop - FACTOR_CHUNK, start)
-                    calls.append((spec.factors, (h_l[first:stop], c_l[first:stop] if memory else None,
-                                                 a_l[first:stop], fac[: stop - first])))
-                    for t in reversed(range(first, stop)):
-                        views, direct = spec.adjoint_bind(dh, dc, a_l[t], fac[t - first], dz_blocks[t - start])
-                        calls += (np.add, (g[t], carry, dh)), (spec.adjoint_run, views)
+            for l in reversed(range(layers)):
+                w, s_l, g_t = ws[l], sums[l], (downs[l + 1] if l + 1 < layers else g).reshape(steps, batch, n)
+                h_l, c_l, a_l = hs[l:, l], cs[l:, l] if memory else None, acts[l:, :, l]
+                calls.append((np.copyto, (w_ht, w[(m if l == 0 else n):].T)))
+                calls += [(np.copyto, (a, 0.0)) for a in (carry, dc) if a is not None]
+                for end in range(steps, 0, -chunk) or (0,):  # an empty window runs one empty chunk: zero sums
+                    start = max(end - chunk, 0)
+                    calls.append((spec.factors, (h_l[start:end], c_l[start:end] if memory else None,
+                                                 a_l[start:end], fac[: end - start])))
+                    for t in reversed(range(start, end)):
+                        views, direct = spec.adjoint_bind(dh, dc, a_l[t], fac[t - start], dz_blocks[t - start])
+                        calls += (np.add, (g_t[t], carry, dh)), (spec.adjoint_run, views)
                         if t:
                             calls.append((np.matmul, (dz[t - start], w_ht, carry)))
                             if direct is not None:
                                 calls.append((np.add, (carry, direct, carry)))
-                lanes, r0 = (end - start) * batch, start * batch
-                dz_rows, last = dz[: end - start].reshape(lanes, width), end == steps
-                if l:
-                    calls += summed(last, np.matmul, (seqs[l][start:end].reshape(lanes, n).T, dz_rows), sums[n:])
-                    calls += summed(last, np.matmul, (seqs[l - 1][start + 1 : end + 1].reshape(lanes, n).T, dz_rows),
-                                    sums[:n])
-                    calls += summed(last, np.sum, (dz_rows, 0, None), db)
-                    calls.append((np.matmul, (dz_rows, w[:n].T, below[r0 : r0 + lanes])))
-                else:
-                    # [hs | onehot]: row r's state, then a 1 in its token's column.
-                    rows_k = lhs[: end - start].reshape(lanes, n + tokens)
-                    calls += ((np.copyto, (lhs[: end - start, :, :n], seqs[0][start:end])),
-                              (np.copyto, (rows_k[:, n:], 0.0)),
-                              (operator.setitem, (rows_k[:, n:], (np.arange(lanes), own_ids[r0 : r0 + lanes]), 1.0)))
-                    calls += summed(last, np.matmul, (rows_k.T, dz_rows), sums[m:])
-            return own_ids, calls
+                    lanes, r0 = (end - start) * batch, start * batch
+                    dz_rows, last = dz[: end - start].reshape(lanes, width), end == steps
+                    if l:
+                        calls += summed(last, np.matmul, (seqs[l][start:end].reshape(lanes, n).T, dz_rows), s_l[n:])
+                        calls += summed(last, np.matmul, (seqs[l - 1][start + 1 : end + 1].reshape(lanes, n).T,
+                                                          dz_rows), s_l[:n])
+                        calls += summed(last, np.sum, (dz_rows, 0, None), dbs[l])
+                        calls.append((np.matmul, (dz_rows, w[:n].T, downs[l][r0 : r0 + lanes])))
+                    else:
+                        # [hs | onehot]: row r's state, then a 1 in its token's column.
+                        rows_k = lhs[: end - start].reshape(lanes, n + tokens)
+                        calls += ((np.copyto, (lhs[: end - start, :, :n], seqs[0][start:end])),
+                                  (np.copyto, (rows_k[:, n:], 0.0)),
+                                  (operator.setitem, (rows_k[:, n:], (np.arange(lanes), ids_k[r0 : r0 + lanes]), 1.0)))
+                        calls += summed(last, np.matmul, (rows_k.T, dz_rows), s_l[m:])
+            s = sums[0][m + n :]
+            calls += ((np.matmul, (table.value.T, s, sums[0][:m])), (np.sum, (s, 0, None, dbs[0])),
+                      (np.matmul, (s, ws[0][:m].T, downs[0])))
+            return calls
 
+        for call, args in tape.built(("stack", "back"), arrays, layers_back):
+            call(*args)
         for l in reversed(range(layers)):
-            w, m_l = weights[l].value, m if l == 0 else n
-            np.copyto(w_ht, w[m_l:].T)
-            carry[...] = 0.0
-            if memory:
-                dc[...] = 0.0
-            if l:
-                sums, db, below, lhs = tape.array(w.shape), tape.array((width,)), tape.array((rows, n)), None
-            else:
-                sums, db, below = tape.array((m + n + tokens, width)), None, None  # dW, then S
-                lhs = tape.array((span, batch, n + tokens))
-            own_ids, calls = tape.built(("stack", "back", l), (g, w, sums, db, below, lhs, *held),
-                                        layer_back, l, g, w, sums, db, below, lhs)
-            if not l:
-                np.copyto(own_ids, ids.reshape(-1))
-            for call, args in calls:
-                call(*args)
-            if l:
-                dw, g = sums, below
-            else:
-                dw, s = sums[: m + n], sums[m + n :]
-                np.matmul(table.value.T, s, out=dw[:m])
-                db = np.sum(s, axis=0, out=tape.array((width,)))
-                g = np.matmul(s, w[:m].T, out=tape.array(table.value.shape))
-            tape.accumulate_own(weights[l], dw)
-            tape.accumulate_own(biases[l], db)
-        tape.accumulate_own(table, g)
+            tape.accumulate_own(weights[l], sums[l] if l else sums[0][: m + n])
+            tape.accumulate_own(biases[l], dbs[l])
+        tape.accumulate_own(table, downs[0])
 
     final = [(hs[l + steps, l].copy(), cs[l + steps, l].copy() if memory else None) for l in range(layers)]
     return tape.push(out, back), final
@@ -1180,10 +1165,11 @@ def load_checkpoint(path: str | Path) -> ModelState:
 
     The header must carry every key and the blob its checksum, and the
     blob exactly as many values as the header's sizes describe; that count
-    is checked before anything is allocated.  The model's arrays are then
-    allocated unset and its `_v1_blocks` are filled in order.  A value
-    past `_fits_float32`'s weight bound (NaN and infinities included) is
-    MalformedFile naming its parameter, since `train` never saves one.
+    is checked before anything is allocated, as is every token's range
+    (`check_vocabulary`).  The model's arrays are then allocated unset and
+    its `_v1_blocks` are filled in order.  A value past `_fits_float32`'s
+    weight bound (NaN and infinities included) is MalformedFile naming its
+    parameter, since `train` never saves one.
     """
     data = Path(path).read_bytes()
     nl = data.find(b"\n")
@@ -1211,6 +1197,7 @@ def load_checkpoint(path: str | Path) -> ModelState:
         layers, hidden, emb = json_ints([header[k] for k in ("num_layers", "hidden_size", "embedding_dim")],
                                         f"{path}: num_layers, hidden_size and embedding_dim").tolist()
         cell, variant = header["cell"], DatasetVariant(header["variant"])
+        check_vocabulary(vocabulary, variant, f"{path}: vocabulary")
         # Counted before allocating, so an edited header cannot make it
         # allocate more than the file holds.
         count = sum(math.prod(shape) for shape in _shapes(cell, vocabulary.size, layers, hidden, emb))

@@ -29,9 +29,9 @@ order and takes back every gradient it handed out, so a tape kept across
 the windows of a training run (which all record the same ops at the same
 shapes) allocates its window-sized arrays once.  The tape also keeps
 what an op builds on those arrays (`GradientTape.built`: `rnn`'s layer
-stack keeps the calls it replays every window) for as long as every
-window asks for it, so nothing else has to hold views of the workspace,
-and a part no window asks for any more goes at the next reset.
+stack keeps the two call lists it replays every window), so nothing else
+has to hold views of the workspace; a part is replaced, and the arrays
+it viewed freed, when its op next asks for it on other arrays.
 `clip_gradients` sums the squared norm one gradient at a time and scales
 the gradients in place, and `adam_step` works in the scratch pair
 its `AdamState` holds, so a training iteration allocates nothing window-
@@ -110,24 +110,16 @@ class GradientTape:
         self._next = 0
         self._granted: list[Tensor] = []
         self._built: dict = {}
-        self._asked: set = set()
 
     def reset(self) -> None:
         """Drop the records and the gradients the tape wrote first; hand the arrays out again from the first.
 
-        A reset after a window (arrays handed out or parts asked for since
-        the previous reset) also drops every kept part (`built`) that the
-        window did not ask for, with the arrays it views; a reset with
-        nothing in between keeps them.
+        The kept parts (`built`) stay, with the arrays they view.
         """
         self._records.clear()
         for t in self._granted:
             t.grad = None
         self._granted.clear()
-        if self._next or self._asked:
-            for key in self._built.keys() - self._asked:
-                del self._built[key]
-            self._asked.clear()
         self._next = 0
 
     def array(self, shape: tuple[int, ...]) -> np.ndarray:
@@ -140,21 +132,27 @@ class GradientTape:
             self._arrays[k] = np.empty(shape, self.dtype)
         return self._arrays[k]
 
-    def built(self, key, arrays: tuple, build: Callable, *args):
-        """What `build(*args)` made on these arrays, made again unless every one is the array it was made on.
+    def built(self, key, arrays: tuple, build: Callable):
+        """What `build()` made on these arrays, made again unless every one is the array it was made on.
 
         An op names its part by `key` and passes the arrays (and whatever
         else) the part depends on.  The part is kept across `reset`, so an
         op that asks again in every window builds it once, and is built
         again whenever one of those arrays is not the very one it was built
         on: a window of other sizes, or of other ops, in between hands out
-        other arrays, even of the same shapes.  A window that does not ask
-        for it ends its life at the next `reset`.
+        other arrays, even of the same shapes.  The new part replaces the
+        old one, which frees the arrays only the old one viewed.
+
+        So a part lives until its key is asked for again or the tape is
+        freed.  `rnn`'s layer stack asks for both of its keys in every
+        window, so only a tape that runs stack windows and then only
+        per-op windows keeps the stack's two parts, and the arrays they
+        view (at most one window's workspace), until it next runs a stack
+        window or is freed.  `train` never does that.
         """
-        self._asked.add(key)
         held = self._built.get(key)
         if held is None or any(a is not b for a, b in zip(held[0], arrays)):
-            held = self._built[key] = (arrays, build(*args))
+            held = self._built[key] = (arrays, build())
         return held[1]
 
     def _grant(self, t: Tensor, g: np.ndarray) -> None:

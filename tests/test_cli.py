@@ -602,10 +602,12 @@ def test_train_rejects_corpus_ids_outside_vocabulary(tmp_path, key, index, bad_i
         # Trained with exit 0 before: a bool id read as 0 or 1, and y need not follow x.
         ("corpus", lambda p: {**p, "x": [True] + p["x"][1:]}),
         ("corpus", lambda p: {**p, "y": p["y"][::-1]}),
+        # A token outside the control variant's MIDI range, which trained and was saved before 0.18.0.
+        ("sidecar", lambda p: {**p, "tokens": p["tokens"][:-1] + [200]}),
     ],
     ids=["no-x", "no-y", "no-variant", "no-tokens", "list", "null-x", "2d-x", "short-y", "int-tokens",
          "no-sidecar-variant", "float-token", "string-token", "bool-token",
-         "float-id", "string-id", "nested-id", "huge-id", "bool-id", "unshifted-y"],
+         "float-id", "string-id", "nested-id", "huge-id", "bool-id", "unshifted-y", "token-past-127"],
 )
 def test_train_rejects_malformed_corpus(tmp_path, target, edit):
     corpus_path = build_corpus_file(tmp_path)
@@ -624,8 +626,9 @@ def test_train_rejects_malformed_corpus(tmp_path, target, edit):
         lambda h: h.update(num_layers=True),
         lambda h: h.update(hidden_size="8"),
         lambda h: h["vocabulary"].__setitem__(0, 58.0),
+        lambda h: h["vocabulary"].__setitem__(-1, 200),  # no MIDI note; sampled it, then failed at the MIDI write
     ],
-    ids=["bool-layers", "string-hidden", "float-token"],
+    ids=["bool-layers", "string-hidden", "float-token", "token-past-127"],
 )
 def test_sample_rejects_non_integer_checkpoint_header(tmp_path, edit):
     # Each edit writes the size or token it replaces (ugrnn x1, hidden 8,

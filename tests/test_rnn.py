@@ -815,6 +815,30 @@ def test_a_kept_plan_gives_the_bits_of_a_fresh_tape_per_window(cell, layers, bat
                 p.value -= np.float32(0.05) * np.frombuffer(g, np.float32).reshape(p.value.shape)
 
 
+@pytest.mark.parametrize("layers", [1, 3])
+@pytest.mark.parametrize("cell", ["lstm", "ugrnn"])
+def test_a_window_keeps_two_parts_and_the_next_one_replays_them(cell, layers):
+    # The stack keeps its forward's waves and its whole backward, every
+    # layer's and the first layer's closing products, as one part each.
+    # Batch 50 at 2 * FACTOR_CHUNK + 1 steps runs the backward in 3
+    # gradient chunks.  A second window of the same sizes replays both
+    # parts: the very objects the first one built.
+    rng = np.random.default_rng([layers, 17])
+    model = model_copy(init_model(VOCAB, DatasetVariant.CONTROL, cell=cell, num_layers=layers, hidden_size=5,
+                                  embedding_dim=3, rng=rng, init_scale=0.6), np.float32)
+    tape = GradientTape(np.float32)
+    states = _zero_states(model, 50, np.float32)
+    kept = []
+    for _ in range(2):
+        X = rng.integers(0, VOCAB.size, size=(50, 2 * FACTOR_CHUNK + 1))
+        Y = rng.integers(0, VOCAB.size, size=(50, 2 * FACTOR_CHUNK + 1))
+        states = window_results(tape, model, X, Y, states)[2]
+        kept.append(dict(tape._built))
+    first, second = kept
+    assert first.keys() == {("stack", "waves"), ("stack", "back")}
+    assert second.keys() == first.keys() and all(second[key] is first[key] for key in first)
+
+
 @pytest.mark.parametrize("other", ["batch", "layers"])
 def test_a_tape_reused_at_other_sizes_rebuilds_its_parts(other):
     # The tape hands out new arrays when a window of another batch size or
@@ -1374,6 +1398,9 @@ def edit_header(data, **changes):
         lambda data: edit_header(data, variant="pentatonic"),
         # Each of five layers' arrays fits the one-layer blob; all of them do not.
         lambda data: edit_header(data, num_layers=5),
+        # Tokens outside the control variant's MIDI range, which 0.17.0 loaded.
+        lambda data: edit_header(data, vocabulary=list(VOCAB.tokens[:-1]) + [200]),
+        lambda data: edit_header(data, vocabulary=[-1] + list(VOCAB.tokens[1:])),
     ],
 )
 def test_checkpoint_rejects_corruption(tmp_path, monkeypatch, mangle):
